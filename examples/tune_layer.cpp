@@ -31,36 +31,20 @@ int main(int argc, char** argv) {
               result.best.to_string().c_str());
   std::printf("  speedup              : %.2fx\n",
               result.default_seconds / result.best_seconds);
-  std::printf("  execution mode       : %s wins (staged %.3f ms, fused %.3f ms)\n",
-              execution_mode_name(result.best_mode), result.staged_seconds * 1e3,
-              result.fused_seconds * 1e3);
-  const StageTimes& st = result.best_mode == ExecutionMode::kFused ? result.fused_stages
-                                                                   : result.staged_stages;
-  std::printf("  winner's stage split : transform %.3f ms, GEMM %.3f ms, output %.3f ms\n",
-              st.input_transform * 1e3, st.gemm * 1e3, st.output_transform * 1e3);
 
-  // Persist to the wisdom file like a deployment would — the full v3 entry,
-  // including the shoot-out timings and the winner's per-stage breakdown.
+  // Persist the winning blocking to the wisdom file under the layer's key.
   const char* path = "lowino_wisdom.txt";
   WisdomStore store;
   if (auto existing = WisdomStore::load(path)) store = *existing;
-  WisdomEntry entry;
-  entry.blocking = result.best;
-  entry.mode = result.best_mode;
-  entry.staged_seconds = result.staged_seconds;
-  entry.fused_seconds = result.fused_seconds;
-  entry.stages = st;
-  store.put(wisdom_key(desc, 4), entry);
+  store.put(wisdom_key(desc, 4), result.best);
   store.save(path);
-  std::printf("  saved to %s (%zu entries); inference loads this ahead of time\n", path,
-              store.size());
+  std::printf("  saved to %s (%zu entries)\n", path, store.size());
 
   // Demonstrate the load path.
   const auto loaded = WisdomStore::load(path);
   if (loaded && loaded->get(wisdom_key(desc, 4))) {
-    std::printf("  reload check: OK (%s, mode=%s)\n",
-                loaded->get(wisdom_key(desc, 4))->to_string().c_str(),
-                execution_mode_name(loaded->get_mode(wisdom_key(desc, 4))));
+    std::printf("  reload check: OK (%s)\n",
+                loaded->get(wisdom_key(desc, 4))->to_string().c_str());
   }
   return 0;
 }

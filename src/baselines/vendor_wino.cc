@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/saturate.h"
-#include "common/timer.h"
 #include "lowino/filter_pack.h"
 #include "lowino/input_transform.h"
 #include "lowino/transform_kernels.h"
@@ -137,8 +136,6 @@ void VendorWinoF23::execute_nchw(std::span<const float> input, std::span<float> 
   const std::size_t cb_count = c64 / kChanBlock;
   const float v_scale = alpha_v_ * input_scale_;
 
-  stage_times_ = StageTimes{};
-
   grid_input_.ensure(n_in);
   quantize_to_grid(input.subspan(0, n_in), input_scale_, grid_input_.span());
   in_blocked_.ensure(in_layout_.size());
@@ -157,14 +154,12 @@ void VendorWinoF23::execute_nchw(std::span<const float> input, std::span<float> 
     AlignedBuffer<float> tile_vals(t_elems * kChanBlock);
     AlignedBuffer<std::uint8_t> v_strip(t_elems * strip_tiles_ * c64);
     AlignedBuffer<std::int32_t> z_strip(t_elems * strip_tiles_ * k64);
-    double transform_s = 0.0, gemm_s = 0.0;
     const Range range = static_partition(n_strips, nw, tid);
     for (std::size_t strip = range.begin; strip < range.end; ++strip) {
       const std::size_t tile0 = strip * strip_tiles_;
       const std::size_t tile1 = std::min(n_tiles, tile0 + strip_tiles_);
       const std::size_t rows = tile1 - tile0;
 
-      Timer t0;
       {
         ProfileSpan span(ProfileStage::kInputTransform);
         for (std::size_t tile = tile0; tile < tile1; ++tile) {
@@ -181,9 +176,7 @@ void VendorWinoF23::execute_nchw(std::span<const float> input, std::span<float> 
           }
         }
       }
-      transform_s += t0.seconds();
 
-      Timer t1;
       {
         ProfileSpan span(ProfileStage::kGemm);
         for (std::size_t t = 0; t < t_elems; ++t) {
@@ -193,20 +186,13 @@ void VendorWinoF23::execute_nchw(std::span<const float> input, std::span<float> 
                            Int8GemmBlocking{});
         }
       }
-      gemm_s += t1.seconds();
 
-      Timer t2;
       {
         ProfileSpan span(ProfileStage::kOutputTransform);
         gather_output_transform_i32(desc_, geo_, at_plan_, z_strip.data(), strip_tiles_, k64,
                                     dequant_.data(), bias_.data(), out_blocked_.span(),
                                     tile0, tile1, tile0);
       }
-      transform_s += t2.seconds();
-    }
-    if (tid == 0) {
-      stage_times_.input_transform = transform_s;  // transform stages combined
-      stage_times_.gemm = gemm_s;
     }
   };
 
@@ -218,7 +204,6 @@ void VendorWinoF23::execute_nchw(std::span<const float> input, std::span<float> 
 
   unpack_blocked_to_nchw(out_blocked_.span(), desc_.batch, desc_.out_channels,
                          desc_.out_height(), desc_.out_width(), output, pool);
-  stage_times_.output_transform = 0.0;  // folded into input_transform above
 }
 
 }  // namespace lowino

@@ -16,7 +16,6 @@
 #include "baselines/wino_common.h"
 #include "common/aligned_buffer.h"
 #include "gemm/int8_gemm.h"
-#include "lowino/engine_config.h"
 #include "quant/histogram.h"
 #include "tensor/conv_desc.h"
 #include "tensor/layout.h"
@@ -40,10 +39,6 @@ class VendorWinoF23 {
 
   const ConvDesc& desc() const { return desc_; }
   std::size_t strip_tiles() const { return strip_tiles_; }
-
-  /// Per-stage times of the last run (transform vs multiplication,
-  /// Figure 10). Always collected; negligible overhead at strip granularity.
-  const StageTimes& stage_times() const { return stage_times_; }
 
  private:
   void maybe_pack();
@@ -75,7 +70,6 @@ class VendorWinoF23 {
   AlignedBuffer<float> grid_input_;
   AlignedBuffer<float> in_blocked_;
   AlignedBuffer<float> out_blocked_;
-  StageTimes stage_times_;
 };
 
 }  // namespace lowino

@@ -3,8 +3,8 @@
 // Every LOWINO_* knob the runtime reads goes through RuntimeConfig, which
 // layers *programmatic overrides* on top of the process environment:
 //
-//   RuntimeConfig::set("LOWINO_EXECUTION_MODE", "fused");   // beats the env
-//   config_string("LOWINO_EXECUTION_MODE", "auto");         // -> "fused"
+//   RuntimeConfig::set("LOWINO_U8_HANDOFF", "0");   // beats the env
+//   config_flag("LOWINO_U8_HANDOFF", true);         // -> false
 //
 // This is what lets an embedding application (notably serve/PlanOptions)
 // configure the engine per plan without mutating the environment — overrides

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/cpu_features.h"
-#include "common/timer.h"
 #include "gemm/int8_gemm.h"
 #include "gemm/vnni_kernels.h"
 #include "parallel/thread_pool.h"
@@ -146,18 +145,14 @@ void LoWinoConvolution::maybe_build_dequant() {
 }
 
 ExecutionMode LoWinoConvolution::resolve_execution_mode(std::size_t num_threads) const {
-  // Stage timing needs the three fork-join boundaries; fused mode has none.
-  if (config_.collect_stage_times) return ExecutionMode::kStaged;
   if (config_.execution_mode != ExecutionMode::kAuto) return config_.execution_mode;
   const std::size_t staged =
       v_layout_.size() * sizeof(std::uint8_t) + z_layout_.size() * sizeof(std::int32_t);
-  const std::size_t threshold = config_.fused_threshold_bytes != 0
-                                    ? config_.fused_threshold_bytes
-                                    : num_threads * l2_cache_bytes();
   // Fuse exactly when the staged intermediates stop fitting in aggregate L2:
   // below that the staged round trips are cache hits anyway and its larger
   // GEMM task grid parallelizes the k dimension too.
-  return staged > threshold ? ExecutionMode::kFused : ExecutionMode::kStaged;
+  return staged > num_threads * l2_cache_bytes() ? ExecutionMode::kFused
+                                                 : ExecutionMode::kStaged;
 }
 
 std::size_t LoWinoConvolution::workspace_bytes(ExecutionMode mode,
@@ -199,7 +194,7 @@ void LoWinoConvolution::execute_blocked_impl(const void* input, void* output, DT
   in_ctx.in_dequant = in_u8_qp_.inv_scale;
   OutputTransformContext out_ctx{&desc_,      &geo_,       &at_plan_,
                                  z_layout_,   out_layout_, filters_.bias.data(),
-                                 config_.fuse_relu || post.relu, post.sum, canonical_tm_};
+                                 post.relu,   post.sum,    canonical_tm_};
   out_ctx.out_dtype = out_dtype;
   out_ctx.requant_scale = out_u8_qp_.scale;
   out_ctx.sum_u8_nchw = post.sum_u8;
@@ -222,19 +217,11 @@ void LoWinoConvolution::execute_blocked_impl(const void* input, void* output, DT
   }
   z_buf_.ensure(z_layout_.size());
 
-  Timer timer;
   run_input_transform(in_ctx, input, scales_, v_buf_.data(), pool);
-  if (config_.collect_stage_times) stage_times_.input_transform = timer.seconds();
-
-  timer.restart();
   batched_int8_gemm(v_layout_, v_buf_.data(), filters_.layout, filters_.data.data(),
                     filters_.comp.data(), z_layout_, z_buf_.data(), config_.blocking, pool,
                     &gemm_scratch_);
-  if (config_.collect_stage_times) stage_times_.gemm = timer.seconds();
-
-  timer.restart();
   run_output_transform(out_ctx, z_buf_.data(), scales_, output, pool);
-  if (config_.collect_stage_times) stage_times_.output_transform = timer.seconds();
 }
 
 void LoWinoConvolution::execute_nchw(std::span<const float> input, std::span<float> output,

@@ -103,16 +103,9 @@ class LoWinoConvolution {
   BlockedActLayout input_layout() const { return in_layout_; }
   BlockedActLayout output_layout() const { return out_layout_; }
 
-  /// Per-stage times of the last execute (only populated when
-  /// config.collect_stage_times is set, which forces staged execution).
-  const StageTimes& stage_times() const { return stage_times_; }
-
   /// Resolves config.execution_mode for a concrete thread count: kAuto picks
-  /// kFused when the staged V + Z workspace exceeds the fused-mode threshold
-  /// (config.fused_threshold_bytes, default num_threads x L2 size) — i.e.
-  /// exactly when the staged intermediates stop fitting in cache.
-  /// collect_stage_times always forces kStaged (the fused path has no
-  /// per-stage boundaries to time).
+  /// kFused when the staged V + Z workspace exceeds num_threads x L2 size —
+  /// i.e. exactly when the staged intermediates stop fitting in cache.
   ExecutionMode resolve_execution_mode(std::size_t num_threads = 1) const;
 
   /// Bytes of intermediate state, for the memory-overhead analysis: the full
@@ -171,7 +164,6 @@ class LoWinoConvolution {
   QuantParams out_u8_qp_;
   FusedWorkspace fused_ws_;
   Int8GemmScratch gemm_scratch_;
-  StageTimes stage_times_;
   ExecutionMode last_mode_ = ExecutionMode::kAuto;
   std::size_t last_threads_ = 1;
 };

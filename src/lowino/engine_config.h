@@ -19,15 +19,15 @@ enum class ScaleGranularity {
 /// streaming alternative).
 enum class ExecutionMode {
   /// Three fork-join regions with the full transformed tensors V and Z
-  /// materialized in between (the paper's staged pipeline). Required for
-  /// per-stage time breakdowns; also the differential-testing oracle.
+  /// materialized in between (the paper's staged pipeline). Also the
+  /// differential-testing oracle.
   kStaged,
   /// One fork-join region: each worker transforms, multiplies and
   /// output-transforms its n-block slice with L2-resident per-thread panels.
   /// Bit-identical results; workspace independent of the total tile count.
   kFused,
   /// Staged for small layers (intermediates fit in cache anyway), fused once
-  /// the staged V+Z workspace exceeds a cache-derived threshold.
+  /// the staged V+Z workspace exceeds num_threads x L2 size.
   kAuto,
 };
 
@@ -41,9 +41,9 @@ inline const char* execution_mode_name(ExecutionMode mode) {
 }
 
 /// Parses an execution-mode token ("staged" / "fused" / "auto", matched
-/// ASCII case-insensitively so env knobs like LOWINO_EXECUTION_MODE=FUSED
-/// behave predictably); returns false on anything else and leaves `mode`
-/// untouched. Used by the wisdom store's text format and the env override.
+/// ASCII case-insensitively); returns false on anything else and leaves
+/// `mode` untouched. The wisdom parser uses it to validate the mode token of
+/// legacy v2/v3 lines.
 inline bool parse_execution_mode(const char* name, ExecutionMode& mode) {
   const auto matches = [](const char* token, const char* lower) {
     for (; *token != '\0' && *lower != '\0'; ++token, ++lower) {
@@ -86,30 +86,8 @@ struct LoWinoConfig {
   /// generic codelet-plan interpreter (ablation A1f).
   bool use_hand_codelets = true;
 
-  /// Fused post-op for the NN runtime: max(0, y + bias).
-  bool fuse_relu = false;
-
-  /// Collect per-stage wall-clock times during execute() (Figure 10).
-  /// Per-stage times only exist in the staged pipeline, so this forces
-  /// ExecutionMode::kStaged regardless of `execution_mode`.
-  bool collect_stage_times = false;
-
   /// Staged pipeline vs fused streaming execution (see ExecutionMode).
   ExecutionMode execution_mode = ExecutionMode::kAuto;
-
-  /// kAuto switches to the fused path when the staged V+Z workspace exceeds
-  /// this many bytes per thread. 0 = derive from the L2 cache size (the point
-  /// where the staged intermediates stop being cache-resident and every stage
-  /// boundary becomes DRAM traffic).
-  std::size_t fused_threshold_bytes = 0;
-};
-
-/// Per-stage execution time of the last run, seconds (Figure 10).
-struct StageTimes {
-  double input_transform = 0.0;
-  double gemm = 0.0;
-  double output_transform = 0.0;
-  double total() const { return input_transform + gemm + output_transform; }
 };
 
 }  // namespace lowino

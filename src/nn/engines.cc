@@ -73,19 +73,7 @@ std::size_t lowino_calibration_stride(std::size_t total_tiles) {
   return total_tiles < kCalibDenseTileLimit ? 1 : 2;
 }
 
-// Deprecated shims (see engines.h): the kind-invariant EngineCaps bits,
-// answered straight from the registry.
-bool engine_is_quantized(EngineKind kind) { return engine_registration(kind).quantized; }
-
-bool engine_supports_post_ops(EngineKind kind) {
-  return engine_registration(kind).post_ops;
-}
-
 bool post_op_fusion_enabled() { return config_flag("LOWINO_FUSE_POSTOPS", true); }
-
-bool engine_supports_u8_handoff(EngineKind kind) {
-  return engine_registration(kind).u8_handoff;
-}
 
 bool u8_handoff_enabled() { return config_flag("LOWINO_U8_HANDOFF", true); }
 
@@ -168,7 +156,7 @@ void ConvEngine::run(std::span<const float> input, std::span<float> output,
 
 void ConvEngine::do_run_post(std::span<const float>, std::span<float>, ThreadPool*,
                              const PostOps&) {
-  misuse("do_run_post() not implemented despite engine_supports_post_ops() — "
+  misuse("do_run_post() not implemented despite engine_caps(kind, desc).post_ops — "
          "the capability table and the engine wrapper disagree");
 }
 
@@ -215,17 +203,19 @@ void ConvEngine::run_typed(const void* input, void* output, ThreadPool* pool,
 }
 
 void ConvEngine::do_set_input_u8(const QuantParams&) {
-  misuse("do_set_input_u8() not implemented despite engine_supports_u8_handoff() "
+  misuse("do_set_input_u8() not implemented despite "
+         "engine_caps(kind, desc).u8_handoff "
          "— the capability table and the engine wrapper disagree");
 }
 
 void ConvEngine::do_set_output_u8(const QuantParams&) {
-  misuse("do_set_output_u8() not implemented despite engine_supports_u8_handoff() "
+  misuse("do_set_output_u8() not implemented despite "
+         "engine_caps(kind, desc).u8_handoff "
          "— the capability table and the engine wrapper disagree");
 }
 
 void ConvEngine::do_run_typed(const void*, void*, ThreadPool*, const PostOps&) {
-  misuse("do_run_typed() not implemented despite engine_supports_u8_handoff() — "
+  misuse("do_run_typed() not implemented despite engine_caps(kind, desc).u8_handoff — "
          "the capability table and the engine wrapper disagree");
 }
 
@@ -344,10 +334,6 @@ class LoWinoEngine final : public ConvEngine {
     cfg.m = m;
     // Default kAuto: small layers run staged, layers whose V + Z tensors
     // outgrow aggregate L2 stream through the fused per-thread panels.
-    // LOWINO_EXECUTION_MODE=staged|fused|auto (env or RuntimeConfig
-    // override) overrides for experiments.
-    const std::string mode = config_string("LOWINO_EXECUTION_MODE", "");
-    if (!mode.empty()) parse_execution_mode(mode.c_str(), cfg.execution_mode);
     return cfg;
   }
   LoWinoConvolution conv_;

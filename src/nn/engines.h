@@ -64,31 +64,15 @@ struct EngineCaps {
   bool supports = false;    ///< accepts this ConvDesc (shape-capability gate)
 };
 
-/// The one capability query. Replaces the deprecated engine_is_quantized /
-/// engine_supports_post_ops / engine_supports_u8_handoff predicates, which
-/// could not express shape-dependent capability (1x1-only, depthwise-only
-/// engines).
+/// The one capability query: it sees shape-dependent capability (1x1-only,
+/// depthwise-only engines) as well as the per-kind bits.
 EngineCaps engine_caps(EngineKind kind, const ConvDesc& desc);
-
-/// Deprecated shims over engine_caps() — one-PR migration aids. They answer
-/// the kind-invariant bits only and cannot see shape capability; new code
-/// must call engine_caps(kind, desc).
-[[deprecated("use engine_caps(kind, desc).quantized")]]
-bool engine_is_quantized(EngineKind kind);
-
-/// See EngineCaps::post_ops.
-[[deprecated("use engine_caps(kind, desc).post_ops")]]
-bool engine_supports_post_ops(EngineKind kind);
 
 /// The LOWINO_FUSE_POSTOPS kill-switch (env or RuntimeConfig override,
 /// default on). When off, the session compiler and the layer runtime keep the
 /// separate element-wise bias/ReLU/sum passes — the A/B lever for measuring
 /// the fusion win.
 bool post_op_fusion_enabled();
-
-/// See EngineCaps::u8_handoff.
-[[deprecated("use engine_caps(kind, desc).u8_handoff")]]
-bool engine_supports_u8_handoff(EngineKind kind);
 
 /// The LOWINO_U8_HANDOFF kill-switch (env or RuntimeConfig override, default
 /// on). When off, the session compiler assigns FP32 to every activation edge

@@ -27,6 +27,31 @@ Nanos slo_deadline(Nanos now, Nanos slo_ns) {
   return sat_add(now, std::max<Nanos>(slo_ns, 0));
 }
 
+/// Exception-contained batch execution, shared by both servers: one attempt
+/// over the whole batch and, if that throws, one retry per member alone so a
+/// single poisoned request cannot sink its batchmates. Returns true when the
+/// batch attempt succeeded; otherwise retry_ok[i] records member i's retry.
+/// Never throws; ServerCore::settle_batch books the outcome.
+template <class Run>
+bool run_contained(std::span<const std::uint32_t> batch, Run&& run,
+                   std::vector<std::uint8_t>& retry_ok) {
+  try {
+    run(batch);
+    return true;
+  } catch (...) {
+    // Fall through to the member-by-member isolation pass.
+  }
+  retry_ok.assign(batch.size(), 0);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    try {
+      run(batch.subspan(i, 1));
+      retry_ok[i] = 1;
+    } catch (...) {
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 const char* serve_result_name(ServeResult r) {
@@ -288,6 +313,27 @@ std::size_t ServerCore::fail_all_queued(std::vector<std::uint32_t>& out) {
   return n;
 }
 
+std::size_t ServerCore::settle_batch(std::span<const std::uint32_t> batch, bool batch_ok,
+                                     std::span<const std::uint8_t> retry_ok) {
+  if (batch_ok) {
+    complete(batch);
+    return 0;
+  }
+  assert(retry_ok.size() == batch.size());
+  ++stats_.batch_failures;
+  stats_.retries += batch.size();
+  std::size_t n_failed = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (retry_ok[i]) {
+      complete_one(batch[i]);
+    } else {
+      fail(batch[i]);
+      ++n_failed;
+    }
+  }
+  return n_failed;
+}
+
 bool ServerCore::failed_by_worker_loss(std::uint32_t ticket) const {
   const Slot& slot = slots_[ticket];
   return slot.state == SlotState::kFailed && slot.worker_lost;
@@ -324,25 +370,14 @@ ManualServer::StepOutcome ManualServer::step() {
   if (core_.ready(now)) {
     core_.close_batch(now, outcome.batch);
     if (!outcome.batch.empty()) {
-      try {
-        runner_(outcome.batch, core_);
-        core_.complete(outcome.batch);
-      } catch (...) {
-        // The batch attempt threw: contain it. Retry every member alone so a
-        // single poisoned request cannot sink its batchmates; only members
-        // whose individual retry also throws end kFailed.
-        core_.note_batch_failure();
-        for (const std::uint32_t t : outcome.batch) {
-          const std::uint32_t single[1] = {t};
-          core_.note_retry();
-          try {
-            runner_(std::span<const std::uint32_t>(single, 1), core_);
-            core_.complete_one(t);
-          } catch (...) {
-            core_.fail(t);
-            outcome.failed.push_back(t);
-          }
-        }
+      std::vector<std::uint8_t> retry_ok;
+      const bool batch_ok = run_contained(
+          outcome.batch,
+          [&](std::span<const std::uint32_t> tickets) { runner_(tickets, core_); },
+          retry_ok);
+      core_.settle_batch(outcome.batch, batch_ok, retry_ok);
+      for (const std::uint32_t t : outcome.batch) {
+        if (core_.state(t) == SlotState::kFailed) outcome.failed.push_back(t);
       }
     }
   }
@@ -585,8 +620,8 @@ ServerHealth BatchingServer::health() const {
 void BatchingServer::worker_loop(Worker& worker) {
   std::vector<std::uint32_t> batch;
   batch.reserve(options_.max_batch);
-  std::vector<std::uint8_t> ok;
-  ok.reserve(options_.max_batch);
+  std::vector<std::uint8_t> retry_ok;
+  retry_ok.reserve(options_.max_batch);
   // Consecutive batches in which *every* member failed even on its
   // individual retry. Partial failures reset it: when retries succeed the
   // session is healthy and the failure was input-bound, not worker-bound.
@@ -619,27 +654,12 @@ void BatchingServer::worker_loop(Worker& worker) {
     // batch): hand it to another idle worker before going busy.
     if (core_.pending() > 0) work_cv_.notify_one();
     lk.unlock();
-    ok.assign(batch.size(), 0);
-    std::size_t retries = 0;
-    const bool batch_ok = run_batch_contained(worker, batch, ok, retries);
+    const bool batch_ok = run_contained(
+        batch, [&](std::span<const std::uint32_t> tickets) { run_batch(worker, tickets); },
+        retry_ok);
     lk.lock();
-    if (batch_ok) {
-      core_.complete(batch);
-      consecutive_failures = 0;
-    } else {
-      core_.note_batch_failure();
-      for (std::size_t r = 0; r < retries; ++r) core_.note_retry();
-      bool all_failed = true;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (ok[i]) {
-          core_.complete_one(batch[i]);
-          all_failed = false;
-        } else {
-          core_.fail(batch[i]);
-        }
-      }
-      consecutive_failures = all_failed ? consecutive_failures + 1 : 0;
-    }
+    const std::size_t n_failed = core_.settle_batch(batch, batch_ok, retry_ok);
+    consecutive_failures = n_failed == batch.size() ? consecutive_failures + 1 : 0;
     for (const std::uint32_t t : batch) slot_sync_[t].cv.notify_one();
     if (consecutive_failures >= kRebuildThreshold) {
       if (supervise_rebuild(worker, lk)) {
@@ -668,40 +688,6 @@ void BatchingServer::run_batch(Worker& worker, std::span<const std::uint32_t> ba
     std::memcpy(core_.slot_output(batch[i]), scatter + i * output_elems_,
                 output_elems_ * sizeof(float));
   }
-}
-
-void BatchingServer::run_single(Worker& worker, std::uint32_t ticket) {
-  // The isolation retry: one request in lane 0 of the batch tensor. The
-  // remaining lanes keep whatever the aborted batch left behind —
-  // per-image independence makes them harmless, and lane 0's result is
-  // bit-identical to the same image in any batch.
-  std::memcpy(worker.in.data(), core_.slot_input(ticket), input_elems_ * sizeof(float));
-  worker.session->run(worker.in, worker.out);
-  std::memcpy(core_.slot_output(ticket), worker.out.data(),
-              output_elems_ * sizeof(float));
-}
-
-bool BatchingServer::run_batch_contained(Worker& worker,
-                                         std::span<const std::uint32_t> batch,
-                                         std::vector<std::uint8_t>& ok,
-                                         std::size_t& retries) {
-  try {
-    run_batch(worker, batch);
-    std::fill(ok.begin(), ok.end(), 1);
-    return true;
-  } catch (...) {
-    // Fall through to the member-by-member isolation pass.
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ++retries;
-    try {
-      run_single(worker, batch[i]);
-      ok[i] = 1;
-    } catch (...) {
-      ok[i] = 0;
-    }
-  }
-  return false;
 }
 
 void BatchingServer::build_worker_session(Worker& worker) {

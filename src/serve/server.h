@@ -41,7 +41,9 @@
 //     batch boundary and fails only the affected requests (ServeResult::
 //     kFailed); the server lives on. A failed batch's members are retried
 //     individually first, so one poisoned request cannot sink its
-//     batchmates.
+//     batchmates. ManualServer and BatchingServer share this policy: the
+//     same run-then-retry routine and ServerCore::settle_batch, so the
+//     deterministic ManualServer tests exercise the production code.
 //   * Worker supervision — a worker whose session keeps failing rebuilds it
 //     from the shared SessionPlan with capped backoff; a worker whose
 //     rebuild fails degrades out of the fleet (clients of a fully-lost
@@ -275,9 +277,14 @@ class ServerCore {
   /// True when a kFailed slot was failed by worker loss (not a contained
   /// execution error).
   bool failed_by_worker_loss(std::uint32_t ticket) const;
-  /// Failure-containment bookkeeping (see ServeStats).
-  void note_batch_failure() { ++stats_.batch_failures; }
-  void note_retry() { ++stats_.retries; }
+  /// Settles a closed batch after its contained run (see run_contained in
+  /// server.cc): the one place both servers book a batch's outcome. When the
+  /// batch attempt succeeded every member completes. Otherwise it books one
+  /// batch failure and one retry per member, completes the members whose
+  /// individual retry succeeded (retry_ok[i] != 0) and fails the rest.
+  /// Returns the number of members failed.
+  std::size_t settle_batch(std::span<const std::uint32_t> batch, bool batch_ok,
+                           std::span<const std::uint8_t> retry_ok);
 
   const float* slot_input(std::uint32_t ticket) const;
   float* slot_output(std::uint32_t ticket) const;
@@ -455,16 +462,9 @@ class BatchingServer {
   void worker_loop(Worker& worker);
   /// Gather -> session.run -> scatter, called without the lock held (slot
   /// bindings of a kRunning batch are immutable until complete()/fail()).
+  /// A one-member span is the isolation retry: the request runs in lane 0
+  /// and per-image independence makes the stale lanes harmless.
   void run_batch(Worker& worker, std::span<const std::uint32_t> batch);
-  /// Gather one request into lane 0 -> run -> scatter lane 0 (the isolation
-  /// retry; per-image independence makes stale lanes harmless).
-  void run_single(Worker& worker, std::uint32_t ticket);
-  /// Exception-contained batch execution: a throwing batch attempt is
-  /// retried member by member. ok[i] reports each member's outcome; returns
-  /// false when the batch attempt threw. Never throws. `retries` counts the
-  /// individual re-runs performed.
-  bool run_batch_contained(Worker& worker, std::span<const std::uint32_t> batch,
-                           std::vector<std::uint8_t>& ok, std::size_t& retries);
   /// (Re)builds `worker`'s session by replaying the shared plan (worker-start
   /// fault point inside). Strong guarantee: on throw the previous session, if
   /// any, is retained.

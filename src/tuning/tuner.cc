@@ -39,49 +39,6 @@ double time_blocking(const ConvDesc& desc, const WinogradGeometry& geo,
   return stats.median;
 }
 
-/// Times the full pipeline (transform + GEMM + transform) in one execution
-/// mode. Operand values are irrelevant for timing (VNNI latency is
-/// data-independent), so zero weights and whatever the buffers hold suffice.
-double time_mode(const ConvDesc& desc, std::size_t m, const Int8GemmBlocking& blocking,
-                 ExecutionMode mode, ThreadPool* pool, const TuneOptions& options,
-                 AlignedBuffer<float>& in, AlignedBuffer<float>& out,
-                 std::vector<float>& weights, StageTimes* breakdown) {
-  LoWinoConfig cfg;
-  cfg.m = m;
-  cfg.blocking = blocking;
-  cfg.execution_mode = mode;
-  LoWinoConvolution conv(desc, cfg);
-  conv.set_uniform_input_threshold(4.0f);
-  weights.assign(desc.out_channels * desc.in_channels * desc.kernel * desc.kernel, 0.0f);
-  conv.set_filters(weights);
-  in.ensure(conv.input_layout().size());
-  out.ensure(conv.output_layout().size());
-  ProfileSpan trial(ProfileStage::kTunerTrial);
-  const TimingStats stats = time_it(
-      [&] { conv.execute_blocked(in.span(), out.span(), pool); },
-      /*warmup=*/1, options.min_reps, /*max_iters=*/50, options.seconds_per_candidate);
-  if (breakdown != nullptr) {
-    // One extra instrumented execute: the totals delta attributes the mode's
-    // time to transform/GEMM/output stages in situ (works for fused too,
-    // where stage boundaries are invisible to wall-clock timing). The global
-    // enable is restored, not reset — user-recorded data survives tuning.
-    const bool was_enabled = profiler_enabled();
-    profiler_set_enabled(true);
-    const auto before = profiler_stage_totals();
-    conv.execute_blocked(in.span(), out.span(), pool);
-    const auto after = profiler_stage_totals();
-    profiler_set_enabled(was_enabled);
-    const auto delta = [&](ProfileStage s) {
-      const auto i = static_cast<std::size_t>(s);
-      return after[i].seconds - before[i].seconds;
-    };
-    breakdown->input_transform = delta(ProfileStage::kInputTransform);
-    breakdown->gemm = delta(ProfileStage::kGemm);
-    breakdown->output_transform = delta(ProfileStage::kOutputTransform);
-  }
-  return stats.median;
-}
-
 }  // namespace
 
 std::string wisdom_key(const ConvDesc& desc, std::size_t m) {
@@ -119,20 +76,6 @@ TuneResult tune_layer(const ConvDesc& desc, std::size_t m, ThreadPool* pool,
     }
   }
 
-  // Mode shoot-out: with the blocking fixed, measure the whole pipeline
-  // staged vs fused and record the winner (written into wisdom as the v2
-  // mode token).
-  {
-    AlignedBuffer<float> in, out;
-    std::vector<float> weights;
-    result.staged_seconds = time_mode(desc, m, result.best, ExecutionMode::kStaged, pool,
-                                      options, in, out, weights, &result.staged_stages);
-    result.fused_seconds = time_mode(desc, m, result.best, ExecutionMode::kFused, pool,
-                                     options, in, out, weights, &result.fused_stages);
-    result.best_mode = result.fused_seconds < result.staged_seconds
-                           ? ExecutionMode::kFused
-                           : ExecutionMode::kStaged;
-  }
   return result;
 }
 

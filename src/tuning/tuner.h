@@ -2,15 +2,16 @@
 //
 // The tuner times the batched INT8 GEMM of a concrete layer/tile-size pair
 // for every candidate blocking (random operand data — timing does not depend
-// on values) and records the winner in a wisdom store. Like the paper, tuning
-// happens ahead of time; inference reads the wisdom file.
+// on values); callers record the winning blocking in a wisdom store under
+// wisdom_key(). Tuning happens ahead of time. The execution mode is not
+// tuned: LoWinoConvolution::resolve_execution_mode picks staged or fused from
+// the workspace size.
 #pragma once
 
 #include <cstddef>
 #include <string>
 
 #include "gemm/int8_gemm.h"
-#include "lowino/engine_config.h"
 #include "tensor/conv_desc.h"
 #include "tuning/wisdom.h"
 
@@ -29,17 +30,6 @@ struct TuneResult {
   double best_seconds = 0.0;
   double default_seconds = 0.0;  ///< time of the default blocking
   std::size_t evaluated = 0;
-  /// Staged-vs-fused shoot-out with the winning blocking: full-pipeline
-  /// execute times and the faster mode. Recorded into wisdom so inference
-  /// replays the measured winner instead of the kAuto heuristic.
-  ExecutionMode best_mode = ExecutionMode::kStaged;
-  double staged_seconds = 0.0;
-  double fused_seconds = 0.0;
-  /// In-situ per-stage breakdown of one instrumented execute per mode
-  /// (profiler spans, so the fused split is real, not inferred). Persisted
-  /// into wisdom v3 lines so an entry explains *why* its mode won.
-  StageTimes staged_stages;
-  StageTimes fused_stages;
 };
 
 /// Tunes the batched GEMM of F(m x m, r x r) on `desc`. Deterministic given

@@ -8,34 +8,15 @@
 #include <string_view>
 
 #include "common/fault.h"
+#include "lowino/engine_config.h"
 
 namespace lowino {
 
-void WisdomStore::put(const std::string& key, const Int8GemmBlocking& blocking,
-                      ExecutionMode mode) {
-  WisdomEntry e;
-  e.blocking = blocking;
-  e.mode = mode;
-  entries_[key] = e;
-}
-
-void WisdomStore::put(const std::string& key, const WisdomEntry& entry) {
-  entries_[key] = entry;
+void WisdomStore::put(const std::string& key, const Int8GemmBlocking& blocking) {
+  entries_[key] = blocking;
 }
 
 std::optional<Int8GemmBlocking> WisdomStore::get(const std::string& key) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second.blocking;
-}
-
-ExecutionMode WisdomStore::get_mode(const std::string& key) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return ExecutionMode::kAuto;
-  return it->second.mode;
-}
-
-std::optional<WisdomEntry> WisdomStore::get_entry(const std::string& key) const {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return std::nullopt;
   return it->second;
@@ -57,16 +38,11 @@ std::optional<std::string> WisdomStore::get_string(const std::string& key) const
 
 std::string WisdomStore::serialize() const {
   std::ostringstream os;
-  os << "# lowino wisdom v3: key = n_blk c_blk k_blk row_blk col_blk nt prefetch mode"
-        " staged_s fused_s it_s gemm_s ot_s\n";
-  os.precision(9);
-  for (const auto& [key, e] : entries_) {
-    const Int8GemmBlocking& b = e.blocking;
+  os << "# lowino wisdom v1: key = n_blk c_blk k_blk row_blk col_blk nt prefetch\n";
+  for (const auto& [key, b] : entries_) {
     os << key << " = " << b.n_blk << ' ' << b.c_blk << ' ' << b.k_blk << ' ' << b.row_blk
        << ' ' << b.col_blk << ' ' << (b.nt_store ? 1 : 0) << ' ' << (b.prefetch ? 1 : 0)
-       << ' ' << execution_mode_name(e.mode) << ' ' << e.staged_seconds << ' '
-       << e.fused_seconds << ' ' << e.stages.input_transform << ' ' << e.stages.gemm << ' '
-       << e.stages.output_transform << '\n';
+       << '\n';
   }
   // String entries ride in the same file, tagged "str" where a blocking line
   // carries its first (always numeric) value — no ambiguity when parsing.
@@ -94,17 +70,15 @@ bool read_blocking_value(std::istringstream& vals, long long max, std::size_t& o
   return true;
 }
 
-/// Parses one timing value of the v3 tail: a finite non-negative double with
-/// nothing trailing. strtod (not istream extraction) so "1.5x" is rejected
-/// rather than read as 1.5.
-bool parse_seconds(const std::string& token, double& out) {
+/// Validates one timing value of a legacy v3 tail: a finite non-negative
+/// double with nothing trailing. strtod (not istream extraction) so "1.5x" is
+/// rejected rather than read as 1.5.
+bool is_seconds(const std::string& token) {
   if (token.empty()) return false;
   char* end = nullptr;
   const double v = std::strtod(token.c_str(), &end);
   if (end != token.c_str() + token.size()) return false;
-  if (!std::isfinite(v) || v < 0.0) return false;
-  out = v;
-  return true;
+  return std::isfinite(v) && v >= 0.0;
 }
 
 }  // namespace
@@ -128,8 +102,7 @@ WisdomStore WisdomStore::deserialize(const std::string& text) {
       continue;
     }
     std::istringstream vals(payload);
-    WisdomEntry e;
-    Int8GemmBlocking& b = e.blocking;
+    Int8GemmBlocking b;
     std::size_t row = 0, col = 0;
     long long nt = 0, pf = 0;
     // Every field must be present, strictly positive and sane; a corrupt or
@@ -146,37 +119,27 @@ WisdomStore WisdomStore::deserialize(const std::string& text) {
     b.col_blk = static_cast<int>(col);
     b.nt_store = nt != 0;
     b.prefetch = pf != 0;
-    // Optional v2 trailing mode token; absent (v1) => kAuto, but a token that
-    // is present yet unrecognized marks a corrupt/newer file — reject the
-    // line instead of silently running with a default mode.
+    // Legacy v2 mode token: a token that is present yet unrecognized marks a
+    // corrupt/newer file — reject the line. A recognized one is dropped.
     std::string mode_token;
-    if (vals >> mode_token && !parse_execution_mode(mode_token.c_str(), e.mode)) {
+    ExecutionMode ignored_mode;
+    if (vals >> mode_token && !parse_execution_mode(mode_token.c_str(), ignored_mode)) {
       continue;
     }
-    // Optional v3 timing tail: staged_s fused_s it_s gemm_s ot_s. All five or
-    // none — a truncated or garbled tail rejects the line (it signals file
-    // corruption, and half a shoot-out record would mislead more than no
-    // record).
+    // Legacy v3 timing tail: five seconds values or none. A truncated or
+    // garbled tail signals file corruption and rejects the line.
     std::string tail_token;
     std::size_t tail_count = 0;
-    double tail[5] = {0, 0, 0, 0, 0};
     bool tail_bad = false;
     while (vals >> tail_token) {
-      if (tail_count >= 5 || !parse_seconds(tail_token, tail[tail_count])) {
+      if (tail_count >= 5 || !is_seconds(tail_token)) {
         tail_bad = true;
         break;
       }
       ++tail_count;
     }
     if (tail_bad || (tail_count != 0 && tail_count != 5)) continue;
-    if (tail_count == 5) {
-      e.staged_seconds = tail[0];
-      e.fused_seconds = tail[1];
-      e.stages.input_transform = tail[2];
-      e.stages.gemm = tail[3];
-      e.stages.output_transform = tail[4];
-    }
-    if (b.valid()) store.entries_[key] = e;
+    if (b.valid()) store.entries_[key] = b;
   }
   return store;
 }

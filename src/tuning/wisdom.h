@@ -1,6 +1,9 @@
 // Wisdom store: persisted auto-tuning results (Section 4.3.4: "the optimal
 // parameters are saved into a wisdom file and used in inference").
-// Plain-text key/value format, no external dependencies.
+// Plain-text key/value format, no external dependencies. It holds the tuned
+// GEMM blocking per wisdom_key() and free-form string entries; the serving
+// planner reads only the string entries, tuned blockings are not yet read at
+// inference.
 #pragma once
 
 #include <map>
@@ -8,35 +11,13 @@
 #include <string>
 
 #include "gemm/int8_gemm.h"
-#include "lowino/engine_config.h"
 
 namespace lowino {
 
-/// One tuned configuration: the winning GEMM blocking plus the execution
-/// mode (staged/fused) the tuner measured as faster. Mode kAuto means the
-/// entry predates mode tuning (a v1 wisdom line) — inference falls back to
-/// the workspace-threshold heuristic.
-struct WisdomEntry {
-  Int8GemmBlocking blocking;
-  ExecutionMode mode = ExecutionMode::kAuto;
-  /// Mode shoot-out record (v3 lines; all-zero on v1/v2 entries): the
-  /// measured full-pipeline seconds per mode and the winning mode's in-situ
-  /// per-stage breakdown from the execution profiler — the entry documents
-  /// *why* its mode won, not just which.
-  double staged_seconds = 0.0;
-  double fused_seconds = 0.0;
-  StageTimes stages;
-};
-
 class WisdomStore {
  public:
-  void put(const std::string& key, const Int8GemmBlocking& blocking,
-           ExecutionMode mode = ExecutionMode::kAuto);
-  void put(const std::string& key, const WisdomEntry& entry);
+  void put(const std::string& key, const Int8GemmBlocking& blocking);
   std::optional<Int8GemmBlocking> get(const std::string& key) const;
-  /// The tuned execution mode (kAuto for v1 entries / unknown keys).
-  ExecutionMode get_mode(const std::string& key) const;
-  std::optional<WisdomEntry> get_entry(const std::string& key) const;
   std::size_t size() const { return entries_.size(); }
 
   /// Free-form string entries, serialized as "key = str <value>" lines in the
@@ -48,25 +29,24 @@ class WisdomStore {
   std::optional<std::string> get_string(const std::string& key) const;
   std::size_t string_size() const { return strings_.size(); }
 
-  /// Serializes to "key = n_blk c_blk k_blk row col nt pf mode staged_s
-  /// fused_s it_s gemm_s ot_s" lines (v3; the five trailing seconds are the
-  /// mode shoot-out record).
+  /// Serializes to "key = n_blk c_blk k_blk row col nt pf" lines (v1).
   std::string serialize() const;
   /// Parses serialized text. Malformed lines are skipped whole: truncated
   /// value lists, non-positive / wrapped-negative / absurdly large blocking
-  /// values, non-boolean nt/pf flags, unknown mode tokens, and blockings that
-  /// fail Int8GemmBlocking::valid() are all rejected (a corrupt wisdom file
-  /// degrades to defaults, never to garbage parameters). v1 lines (without
-  /// the trailing mode token) load with mode = kAuto; v2 lines (without the
-  /// timing tail) load with a zero shoot-out record; a tail that is present
-  /// but incomplete, non-numeric or negative rejects the line.
+  /// values, non-boolean nt/pf flags, and blockings that fail
+  /// Int8GemmBlocking::valid() are all rejected (a corrupt wisdom file
+  /// degrades to defaults, never to garbage parameters). Lines written by
+  /// older versions still load their blocking: v2 appends an execution-mode
+  /// token and v3 five timing values after it. Both are validated and then
+  /// dropped — an unknown mode token, or a tail that is incomplete,
+  /// non-numeric or negative, rejects the line.
   static WisdomStore deserialize(const std::string& text);
 
   bool save(const std::string& path) const;
   static std::optional<WisdomStore> load(const std::string& path);
 
  private:
-  std::map<std::string, WisdomEntry> entries_;
+  std::map<std::string, Int8GemmBlocking> entries_;
   std::map<std::string, std::string> strings_;
 };
 

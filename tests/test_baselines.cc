@@ -14,6 +14,7 @@
 #include "direct/direct_f32.h"
 #include "direct/direct_int8.h"
 #include "lowino/lowino.h"
+#include "profile/profiler.h"
 #include "quant/quantize.h"
 
 namespace lowino {
@@ -235,16 +236,26 @@ TEST(VendorWino, ParallelMatchesSerial) {
   for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
 }
 
-TEST(VendorWino, StageTimesPopulated) {
+TEST(VendorWino, ProfilerRecordsEveryStage) {
+  // Each strip's transform, GEMM and output transform are profiler spans.
   const ConvDesc d = make_desc(1, 64, 64, 12);
   Problem p = make_problem(d, 82);
   VendorWinoF23 conv(d);
   conv.set_input_threshold(1.0f);
   conv.set_filters(p.weights, p.bias);
   std::vector<float> out(p.ref.size());
+  const bool was_enabled = profiler_enabled();
+  profiler_set_enabled(true);
+  const auto before = profiler_stage_totals();
   conv.execute_nchw(p.input, out);
-  EXPECT_GT(conv.stage_times().input_transform, 0.0);
-  EXPECT_GT(conv.stage_times().gemm, 0.0);
+  const auto after = profiler_stage_totals();
+  profiler_set_enabled(was_enabled);
+  for (const ProfileStage s : {ProfileStage::kInputTransform, ProfileStage::kGemm,
+                               ProfileStage::kOutputTransform}) {
+    const auto i = static_cast<std::size_t>(s);
+    EXPECT_GT(after[i].spans, before[i].spans) << profile_stage_name(s);
+    EXPECT_GT(after[i].seconds, before[i].seconds) << profile_stage_name(s);
+  }
 }
 
 }  // namespace

@@ -254,9 +254,9 @@ TEST(Env, StringFallsBackOnlyWhenUnsetOrEmpty) {
 }
 
 TEST(Env, ExecutionModeTokenParsing) {
-  // The LOWINO_EXECUTION_MODE surface: known tokens parse case-insensitively;
-  // anything else returns false and leaves the mode untouched (callers keep
-  // their default — invalid values can never crash or half-configure).
+  // The token check behind the wisdom parser's legacy mode field: known
+  // tokens parse case-insensitively; anything else returns false and leaves
+  // the mode untouched (invalid values can never crash or half-configure).
   ExecutionMode mode = ExecutionMode::kAuto;
   EXPECT_TRUE(parse_execution_mode("staged", mode));
   EXPECT_EQ(mode, ExecutionMode::kStaged);

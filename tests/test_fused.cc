@@ -8,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/cpu_features.h"
 #include "common/rng.h"
 #include "lowino/lowino.h"
 
@@ -47,13 +48,12 @@ std::vector<float> run_mode(const ConvDesc& desc, std::size_t m, ExecutionMode m
   LoWinoConfig cfg;
   cfg.m = m;
   cfg.execution_mode = mode;
-  cfg.fuse_relu = relu;
   LoWinoConvolution conv(desc, cfg);
   conv.set_uniform_input_threshold(2.0f);
   conv.set_filters(p.weights, p.bias);
   std::vector<float> out(desc.batch * desc.out_channels * desc.out_height() *
                          desc.out_width());
-  conv.execute_nchw(p.input, out, pool);
+  conv.execute_nchw(p.input, out, pool, PostOps{.relu = relu});
   EXPECT_EQ(conv.last_execution_mode(), mode);
   return out;
 }
@@ -129,35 +129,44 @@ TEST(FusedDifferential, CalibratedScalesAgree) {
 }
 
 // --- kAuto resolution -------------------------------------------------------
-TEST(ExecutionModeAuto, ThresholdPicksMode) {
-  const ConvDesc d = make_desc(1, 64, 64, 14);
-  const Problem p = make_problem(d, 8);
-
+TEST(ExecutionModeAuto, SizeRulePicksMode) {
+  // The rule has no knob: fused exactly when the staged V + Z bytes exceed
+  // num_threads x L2. A batch-1 8x8 layer stays far below any L2; a batch-16
+  // 64x64 layer materializes ~47 MB of V + Z.
   LoWinoConfig cfg;
   cfg.m = 4;
-  cfg.fused_threshold_bytes = 1;  // anything exceeds it -> fused
-  LoWinoConvolution low(d, cfg);
-  EXPECT_EQ(low.resolve_execution_mode(1), ExecutionMode::kFused);
+  const ConvDesc small = make_desc(1, 64, 64, 8);
+  const ConvDesc large = make_desc(16, 64, 64, 64);
+  LoWinoConvolution conv(small, cfg);
+  EXPECT_EQ(conv.resolve_execution_mode(1), ExecutionMode::kStaged);
+  EXPECT_EQ(LoWinoConvolution(large, cfg).resolve_execution_mode(1), ExecutionMode::kFused);
 
-  cfg.fused_threshold_bytes = std::size_t{1} << 40;  // nothing exceeds it
-  LoWinoConvolution high(d, cfg);
-  EXPECT_EQ(high.resolve_execution_mode(1), ExecutionMode::kStaged);
-
-  low.set_uniform_input_threshold(2.0f);
-  low.set_filters(p.weights, p.bias);
-  std::vector<float> out(d.batch * d.out_channels * d.out_height() * d.out_width());
-  low.execute_nchw(p.input, out);
-  EXPECT_EQ(low.last_execution_mode(), ExecutionMode::kFused);
+  const Problem p = make_problem(small, 8);
+  conv.set_uniform_input_threshold(2.0f);
+  conv.set_filters(p.weights, p.bias);
+  std::vector<float> out(small.batch * small.out_channels * small.out_height() *
+                         small.out_width());
+  conv.execute_nchw(p.input, out);
+  EXPECT_EQ(conv.last_execution_mode(), ExecutionMode::kStaged);
 }
 
-TEST(ExecutionModeAuto, StageTimingForcesStaged) {
-  const ConvDesc d = make_desc(1, 64, 64, 14);
+TEST(ExecutionModeAuto, ThresholdScalesWithThreadCount) {
+  // The threshold is num_threads x L2: the fewest threads whose aggregate L2
+  // holds the staged V + Z keep the layer staged, one thread fewer fuses it.
   LoWinoConfig cfg;
   cfg.m = 4;
-  cfg.execution_mode = ExecutionMode::kFused;
-  cfg.collect_stage_times = true;  // needs the three fork-join boundaries
-  LoWinoConvolution conv(d, cfg);
-  EXPECT_EQ(conv.resolve_execution_mode(4), ExecutionMode::kStaged);
+  const LoWinoConvolution conv(make_desc(16, 64, 64, 64), cfg);
+  const std::size_t staged = conv.workspace_bytes(ExecutionMode::kStaged, 1);
+  const std::size_t l2 = l2_cache_bytes();
+  ASSERT_GT(l2, 0u);
+  const std::size_t fit = (staged + l2 - 1) / l2;
+  ASSERT_GE(fit, 2u);
+  EXPECT_EQ(conv.resolve_execution_mode(fit), ExecutionMode::kStaged);
+  EXPECT_EQ(conv.resolve_execution_mode(fit - 1), ExecutionMode::kFused);
+  // An explicit mode is never re-resolved, at any thread count.
+  cfg.execution_mode = ExecutionMode::kStaged;
+  EXPECT_EQ(LoWinoConvolution(make_desc(16, 64, 64, 64), cfg).resolve_execution_mode(1),
+            ExecutionMode::kStaged);
 }
 
 // --- Workspace accounting ---------------------------------------------------

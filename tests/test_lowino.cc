@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "direct/direct_f32.h"
 #include "lowino/lowino.h"
+#include "profile/profiler.h"
 #include "quant/quantize.h"
 #include "tensor/pack.h"
 
@@ -136,14 +137,13 @@ TEST(LoWino, FusedReluMatchesPostRelu) {
   plain.calibrate(p.input);
   plain.finalize_calibration();
   plain.set_filters(p.weights, p.bias);
-  cfg.fuse_relu = true;
   LoWinoConvolution fused(d, cfg);
   fused.calibrate(p.input);
   fused.finalize_calibration();
   fused.set_filters(p.weights, p.bias);
   std::vector<float> a(p.ref.size()), b(p.ref.size());
   plain.execute_nchw(p.input, a);
-  fused.execute_nchw(p.input, b);
+  fused.execute_nchw(p.input, b, nullptr, PostOps{.relu = true});
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(std::max(0.0f, a[i]), b[i]);
   }
@@ -298,20 +298,29 @@ TEST(LoWino, RejectsUnsupportedDescriptors) {
   EXPECT_THROW(LoWinoConvolution conv2(one_by_one, {}), std::invalid_argument);
 }
 
-TEST(LoWino, StageTimesPopulated) {
+TEST(LoWino, ProfilerRecordsStagedStages) {
+  // The staged pipeline reports its per-stage split through profiler spans.
   const ConvDesc d = make_desc(1, 64, 64, 8);
   const Problem p = make_problem(d, 206);
   LoWinoConfig cfg;
-  cfg.collect_stage_times = true;
+  cfg.execution_mode = ExecutionMode::kStaged;
   LoWinoConvolution conv(d, cfg);
   conv.calibrate(p.input);
   conv.finalize_calibration();
   conv.set_filters(p.weights, p.bias);
   std::vector<float> out(p.ref.size());
+  const bool was_enabled = profiler_enabled();
+  profiler_set_enabled(true);
+  const auto before = profiler_stage_totals();
   conv.execute_nchw(p.input, out);
-  EXPECT_GT(conv.stage_times().input_transform, 0.0);
-  EXPECT_GT(conv.stage_times().gemm, 0.0);
-  EXPECT_GT(conv.stage_times().output_transform, 0.0);
+  const auto after = profiler_stage_totals();
+  profiler_set_enabled(was_enabled);
+  for (const ProfileStage s : {ProfileStage::kInputTransform, ProfileStage::kGemm,
+                               ProfileStage::kOutputTransform}) {
+    const auto i = static_cast<std::size_t>(s);
+    EXPECT_GT(after[i].spans, before[i].spans) << profile_stage_name(s);
+    EXPECT_GT(after[i].seconds, before[i].seconds) << profile_stage_name(s);
+  }
 }
 
 TEST(LoWino, WorkspaceBytesScaleWithTileSize) {
