@@ -81,6 +81,74 @@ void im2col_f32(const ConvDesc& desc, std::span<const float> input, std::size_t 
   }
 }
 
+void conv_f32_forward(const ConvDesc& desc, std::span<const float> input,
+                      std::span<const float> weights, std::span<const float> bias,
+                      std::span<float> output, ConvF32Scratch& scratch, const PostOps& post,
+                      bool keep_col) {
+  assert(post.sum_u8 == nullptr);
+  const std::size_t B = desc.batch, C = desc.in_channels, K = desc.out_channels;
+  const std::size_t H = desc.height, W = desc.width, r = desc.kernel;
+  const std::size_t OH = desc.out_height(), OW = desc.out_width();
+  const std::size_t rows = OH * OW;
+  // The epilogue, in the engines' order: bias (already in v), sum, ReLU.
+  const auto store = [&](std::size_t b, std::size_t k, std::size_t p, float v) {
+    const std::size_t at = (b * K + k) * rows + p;
+    if (post.sum != nullptr) v += post.sum[at];
+    output[at] = post.relu ? std::max(0.0f, v) : v;
+  };
+  if (desc.groups != 1) {
+    // Grouped shapes skip the im2col-GEMM formulation (the per-filter patch
+    // is tiny — r*r for depthwise) and run direct loops instead.
+    const std::size_t cg = desc.group_in_channels(), kg = K / desc.groups;
+    const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(desc.height_pad());
+    const std::ptrdiff_t pad_w = static_cast<std::ptrdiff_t>(desc.width_pad());
+    for (std::size_t b = 0; b < B; ++b) {
+      for (std::size_t k = 0; k < K; ++k) {
+        const std::size_t c0 = (k / kg) * cg;  // the group's first input channel
+        for (std::size_t oh = 0; oh < OH; ++oh) {
+          for (std::size_t ow = 0; ow < OW; ++ow) {
+            float acc = bias[k];
+            for (std::size_t ci = 0; ci < cg; ++ci) {
+              const float* src = input.data() + (b * C + c0 + ci) * H * W;
+              const float* w = weights.data() + (k * cg + ci) * r * r;
+              for (std::size_t i = 0; i < r; ++i) {
+                const std::ptrdiff_t ih = static_cast<std::ptrdiff_t>(oh * desc.stride + i) - pad;
+                if (ih < 0 || ih >= static_cast<std::ptrdiff_t>(H)) continue;
+                for (std::size_t j = 0; j < r; ++j) {
+                  const std::ptrdiff_t iw =
+                      static_cast<std::ptrdiff_t>(ow * desc.stride + j) - pad_w;
+                  if (iw < 0 || iw >= static_cast<std::ptrdiff_t>(W)) continue;
+                  acc += src[ih * static_cast<std::ptrdiff_t>(W) + iw] * w[i * r + j];
+                }
+              }
+            }
+            store(b, k, oh * OW + ow, acc);
+          }
+        }
+      }
+    }
+    return;
+  }
+  const std::size_t patch = C * r * r;
+  scratch.col.ensure((keep_col ? B : 1) * rows * patch);
+  scratch.wt.ensure(patch * K);
+  scratch.rows.ensure(rows * K);
+  float* wT = scratch.wt.data();
+  for (std::size_t k = 0; k < K; ++k) {
+    for (std::size_t p = 0; p < patch; ++p) wT[p * K + k] = weights[k * patch + p];
+  }
+  float* out_rows = scratch.rows.data();
+  for (std::size_t b = 0; b < B; ++b) {
+    float* col = scratch.col.data() + (keep_col ? b * rows * patch : 0);
+    im2col_f32(desc, input, b, col);
+    fp32_gemm(col, patch, wT, K, out_rows, K, rows, patch, K);
+    for (std::size_t k = 0; k < K; ++k) {
+      const float bk = bias[k];
+      for (std::size_t p = 0; p < rows; ++p) store(b, k, p, out_rows[p * K + k] + bk);
+    }
+  }
+}
+
 Im2colConvF32::Im2colConvF32(const ConvDesc& desc) : desc_(desc) {
   desc.validate();
   desc.require_ungrouped("Im2colConvF32");

@@ -3,7 +3,9 @@
 // * `direct_conv_f32_reference` — straightforward NCHW loops; the numerical
 //   oracle every other engine in the repository is tested against.
 // * `Im2colConvF32` — im2col + AVX-512 GEMM; the "best FP32 implementation"
-//   baseline of Section 5.1 and the workhorse of the NN training runtime.
+//   baseline of Section 5.1 (the `fp32_direct` engine).
+// * `conv_f32_forward` — the NN runtime's FP32 convolution (training forward,
+//   FP32 serving, plan-time reference), grouped shapes included.
 #pragma once
 
 #include <cstddef>
@@ -47,6 +49,26 @@ class Im2colConvF32 {
   AlignedBuffer<float> col_;  ///< im2col buffer (out_h*out_w) x patch
   AlignedBuffer<float> out_scratch_;  ///< (out_h*out_w) x k_pad
 };
+
+/// Caller-owned scratch of conv_f32_forward (callers that may run
+/// concurrently hold one each; all three buffers only ever grow).
+struct ConvF32Scratch {
+  AlignedBuffer<float> col;   ///< im2col rows x patch (per image, or the batch)
+  AlignedBuffer<float> wt;    ///< patch x K transposed weights (GEMM B operand)
+  AlignedBuffer<float> rows;  ///< rows x K GEMM output
+};
+
+/// The FP32 convolution of the NN runtime: the layers' forward pass, the
+/// serving session's non-quantizable convs and its plan-time reference.
+/// Ungrouped shapes run im2col + GEMM per image; grouped shapes (weights
+/// K x C/groups x r x r) run direct loops. The store loop applies bias, then
+/// `post.sum`, then `post.relu` (a u8 residual is not accepted). With
+/// `keep_col` every image's im2col rows stay in `scratch.col`, image after
+/// image, for a training backward pass.
+void conv_f32_forward(const ConvDesc& desc, std::span<const float> input,
+                      std::span<const float> weights, std::span<const float> bias,
+                      std::span<float> output, ConvF32Scratch& scratch,
+                      const PostOps& post = {}, bool keep_col = false);
 
 /// Fills `col` ((out_h * out_w) x (C * r * r)) with the im2col expansion of
 /// image `b` of `input` (NCHW), zero-padding the halo.

@@ -97,70 +97,13 @@ void ConvLayer::forward(const Tensor<float>& in, Tensor<float>& out, bool train)
   const ConvDesc d = desc_for_batch(batch);
   out.reshape({batch, k_, d.out_height(), d.out_width()});
   if (train) cached_in_ = in;
-  forward_fp32(in.span(), out.span(), batch);
+  // A training forward keeps the whole batch's im2col: backward() reads it.
+  conv_f32_forward(d, in.span(), weights_, bias_, out.span(), scratch_, {}, /*keep_col=*/train);
 }
 
 void ConvLayer::forward_fp32(std::span<const float> in, std::span<float> out,
                              std::size_t batch) {
-  const ConvDesc d = desc_for_batch(batch);
-  const std::size_t rows = d.out_height() * d.out_width();
-  if (groups_ != 1) {
-    // Grouped layers skip the im2col-GEMM formulation (the per-filter patch
-    // is tiny — r*r for depthwise) and run direct loops instead.
-    const std::size_t cg = c_ / groups_, kg = k_ / groups_;
-    const std::size_t patch_g = cg * r_ * r_;
-    for (std::size_t b = 0; b < batch; ++b) {
-      for (std::size_t k = 0; k < k_; ++k) {
-        const std::size_t c0 = (k / kg) * cg;  // the group's first input channel
-        float* dst = out.data() + (b * k_ + k) * rows;
-        for (std::size_t oh = 0; oh < d.out_height(); ++oh) {
-          for (std::size_t ow = 0; ow < d.out_width(); ++ow) {
-            float acc = bias_[k];
-            for (std::size_t ci = 0; ci < cg; ++ci) {
-              const float* src = in.data() + ((b * c_ + c0 + ci) * hw_) * hw_;
-              const float* w = weights_.data() + k * patch_g + ci * r_ * r_;
-              for (std::size_t i = 0; i < r_; ++i) {
-                const std::ptrdiff_t ih =
-                    static_cast<std::ptrdiff_t>(oh + i) - static_cast<std::ptrdiff_t>(pad_);
-                if (ih < 0 || ih >= static_cast<std::ptrdiff_t>(hw_)) continue;
-                for (std::size_t j = 0; j < r_; ++j) {
-                  const std::ptrdiff_t iw =
-                      static_cast<std::ptrdiff_t>(ow + j) - static_cast<std::ptrdiff_t>(pad_);
-                  if (iw < 0 || iw >= static_cast<std::ptrdiff_t>(hw_)) continue;
-                  acc += src[ih * static_cast<std::ptrdiff_t>(hw_) + iw] * w[i * r_ + j];
-                }
-              }
-            }
-            dst[oh * d.out_width() + ow] = acc;
-          }
-        }
-      }
-    }
-    return;
-  }
-  const std::size_t patch = c_ * r_ * r_;
-
-  // col_ keeps the whole batch's im2col: backward() consumes it after a
-  // forward(train = true), which routes through here.
-  col_.ensure(batch * rows * patch);
-  // wT: patch x K operand of the GEMM (weights are K x patch row-major).
-  wt_scratch_.ensure(patch * k_);
-  float* wT = wt_scratch_.data();
-  for (std::size_t k = 0; k < k_; ++k) {
-    for (std::size_t p = 0; p < patch; ++p) wT[p * k_ + k] = weights_[k * patch + p];
-  }
-  rows_scratch_.ensure(rows * k_);
-  float* out_rows = rows_scratch_.data();
-  for (std::size_t b = 0; b < batch; ++b) {
-    float* col_b = col_.data() + b * rows * patch;
-    im2col_f32(d, in, b, col_b);
-    fp32_gemm(col_b, patch, wT, k_, out_rows, k_, rows, patch, k_);
-    for (std::size_t k = 0; k < k_; ++k) {
-      float* dst = out.data() + (b * k_ + k) * rows;
-      const float bk = bias_[k];
-      for (std::size_t p = 0; p < rows; ++p) dst[p] = out_rows[p * k_ + k] + bk;
-    }
-  }
+  conv_f32_forward(desc_for_batch(batch), in, weights_, bias_, out, scratch_);
 }
 
 void ConvLayer::backward(const Tensor<float>& grad_out, Tensor<float>& grad_in) {
@@ -212,7 +155,7 @@ void ConvLayer::backward(const Tensor<float>& grad_out, Tensor<float>& grad_in) 
   std::vector<float> g_rows(rows * k_);
   std::vector<float> col_grad(rows * patch);
   for (std::size_t b = 0; b < batch; ++b) {
-    const float* col_b = col_.data() + b * rows * patch;
+    const float* col_b = scratch_.col.data() + b * rows * patch;
     const float* g_b = grad_out.data() + b * k_ * rows;  // K x rows
 
     // grad_w += G_b (K x rows) x col_b (rows x patch)
@@ -277,33 +220,31 @@ void ConvLayer::forward_engine_fused(const Tensor<float>& in, Tensor<float>& out
   const std::size_t batch = in.dim(0);
   const ConvDesc d = desc_for_batch(batch);
   const EngineCaps caps = engine_caps(kind, d);
-  const bool fuse = !post.none() && quantizable_ && caps.post_ops && caps.supports;
+  out.reshape({batch, k_, d.out_height(), d.out_width()});
   if (!quantizable_ || !caps.supports) {
     // Not quantizable, or the forced kind cannot handle this layer's shape
     // (e.g. a depthwise layer under an int8_direct sweep): stay FP32, exactly
-    // like a non-quantizable stem.
-    forward(in, out, /*train=*/false);
-  } else {
-    out.reshape({batch, k_, d.out_height(), d.out_width()});
-    EngineSlot& slot = engines_[{kind, batch}];
-    if (slot.engine == nullptr) {
-      if (caps.quantized) {
-        throw std::logic_error(name() + ": engine not calibrated for this batch size (" +
-                               std::to_string(batch) + ") — run the calibration pass first");
-      }
-      slot.engine = make_conv_engine(kind, d);  // FP32 engines need no calibration
-    }
-    if (slot.weights_version != weights_version_) {
-      slot.engine->set_filters({weights_.data(), weights_.size()},
-                               {bias_.data(), bias_.size()});
-      slot.weights_version = weights_version_;
-    }
-    if (fuse) {
-      slot.engine->run(in.span(), out.span(), pool, post);
-      return;
-    }
-    slot.engine->run(in.span(), out.span(), pool);
+    // like a non-quantizable stem, with the epilogue in the store loop.
+    conv_f32_forward(d, in.span(), weights_, bias_, out.span(), scratch_, post);
+    return;
   }
+  EngineSlot& slot = engines_[{kind, batch}];
+  if (slot.engine == nullptr) {
+    if (caps.quantized) {
+      throw std::logic_error(name() + ": engine not calibrated for this batch size (" +
+                             std::to_string(batch) + ") — run the calibration pass first");
+    }
+    slot.engine = make_conv_engine(kind, d);  // FP32 engines need no calibration
+  }
+  if (slot.weights_version != weights_version_) {
+    slot.engine->set_filters({weights_.data(), weights_.size()}, {bias_.data(), bias_.size()});
+    slot.weights_version = weights_version_;
+  }
+  if (caps.post_ops) {
+    slot.engine->run(in.span(), out.span(), pool, post);
+    return;
+  }
+  slot.engine->run(in.span(), out.span(), pool);
   if (post.none()) return;
   // Unfused fallback: the same sum-then-ReLU epilogue applied after the plain
   // run — the per-element float op sequence matches the fused engine path, so

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "direct/direct_f32.h"
 #include "nn/engines.h"
 #include "tensor/conv_desc.h"
 #include "tensor/tensor.h"
@@ -70,10 +71,10 @@ class ConvLayer : public Layer {
   void forward_engine_fused(const Tensor<float>& in, Tensor<float>& out, EngineKind kind,
                             ThreadPool* pool, const PostOps& post);
 
-  /// Span-based FP32 forward (the compute core of forward(), and the serving
-  /// path for non-quantizable layers). All scratch lives in member buffers —
-  /// allocation-free once the buffers are warm. Not reentrant: concurrent
-  /// callers must hold distinct ConvLayer instances.
+  /// Span-based FP32 forward (conv_f32_forward over this layer's weights).
+  /// All scratch lives in a member buffer — allocation-free once it is warm.
+  /// Not reentrant: concurrent callers must hold distinct ConvLayer instances
+  /// (the serving session calls conv_f32_forward with its own scratch).
   void forward_fp32(std::span<const float> in, std::span<float> out, std::size_t batch);
 
   std::size_t parameter_count() const override { return weights_.size() + bias_.size(); }
@@ -104,9 +105,7 @@ class ConvLayer : public Layer {
   std::vector<float> mom_w_, mom_b_;
 
   Tensor<float> cached_in_;  ///< input cache for backward
-  AlignedBuffer<float> col_;  ///< im2col scratch
-  AlignedBuffer<float> wt_scratch_;   ///< patch x K transposed-weights operand
-  AlignedBuffer<float> rows_scratch_; ///< rows x K GEMM output scratch
+  ConvF32Scratch scratch_;   ///< FP32 forward scratch; col keeps the batch after train
 
   /// Engines keyed by (kind, batch); filters are (re)loaded lazily whenever
   /// the FP32 weights changed since the engine last saw them.

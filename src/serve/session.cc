@@ -289,7 +289,9 @@ std::optional<SessionPlan> SessionPlan::load(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Lowering
+// compile(): five passes over one op list — lower, fuse, select_engines,
+// assign_dtypes, plan_arena — with the replayed plan checked right after
+// lowering and the FP32 reference captured once before engine selection.
 
 namespace {
 
@@ -297,644 +299,523 @@ namespace {
   throw std::invalid_argument("InferenceSession: " + what);
 }
 
+/// The plan being replayed, if any: forced_engine beats reuse.
+const SessionPlan* replayed_plan(const PlanOptions& options) {
+  return options.forced_engine ? nullptr : options.reuse;
+}
+
+/// The engine kinds the `conv_ordinal`-th engine conv may run, in precedence
+/// order: the forced kind, else the replayed plan's kind, else the shoot-out
+/// candidates (a wisdom hint only shortcuts the shoot-out). The one owner of
+/// engine precedence — fusion and selection both ask it.
+std::span<const EngineKind> allowed_engines(const PlanOptions& options,
+                                            std::size_t conv_ordinal) {
+  if (options.forced_engine) return {&*options.forced_engine, 1};
+  if (const SessionPlan* plan = replayed_plan(options)) {
+    return {&plan->convs[conv_ordinal].engine, 1};
+  }
+  if (!options.candidates.empty()) return options.candidates;
+  return kDefaultCandidates;
+}
+
 }  // namespace
 
 InferenceSession InferenceSession::compile(SequentialModel& model,
                                            const Tensor<float>& calib_input,
                                            const PlanOptions& options) {
+  InferenceSession s;
+  s.pool_ = options.pool != nullptr ? options.pool : &ThreadPool::global();
+  lower(s, model, calib_input);
+  validate_replay(s, options);
+  fuse(s, options);
+  const std::vector<Tensor<float>> ref = fp32_reference(s, calib_input);
+  select_engines(s, options, ref);
+  assign_dtypes(s, options, ref);
+  plan_arena(s);
+  // Pre-warm every lazily grown buffer so steady-state runs never allocate
+  // (engine workspaces, FP32 conv scratch, warmup output).
+  s.run(calib_input, s.warmup_out_);
+  s.run(calib_input, s.warmup_out_);
+  return s;
+}
+
+/// Pass 1: the model as a flat op list over SSA values (residual blocks are
+/// flattened so the skip connection is a real live range).
+void InferenceSession::lower(InferenceSession& s, SequentialModel& model,
+                             const Tensor<float>& calib_input) {
   if (model.layer_count() == 0) lower_fail("model has no layers");
   if (calib_input.rank() != 4) lower_fail("calibration input must be rank-4 NCHW");
   const std::size_t batch = calib_input.dim(0);
   if (batch == 0) lower_fail("calibration batch must be non-empty");
-
-  InferenceSession s;
-  s.pool_ = options.pool != nullptr ? options.pool : &ThreadPool::global();
   s.plan_.batch = batch;
 
-  // -- Lower the model to the flat op list, tracking value liveness. --------
-  const auto new_value = [&s](std::vector<std::size_t> shape, std::size_t def) {
+  const auto new_value = [&s](std::vector<std::size_t> shape) {
     Value v;
     v.elems = 1;
     for (std::size_t d : shape) v.elems *= d;
     v.shape = std::move(shape);
-    v.def_step = def;
-    v.last_use = def;
     s.values_.push_back(std::move(v));
     return s.values_.size() - 1;
   };
-  const auto push_op = [&s](Op op) {
-    const std::size_t step = s.ops_.size();
-    s.values_[op.in0].last_use = step;
-    if (op.kind == Op::Kind::kAddRelu) s.values_[op.in1].last_use = step;
+  // Appends `op` reading `in0`; returns its fresh output value.
+  const auto push_op = [&](Op op, std::size_t in0, std::vector<std::size_t> shape) {
+    op.in0 = in0;
+    op.out = new_value(std::move(shape));
     s.ops_.push_back(std::move(op));
+    return s.ops_.back().out;
   };
   const auto lower_conv = [&](ConvLayer& conv, std::size_t in_val) {
-    const Value& vi = s.values_[in_val];
     const ConvDesc d = conv.conv_desc(batch);
-    if (vi.elems != batch * conv.in_channels() * conv.spatial() * conv.spatial()) {
+    const std::size_t hw = conv.spatial();
+    if (s.values_[in_val].elems != batch * conv.in_channels() * hw * hw) {
       lower_fail("shape mismatch feeding " + conv.name());
     }
-    const std::size_t out_val = new_value(
-        {batch, conv.out_channels(), d.out_height(), d.out_width()}, s.ops_.size());
     Op op;
     op.kind = conv.quantizable() ? Op::Kind::kConvEngine : Op::Kind::kConvFp32;
-    op.in0 = in_val;
-    op.out = out_val;
     op.conv = &conv;
     op.label = conv.name();
-    push_op(std::move(op));
-    return out_val;
+    return push_op(std::move(op), in_val,
+                   {batch, conv.out_channels(), d.out_height(), d.out_width()});
+  };
+  const auto lower_relu = [&](std::size_t in_val, const char* label) {
+    Op op;
+    op.kind = Op::Kind::kRelu;
+    op.label = label;
+    return push_op(std::move(op), in_val, s.values_[in_val].shape);
   };
 
-  std::size_t cur = new_value(calib_input.shape(), 0);
+  std::size_t cur = new_value(calib_input.shape());
   s.values_[cur].external = true;
   for (std::size_t i = 0; i < model.layer_count(); ++i) {
     Layer& layer = model.layer(i);
     if (auto* conv = dynamic_cast<ConvLayer*>(&layer)) {
       cur = lower_conv(*conv, cur);
     } else if (dynamic_cast<ReluLayer*>(&layer) != nullptr) {
-      const std::size_t out_val = new_value(s.values_[cur].shape, s.ops_.size());
-      Op op;
-      op.kind = Op::Kind::kRelu;
-      op.in0 = cur;
-      op.out = out_val;
-      op.label = "relu";
-      push_op(std::move(op));
-      cur = out_val;
+      cur = lower_relu(cur, "relu");
     } else if (auto* mp = dynamic_cast<MaxPoolLayer*>(&layer)) {
       const std::size_t hw = mp->spatial();
       if (s.values_[cur].elems != batch * mp->channels() * hw * hw) {
         lower_fail("shape mismatch feeding maxpool");
       }
-      const std::size_t out_val =
-          new_value({batch, mp->channels(), hw / 2, hw / 2}, s.ops_.size());
       Op op;
       op.kind = Op::Kind::kMaxPool;
-      op.in0 = cur;
-      op.out = out_val;
       op.channels = mp->channels();
       op.hw = hw;
       op.label = "maxpool2x2";
-      push_op(std::move(op));
-      cur = out_val;
+      cur = push_op(std::move(op), cur, {batch, mp->channels(), hw / 2, hw / 2});
     } else if (auto* dense = dynamic_cast<DenseLayer*>(&layer)) {
       if (s.values_[cur].elems != batch * dense->in_features()) {
         lower_fail("shape mismatch feeding " + dense->name());
       }
-      const std::size_t out_val = new_value({batch, dense->out_features()}, s.ops_.size());
       Op op;
       op.kind = Op::Kind::kDense;
-      op.in0 = cur;
-      op.out = out_val;
       op.dense = dense;
       op.label = dense->name();
-      push_op(std::move(op));
-      cur = out_val;
+      cur = push_op(std::move(op), cur, {batch, dense->out_features()});
     } else if (auto* res = dynamic_cast<ResidualBlock*>(&layer)) {
-      // Flattened so the skip connection is a real live range: the block
-      // input stays live across conv1/relu/conv2 until the final add.
+      // The block input stays live across conv1/relu/conv2 until the add.
       const std::size_t x = cur;
-      const std::size_t mid = lower_conv(res->conv1(), x);
-      const std::size_t mid_act = new_value(s.values_[mid].shape, s.ops_.size());
-      Op relu_op;
-      relu_op.kind = Op::Kind::kRelu;
-      relu_op.in0 = mid;
-      relu_op.out = mid_act;
-      relu_op.label = "relu(residual)";
-      push_op(std::move(relu_op));
-      const std::size_t f_out = lower_conv(res->conv2(), mid_act);
-      const std::size_t out_val = new_value(s.values_[x].shape, s.ops_.size());
+      const std::size_t mid_act = lower_relu(lower_conv(res->conv1(), x), "relu(residual)");
       Op add_op;
       add_op.kind = Op::Kind::kAddRelu;
-      add_op.in0 = x;
-      add_op.in1 = f_out;
-      add_op.out = out_val;
+      add_op.in1 = lower_conv(res->conv2(), mid_act);
       add_op.label = "add+relu(residual)";
-      push_op(std::move(add_op));
-      cur = out_val;
+      cur = push_op(std::move(add_op), x, s.values_[x].shape);
     } else {
       lower_fail("unsupported layer in serving path: " + layer.name());
     }
   }
   s.output_value_ = cur;
   s.values_[cur].external = true;
+}
 
-  // -- Post-op fusion pass: fold conv->relu and conv->add+relu chains into --
-  // -- the convolution's single output pass (the PostOps epilogue). ---------
-  // A chain fuses when (a) the kill-switch is on, (b) the conv's output has
-  // exactly one consumer and it is the immediately following element-wise op,
-  // and (c) the engine that will execute the conv can carry the epilogue —
-  // kConvFp32 runs session-owned code (always can); kConvEngine consults
-  // engine_caps(kind, desc) for the forced/replayed kind or requires at
-  // least one shoot-out candidate that both supports the shape and the
-  // epilogue (the selection loop then skips declining candidates for fused
-  // ops — the graceful fallback). Fusion
-  // deletes the element-wise pass *and* orphans its input value, shortening
-  // live ranges so the arena planner's peak drops (asserted in test_serve).
-  if (post_op_fusion_enabled()) {
-    const std::span<const EngineKind> cands =
-        options.candidates.empty() ? std::span<const EngineKind>(kDefaultCandidates)
-                                   : std::span<const EngineKind>(options.candidates);
-    const auto engine_conv_can_fuse = [&](const Op& op, std::size_t conv_ordinal) {
-      const ConvDesc desc = op.conv->conv_desc(batch);
-      const auto can = [&](EngineKind kind) {
-        const EngineCaps caps = engine_caps(kind, desc);
-        return caps.post_ops && caps.supports;
-      };
-      if (options.forced_engine) return can(*options.forced_engine);
-      if (options.reuse != nullptr) {
-        return conv_ordinal < options.reuse->convs.size() &&
-               can(options.reuse->convs[conv_ordinal].engine);
-      }
-      return std::any_of(cands.begin(), cands.end(), can);
-    };
-
-    std::vector<std::size_t> uses(s.values_.size(), 0);
-    for (const Op& op : s.ops_) {
-      ++uses[op.in0];
-      if (op.kind == Op::Kind::kAddRelu) ++uses[op.in1];
-    }
-
-    std::vector<Op> fused;
-    fused.reserve(s.ops_.size());
-    std::size_t conv_ordinal = 0;  // kConvEngine count, for reuse-plan lookup
-    for (std::size_t i = 0; i < s.ops_.size(); ++i) {
-      Op op = std::move(s.ops_[i]);
-      const bool is_conv =
-          op.kind == Op::Kind::kConvEngine || op.kind == Op::Kind::kConvFp32;
-      const bool can_fuse =
-          is_conv &&
-          (op.kind == Op::Kind::kConvFp32 || engine_conv_can_fuse(op, conv_ordinal));
-      if (op.kind == Op::Kind::kConvEngine) ++conv_ordinal;
-      if (can_fuse && i + 1 < s.ops_.size() && uses[op.out] == 1) {
-        const Op& next = s.ops_[i + 1];
-        if (next.kind == Op::Kind::kRelu && next.in0 == op.out) {
-          op.fuse_relu = true;
-          op.out = next.out;
-          op.label += "+relu";
-          ++i;  // the relu pass is gone
-        } else if (next.kind == Op::Kind::kAddRelu &&
-                   (next.in0 == op.out || next.in1 == op.out)) {
-          // The residual (the *other* add input) is defined before this conv
-          // (ops are in topological order), so reading it from the epilogue
-          // is safe.
-          op.fuse_relu = true;
-          op.fuse_sum = true;
-          op.in1 = next.in0 == op.out ? next.in1 : next.in0;
-          op.out = next.out;
-          op.label += "+sum+relu";
-          ++i;  // the add+relu pass is gone
-        }
-      }
-      fused.push_back(std::move(op));
-    }
-    s.ops_ = std::move(fused);
+/// The one check of a replayed plan against the lowered model: same batch,
+/// same number of engine convs, same descriptor at each. Every later pass may
+/// index the plan by conv ordinal.
+void InferenceSession::validate_replay(const InferenceSession& s, const PlanOptions& options) {
+  const SessionPlan* plan = replayed_plan(options);
+  if (plan == nullptr) return;
+  if (plan->batch != s.plan_.batch) {
+    lower_fail("reused plan was compiled for batch " + std::to_string(plan->batch));
   }
-
-  // -- Recompute liveness over the (possibly fused) op list. Values orphaned
-  // -- by fusion (a swallowed element-wise op's former input) get no arena
-  // -- request at all. ------------------------------------------------------
-  std::vector<bool> value_live(s.values_.size(), false);
-  value_live[0] = true;
-  for (std::size_t step = 0; step < s.ops_.size(); ++step) {
-    const Op& op = s.ops_[step];
-    s.values_[op.out].def_step = step;
-    s.values_[op.out].last_use = step;
-    value_live[op.out] = true;
-    s.values_[op.in0].last_use = step;
-    value_live[op.in0] = true;
-    if (op.kind == Op::Kind::kAddRelu || op.fuse_sum) {
-      s.values_[op.in1].last_use = step;
-      value_live[op.in1] = true;
+  std::size_t ordinal = 0;
+  for (const Op& op : s.ops_) {
+    if (op.kind != Op::Kind::kConvEngine) continue;
+    if (ordinal == plan->convs.size()) lower_fail("reused plan has too few convolutions");
+    const std::string desc = op.conv->conv_desc(s.plan_.batch).to_string();
+    const SessionPlan::ConvChoice& rc = plan->convs[ordinal++];
+    if (rc.desc != desc) {
+      lower_fail("reused plan mismatch at " + op.label + ": plan has [" + rc.desc +
+                 "], model needs [" + desc + "]");
     }
   }
+  if (ordinal != plan->convs.size()) {
+    lower_fail("reused plan has more convolutions than the model");
+  }
+}
 
-  // -- Plan-time FP32 pass: capture every conv's input distribution and -----
-  // -- reference output (the accuracy envelope's ground truth). -------------
-  std::vector<Tensor<float>> vals(s.values_.size());
-  vals[0] = calib_input;
-  for (Op& op : s.ops_) {
-    vals[op.out].reshape(s.values_[op.out].shape);
+/// Pass 2: post-op fusion. Folds conv->relu and conv->add+relu chains into
+/// the convolution's single output pass (the PostOps epilogue) when the
+/// kill-switch is on, the conv's output has exactly one consumer and it is
+/// the next op, and the conv can carry the epilogue: kConvFp32 always can; a
+/// kConvEngine needs at least one allowed engine with post-op support (the
+/// selection pass then only considers those). Fusion deletes the
+/// element-wise pass and orphans its input value, shortening live ranges so
+/// the arena peak drops.
+void InferenceSession::fuse(InferenceSession& s, const PlanOptions& options) {
+  if (!post_op_fusion_enabled()) return;
+  std::vector<std::size_t> uses(s.values_.size(), 0);
+  for (const Op& op : s.ops_) {
+    ++uses[op.in0];
+    if (op.kind == Op::Kind::kAddRelu) ++uses[op.in1];
+  }
+  std::vector<Op> fused;
+  fused.reserve(s.ops_.size());
+  std::size_t ordinal = 0;
+  for (std::size_t i = 0; i < s.ops_.size(); ++i) {
+    Op op = std::move(s.ops_[i]);
+    bool can_fuse = op.kind == Op::Kind::kConvFp32;
     if (op.kind == Op::Kind::kConvEngine) {
-      op.conv->forward_fp32(vals[op.in0].span(), vals[op.out].span(), batch);
-      // The fused reference includes the epilogue (identical float op
-      // sequence to the engines' in-register version, hence bit-comparable).
-      const std::span<float> out = vals[op.out].span();
-      if (op.fuse_sum) {
-        const float* res = vals[op.in1].data();
-        for (std::size_t i = 0; i < out.size(); ++i) out[i] += res[i];
+      const ConvDesc desc = op.conv->conv_desc(s.plan_.batch);
+      const std::span<const EngineKind> allowed = allowed_engines(options, ordinal++);
+      can_fuse = std::any_of(allowed.begin(), allowed.end(), [&](EngineKind kind) {
+        const EngineCaps caps = engine_caps(kind, desc);
+        return caps.supports && caps.post_ops;
+      });
+    }
+    if (can_fuse && i + 1 < s.ops_.size() && uses[op.out] == 1) {
+      const Op& next = s.ops_[i + 1];
+      if (next.kind == Op::Kind::kRelu && next.in0 == op.out) {
+        op.fuse_relu = true;
+        op.out = next.out;
+        op.label += "+relu";
+        ++i;  // the relu pass is gone
+      } else if (next.kind == Op::Kind::kAddRelu && (next.in0 == op.out || next.in1 == op.out)) {
+        // The residual (the other add input) is defined before this conv
+        // (ops are in topological order), so the epilogue may read it.
+        op.fuse_relu = true;
+        op.fuse_sum = true;
+        op.in1 = next.in0 == op.out ? next.in1 : next.in0;
+        op.out = next.out;
+        op.label += "+sum+relu";
+        ++i;  // the add+relu pass is gone
       }
-      if (op.fuse_relu) {
-        for (float& v : out) v = std::max(0.0f, v);
-      }
+    }
+    fused.push_back(std::move(op));
+  }
+  s.ops_ = std::move(fused);
+}
+
+/// One FP32 pass over the calibration batch: every value's reference tensor
+/// (each conv's input distribution and fused reference output — the accuracy
+/// envelope's ground truth). Every conv runs the shared FP32 kernel with its
+/// fused epilogue, so the reference is bit-comparable to the engines' output.
+std::vector<Tensor<float>> InferenceSession::fp32_reference(InferenceSession& s,
+                                                            const Tensor<float>& calib_input) {
+  std::vector<Tensor<float>> ref(s.values_.size());
+  ref[0] = calib_input;
+  ConvF32Scratch scratch;
+  for (Op& op : s.ops_) {
+    ref[op.out].reshape(s.values_[op.out].shape);
+    const float* in1 =
+        op.kind == Op::Kind::kAddRelu || op.fuse_sum ? ref[op.in1].data() : nullptr;
+    if (op.conv != nullptr) {
+      conv_f32_forward(op.conv->conv_desc(s.plan_.batch), ref[op.in0].span(),
+                       op.conv->weights(), op.conv->bias(), ref[op.out].span(), scratch,
+                       PostOps{op.fuse_relu, in1});
     } else {
-      const float* in1 =
-          op.kind == Op::Kind::kAddRelu || op.fuse_sum ? vals[op.in1].data() : nullptr;
-      s.execute_op(op, vals[op.in0].data(), in1, vals[op.out].data());
+      s.execute_op(op, ref[op.in0].data(), in1, ref[op.out].data());
     }
   }
+  return ref;
+}
 
-  // -- Per-convolution engine selection. ------------------------------------
-  const std::size_t reuse_convs =
-      (!options.forced_engine && options.reuse != nullptr) ? options.reuse->convs.size() : 0;
-  if (options.reuse != nullptr && !options.forced_engine &&
-      options.reuse->batch != batch) {
-    lower_fail("reused plan was compiled for batch " + std::to_string(options.reuse->batch));
-  }
+/// Pass 3: an engine per kConvEngine op, by the precedence of
+/// allowed_engines: a forced or replayed kind is built as is; otherwise a
+/// wisdom hint, else a measured shoot-out ranked by envelope first, then
+/// speed (below the envelope: highest SNR). Every choice is recorded in the
+/// plan, with a measured SNR, and written back to wisdom.
+void InferenceSession::select_engines(InferenceSession& s, const PlanOptions& options,
+                                      const std::vector<Tensor<float>>& ref) {
+  const SessionPlan* replay = replayed_plan(options);
+  const bool pinned = options.forced_engine || replay != nullptr;
   Tensor<float> actual;  // candidate output scratch
-  std::size_t conv_idx = 0;
+  std::size_t ordinal = 0;
   for (std::size_t i = 0; i < s.ops_.size(); ++i) {
     Op& op = s.ops_[i];
     if (op.kind != Op::Kind::kConvEngine) continue;
-    const ConvDesc desc = op.conv->conv_desc(batch);
+    const ConvDesc desc = op.conv->conv_desc(s.plan_.batch);
     const std::string desc_str = desc.to_string();
-    const Tensor<float>& plan_in = vals[op.in0];
-    const Tensor<float>& ref_out = vals[op.out];
+    const Tensor<float>& plan_in = ref[op.in0];
     // Fused ops are measured fused: the epilogue changes both the latency
     // ranking and the reference the SNR compares against.
-    const PostOps post{op.fuse_relu, op.fuse_sum ? vals[op.in1].data() : nullptr};
+    const PostOps post{op.fuse_relu, op.fuse_sum ? ref[op.in1].data() : nullptr};
+    actual.reshape(s.values_[op.out].shape);
 
-    // Builds + calibrates one candidate; nullptr when make_conv_engine
-    // rejects the (kind, shape) pair — that is the eligibility filter.
+    // Builds + calibrates one kind; nullptr when it cannot carry this shape
+    // or this op's fused epilogue.
     const auto build = [&](EngineKind kind) -> std::unique_ptr<ConvEngine> {
-      std::unique_ptr<ConvEngine> e;
-      try {
-        e = make_conv_engine(kind, desc);
-      } catch (const std::invalid_argument&) {
-        return nullptr;
-      }
-      if (engine_caps(kind, desc).quantized) {
+      const EngineCaps caps = engine_caps(kind, desc);
+      if (!caps.supports || (!post.none() && !caps.post_ops)) return nullptr;
+      std::unique_ptr<ConvEngine> e = make_conv_engine(kind, desc);
+      if (caps.quantized) {
         e->calibrate(plan_in.span());
         e->finalize_calibration();
       }
       e->set_filters(op.conv->weights(), op.conv->bias());
       return e;
     };
+    const auto snr_of = [&](ConvEngine& e) {
+      e.run(plan_in.span(), actual.span(), s.pool_, post);
+      return clamp_snr(quantization_error(ref[op.out].span(), actual.span()).signal_to_noise_db);
+    };
+    const auto meets_envelope = [&](EngineKind kind, double snr) {
+      return !engine_caps(kind, desc).quantized || snr >= options.min_snr_db;
+    };
 
     SessionPlan::ConvChoice choice;
     choice.op_index = i;
     choice.layer = op.label;
     choice.desc = desc_str;
-    actual.reshape(s.values_[op.out].shape);
-
-    if (options.forced_engine) {
-      op.engine = build(*options.forced_engine);
-      if (op.engine == nullptr) {
-        lower_fail(std::string("forced engine ") + engine_token(*options.forced_engine) +
-                   " is not eligible for " + desc_str);
-      }
-      choice.engine = *options.forced_engine;
-    } else if (options.reuse != nullptr) {
-      if (conv_idx >= reuse_convs) lower_fail("reused plan has too few convolutions");
-      const SessionPlan::ConvChoice& rc = options.reuse->convs[conv_idx];
-      if (rc.desc != desc_str) {
-        lower_fail("reused plan mismatch at " + op.label + ": plan has [" + rc.desc +
-                   "], model needs [" + desc_str + "]");
-      }
-      op.engine = build(rc.engine);
-      if (op.engine == nullptr) {
-        lower_fail(std::string("reused plan engine ") + engine_token(rc.engine) +
-                   " is not eligible for " + desc_str);
-      }
-      choice.engine = rc.engine;
-      choice.seconds = rc.seconds;
-    } else {
-      std::optional<EngineKind> hint;
-      if (options.wisdom != nullptr) {
-        if (const auto token = options.wisdom->get_string(
-                plan_wisdom_key(desc_str, op.fuse_relu, op.fuse_sum))) {
-          hint = engine_kind_from_string(*token);
-        }
-      }
-      // A hinted engine that cannot carry this op's shape or fused epilogue
-      // is as unusable as an unbuildable one: fall through to the shoot-out.
-      if (hint) {
-        const EngineCaps hint_caps = engine_caps(*hint, desc);
-        if (!hint_caps.supports || (!post.none() && !hint_caps.post_ops)) hint.reset();
-      }
-      if (hint) {
-        op.engine = build(*hint);  // unbuildable hint falls through to shoot-out
-        if (op.engine != nullptr) choice.engine = *hint;
-      }
-      if (op.engine == nullptr) {
-        // Measured shoot-out under the accuracy envelope.
-        const std::span<const EngineKind> cands =
-            options.candidates.empty() ? std::span<const EngineKind>(kDefaultCandidates)
-                                       : std::span<const EngineKind>(options.candidates);
-        std::unique_ptr<ConvEngine> best_engine;
-        SessionPlan::ConvChoice best, fallback;
-        std::unique_ptr<ConvEngine> fallback_engine;
-        fallback.snr_db = -1e300;
-        bool any_pass = false;
-        for (const EngineKind kind : cands) {
-          // Capability gate before construction: skip candidates that cannot
-          // handle this shape, and for fused ops restrict the shoot-out to
-          // post-op-capable engines (the fusion pass guaranteed at least one
-          // candidate qualifies).
-          const EngineCaps caps = engine_caps(kind, desc);
-          if (!caps.supports) continue;
-          if (!post.none() && !caps.post_ops) continue;
-          auto e = build(kind);
-          if (e == nullptr) continue;
-          e->run(plan_in.span(), actual.span(), s.pool_, post);
-          const double snr =
-              clamp_snr(quantization_error(ref_out.span(), actual.span()).signal_to_noise_db);
-          const double sec =
-              time_it([&] { e->run(plan_in.span(), actual.span(), s.pool_, post); },
-                      /*warmup=*/1, /*min_iters=*/2, /*max_iters=*/50,
-                      options.seconds_per_candidate)
-                  .median;
-          const bool meets = !caps.quantized || snr >= options.min_snr_db;
-          if (meets && (!any_pass || sec < best.seconds)) {
-            any_pass = true;
-            best.engine = kind;
-            best.snr_db = snr;
-            best.seconds = sec;
-            best_engine = std::move(e);
-          } else if (!meets && snr > fallback.snr_db) {
-            fallback.engine = kind;
-            fallback.snr_db = snr;
-            fallback.seconds = sec;
-            fallback_engine = std::move(e);
-          }
-        }
-        if (!any_pass && fallback_engine == nullptr) {
-          lower_fail("no engine candidate is eligible for " + desc_str);
-        }
-        if (any_pass) {
-          op.engine = std::move(best_engine);
-          choice.engine = best.engine;
-          choice.snr_db = best.snr_db;
-          choice.seconds = best.seconds;
-          choice.met_envelope = true;
-        } else {
-          op.engine = std::move(fallback_engine);
-          choice.engine = fallback.engine;
-          choice.snr_db = fallback.snr_db;
-          choice.seconds = fallback.seconds;
-          choice.met_envelope = false;
-        }
-      }
-    }
-
-    if (choice.snr_db == 0.0) {
-      // Forced / replayed / wisdom-hinted engines skip the shoot-out but
-      // still get one accuracy measurement so the plan record is honest.
-      op.engine->run(plan_in.span(), actual.span(), s.pool_, post);
-      choice.snr_db =
-          clamp_snr(quantization_error(ref_out.span(), actual.span()).signal_to_noise_db);
-      choice.met_envelope = !engine_caps(choice.engine, desc).quantized ||
-                            choice.snr_db >= options.min_snr_db;
-    }
     choice.fuse_relu = op.fuse_relu;
     choice.fuse_sum = op.fuse_sum;
+    const std::string wisdom_key = plan_wisdom_key(desc_str, op.fuse_relu, op.fuse_sum);
+    const std::span<const EngineKind> allowed = allowed_engines(options, ordinal);
+    bool measured = false;
+    if (pinned) {
+      choice.engine = allowed.front();
+      op.engine = build(choice.engine);
+      if (op.engine == nullptr) {
+        lower_fail(std::string(options.forced_engine ? "forced" : "reused plan") + " engine " +
+                   engine_token(choice.engine) + " is not eligible for " + desc_str);
+      }
+      if (replay != nullptr) choice.seconds = replay->convs[ordinal].seconds;
+    } else if (options.wisdom != nullptr) {
+      const std::optional<std::string> token = options.wisdom->get_string(wisdom_key);
+      if (const std::optional<EngineKind> hint =
+              token ? engine_kind_from_string(*token) : std::nullopt) {
+        op.engine = build(*hint);  // an ineligible hint falls through to the shoot-out
+        choice.engine = *hint;
+      }
+    }
+    if (op.engine == nullptr) {
+      for (const EngineKind kind : allowed) {
+        std::unique_ptr<ConvEngine> e = build(kind);
+        if (e == nullptr) continue;
+        const double snr = snr_of(*e);
+        const double sec =
+            time_it([&] { e->run(plan_in.span(), actual.span(), s.pool_, post); },
+                    /*warmup=*/1, /*min_iters=*/2, /*max_iters=*/50,
+                    options.seconds_per_candidate)
+                .median;
+        // One ranking: meets the envelope first, then fastest; below it,
+        // highest SNR.
+        const bool meets = meets_envelope(kind, snr);
+        const bool better =
+            !measured || (meets != choice.met_envelope
+                              ? meets
+                              : (meets ? sec < choice.seconds : snr > choice.snr_db));
+        if (better) {
+          measured = true;
+          op.engine = std::move(e);
+          choice.engine = kind;
+          choice.snr_db = snr;
+          choice.seconds = sec;
+          choice.met_envelope = meets;
+        }
+      }
+      if (op.engine == nullptr) lower_fail("no engine candidate is eligible for " + desc_str);
+    }
+    if (!measured) {
+      // Forced / replayed / wisdom-hinted engines skip the shoot-out but
+      // still get one accuracy measurement so the plan record is honest.
+      choice.snr_db = snr_of(*op.engine);
+      choice.met_envelope = meets_envelope(choice.engine, choice.snr_db);
+    }
     if (options.wisdom != nullptr) {
-      options.wisdom->put_string(plan_wisdom_key(desc_str, op.fuse_relu, op.fuse_sum),
-                                 engine_token(choice.engine));
+      options.wisdom->put_string(wisdom_key, engine_token(choice.engine));
     }
     s.plan_.convs.push_back(std::move(choice));
-    ++conv_idx;
+    ++ordinal;
   }
-  if (reuse_convs != 0 && conv_idx != reuse_convs) {
-    lower_fail("reused plan has more convolutions than the model");
+}
+
+/// Pass 4: the u8 activation hand-off per value (DESIGN.md decision 13).
+/// Seed: a value may be u8 when it is internal and its producer can emit u8
+/// (a hand-off-capable engine conv, or a ReLU/maxpool passthrough, exact on
+/// the +128 encoding). Legality fixpoint: an op that cannot read u8 demotes
+/// its inputs, and a passthrough is all-or-nothing. A fresh compile then
+/// gates each conv-output edge on the envelope (a miss demotes it and re-runs
+/// the fixpoint); a replay seeds from the plan's tokens instead and must pass
+/// the same seed and fixpoint rules unchanged, with no SNR gate.
+void InferenceSession::assign_dtypes(InferenceSession& s, const PlanOptions& options,
+                                     const std::vector<Tensor<float>>& ref) {
+  if (!u8_handoff_enabled()) return;
+  const SessionPlan* replay = replayed_plan(options);
+  const auto reads_u8 = [](const Op& op) {
+    return op.kind == Op::Kind::kConvEngine && op.engine->supports_u8_handoff();
+  };
+  const auto passthrough = [](const Op& op) {
+    return op.kind == Op::Kind::kRelu || op.kind == Op::Kind::kMaxPool;
+  };
+
+  std::vector<char> want(s.values_.size(), 0);
+  std::size_t ordinal = 0;
+  for (const Op& op : s.ops_) {
+    const bool seed = !s.values_[op.out].external && (reads_u8(op) || passthrough(op));
+    if (replay == nullptr) {
+      want[op.out] = seed;
+      continue;
+    }
+    // Conv outputs take their recorded token; passthroughs inherit (ops are
+    // in topological order).
+    if (op.kind == Op::Kind::kConvEngine) {
+      want[op.out] = replay->convs[ordinal++].out_dtype == DType::kU8;
+    } else if (passthrough(op)) {
+      want[op.out] = want[op.in0];
+    }
+    if (want[op.out] != 0 && !seed) lower_fail("reused plan assigns u8 at " + op.label);
   }
 
-  // -- Type-assignment pass: pick the u8 activation hand-off per edge. ------
-  // Fixpoint over the value graph: a value is a u8 candidate when its
-  // producer can emit u8 (a hand-off-capable conv engine, or a ReLU/maxpool
-  // whose own input is u8 — both passthroughs are exact on the +128 encoding
-  // because quantization is monotone with q(0) = 128) and every consumer can
-  // read u8 (a capable conv's input or fused residual, or a coupled
-  // passthrough). Each surviving conv-output edge is then KL-calibrated
-  // against the plan-time FP32 reference and must meet the same
-  // options.min_snr_db envelope as engine selection; a miss demotes the edge
-  // to FP32 and re-runs the fixpoint (demotion cascades through passthrough
-  // coupling). Passthrough outputs inherit their input's QuantParams, so a
-  // whole passthrough segment shares one scale and the byte-domain
-  // ReLU/maxpool stay exact. Replay skips the SNR gate: the plan's recorded
-  // dtype tokens are authoritative and only validated for structural
-  // consistency. See DESIGN.md decision 13.
-  const bool replay_dtypes = options.reuse != nullptr && !options.forced_engine;
-  if (u8_handoff_enabled()) {
-    std::vector<char> want(s.values_.size(), 0);
-    if (replay_dtypes) {
-      // Reconstruct from the plan: conv outputs take their recorded token;
-      // passthrough outputs inherit (ops are in topological order).
-      std::size_t ordinal = 0;
+  // Returns whether anything was demoted.
+  const auto run_fixpoint = [&] {
+    bool demoted = false, changed = true;
+    const auto demote = [&](std::size_t v) {
+      if (want[v] != 0) {
+        want[v] = 0;
+        changed = demoted = true;
+      }
+    };
+    while (changed) {
+      changed = false;
       for (const Op& op : s.ops_) {
-        if (op.kind == Op::Kind::kConvEngine) {
-          if (options.reuse->convs[ordinal++].out_dtype == DType::kU8) want[op.out] = 1;
-        } else if (op.kind == Op::Kind::kRelu || op.kind == Op::Kind::kMaxPool) {
-          want[op.out] = want[op.in0];
-        }
-      }
-      if (want[s.output_value_] != 0) {
-        lower_fail("reused plan assigns u8 to the external output value");
-      }
-      // Validate: recorded input dtypes match the reconstruction and u8
-      // edges only touch hand-off-capable consumers.
-      ordinal = 0;
-      for (const Op& op : s.ops_) {
-        const bool u8_in = want[op.in0] != 0;
-        const bool u8_res = op.fuse_sum && want[op.in1] != 0;
-        switch (op.kind) {
-          case Op::Kind::kConvEngine: {
-            const SessionPlan::ConvChoice& rc = options.reuse->convs[ordinal++];
-            if (rc.in_dtype != (u8_in ? DType::kU8 : DType::kF32)) {
-              lower_fail("reused plan dtype mismatch at " + op.label);
-            }
-            if ((u8_in || want[op.out] != 0 || u8_res) && !op.engine->supports_u8_handoff()) {
-              lower_fail("reused plan assigns u8 hand-off to incapable engine " +
-                         std::string(engine_token(rc.engine)) + " at " + op.label);
-            }
-            break;
+        if (passthrough(op)) {
+          // Byte-domain passthrough: input and output share dtype and scale.
+          if (want[op.in0] != want[op.out]) {
+            demote(op.in0);
+            demote(op.out);
           }
-          case Op::Kind::kConvFp32:
-            if (u8_in || u8_res) lower_fail("reused plan feeds u8 to an FP32 conv");
-            break;
-          case Op::Kind::kDense:
-            if (u8_in) lower_fail("reused plan feeds u8 to a dense layer");
-            break;
-          case Op::Kind::kAddRelu:
-            if (u8_in || want[op.in1] != 0) {
-              lower_fail("reused plan feeds u8 to an unfused add");
-            }
-            break;
-          default:
-            break;
-        }
-      }
-      // Hand-off scales re-derive deterministically from the calibration
-      // input (same procedure as compile, gate outcome ignored), so a
-      // replayed session is bit-identical to the one that produced the plan.
-      for (const Op& op : s.ops_) {
-        if (op.kind == Op::Kind::kConvEngine && want[op.out] != 0) {
-          s.values_[op.out].qp = calibrate_edge(vals[op.out].span(), options.min_snr_db).qp;
-        }
-      }
-    } else {
-      // Seed: capable conv outputs, plus passthrough outputs (conditional on
-      // their input — the fixpoint resolves the coupling).
-      for (const Op& op : s.ops_) {
-        if (s.values_[op.out].external) continue;
-        if (op.kind == Op::Kind::kConvEngine && op.engine->supports_u8_handoff()) {
-          want[op.out] = 1;
-        } else if (op.kind == Op::Kind::kRelu || op.kind == Op::Kind::kMaxPool) {
-          want[op.out] = 1;
-        }
-      }
-      const auto run_fixpoint = [&] {
-        bool changed = true;
-        const auto demote = [&](std::size_t v) {
-          if (want[v] != 0) {
-            want[v] = 0;
-            changed = true;
-          }
-        };
-        while (changed) {
-          changed = false;
-          for (const Op& op : s.ops_) {
-            switch (op.kind) {
-              case Op::Kind::kConvEngine:
-                if (!op.engine->supports_u8_handoff()) {
-                  demote(op.in0);
-                  if (op.fuse_sum) demote(op.in1);
-                }
-                break;
-              case Op::Kind::kConvFp32:
-                demote(op.in0);
-                if (op.fuse_sum) demote(op.in1);
-                break;
-              case Op::Kind::kRelu:
-              case Op::Kind::kMaxPool:
-                // Byte-domain passthrough is all-or-nothing: input and
-                // output share the dtype (and the scale).
-                if (want[op.in0] != want[op.out]) {
-                  demote(op.in0);
-                  demote(op.out);
-                }
-                break;
-              case Op::Kind::kDense:
-                demote(op.in0);
-                break;
-              case Op::Kind::kAddRelu:
-                demote(op.in0);
-                demote(op.in1);
-                break;
-            }
-          }
-        }
-      };
-      // SNR-gate each surviving conv-output edge; a demotion re-runs the
-      // fixpoint (monotone, so this terminates).
-      std::vector<char> gated(s.values_.size(), 0);
-      bool stable = false;
-      while (!stable) {
-        run_fixpoint();
-        stable = true;
-        for (const Op& op : s.ops_) {
-          if (op.kind != Op::Kind::kConvEngine || want[op.out] == 0 || gated[op.out] != 0) {
-            continue;
-          }
-          const EdgeCalib ec = calibrate_edge(vals[op.out].span(), options.min_snr_db);
-          if (!ec.met) {
-            want[op.out] = 0;
-            stable = false;
-            break;
-          }
-          gated[op.out] = 1;
-          s.values_[op.out].qp = ec.qp;
+        } else if (!reads_u8(op)) {
+          demote(op.in0);
+          if (op.kind == Op::Kind::kAddRelu || op.fuse_sum) demote(op.in1);
         }
       }
     }
-    // Commit: value dtypes, passthrough scale propagation (topological, so a
-    // consumer conv always reads a finalized qp), engine configuration, plan
-    // record.
-    for (std::size_t v = 0; v < s.values_.size(); ++v) {
-      if (want[v] != 0) s.values_[v].dtype = DType::kU8;
+    return demoted;
+  };
+  std::vector<char> gated(s.values_.size(), 0);
+  for (bool stable = false; !stable;) {
+    if (run_fixpoint() && replay != nullptr) {
+      lower_fail("reused plan feeds u8 to an op that cannot read it");
     }
-    std::size_t ordinal = 0;
-    for (Op& op : s.ops_) {
-      if (op.kind == Op::Kind::kRelu || op.kind == Op::Kind::kMaxPool) {
-        if (want[op.out] != 0) s.values_[op.out].qp = s.values_[op.in0].qp;
-        continue;
+    stable = true;
+    for (const Op& op : s.ops_) {
+      if (op.kind != Op::Kind::kConvEngine || want[op.out] == 0 || gated[op.out] != 0) continue;
+      // Replayed scales re-derive deterministically from the calibration
+      // input, so a replayed session is bit-identical to the original.
+      const EdgeCalib ec = calibrate_edge(ref[op.out].span(), options.min_snr_db);
+      if (!ec.met && replay == nullptr) {
+        want[op.out] = 0;
+        stable = false;
+        break;
       }
-      if (op.kind != Op::Kind::kConvEngine) continue;
-      SessionPlan::ConvChoice& choice = s.plan_.convs[ordinal++];
-      if (want[op.in0] != 0) {
-        op.engine->set_input_u8(s.values_[op.in0].qp);
-        choice.in_dtype = DType::kU8;
-      }
-      if (want[op.out] != 0) {
-        op.engine->set_output_u8(s.values_[op.out].qp);
-        choice.out_dtype = DType::kU8;
-      }
+      gated[op.out] = 1;
+      s.values_[op.out].qp = ec.qp;
     }
   }
 
-  // -- In-place residual reuse: a fused conv's output shares its residual's
-  // -- arena slot when the conv is the residual's final consumer. Safe for
-  // -- every post-op-capable engine: the direct engines read each residual
-  // -- element in the same scalar iteration that overwrites it, and the
-  // -- Winograd engines read the residual inside the output transform, with
-  // -- the fork-join barrier before the blocked->NCHW unpack that writes the
-  // -- buffer. This is what turns fusion into an arena *peak* win — the
-  // -- residual pattern otherwise needs conv-input, residual and output live
-  // -- at once, fused or not. Sharing requires equal byte footprints
-  // -- (arena_slots_compatible): with mixed u8/FP32 dtypes an equal element
-  // -- count no longer implies equal size, and an FP32 output aliasing a u8
-  // -- residual's slot would overrun it. ------------------------------------
+  // Commit: value dtypes, passthrough scales (topological, so a consumer conv
+  // always reads a finalized qp), engine configuration, plan record.
+  for (std::size_t v = 0; v < s.values_.size(); ++v) {
+    if (want[v] != 0) s.values_[v].dtype = DType::kU8;
+  }
+  ordinal = 0;
+  for (Op& op : s.ops_) {
+    if (passthrough(op) && want[op.out] != 0) s.values_[op.out].qp = s.values_[op.in0].qp;
+    if (op.kind != Op::Kind::kConvEngine) continue;
+    const DType in_dtype = want[op.in0] != 0 ? DType::kU8 : DType::kF32;
+    if (replay != nullptr && replay->convs[ordinal].in_dtype != in_dtype) {
+      lower_fail("reused plan dtype mismatch at " + op.label);
+    }
+    SessionPlan::ConvChoice& choice = s.plan_.convs[ordinal++];
+    if (want[op.in0] != 0) {
+      op.engine->set_input_u8(s.values_[op.in0].qp);
+      choice.in_dtype = DType::kU8;
+    }
+    if (want[op.out] != 0) {
+      op.engine->set_output_u8(s.values_[op.out].qp);
+      choice.out_dtype = DType::kU8;
+    }
+  }
+}
+
+/// Pass 5: liveness over the final op list, in-place residual slots, and one
+/// arena for every internal value (slots sized per dtype).
+void InferenceSession::plan_arena(InferenceSession& s) {
+  // Values orphaned by fusion (a swallowed element-wise op's former input)
+  // are never touched and get no arena request.
+  std::vector<bool> live(s.values_.size(), false);
+  for (std::size_t step = 0; step < s.ops_.size(); ++step) {
+    const Op& op = s.ops_[step];
+    s.values_[op.out].def_step = step;
+    s.values_[op.out].last_use = step;
+    live[op.out] = true;
+    s.values_[op.in0].last_use = step;
+    live[op.in0] = true;
+    if (op.kind == Op::Kind::kAddRelu || op.fuse_sum) {
+      s.values_[op.in1].last_use = step;
+      live[op.in1] = true;
+    }
+  }
+
+  // In-place residual reuse: a fused conv's output shares its residual's
+  // slot when the conv is the residual's final consumer. Safe for every
+  // post-op-capable engine: the direct engines read each residual element in
+  // the same scalar iteration that overwrites it, and the Winograd engines
+  // read the residual inside the output transform, with the fork-join barrier
+  // before the blocked->NCHW unpack that writes the buffer. This is what
+  // turns fusion into an arena *peak* win. Sharing requires equal byte
+  // footprints (arena_slots_compatible): an FP32 output aliasing a u8
+  // residual's slot of equal element count would overrun it.
   std::vector<std::pair<std::size_t, std::size_t>> alias_pairs;  // (out, slot root)
-  std::vector<bool> value_aliased(s.values_.size(), false);
-  {
-    std::vector<std::size_t> slot_root(s.values_.size());
-    for (std::size_t v = 0; v < slot_root.size(); ++v) slot_root[v] = v;
-    for (std::size_t step = 0; step < s.ops_.size(); ++step) {
-      const Op& op = s.ops_[step];
-      if (!op.fuse_sum) continue;
-      const std::size_t res = op.in1, out = op.out;
-      if (s.values_[res].external || s.values_[out].external) continue;
-      if (res == op.in0 ||
-          !arena_slots_compatible(s.values_[res].elems, s.values_[res].dtype,
-                                  s.values_[out].elems, s.values_[out].dtype)) {
-        continue;
-      }
-      if (s.values_[res].last_use != step) continue;  // residual read again later
-      const std::size_t root = slot_root[res];
-      slot_root[out] = root;
-      value_aliased[out] = true;
-      s.values_[root].last_use = std::max(s.values_[root].last_use, s.values_[out].last_use);
-      alias_pairs.emplace_back(out, root);
+  std::vector<std::size_t> slot_root(s.values_.size());
+  for (std::size_t v = 0; v < slot_root.size(); ++v) slot_root[v] = v;
+  for (std::size_t step = 0; step < s.ops_.size(); ++step) {
+    const Op& op = s.ops_[step];
+    if (!op.fuse_sum) continue;
+    const Value& res = s.values_[op.in1];
+    const Value& out = s.values_[op.out];
+    if (res.external || out.external || op.in1 == op.in0 ||
+        !arena_slots_compatible(res.elems, res.dtype, out.elems, out.dtype) ||
+        res.last_use != step) {  // residual read again later
+      continue;
     }
+    const std::size_t root = slot_root[op.in1];
+    slot_root[op.out] = root;
+    s.values_[root].last_use = std::max(s.values_[root].last_use, out.last_use);
+    alias_pairs.emplace_back(op.out, root);
   }
 
-  // -- Arena planning over the non-external values (slots sized per dtype). -
   std::vector<ArenaRequest> requests;
   std::vector<std::size_t> request_value;
   for (std::size_t v = 0; v < s.values_.size(); ++v) {
     const Value& val = s.values_[v];
-    if (val.external || !value_live[v] || value_aliased[v]) continue;
+    if (val.external || !live[v] || slot_root[v] != v) continue;
     requests.push_back({val.bytes(), val.def_step, val.last_use});
     request_value.push_back(v);
   }
-  const ArenaPlan arena_plan = plan_arena(requests);
+  const ArenaPlan arena_plan = lowino::plan_arena(requests);
   for (std::size_t j = 0; j < request_value.size(); ++j) {
     s.values_[request_value[j]].offset_bytes = arena_plan.offsets[j];
   }
   // Aliased outputs inherit their slot root's offset (pairs are in op order,
-  // so a root's offset is always final by the time a dependent reads it).
+  // so a root's offset is final by the time a dependent reads it).
   for (const auto& [out, root] : alias_pairs) {
     s.values_[out].offset_bytes = s.values_[root].offset_bytes;
   }
   s.arena_.ensure(arena_plan.peak_bytes);
   s.plan_.arena_bytes = arena_plan.peak_bytes;
   s.plan_.naive_bytes = arena_plan.naive_bytes;
-
-  // -- Pre-warm every lazily grown buffer so steady-state runs never --------
-  // -- allocate (engine workspaces, FP32 conv scratch, warmup output). ------
-  s.run(calib_input, s.warmup_out_);
-  s.run(calib_input, s.warmup_out_);
-  return s;
 }
 
 // ---------------------------------------------------------------------------
@@ -1006,44 +887,12 @@ void InferenceSession::execute_op(Op& op, const void* in0, const void* in1, void
       }
       break;
     }
-    case Op::Kind::kConvFp32: {
-      // Mirrors ConvLayer::forward_fp32 computation exactly (bit-identical
-      // serving for the FP32 stem) with session-owned scratch and per-image
-      // im2col — serving has no backward pass to feed.
-      const std::size_t batch = plan_.batch;
-      const ConvDesc d = op.conv->conv_desc(batch);
-      const std::size_t rows = d.out_height() * d.out_width();
-      const std::size_t k = op.conv->out_channels();
-      const std::size_t patch = op.conv->in_channels() * d.kernel * d.kernel;
-      op.col.ensure(rows * patch);
-      op.wt.ensure(patch * k);
-      op.out_rows.ensure(rows * k);
-      const std::span<const float> weights = op.conv->weights();
-      const std::span<const float> bias = op.conv->bias();
-      float* wT = op.wt.data();
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        for (std::size_t p = 0; p < patch; ++p) wT[p * k + kk] = weights[kk * patch + p];
-      }
-      const float* fin0 = static_cast<const float*>(in0);
-      const float* fin1 = static_cast<const float*>(in1);
-      float* fout = static_cast<float*>(out);
-      for (std::size_t b = 0; b < batch; ++b) {
-        im2col_f32(d, {fin0, vi.elems}, b, op.col.data());
-        fp32_gemm(op.col.data(), patch, wT, k, op.out_rows.data(), k, rows, patch, k);
-        const float* src_rows = op.out_rows.data();
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          float* dst = fout + (b * k + kk) * rows;
-          const float* res = op.fuse_sum ? fin1 + (b * k + kk) * rows : nullptr;
-          const float bk = bias[kk];
-          for (std::size_t p = 0; p < rows; ++p) {
-            float v = src_rows[p * k + kk] + bk;
-            if (res != nullptr) v += res[p];
-            dst[p] = op.fuse_relu ? std::max(0.0f, v) : v;
-          }
-        }
-      }
+    case Op::Kind::kConvFp32:
+      conv_f32_forward(op.conv->conv_desc(plan_.batch),
+                       {static_cast<const float*>(in0), vi.elems}, op.conv->weights(),
+                       op.conv->bias(), {static_cast<float*>(out), vo.elems}, op.fp32,
+                       PostOps{op.fuse_relu, static_cast<const float*>(in1)});
       break;
-    }
     case Op::Kind::kRelu: {
       // A standalone (unfused) element-wise pass: visible as its own profile
       // stage so traces show these passes disappearing under fusion.

@@ -2,26 +2,34 @@
 // time* (the API counterpart of the paper's "tune ahead of time, serve from
 // wisdom" workflow, extended from one convolution to a whole network).
 //
-// Plan time — InferenceSession::compile(model, calib_input, options):
-//   * lowers the SequentialModel to a flat op list (convolutions, ReLU,
-//     maxpool, dense, residual add — residual blocks are flattened so the
-//     skip connection becomes a real multi-buffer live range);
-//   * runs the post-op fusion pass: conv->relu and conv->add+relu chains
-//     collapse into the convolution's single output pass (PostOps epilogue)
-//     when the eligible engines support it, killing the element-wise passes
-//     and shortening live ranges so the arena peak drops. Gated by the
-//     LOWINO_FUSE_POSTOPS kill-switch (default on; set 0 to A/B);
-//   * runs one FP32 pass over the calibration batch, capturing every
-//     convolution's input distribution and reference output;
-//   * picks an engine per quantizable convolution: a measured shoot-out
-//     across the eligible candidates (F(2)/F(4)/F(6) eligibility comes from
-//     make_conv_engine itself), gated by an accuracy envelope (minimum
-//     signal-to-noise vs the FP32 reference), consulted from / recorded into
-//     a WisdomStore, with PlanOptions::forced_engine as the escape hatch;
-//   * lays every intermediate activation out in one arena via the
-//     liveness-based planner (serve/arena.h) and reports planned vs naive
-//     peak bytes in the SessionPlan;
-//   * binds a persistent ThreadPool and pre-warms every scratch buffer.
+// Plan time — InferenceSession::compile(model, calib_input, options) runs
+// five passes, in order, over one flat op list:
+//   1. lower: the SequentialModel becomes convolutions, ReLU, maxpool, dense
+//      and residual-add ops (residual blocks are flattened so the skip
+//      connection becomes a real multi-buffer live range). A replayed plan
+//      (PlanOptions::reuse) is checked against this list here, once: batch,
+//      convolution count and each descriptor;
+//   2. fuse: conv->relu and conv->add+relu chains collapse into the
+//      convolution's single output pass (PostOps epilogue) when an allowed
+//      engine supports it, killing the element-wise passes. Gated by the
+//      LOWINO_FUSE_POSTOPS kill-switch (default on; set 0 to A/B);
+//   3. select_engines: one FP32 pass over the calibration batch captures
+//      every convolution's input and reference output; then each quantizable
+//      convolution gets forced_engine, else the replayed plan's engine, else
+//      a WisdomStore hint, else a measured shoot-out across the eligible
+//      candidates gated by an accuracy envelope (minimum signal-to-noise vs
+//      the FP32 reference). One helper owns that precedence for both fuse
+//      and select_engines;
+//   4. assign_dtypes: the u8 activation hand-off per edge. One seed rule and
+//      one legality fixpoint decide which edges may be u8; a fresh compile
+//      adds the envelope gate, a replay must reproduce the plan's dtype
+//      tokens under the same rules (LOWINO_U8_HANDOFF=0 skips the pass);
+//   5. plan_arena: liveness over the final op list, then every intermediate
+//      activation in one arena via the planner (serve/arena.h); planned vs
+//      naive peak bytes are reported in the SessionPlan.
+// Non-quantizable convolutions (grouped ones included) run the shared FP32
+// kernel, conv_f32_forward, with session-owned scratch. compile() finally
+// pre-warms every scratch buffer on the bound ThreadPool.
 //
 // Run time — session.run(input, output): executes the op list against the
 // arena. Steady-state runs perform zero heap allocations (asserted by the
@@ -31,7 +39,7 @@
 //
 // Threading contract: distinct sessions are thread-compatible — every
 // mutable buffer (engines, arena, scratch) is session-owned, and the only
-// model state touched at run time is read-only (weights/bias spans). The
+// model state compile() and run() touch is read-only (weights/bias spans). The
 // model must outlive its sessions and must not be trained between compile()
 // and run(). A single session object is not reentrant.
 #pragma once
@@ -43,6 +51,7 @@
 #include <vector>
 
 #include "common/aligned_buffer.h"
+#include "direct/direct_f32.h"
 #include "nn/graph.h"
 #include "quant/quantize.h"
 #include "serve/arena.h"
@@ -60,7 +69,7 @@ struct PlanOptions {
   /// envelope). Throws at compile time if any layer cannot build it.
   std::optional<EngineKind> forced_engine;
   /// Candidate engines for the shoot-out; empty means the default quantized
-  /// set {int8_direct, lowino_f2, lowino_f4, lowino_f6}.
+  /// set {int8_direct, lowino_f2, lowino_f4, lowino_f6, int8_1x1, int8_dw}.
   std::vector<EngineKind> candidates;
   /// Accuracy envelope: a quantized candidate must reach this
   /// signal-to-noise (dB) vs the FP32 reference to be eligible. When no
@@ -106,7 +115,8 @@ struct SessionPlan {
     // as a "dtype=in:out" token, omitted when both are FP32 so all-FP32 conv
     // lines stay byte-identical to the v2 format). On replay the tokens are
     // authoritative: the compiler reconstructs the per-value dtypes from them
-    // instead of re-running the SNR-gated assignment.
+    // instead of re-running the SNR gate, and rejects the plan when a fresh
+    // compile's seed and legality rules could not have produced them.
     DType in_dtype = DType::kF32;
     DType out_dtype = DType::kF32;
   };
@@ -176,7 +186,7 @@ class InferenceSession {
     std::unique_ptr<ConvEngine> engine;  ///< kConvEngine (session-owned)
     // Session-owned FP32 conv scratch (kConvFp32): sessions never share
     // mutable state, even when compiled from the same model.
-    AlignedBuffer<float> col, wt, out_rows;
+    ConvF32Scratch fp32;
     std::string label;
   };
 
@@ -195,6 +205,18 @@ class InferenceSession {
     QuantParams qp;  ///< hand-off quantization (meaningful when dtype == kU8)
     std::size_t bytes() const { return elems * dtype_bytes(dtype); }
   };
+
+  // compile()'s passes, in the order it runs them (session.cc).
+  static void lower(InferenceSession& s, SequentialModel& model, const Tensor<float>& calib_input);
+  static void validate_replay(const InferenceSession& s, const PlanOptions& options);
+  static void fuse(InferenceSession& s, const PlanOptions& options);
+  static std::vector<Tensor<float>> fp32_reference(InferenceSession& s,
+                                                   const Tensor<float>& calib_input);
+  static void select_engines(InferenceSession& s, const PlanOptions& options,
+                             const std::vector<Tensor<float>>& ref);
+  static void assign_dtypes(InferenceSession& s, const PlanOptions& options,
+                            const std::vector<Tensor<float>>& ref);
+  static void plan_arena(InferenceSession& s);
 
   void execute_op(Op& op, const void* in0, const void* in1, void* out);
   const void* value_in(std::size_t v, const Tensor<float>& input) const;

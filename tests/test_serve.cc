@@ -11,6 +11,7 @@
 #include <cstring>
 #include <new>
 #include <random>
+#include <sstream>
 #include <span>
 #include <vector>
 
@@ -465,6 +466,161 @@ TEST(InferenceSession, RejectsWrongInputShapeAndBadModels) {
   EXPECT_THROW(InferenceSession::compile(empty, calib, {}), std::invalid_argument);
   Tensor<float> rank2({2, 16});
   EXPECT_THROW(InferenceSession::compile(model, rank2, {}), std::invalid_argument);
+}
+
+TEST(InferenceSession, GroupedFp32ConvServesLikeForward) {
+  // Non-quantizable convs run the shared FP32 kernel in the session, grouped
+  // (depthwise) ones included: serving must match the model's own forward
+  // bit for bit.
+  SequentialModel model = make_minimobilenet();
+  for (std::size_t i = 0; i < model.layer_count(); ++i) {
+    if (auto* conv = dynamic_cast<ConvLayer*>(&model.layer(i))) conv->set_quantizable(false);
+  }
+  const Tensor<float> calib = random_input(2, 16, 717);
+  const Tensor<float> input = random_input(2, 16, 718);
+  PlanOptions options;
+  options.pool = &ThreadPool::global();
+  InferenceSession session = InferenceSession::compile(model, calib, options);
+  EXPECT_TRUE(session.plan().convs.empty());
+  Tensor<float> out;
+  session.run(input, out);
+  const Tensor<float>& ref = model.forward(input);
+  ASSERT_EQ(out.shape(), ref.shape());
+  EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), out.size() * sizeof(float)));
+}
+
+/// A plan's text without the measured fields (SNR, seconds, envelope bit):
+/// the batch/arena/naive lines, then "conv = op_index engine [post=]
+/// [dtype=] | layer | desc" per conv — the decisions compile() makes.
+std::string plan_decisions(const SessionPlan& plan) {
+  std::istringstream is(plan.serialize());
+  std::string line, out;
+  while (std::getline(is, line)) {
+    if (line.rfind("conv = ", 0) == 0) {
+      const std::size_t bar = line.find(" | ");
+      std::istringstream head(line.substr(0, bar));
+      std::string conv, eq, index, engine, snr, seconds, met, tokens;
+      head >> conv >> eq >> index >> engine >> snr >> seconds >> met;
+      std::getline(head, tokens);  // optional " post=... dtype=..."
+      line = "conv = " + index + ' ' + engine + tokens + line.substr(bar);
+    }
+    if (!line.empty() && line[0] != '#') out += line + '\n';
+  }
+  return out;
+}
+
+TEST(InferenceSession, PlanDecisionsArePinned) {
+  // Engine, fusion, dtype and arena decisions for the zoo nets, recorded
+  // from a known-good compile. A refactor of compile() must reproduce them.
+  // MiniMobileNet runs a shoot-out over a candidate set that leaves exactly
+  // one eligible engine per layer (no forced kind takes both its grouped
+  // and its 1x1 layers), so its decisions do not depend on timing.
+  ScopedRuntimeOverride fuse_on("LOWINO_FUSE_POSTOPS", "1");
+  ScopedRuntimeOverride u8_on("LOWINO_U8_HANDOFF", "1");
+  const Tensor<float> calib = random_input(2, 16, 1717);
+  const auto decide = [&](SequentialModel model, PlanOptions options) {
+    options.pool = &ThreadPool::global();
+    options.seconds_per_candidate = 0.002;
+    return plan_decisions(InferenceSession::compile(model, calib, options).plan());
+  };
+  PlanOptions f4, direct, dedicated;
+  f4.forced_engine = EngineKind::kLoWinoF4;
+  direct.forced_engine = EngineKind::kInt8Direct;
+  dedicated.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1};
+
+  EXPECT_EQ(decide(make_minivgg(), f4),
+            "batch = 2\n"
+            "arena = 163840\n"
+            "naive = 253952\n"
+            "conv = 1 lowino_f4 post=relu dtype=f32:u8 | conv3x3(64->64)+relu | "
+            "B2 C64 K64 H16 W16 r3\n"
+            "conv = 3 lowino_f4 post=relu dtype=u8:f32 | conv3x3(64->128)+relu | "
+            "B2 C64 K128 H8 W8 r3\n");
+  EXPECT_EQ(decide(make_minivgg(), direct),
+            "batch = 2\n"
+            "arena = 163840\n"
+            "naive = 253952\n"
+            "conv = 1 int8_direct post=relu dtype=f32:u8 | conv3x3(64->64)+relu | "
+            "B2 C64 K64 H16 W16 r3\n"
+            "conv = 3 int8_direct post=relu dtype=u8:f32 | conv3x3(64->128)+relu | "
+            "B2 C64 K128 H8 W8 r3\n");
+  EXPECT_EQ(decide(make_miniresnet(), f4),
+            "batch = 2\n"
+            "arena = 196608\n"
+            "naive = 253952\n"
+            "conv = 1 lowino_f4 post=relu dtype=f32:u8 | conv3x3(64->64)+relu | "
+            "B2 C64 K64 H16 W16 r3\n"
+            "conv = 2 lowino_f4 post=sum+relu dtype=u8:u8 | conv3x3(64->64)+sum+relu | "
+            "B2 C64 K64 H16 W16 r3\n"
+            "conv = 4 lowino_f4 post=relu dtype=u8:u8 | conv3x3(64->64)+relu | "
+            "B2 C64 K64 H8 W8 r3\n"
+            "conv = 5 lowino_f4 post=sum+relu dtype=u8:f32 | conv3x3(64->64)+sum+relu | "
+            "B2 C64 K64 H8 W8 r3\n");
+  EXPECT_EQ(decide(make_miniresnet(), direct),
+            "batch = 2\n"
+            "arena = 196608\n"
+            "naive = 253952\n"
+            "conv = 1 int8_direct post=relu dtype=f32:u8 | conv3x3(64->64)+relu | "
+            "B2 C64 K64 H16 W16 r3\n"
+            "conv = 2 int8_direct post=sum+relu dtype=u8:u8 | conv3x3(64->64)+sum+relu | "
+            "B2 C64 K64 H16 W16 r3\n"
+            "conv = 4 int8_direct post=relu dtype=u8:u8 | conv3x3(64->64)+relu | "
+            "B2 C64 K64 H8 W8 r3\n"
+            "conv = 5 int8_direct post=sum+relu dtype=u8:f32 | conv3x3(64->64)+sum+relu | "
+            "B2 C64 K64 H8 W8 r3\n");
+  EXPECT_EQ(decide(make_minimobilenet(), dedicated),
+            "batch = 2\n"
+            "arena = 81920\n"
+            "naive = 212992\n"
+            "conv = 1 int8_dw post=relu dtype=f32:u8 | dwconv3x3(32->32)+relu | "
+            "B2 C32 K32 H16 W16 r3 g32\n"
+            "conv = 2 int8_1x1 post=relu dtype=u8:u8 | conv1x1(32->64)+relu | "
+            "B2 C32 K64 H16 W16 r1\n"
+            "conv = 4 int8_dw post=relu dtype=u8:u8 | dwconv3x3(64->64)+relu | "
+            "B2 C64 K64 H8 W8 r3 g64\n"
+            "conv = 5 int8_1x1 post=relu dtype=u8:f32 | conv1x1(64->128)+relu | "
+            "B2 C64 K128 H8 W8 r1\n");
+}
+
+TEST(InferenceSession, PlanReplayRejectsInconsistentDtypeTokens) {
+  // Replay trusts a plan's dtype tokens only where a fresh compile could
+  // have produced them. Each tampering below must be refused.
+  ScopedRuntimeOverride fuse_on("LOWINO_FUSE_POSTOPS", "1");
+  ScopedRuntimeOverride u8_on("LOWINO_U8_HANDOFF", "1");
+  ThreadPool& pool = ThreadPool::global();
+  const Tensor<float> calib = random_input(2, 16, 1818);
+  SequentialModel model = make_miniresnet();
+  const SessionPlan plan =
+      forced_session(model, calib, EngineKind::kLoWinoF4, &pool).plan();
+  ASSERT_EQ(plan.convs.size(), 4u);
+  ASSERT_EQ(plan.convs[0].out_dtype, DType::kU8);
+  ASSERT_EQ(plan.convs[1].in_dtype, DType::kU8);
+  ASSERT_EQ(plan.convs[3].out_dtype, DType::kF32);
+
+  const auto replay = [&](const SessionPlan& p) {
+    SequentialModel fresh = make_miniresnet();
+    PlanOptions options;
+    options.pool = &pool;
+    options.reuse = &p;
+    return InferenceSession::compile(fresh, calib, options);
+  };
+  EXPECT_NO_THROW(replay(plan));
+
+  SessionPlan u8_into_dense = plan;  // last conv -> maxpool -> dense
+  u8_into_dense.convs[3].out_dtype = DType::kU8;
+  EXPECT_THROW(replay(u8_into_dense), std::invalid_argument);
+
+  SessionPlan flipped_input = plan;
+  flipped_input.convs[1].in_dtype = DType::kF32;
+  EXPECT_THROW(replay(flipped_input), std::invalid_argument);
+
+  SessionPlan incapable_engine = plan;  // FP32 Winograd has no u8 hand-off
+  incapable_engine.convs[0].engine = EngineKind::kFp32WinoF4;
+  EXPECT_THROW(replay(incapable_engine), std::invalid_argument);
+
+  SessionPlan u8_from_stem = plan;  // conv 0 reads the FP32 stem's output
+  u8_from_stem.convs[0].in_dtype = DType::kU8;
+  EXPECT_THROW(replay(u8_from_stem), std::invalid_argument);
 }
 
 // --- Post-op fusion ---------------------------------------------------------
