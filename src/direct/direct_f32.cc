@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 
 #include "gemm/fp32_gemm.h"
 #include "parallel/thread_pool.h"
@@ -84,18 +85,22 @@ void im2col_f32(const ConvDesc& desc, std::span<const float> input, std::size_t 
 void conv_f32_forward(const ConvDesc& desc, std::span<const float> input,
                       std::span<const float> weights, std::span<const float> bias,
                       std::span<float> output, ConvF32Scratch& scratch, const PostOps& post,
-                      bool keep_col) {
+                      ActLayout out_layout, bool keep_col) {
   assert(post.sum_u8 == nullptr);
   const std::size_t B = desc.batch, C = desc.in_channels, K = desc.out_channels;
   const std::size_t H = desc.height, W = desc.width, r = desc.kernel;
   const std::size_t OH = desc.out_height(), OW = desc.out_width();
   const std::size_t rows = OH * OW;
   // The epilogue, in the engines' order: bias (already in v), sum, ReLU.
-  const auto store = [&](std::size_t b, std::size_t k, std::size_t p, float v) {
-    const std::size_t at = (b * K + k) * rows + p;
+  // `at` indexes the output and the residual alike.
+  const auto store = [&](std::size_t at, float v) {
     if (post.sum != nullptr) v += post.sum[at];
     output[at] = post.relu ? std::max(0.0f, v) : v;
   };
+  const bool blocked = out_layout == ActLayout::kBlocked64;
+  if (blocked && desc.groups != 1) {
+    throw std::invalid_argument("conv_f32_forward: a blocked output needs an ungrouped shape");
+  }
   if (desc.groups != 1) {
     // Grouped shapes skip the im2col-GEMM formulation (the per-filter patch
     // is tiny — r*r for depthwise) and run direct loops instead.
@@ -122,7 +127,7 @@ void conv_f32_forward(const ConvDesc& desc, std::span<const float> input,
                 }
               }
             }
-            store(b, k, oh * OW + ow, acc);
+            store((b * K + k) * rows + oh * OW + ow, acc);
           }
         }
       }
@@ -142,9 +147,28 @@ void conv_f32_forward(const ConvDesc& desc, std::span<const float> input,
     float* col = scratch.col.data() + (keep_col ? b * rows * patch : 0);
     im2col_f32(desc, input, b, col);
     fp32_gemm(col, patch, wT, K, out_rows, K, rows, patch, K);
-    for (std::size_t k = 0; k < K; ++k) {
-      const float bk = bias[k];
-      for (std::size_t p = 0; p < rows; ++p) store(b, k, p, out_rows[p * K + k] + bk);
+    if (blocked) {
+      // Pixel-major rows x K is the blocked order already: a plain store per
+      // 64-channel block, then zeros in the last block's padding lanes.
+      const std::size_t k_blocks = ceil_div(K, kChanBlock);
+      for (std::size_t kb = 0; kb < k_blocks; ++kb) {
+        const std::size_t k0 = kb * kChanBlock, kn = std::min(kChanBlock, K - k0);
+        const std::size_t base = (b * k_blocks + kb) * rows * kChanBlock;
+        for (std::size_t p = 0; p < rows; ++p) {
+          for (std::size_t k = 0; k < kn; ++k) {
+            store(base + p * kChanBlock + k, out_rows[p * K + k0 + k] + bias[k0 + k]);
+          }
+          std::fill(output.data() + base + p * kChanBlock + kn,
+                    output.data() + base + (p + 1) * kChanBlock, 0.0f);
+        }
+      }
+    } else {
+      for (std::size_t k = 0; k < K; ++k) {
+        const float bk = bias[k];
+        for (std::size_t p = 0; p < rows; ++p) {
+          store((b * K + k) * rows + p, out_rows[p * K + k] + bk);
+        }
+      }
     }
   }
 }

@@ -13,6 +13,7 @@
 
 #include "common/aligned_buffer.h"
 #include "tensor/conv_desc.h"
+#include "tensor/layout.h"
 #include "tensor/post_ops.h"
 
 namespace lowino {
@@ -62,13 +63,18 @@ struct ConvF32Scratch {
 /// serving session's non-quantizable convs and its plan-time reference.
 /// Ungrouped shapes run im2col + GEMM per image; grouped shapes (weights
 /// K x C/groups x r x r) run direct loops. The store loop applies bias, then
-/// `post.sum`, then `post.relu` (a u8 residual is not accepted). With
+/// `post.sum`, then `post.relu` (a u8 residual is not accepted). The input is
+/// NCHW; the output (and `post.sum`, read at the output's offsets) is NCHW or,
+/// with `out_layout` kBlocked64 (ungrouped shapes only; grouped ones throw
+/// std::invalid_argument), the 64-channel blocked layout with zero padding
+/// lanes — the GEMM's pixel-major rows store straight into it. With
 /// `keep_col` every image's im2col rows stay in `scratch.col`, image after
 /// image, for a training backward pass.
 void conv_f32_forward(const ConvDesc& desc, std::span<const float> input,
                       std::span<const float> weights, std::span<const float> bias,
                       std::span<float> output, ConvF32Scratch& scratch,
-                      const PostOps& post = {}, bool keep_col = false);
+                      const PostOps& post = {}, ActLayout out_layout = ActLayout::kNchw,
+                      bool keep_col = false);
 
 /// Fills `col` ((out_h * out_w) x (C * r * r)) with the im2col expansion of
 /// image `b` of `input` (NCHW), zero-padding the halo.

@@ -98,12 +98,14 @@ LoWinoConvolution::LoWinoConvolution(const ConvDesc& desc, const LoWinoConfig& c
 void LoWinoConvolution::calibrate(std::span<const float> input_nchw,
                                   std::size_t tile_stride) {
   ProfileSpan span(ProfileStage::kCalibration);
-  in_blocked_scratch_.ensure(in_layout_.size());
+  in_blocked_.ensure(in_layout_.size() * sizeof(float));
+  const std::span<float> blocked(reinterpret_cast<float*>(in_blocked_.data()),
+                                 in_layout_.size());
   pack_nchw_to_blocked(input_nchw, desc_.batch, desc_.in_channels, desc_.height, desc_.width,
-                       in_blocked_scratch_.span());
+                       blocked);
   InputTransformContext ctx{&desc_, &geo_, &bt_plan_, in_layout_, v_layout_, false,
                             canonical_tm_};
-  collect_calibration(ctx, in_blocked_scratch_.span(), calibrator_, tile_stride);
+  collect_calibration(ctx, blocked, calibrator_, tile_stride);
 }
 
 void LoWinoConvolution::finalize_calibration() {
@@ -176,6 +178,12 @@ void LoWinoConvolution::execute_blocked(std::span<const float> input, std::span<
   execute_blocked_impl(input.data(), output.data(), DType::kF32, DType::kF32, pool, post);
 }
 
+void LoWinoConvolution::execute_blocked_typed(const void* input, void* output,
+                                              ThreadPool* pool, const PostOps& post) {
+  execute_blocked_impl(input, output, in_u8_ ? DType::kU8 : DType::kF32,
+                       out_u8_ ? DType::kU8 : DType::kF32, pool, post);
+}
+
 void LoWinoConvolution::execute_blocked_impl(const void* input, void* output, DType in_dtype,
                                              DType out_dtype, ThreadPool* pool,
                                              const PostOps& post) {
@@ -197,7 +205,7 @@ void LoWinoConvolution::execute_blocked_impl(const void* input, void* output, DT
                                  post.relu,   post.sum,    canonical_tm_};
   out_ctx.out_dtype = out_dtype;
   out_ctx.requant_scale = out_u8_qp_.scale;
-  out_ctx.sum_u8_nchw = post.sum_u8;
+  out_ctx.sum_u8 = post.sum_u8;
   out_ctx.sum_u8_dequant = post.sum_u8_inv_scale;
 
   if (mode == ExecutionMode::kFused) {
@@ -226,59 +234,47 @@ void LoWinoConvolution::execute_blocked_impl(const void* input, void* output, DT
 
 void LoWinoConvolution::execute_nchw(std::span<const float> input, std::span<float> output,
                                      ThreadPool* pool, const PostOps& post) {
-  in_blocked_scratch_.ensure(in_layout_.size());
-  out_blocked_scratch_.ensure(out_layout_.size());
-  pack_nchw_to_blocked(input, desc_.batch, desc_.in_channels, desc_.height, desc_.width,
-                       in_blocked_scratch_.span(), pool);
-  execute_blocked(in_blocked_scratch_.span(), out_blocked_scratch_.span(), pool, post);
-  unpack_blocked_to_nchw(out_blocked_scratch_.span(), desc_.batch, desc_.out_channels,
-                         desc_.out_height(), desc_.out_width(), output, pool);
+  execute_nchw_impl(input.data(), output.data(), DType::kF32, DType::kF32, pool, post);
 }
 
 void LoWinoConvolution::execute_nchw_typed(const void* input, void* output, ThreadPool* pool,
                                            const PostOps& post) {
-  const std::size_t in_elems = desc_.batch * desc_.in_channels * desc_.height * desc_.width;
-  const std::size_t out_elems =
-      desc_.batch * desc_.out_channels * desc_.out_height() * desc_.out_width();
+  execute_nchw_impl(input, output, in_u8_ ? DType::kU8 : DType::kF32,
+                    out_u8_ ? DType::kU8 : DType::kF32, pool, post);
+}
 
-  const void* in_blocked = nullptr;
-  if (in_u8_) {
-    in_blocked_u8_.ensure(in_layout_.size());
-    pack_nchw_u8_to_blocked(
-        std::span<const std::uint8_t>(static_cast<const std::uint8_t*>(input), in_elems),
-        desc_.batch, desc_.in_channels, desc_.height, desc_.width, in_blocked_u8_.span(),
-        pool);
-    in_blocked = in_blocked_u8_.data();
-  } else {
-    in_blocked_scratch_.ensure(in_layout_.size());
-    pack_nchw_to_blocked(std::span<const float>(static_cast<const float*>(input), in_elems),
-                         desc_.batch, desc_.in_channels, desc_.height, desc_.width,
-                         in_blocked_scratch_.span(), pool);
-    in_blocked = in_blocked_scratch_.data();
+void LoWinoConvolution::execute_nchw_impl(const void* input, void* output, DType in_dtype,
+                                          DType out_dtype, ThreadPool* pool,
+                                          const PostOps& post) {
+  const std::size_t oh = desc_.out_height(), ow = desc_.out_width();
+  in_blocked_.ensure(in_layout_.size() * dtype_bytes(in_dtype));
+  out_blocked_.ensure(out_layout_.size() * dtype_bytes(out_dtype));
+  relayout(in_dtype, ActLayout::kBlocked64, input, desc_.batch, desc_.in_channels,
+           desc_.height, desc_.width, in_blocked_.data(), pool);
+
+  // The core reads the residual blocked. A residual of the output's dtype is
+  // packed straight into the output buffer and summed in place; one of the
+  // other dtype (an FP32 output with a u8 residual, or the reverse) gets its
+  // own buffer.
+  PostOps core = post;
+  if (post.has_sum()) {
+    const DType sum_dtype = post.sum_u8 != nullptr ? DType::kU8 : DType::kF32;
+    AlignedBuffer<std::uint8_t>& buf = sum_dtype == out_dtype ? out_blocked_ : sum_blocked_;
+    buf.ensure(out_layout_.size() * dtype_bytes(sum_dtype));
+    relayout(sum_dtype, ActLayout::kBlocked64,
+             post.sum_u8 != nullptr ? static_cast<const void*>(post.sum_u8) : post.sum,
+             desc_.batch, desc_.out_channels, oh, ow, buf.data(), pool);
+    if (sum_dtype == DType::kU8) {
+      core.sum_u8 = buf.data();
+    } else {
+      core.sum = reinterpret_cast<const float*>(buf.data());
+    }
   }
 
-  void* out_blocked = nullptr;
-  if (out_u8_) {
-    out_blocked_u8_.ensure(out_layout_.size());
-    out_blocked = out_blocked_u8_.data();
-  } else {
-    out_blocked_scratch_.ensure(out_layout_.size());
-    out_blocked = out_blocked_scratch_.data();
-  }
-
-  execute_blocked_impl(in_blocked, out_blocked, in_u8_ ? DType::kU8 : DType::kF32,
-                       out_u8_ ? DType::kU8 : DType::kF32, pool, post);
-
-  if (out_u8_) {
-    unpack_blocked_u8_to_nchw(
-        out_blocked_u8_.span(), desc_.batch, desc_.out_channels, desc_.out_height(),
-        desc_.out_width(),
-        std::span<std::uint8_t>(static_cast<std::uint8_t*>(output), out_elems), pool);
-  } else {
-    unpack_blocked_to_nchw(out_blocked_scratch_.span(), desc_.batch, desc_.out_channels,
-                           desc_.out_height(), desc_.out_width(),
-                           std::span<float>(static_cast<float*>(output), out_elems), pool);
-  }
+  execute_blocked_impl(in_blocked_.data(), out_blocked_.data(), in_dtype, out_dtype, pool,
+                       core);
+  relayout(out_dtype, ActLayout::kNchw, out_blocked_.data(), desc_.batch, desc_.out_channels,
+           oh, ow, output, pool);
 }
 
 }  // namespace lowino

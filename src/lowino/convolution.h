@@ -9,8 +9,12 @@
 //   conv.execute_nchw(input, output, &pool);    // low-precision inference
 //
 // The input transform, batched INT8 GEMM and output transform run entirely in
-// the blocked layouts of Table 1; execute_nchw packs/unpacks at the edges and
-// execute_blocked skips even that (for chained layers in the NN runtime).
+// the blocked layouts of Table 1. execute_blocked / execute_blocked_typed are
+// that core on caller-blocked buffers — the serving session chains them with
+// activations kept blocked between ops (serve/session.h, assign_layouts);
+// execute_nchw / execute_nchw_typed wrap the same core in a pack -> core ->
+// unpack of the interface NCHW layout (calibration, tuning, tests, the
+// shoot-out and the forward-engine runtime).
 #pragma once
 
 #include <cstdint>
@@ -66,13 +70,15 @@ class LoWinoConvolution {
 
   /// Runs the convolution on an NCHW input, writing an NCHW output.
   /// `post` is the optional fused epilogue (residual +sum, ReLU) applied
-  /// inside the de-quant/output-transform pass — see tensor/post_ops.h.
+  /// inside the de-quant/output-transform pass — see tensor/post_ops.h. Its
+  /// NCHW residual is packed to the blocked layout before the core runs.
   void execute_nchw(std::span<const float> input, std::span<float> output,
                     ThreadPool* pool = nullptr, const PostOps& post = {});
 
-  /// Runs on pre-blocked activations (B x [C/64] x H x W x 64). The residual
-  /// of `post.sum` stays NCHW regardless (it is gathered plane-strided by the
-  /// output transform).
+  /// Runs on pre-blocked FP32 activations (B x [C/64] x H x W x 64, padding
+  /// lanes zero). A `post` residual is blocked too, in the output's layout,
+  /// and may alias `output` (each output tile reads its residual positions
+  /// before storing them, and tiles are disjoint).
   void execute_blocked(std::span<const float> input, std::span<float> output,
                        ThreadPool* pool = nullptr, const PostOps& post = {});
 
@@ -99,6 +105,13 @@ class LoWinoConvolution {
   /// `post.sum_u8` may supply a u8 residual with either configuration.
   void execute_nchw_typed(const void* input, void* output, ThreadPool* pool = nullptr,
                           const PostOps& post = {});
+
+  /// execute_nchw_typed's core on blocked buffers: input, output and any
+  /// residual are blocked (padding lanes quantized zero: 0.0f, or byte 128
+  /// for u8) with the configured hand-off dtypes; the residual may alias the
+  /// output as in execute_blocked.
+  void execute_blocked_typed(const void* input, void* output, ThreadPool* pool = nullptr,
+                             const PostOps& post = {});
 
   BlockedActLayout input_layout() const { return in_layout_; }
   BlockedActLayout output_layout() const { return out_layout_; }
@@ -132,6 +145,8 @@ class LoWinoConvolution {
   void maybe_build_dequant();
   void execute_blocked_impl(const void* input, void* output, DType in_dtype, DType out_dtype,
                             ThreadPool* pool, const PostOps& post);
+  void execute_nchw_impl(const void* input, void* output, DType in_dtype, DType out_dtype,
+                         ThreadPool* pool, const PostOps& post);
 
   ConvDesc desc_;
   LoWinoConfig config_;
@@ -154,10 +169,10 @@ class LoWinoConvolution {
 
   AlignedBuffer<std::uint8_t> v_buf_;
   AlignedBuffer<std::int32_t> z_buf_;
-  AlignedBuffer<float> in_blocked_scratch_;
-  AlignedBuffer<float> out_blocked_scratch_;
-  AlignedBuffer<std::uint8_t> in_blocked_u8_;
-  AlignedBuffer<std::uint8_t> out_blocked_u8_;
+  // Blocked staging of the NCHW entry points (bytes, FP32 or u8).
+  AlignedBuffer<std::uint8_t> in_blocked_;
+  AlignedBuffer<std::uint8_t> out_blocked_;
+  AlignedBuffer<std::uint8_t> sum_blocked_;  ///< a residual whose dtype differs from the output's
   bool in_u8_ = false;
   bool out_u8_ = false;
   QuantParams in_u8_qp_;

@@ -54,84 +54,35 @@ void output_transform_tile(const OutputTransformContext& ctx, const std::int32_t
                       s.ybuf.data() + i * m * 16, 16);
       }
     }
-    // 3. Bias / +sum / ReLU epilogue + store the valid region.
+    // 3. Bias / +sum / ReLU epilogue + store the valid region. The residual
+    // shares the output's blocked offsets (padding lanes hold quantized zero).
     const float* bias16 = ctx.bias != nullptr ? ctx.bias + k_base : nullptr;
-    // Lanes >= K are blocked-layout channel padding: the NCHW residual has no
-    // such lanes, so they take the sum-free path (their values never reach the
-    // unpacked output anyway).
-    const std::size_t out_k = desc.out_channels;
-    const bool has_sum = ctx.sum_nchw != nullptr || ctx.sum_u8_nchw != nullptr;
-    const std::size_t sum_lanes =
-        has_sum && out_k > k_base ? std::min<std::size_t>(16, out_k - k_base) : 0;
-    const std::size_t plane = desc.out_height() * desc.out_width();
-    const float* res_group = ctx.sum_nchw != nullptr && sum_lanes > 0
-                                 ? ctx.sum_nchw + (b * out_k + k_base) * plane
-                                 : nullptr;
-    const std::uint8_t* res8_group = ctx.sum_u8_nchw != nullptr && sum_lanes > 0
-                                         ? ctx.sum_u8_nchw + (b * out_k + k_base) * plane
-                                         : nullptr;
-
-    if (ctx.out_dtype == DType::kU8) {
-      // Requant epilogue: bias -> sum -> relu in FP32 registers, then the
-      // same quantize16_u8 kernel as the input transform stores the bytes.
-      // Channel-padding lanes (>= out_k) are requantized too — they never
-      // reach the unpacked NCHW output.
-      std::uint8_t* out8 = static_cast<std::uint8_t*>(out_blocked);
-      alignas(64) float vbuf[16];
-      for (std::size_t i = 0; i < valid_h; ++i) {
-        for (std::size_t j = 0; j < valid_w; ++j) {
-          const float* y = s.ybuf.data() + (i * m + j) * 16;
-          std::uint8_t* dst =
-              out8 + ctx.out_layout.offset(b, kb, oh0 + i, ow0 + j) + g * 16;
-          const std::size_t pix = (oh0 + i) * desc.out_width() + (ow0 + j);
-          for (std::size_t l = 0; l < 16; ++l) {
-            float v = bias16 != nullptr ? y[l] + bias16[l] : y[l];
-            if (l < sum_lanes) {
-              v += res_group != nullptr
-                       ? res_group[pix + l * plane]
-                       : static_cast<float>(
-                             static_cast<std::int32_t>(res8_group[pix + l * plane]) - 128) *
-                             ctx.sum_u8_dequant;
-            }
-            vbuf[l] = ctx.relu ? std::max(0.0f, v) : v;
-          }
-          quantize16_u8(vbuf, ctx.requant_scale, dst);
+    const auto epilogue = [&](const float* y, std::size_t at, float* v) {
+      for (std::size_t l = 0; l < 16; ++l) {
+        float x = bias16 != nullptr ? y[l] + bias16[l] : y[l];
+        if (ctx.sum != nullptr) x += ctx.sum[at + l];
+        if (ctx.sum_u8 != nullptr) {
+          x += static_cast<float>(static_cast<std::int32_t>(ctx.sum_u8[at + l]) - 128) *
+               ctx.sum_u8_dequant;
         }
+        v[l] = ctx.relu ? std::max(0.0f, x) : x;
       }
-      continue;
-    }
-
-    float* outf = static_cast<float*>(out_blocked);
+    };
     for (std::size_t i = 0; i < valid_h; ++i) {
       for (std::size_t j = 0; j < valid_w; ++j) {
         const float* y = s.ybuf.data() + (i * m + j) * 16;
-        float* dst = outf + ctx.out_layout.offset(b, kb, oh0 + i, ow0 + j) + g * 16;
-        if (sum_lanes > 0) {
-          // Plane-strided residual gather: lane l of this pixel lives at
-          // channel k_base + l of the NCHW residual image.
-          const std::size_t pix = (oh0 + i) * desc.out_width() + (ow0 + j);
-          const float* res = res_group != nullptr ? res_group + pix : nullptr;
-          const std::uint8_t* res8 = res8_group != nullptr ? res8_group + pix : nullptr;
-          for (std::size_t l = 0; l < sum_lanes; ++l) {
-            float v = bias16 != nullptr ? y[l] + bias16[l] : y[l];
-            v += res != nullptr
-                     ? res[l * plane]
-                     : static_cast<float>(static_cast<std::int32_t>(res8[l * plane]) - 128) *
-                           ctx.sum_u8_dequant;
-            dst[l] = ctx.relu ? std::max(0.0f, v) : v;
-          }
-          for (std::size_t l = sum_lanes; l < 16; ++l) {
-            const float v = bias16 != nullptr ? y[l] + bias16[l] : y[l];
-            dst[l] = ctx.relu ? std::max(0.0f, v) : v;
-          }
-        } else if (bias16 != nullptr && ctx.relu) {
-          for (int l = 0; l < 16; ++l) dst[l] = std::max(0.0f, y[l] + bias16[l]);
-        } else if (bias16 != nullptr) {
-          for (int l = 0; l < 16; ++l) dst[l] = y[l] + bias16[l];
-        } else if (ctx.relu) {
-          for (int l = 0; l < 16; ++l) dst[l] = std::max(0.0f, y[l]);
+        const std::size_t at = ctx.out_layout.offset(b, kb, oh0 + i, ow0 + j) + g * 16;
+        if (ctx.out_dtype == DType::kU8) {
+          // Requant epilogue: bias -> sum -> relu in FP32 registers, then the
+          // same quantize16_u8 kernel as the input transform stores the bytes.
+          alignas(64) float v[16];
+          epilogue(y, at, v);
+          quantize16_u8(v, ctx.requant_scale, static_cast<std::uint8_t*>(out_blocked) + at);
+        } else if (bias16 == nullptr && !ctx.relu && ctx.sum == nullptr &&
+                   ctx.sum_u8 == nullptr) {
+          std::memcpy(static_cast<float*>(out_blocked) + at, y, 16 * sizeof(float));
         } else {
-          std::memcpy(dst, y, 16 * sizeof(float));
+          epilogue(y, at, static_cast<float*>(out_blocked) + at);
         }
       }
     }

@@ -50,12 +50,13 @@ struct OutputTransformContext {
   BlockedActLayout out_layout;
   const float* bias = nullptr;  ///< [K64], may be null
   bool relu = false;
-  /// Residual source for the fused "+sum" epilogue, or nullptr. NCHW with the
-  /// convolution's (unpadded) output shape B x K x OH x OW — the output
-  /// transform reads it with a plane-strided 16-lane gather per output pixel,
-  /// skipping the >= K padding lanes of the blocked layout. Applied after
-  /// bias, before ReLU (see tensor/post_ops.h for the bit-exactness argument).
-  const float* sum_nchw = nullptr;
+  /// Residual source for the fused "+sum" epilogue, or nullptr. Blocked, in
+  /// exactly the output's layout (out_layout): each lane is read at the offset
+  /// its output lane is stored to, so the residual may alias the output (every
+  /// position is read before its own store, and tiles are disjoint). Padding
+  /// lanes hold quantized zero. Applied after bias, before ReLU (see
+  /// tensor/post_ops.h for the bit-exactness argument).
+  const float* sum = nullptr;
   /// See InputTransformContext::hand_codelets.
   bool hand_codelets = false;
   /// Element type of the blocked output. kU8 appends the requant stage to the
@@ -65,9 +66,9 @@ struct OutputTransformContext {
   DType out_dtype = DType::kF32;
   float requant_scale = 1.0f;
   /// u8 residual for the fused "+sum" epilogue (serving hand-off), or
-  /// nullptr. Same NCHW walk as sum_nchw; bytes de-quantize on the fly as
-  /// (q - 128) * sum_u8_dequant. At most one of sum_nchw / sum_u8_nchw.
-  const std::uint8_t* sum_u8_nchw = nullptr;
+  /// nullptr. Same blocked walk as `sum`; bytes de-quantize on the fly as
+  /// (q - 128) * sum_u8_dequant. At most one of sum / sum_u8.
+  const std::uint8_t* sum_u8 = nullptr;
   float sum_u8_dequant = 1.0f;
 };
 

@@ -48,6 +48,7 @@ bool supports_1x1(const ConvDesc& desc) {
 void register_int8_conv1x1_engine(EngineRegistrations& regs) {
   regs.push_back({EngineKind::kInt8Conv1x1, "INT8 direct 1x1", "int8_1x1",
                   /*quantized=*/true, /*post_ops=*/true, /*u8_handoff=*/true,
+                  /*blocked_io=*/false,
                   supports_1x1, [](const ConvDesc& d) {
                     return std::unique_ptr<ConvEngine>(new Int8Conv1x1Engine(d));
                   }});

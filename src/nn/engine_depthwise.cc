@@ -43,6 +43,7 @@ bool supports_depthwise(const ConvDesc& desc) { return desc.is_depthwise(); }
 void register_int8_depthwise_engine(EngineRegistrations& regs) {
   regs.push_back({EngineKind::kInt8Depthwise, "INT8 depthwise direct", "int8_dw",
                   /*quantized=*/true, /*post_ops=*/true, /*u8_handoff=*/true,
+                  /*blocked_io=*/false,
                   supports_depthwise, [](const ConvDesc& d) {
                     return std::unique_ptr<ConvEngine>(new Int8DepthwiseEngine(d));
                   }});

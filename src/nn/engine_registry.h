@@ -29,6 +29,7 @@ struct EngineRegistration {
   bool quantized;     ///< EngineCaps::quantized
   bool post_ops;      ///< EngineCaps::post_ops
   bool u8_handoff;    ///< EngineCaps::u8_handoff
+  bool blocked_io;    ///< EngineCaps::blocked_io
   /// Structural shape gate: true exactly when `factory` would accept `desc`
   /// (callers may assume desc.is_valid()). Must match the wrapped
   /// constructor's acceptance set — the conformance fuzzer cross-checks

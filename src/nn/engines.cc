@@ -63,6 +63,7 @@ EngineCaps engine_caps(EngineKind kind, const ConvDesc& desc) {
   caps.quantized = reg.quantized;
   caps.post_ops = reg.post_ops;
   caps.u8_handoff = reg.u8_handoff;
+  caps.blocked_io = reg.blocked_io;
   caps.supports = desc.is_valid() && reg.supports(desc);
   return caps;
 }
@@ -202,6 +203,27 @@ void ConvEngine::run_typed(const void* input, void* output, ThreadPool* pool,
   do_run_typed(input, output, pool, post);
 }
 
+void ConvEngine::run_blocked(const void* input, void* output, ThreadPool* pool,
+                             const PostOps& post) {
+  if (state_ != Lifecycle::kReady) {
+    misuse("run_blocked() before set_filters()");
+  }
+  if (!engine_registration(kind()).blocked_io) {
+    misuse("run_blocked() on an engine without blocked I/O — check "
+           "engine_caps(kind, desc).blocked_io and use run_typed() instead");
+  }
+  if (!post.none() && !supports_post_ops()) {
+    misuse("run_blocked() with a fused PostOps epilogue on an engine that does "
+           "not support post-ops");
+  }
+  do_run_blocked(input, output, pool, post);
+}
+
+void ConvEngine::do_run_blocked(const void*, void*, ThreadPool*, const PostOps&) {
+  misuse("do_run_blocked() not implemented despite engine_caps(kind, desc).blocked_io — "
+         "the capability table and the engine wrapper disagree");
+}
+
 void ConvEngine::do_set_input_u8(const QuantParams&) {
   misuse("do_set_input_u8() not implemented despite "
          "engine_caps(kind, desc).u8_handoff "
@@ -327,6 +349,10 @@ class LoWinoEngine final : public ConvEngine {
                     const PostOps& post) override {
     conv_.execute_nchw_typed(in, out, pool, post);
   }
+  void do_run_blocked(const void* in, void* out, ThreadPool* pool,
+                      const PostOps& post) override {
+    conv_.execute_blocked_typed(in, out, pool, post);
+  }
 
  private:
   static LoWinoConfig make_config(std::size_t m) {
@@ -418,55 +444,55 @@ bool supports_winograd_r3(const ConvDesc& desc) {
 void register_core_engines(EngineRegistrations& regs) {
   regs.push_back({EngineKind::kFp32Direct, "FP32 direct (im2col GEMM)", "fp32_direct",
                   /*quantized=*/false, /*post_ops=*/true, /*u8_handoff=*/false,
-                  supports_any_ungrouped, [](const ConvDesc& d) {
+                  /*blocked_io=*/false, supports_any_ungrouped, [](const ConvDesc& d) {
                     return std::unique_ptr<ConvEngine>(new Fp32DirectEngine(d));
                   }});
   regs.push_back({EngineKind::kFp32WinoF2, "FP32 Winograd F(2x2,3x3)", "fp32_wino_f2",
-                  false, false, false, supports_winograd, [](const ConvDesc& d) {
+                  false, false, false, false, supports_winograd, [](const ConvDesc& d) {
                     return std::unique_ptr<ConvEngine>(
                         new Fp32WinoEngine(d, 2, EngineKind::kFp32WinoF2));
                   }});
   regs.push_back({EngineKind::kFp32WinoF4, "FP32 Winograd F(4x4,3x3)", "fp32_wino_f4",
-                  false, false, false, supports_winograd, [](const ConvDesc& d) {
+                  false, false, false, false, supports_winograd, [](const ConvDesc& d) {
                     return std::unique_ptr<ConvEngine>(
                         new Fp32WinoEngine(d, 4, EngineKind::kFp32WinoF4));
                   }});
   regs.push_back({EngineKind::kInt8Direct, "INT8 direct", "int8_direct",
                   /*quantized=*/true, /*post_ops=*/true, /*u8_handoff=*/true,
-                  supports_any_ungrouped, [](const ConvDesc& d) {
+                  /*blocked_io=*/false, supports_any_ungrouped, [](const ConvDesc& d) {
                     return std::unique_ptr<ConvEngine>(new Int8DirectEngine(d));
                   }});
   regs.push_back({EngineKind::kLoWinoF2, "LoWino F(2x2,3x3)", "lowino_f2",
-                  true, true, true, supports_winograd, [](const ConvDesc& d) {
+                  true, true, true, true, supports_winograd, [](const ConvDesc& d) {
                     return std::unique_ptr<ConvEngine>(
                         new LoWinoEngine(d, 2, EngineKind::kLoWinoF2));
                   }});
   regs.push_back({EngineKind::kLoWinoF4, "LoWino F(4x4,3x3)", "lowino_f4",
-                  true, true, true, supports_winograd, [](const ConvDesc& d) {
+                  true, true, true, true, supports_winograd, [](const ConvDesc& d) {
                     return std::unique_ptr<ConvEngine>(
                         new LoWinoEngine(d, 4, EngineKind::kLoWinoF4));
                   }});
   regs.push_back({EngineKind::kLoWinoF6, "LoWino F(6x6,3x3)", "lowino_f6",
-                  true, true, true, supports_winograd, [](const ConvDesc& d) {
+                  true, true, true, true, supports_winograd, [](const ConvDesc& d) {
                     return std::unique_ptr<ConvEngine>(
                         new LoWinoEngine(d, 6, EngineKind::kLoWinoF6));
                   }});
   regs.push_back({EngineKind::kDownscaleF2, "Down-scaling F(2x2,3x3)", "downscale_f2",
-                  true, false, false, supports_winograd, [](const ConvDesc& d) {
+                  true, false, false, false, supports_winograd, [](const ConvDesc& d) {
                     return std::unique_ptr<ConvEngine>(
                         new DownscaleEngine(d, 2, EngineKind::kDownscaleF2));
                   }});
   regs.push_back({EngineKind::kDownscaleF4, "Down-scaling F(4x4,3x3)", "downscale_f4",
-                  true, false, false, supports_winograd, [](const ConvDesc& d) {
+                  true, false, false, false, supports_winograd, [](const ConvDesc& d) {
                     return std::unique_ptr<ConvEngine>(
                         new DownscaleEngine(d, 4, EngineKind::kDownscaleF4));
                   }});
   regs.push_back({EngineKind::kUpcastF2, "Up-casting INT16 F(2x2,3x3)", "upcast_f2",
-                  true, false, false, supports_winograd_r3, [](const ConvDesc& d) {
+                  true, false, false, false, supports_winograd_r3, [](const ConvDesc& d) {
                     return std::unique_ptr<ConvEngine>(new UpcastEngine(d));
                   }});
   regs.push_back({EngineKind::kVendorF2, "Vendor-style fused INT8 F(2x2,3x3)",
-                  "vendor_f2", true, false, false, supports_winograd_r3,
+                  "vendor_f2", true, false, false, false, supports_winograd_r3,
                   [](const ConvDesc& d) {
                     return std::unique_ptr<ConvEngine>(new VendorEngine(d));
                   }});

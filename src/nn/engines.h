@@ -54,13 +54,16 @@ std::span<const EngineKind> all_engine_kinds();
 
 /// The capability descriptor of one (engine kind, problem) pair — what the
 /// session compiler, tuner shoot-out, fuzzer gating and bench filters consult
-/// before constructing anything. The first three bits are per-kind invariants;
+/// before constructing anything. The first four bits are per-kind invariants;
 /// `supports` is the per-shape gate: true exactly when make_conv_engine(kind,
 /// desc) would succeed (false also for a structurally invalid desc).
 struct EngineCaps {
   bool quantized = false;   ///< runs quantized arithmetic (needs calibration)
   bool post_ops = false;    ///< executes a fused PostOps epilogue (bias/+sum/ReLU)
   bool u8_handoff = false;  ///< takes part in the u8 activation hand-off
+  /// Reads and writes the 64-channel blocked layout natively (run_blocked):
+  /// the serving session keeps such an engine's activations blocked.
+  bool blocked_io = false;
   bool supports = false;    ///< accepts this ConvDesc (shape-capability gate)
 };
 
@@ -160,6 +163,14 @@ class ConvEngine {
   void run_typed(const void* input, void* output, ThreadPool* pool,
                  const PostOps& post = {});
 
+  /// run_typed() on the 64-channel blocked layout (tensor/layout.h):
+  /// `input`, `output` and any `post` residual are B x [C/64] x H x W x 64
+  /// with padding lanes holding quantized zero, and the residual may alias
+  /// the output. No relayout happens inside. Only legal on engines whose
+  /// EngineCaps::blocked_io is true; misuse throws std::logic_error.
+  void run_blocked(const void* input, void* output, ThreadPool* pool,
+                   const PostOps& post = {});
+
   Lifecycle lifecycle() const { return state_; }
   virtual EngineKind kind() const = 0;
 
@@ -180,6 +191,9 @@ class ConvEngine {
   virtual void do_set_output_u8(const QuantParams& qp);
   virtual void do_run_typed(const void* input, void* output, ThreadPool* pool,
                             const PostOps& post);
+  /// Only dispatched when EngineCaps::blocked_io; the default throws.
+  virtual void do_run_blocked(const void* input, void* output, ThreadPool* pool,
+                              const PostOps& post);
 
  private:
   [[noreturn]] void misuse(const char* what) const;

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/fault.h"
 #include "common/timer.h"
@@ -15,6 +16,7 @@
 #include "quant/calibration.h"
 #include "quant/histogram.h"
 #include "quant/quantize.h"
+#include "tensor/pack.h"
 
 namespace lowino {
 
@@ -148,10 +150,17 @@ std::string SessionPlan::summary() const {
       os << "  (dtype " << dtype_token(c.in_dtype) << ':' << dtype_token(c.out_dtype) << ')';
       u8_edges += (c.in_dtype == DType::kU8 ? 1 : 0) + (c.out_dtype == DType::kU8 ? 1 : 0);
     }
+    os << "  (layout " << layout_token(c.in_layout) << ':' << layout_token(c.out_layout) << ')';
     if (!c.met_envelope) os << "  (below accuracy envelope; best-effort pick)";
     os << '\n';
   }
   if (u8_edges > 0) os << "  u8 hand-off: " << u8_edges << " conv edge(s)\n";
+  // Why these layouts: blocked-I/O engines chain blocked; every other edge
+  // whose ends disagree pays one explicit reorder.
+  for (const Reorder& r : reorders) {
+    os << "  reorder to " << layout_token(r.to) << " before " << r.consumer << ": " << r.bytes
+       << " B\n";
+  }
   const double saved =
       naive_bytes == 0
           ? 0.0
@@ -289,9 +298,10 @@ std::optional<SessionPlan> SessionPlan::load(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// compile(): five passes over one op list — lower, fuse, select_engines,
-// assign_dtypes, plan_arena — with the replayed plan checked right after
-// lowering and the FP32 reference captured once before engine selection.
+// compile(): six passes over one op list — lower, fuse, select_engines,
+// assign_dtypes, assign_layouts, plan_arena — with the replayed plan checked
+// right after lowering and the FP32 reference captured once before engine
+// selection.
 
 namespace {
 
@@ -331,6 +341,7 @@ InferenceSession InferenceSession::compile(SequentialModel& model,
   const std::vector<Tensor<float>> ref = fp32_reference(s, calib_input);
   select_engines(s, options, ref);
   assign_dtypes(s, options, ref);
+  assign_layouts(s);
   plan_arena(s);
   // Pre-warm every lazily grown buffer so steady-state runs never allocate
   // (engine workspaces, FP32 conv scratch, warmup output).
@@ -749,7 +760,108 @@ void InferenceSession::assign_dtypes(InferenceSession& s, const PlanOptions& opt
   }
 }
 
-/// Pass 5: liveness over the final op list, in-place residual slots, and one
+/// Pass 5: a layout per value, by one rule (DESIGN.md decision 16):
+///   - external values (session input and output) are NCHW;
+///   - blocked-I/O engines (EngineCaps::blocked_io) read and write blocked;
+///   - ReLU, maxpool and add+relu keep their input's layout, and every op
+///     reads its second input (residual or addend) in its output's layout;
+///   - an ungrouped FP32 conv writes blocked when its readers — seen through
+///     a standalone ReLU, which fusion would have folded into it — include a
+///     blocked reader and no NCHW one (layout-keeping readers take either);
+///   - everything else (dense, the other engines, grouped FP32 convs) reads
+///     and writes NCHW.
+/// Every edge whose two ends disagree gets one dtype-preserving kReorder op
+/// in front of its first reader; later readers share it.
+void InferenceSession::assign_layouts(InferenceSession& s) {
+  constexpr ActLayout kNchw = ActLayout::kNchw, kBlocked = ActLayout::kBlocked64;
+  const auto blocked_io = [&s](const Op& op) {
+    return op.kind == Op::Kind::kConvEngine &&
+           engine_caps(op.engine->kind(), op.conv->conv_desc(s.plan_.batch)).blocked_io;
+  };
+  const auto keeps_layout = [](const Op& op) {
+    return op.kind == Op::Kind::kRelu || op.kind == Op::Kind::kMaxPool ||
+           op.kind == Op::Kind::kAddRelu;
+  };
+  const auto reads_in1 = [](const Op& op) {
+    return op.kind == Op::Kind::kAddRelu || op.fuse_sum;
+  };
+  // Whether `op` reads in0 in its own output's layout (in1 always is).
+  const auto in0_follows_output = [&](const Op& op) { return blocked_io(op) || keeps_layout(op); };
+  // The layout `op` writes whatever its readers want, if there is one.
+  const auto fixed = [&](const Op& op) -> std::optional<ActLayout> {
+    if (s.values_[op.out].external) return kNchw;
+    if (blocked_io(op)) return kBlocked;
+    if (keeps_layout(op) || (op.kind == Op::Kind::kConvFp32 && op.conv->groups() == 1)) {
+      return std::nullopt;
+    }
+    return kNchw;
+  };
+
+  std::vector<std::vector<const Op*>> readers(s.values_.size());
+  for (const Op& op : s.ops_) {
+    readers[op.in0].push_back(&op);
+    if (reads_in1(op) && op.in1 != op.in0) readers[op.in1].push_back(&op);
+  }
+  struct Votes {
+    bool blocked = false, nchw = false;
+  };
+  const auto vote = [&](const auto& self, std::size_t v, Votes& acc) -> void {
+    for (const Op* r : readers[v]) {
+      if (r->in0 == v && !in0_follows_output(*r)) {
+        acc.nchw = true;
+      } else if (const std::optional<ActLayout> f = fixed(*r)) {
+        (*f == kBlocked ? acc.blocked : acc.nchw) = true;
+      } else if (r->kind == Op::Kind::kRelu) {
+        self(self, r->out, acc);
+      }
+    }
+  };
+  const auto writes = [&](const Op& op) {
+    if (const std::optional<ActLayout> f = fixed(op)) return *f;
+    if (keeps_layout(op)) return s.values_[op.in0].layout;
+    Votes v;  // an ungrouped FP32 conv
+    vote(vote, op.out, v);
+    return v.blocked && !v.nchw ? kBlocked : kNchw;
+  };
+
+  std::vector<Op> ops;
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> copy_of(s.values_.size(), kNone);  // value -> its relayouted copy
+  const auto read_as = [&](std::size_t& v, ActLayout want, const std::string& consumer) {
+    if (s.values_[v].layout == want) return;
+    if (copy_of[v] == kNone) {
+      Value copy = s.values_[v];
+      copy.layout = want;
+      copy.external = false;
+      s.values_.push_back(std::move(copy));
+      Op reorder;
+      reorder.kind = Op::Kind::kReorder;
+      reorder.in0 = v;
+      reorder.out = s.values_.size() - 1;
+      reorder.label = std::string("reorder->") + layout_token(want);
+      ops.push_back(std::move(reorder));
+      copy_of[v] = s.values_.size() - 1;
+      s.plan_.reorders.push_back({consumer, want, s.values_.back().bytes()});
+    }
+    v = copy_of[v];
+  };
+  for (const Op& op : s.ops_) s.values_[op.out].layout = writes(op);
+  std::size_t ordinal = 0;
+  for (Op& op : s.ops_) {
+    const ActLayout own = s.values_[op.out].layout;
+    read_as(op.in0, in0_follows_output(op) ? own : kNchw, op.label);
+    if (reads_in1(op)) read_as(op.in1, own, op.label);
+    if (op.kind == Op::Kind::kConvEngine) {
+      SessionPlan::ConvChoice& choice = s.plan_.convs[ordinal++];
+      choice.in_layout = s.values_[op.in0].layout;
+      choice.out_layout = own;
+    }
+    ops.push_back(std::move(op));
+  }
+  s.ops_ = std::move(ops);
+}
+
+/// Pass 6: liveness over the final op list, in-place residual slots, and one
 /// arena for every internal value (slots sized per dtype).
 void InferenceSession::plan_arena(InferenceSession& s) {
   // Values orphaned by fusion (a swallowed element-wise op's former input)
@@ -770,13 +882,16 @@ void InferenceSession::plan_arena(InferenceSession& s) {
 
   // In-place residual reuse: a fused conv's output shares its residual's
   // slot when the conv is the residual's final consumer. Safe for every
-  // post-op-capable engine: the direct engines read each residual element in
-  // the same scalar iteration that overwrites it, and the Winograd engines
-  // read the residual inside the output transform, with the fork-join barrier
-  // before the blocked->NCHW unpack that writes the buffer. This is what
-  // turns fusion into an arena *peak* win. Sharing requires equal byte
-  // footprints (arena_slots_compatible): an FP32 output aliasing a u8
-  // residual's slot of equal element count would overrun it.
+  // post-op-capable engine because each output element's residual is read
+  // before that element is stored, and no other element's store touches it:
+  // the direct engines read each residual element in the same scalar
+  // iteration that overwrites it; the Winograd engines, which read the
+  // residual blocked in the output's own layout, have each output tile read
+  // its residual positions right before storing them, and tiles (the units
+  // of work) are disjoint. This is what turns fusion into an arena *peak*
+  // win. Sharing requires the same layout and equal byte footprints
+  // (arena_slots_compatible): an FP32 output aliasing a u8 residual's slot
+  // of equal element count would overrun it.
   std::vector<std::pair<std::size_t, std::size_t>> alias_pairs;  // (out, slot root)
   std::vector<std::size_t> slot_root(s.values_.size());
   for (std::size_t v = 0; v < slot_root.size(); ++v) slot_root[v] = v;
@@ -785,8 +900,8 @@ void InferenceSession::plan_arena(InferenceSession& s) {
     if (!op.fuse_sum) continue;
     const Value& res = s.values_[op.in1];
     const Value& out = s.values_[op.out];
-    if (res.external || out.external || op.in1 == op.in0 ||
-        !arena_slots_compatible(res.elems, res.dtype, out.elems, out.dtype) ||
+    if (res.external || out.external || op.in1 == op.in0 || res.layout != out.layout ||
+        !arena_slots_compatible(res.extent(), res.dtype, out.extent(), out.dtype) ||
         res.last_use != step) {  // residual read again later
       continue;
     }
@@ -796,13 +911,17 @@ void InferenceSession::plan_arena(InferenceSession& s) {
     alias_pairs.emplace_back(op.out, root);
   }
 
+  std::vector<bool> reorder_copy(s.values_.size(), false);
+  for (const Op& op : s.ops_) reorder_copy[op.out] = op.kind == Op::Kind::kReorder;
   std::vector<ArenaRequest> requests;
   std::vector<std::size_t> request_value;
+  std::size_t naive_bytes = 0;  // model activations only (see SessionPlan::naive_bytes)
   for (std::size_t v = 0; v < s.values_.size(); ++v) {
     const Value& val = s.values_[v];
     if (val.external || !live[v] || slot_root[v] != v) continue;
     requests.push_back({val.bytes(), val.def_step, val.last_use});
     request_value.push_back(v);
+    if (!reorder_copy[v]) naive_bytes += round_up(val.bytes(), kArenaAlignment);
   }
   const ArenaPlan arena_plan = lowino::plan_arena(requests);
   for (std::size_t j = 0; j < request_value.size(); ++j) {
@@ -815,7 +934,7 @@ void InferenceSession::plan_arena(InferenceSession& s) {
   }
   s.arena_.ensure(arena_plan.peak_bytes);
   s.plan_.arena_bytes = arena_plan.peak_bytes;
-  s.plan_.naive_bytes = arena_plan.naive_bytes;
+  s.plan_.naive_bytes = naive_bytes;
 }
 
 // ---------------------------------------------------------------------------
@@ -872,7 +991,11 @@ void InferenceSession::execute_op(Op& op, const void* in0, const void* in1, void
           post.sum = static_cast<const float*>(in1);
         }
       }
-      if (vi.dtype == DType::kU8 || vo.dtype == DType::kU8 || post.sum_u8 != nullptr) {
+      if (vo.layout == ActLayout::kBlocked64) {
+        // Blocked chain: input, output and residual stay in the arena's
+        // blocked buffers — no relayout inside the engine.
+        op.engine->run_blocked(in0, out, pool_, post);
+      } else if (vi.dtype == DType::kU8 || vo.dtype == DType::kU8 || post.sum_u8 != nullptr) {
         // u8 hand-off on any edge: the typed entry point reads/writes the
         // arena buffers with the dtypes the compiler configured.
         op.engine->run_typed(in0, out, pool_, post);
@@ -890,57 +1013,76 @@ void InferenceSession::execute_op(Op& op, const void* in0, const void* in1, void
     case Op::Kind::kConvFp32:
       conv_f32_forward(op.conv->conv_desc(plan_.batch),
                        {static_cast<const float*>(in0), vi.elems}, op.conv->weights(),
-                       op.conv->bias(), {static_cast<float*>(out), vo.elems}, op.fp32,
-                       PostOps{op.fuse_relu, static_cast<const float*>(in1)});
+                       op.conv->bias(), {static_cast<float*>(out), vo.extent()}, op.fp32,
+                       PostOps{op.fuse_relu, static_cast<const float*>(in1)}, vo.layout);
       break;
     case Op::Kind::kRelu: {
       // A standalone (unfused) element-wise pass: visible as its own profile
-      // stage so traces show these passes disappearing under fusion.
+      // stage so traces show these passes disappearing under fusion. Blocked
+      // values are walked over their padded extent (relu keeps zero lanes).
       ProfileSpan pspan(ProfileStage::kPostOps);
       if (vo.dtype == DType::kU8) {
         // Byte-domain passthrough: quantization is monotone with q(0) = 128,
         // so max(q, 128) IS the quantized ReLU — exact, no dequant round trip.
         const std::uint8_t* src = static_cast<const std::uint8_t*>(in0);
         std::uint8_t* dst = static_cast<std::uint8_t*>(out);
-        for (std::size_t i = 0; i < vo.elems; ++i) {
+        for (std::size_t i = 0; i < vo.extent(); ++i) {
           dst[i] = src[i] > 128 ? src[i] : std::uint8_t{128};
         }
       } else {
         const float* src = static_cast<const float*>(in0);
         float* dst = static_cast<float*>(out);
-        for (std::size_t i = 0; i < vo.elems; ++i) {
+        for (std::size_t i = 0; i < vo.extent(); ++i) {
           dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
         }
       }
       break;
     }
     case Op::Kind::kMaxPool: {
+      // One image plane per channel (NCHW) or per 64-channel block (blocked,
+      // 64 lanes per pixel); the 2x2 window is scanned in the same order
+      // either way, keeping the first maximum, so both layouts give the same
+      // bits. Byte-domain maxpool is exact for the same monotonicity reason
+      // as the byte-domain ReLU: max commutes with quantization under one
+      // scale.
+      const bool blocked = vo.layout == ActLayout::kBlocked64;
+      const std::size_t planes =
+          plan_.batch * (blocked ? ceil_div(op.channels, kChanBlock) : op.channels);
       const std::size_t hw = op.hw;
       const std::size_t oh = hw / 2;
-      // Byte-domain maxpool is exact for the same monotonicity reason as the
-      // byte-domain ReLU: max commutes with quantization under one scale.
-      const auto pool2x2 = [&](const auto* src_all, auto* dst_all) {
-        for (std::size_t bc = 0; bc < plan_.batch * op.channels; ++bc) {
-          const auto* src = src_all + bc * hw * hw;
-          auto* dst = dst_all + bc * oh * oh;
+      // `lanes` is a compile-time constant (1 or 64) so both loops stay tight.
+      const auto pool2x2 = [&](const auto* src_all, auto* dst_all, auto lanes_constant) {
+        constexpr std::size_t lanes = decltype(lanes_constant)::value;
+        for (std::size_t plane = 0; plane < planes; ++plane) {
+          const auto* src = src_all + plane * hw * hw * lanes;
+          auto* dst = dst_all + plane * oh * oh * lanes;
           for (std::size_t y = 0; y < oh; ++y) {
             for (std::size_t x = 0; x < oh; ++x) {
-              std::size_t best = (2 * y) * hw + 2 * x;
-              for (std::size_t dy = 0; dy < 2; ++dy) {
-                for (std::size_t dx = 0; dx < 2; ++dx) {
-                  const std::size_t idx = (2 * y + dy) * hw + 2 * x + dx;
-                  if (src[idx] > src[best]) best = idx;
-                }
+              const auto* s00 = src + (2 * y * hw + 2 * x) * lanes;
+              const auto* s10 = s00 + hw * lanes;
+              auto* d = dst + (y * oh + x) * lanes;
+              for (std::size_t l = 0; l < lanes; ++l) {
+                auto v = s00[l];
+                if (s00[lanes + l] > v) v = s00[lanes + l];
+                if (s10[l] > v) v = s10[l];
+                if (s10[lanes + l] > v) v = s10[lanes + l];
+                d[l] = v;
               }
-              dst[y * oh + x] = src[best];
             }
           }
         }
       };
+      const auto pool_layout = [&](const auto* src, auto* dst) {
+        if (blocked) {
+          pool2x2(src, dst, std::integral_constant<std::size_t, kChanBlock>{});
+        } else {
+          pool2x2(src, dst, std::integral_constant<std::size_t, 1>{});
+        }
+      };
       if (vo.dtype == DType::kU8) {
-        pool2x2(static_cast<const std::uint8_t*>(in0), static_cast<std::uint8_t*>(out));
+        pool_layout(static_cast<const std::uint8_t*>(in0), static_cast<std::uint8_t*>(out));
       } else {
-        pool2x2(static_cast<const float*>(in0), static_cast<float*>(out));
+        pool_layout(static_cast<const float*>(in0), static_cast<float*>(out));
       }
       break;
     }
@@ -962,11 +1104,15 @@ void InferenceSession::execute_op(Op& op, const void* in0, const void* in1, void
       const float* a = static_cast<const float*>(in0);
       const float* b = static_cast<const float*>(in1);
       float* dst = static_cast<float*>(out);
-      for (std::size_t i = 0; i < vo.elems; ++i) {
+      for (std::size_t i = 0; i < vo.extent(); ++i) {
         dst[i] = std::max(0.0f, a[i] + b[i]);
       }
       break;
     }
+    case Op::Kind::kReorder:
+      relayout(vo.dtype, vo.layout, in0, vo.shape[0], vo.shape[1], vo.shape[2], vo.shape[3],
+               out, pool_);
+      break;
   }
 }
 

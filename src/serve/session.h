@@ -3,7 +3,7 @@
 // wisdom" workflow, extended from one convolution to a whole network).
 //
 // Plan time — InferenceSession::compile(model, calib_input, options) runs
-// five passes, in order, over one flat op list:
+// six passes, in order, over one flat op list:
 //   1. lower: the SequentialModel becomes convolutions, ReLU, maxpool, dense
 //      and residual-add ops (residual blocks are flattened so the skip
 //      connection becomes a real multi-buffer live range). A replayed plan
@@ -24,7 +24,12 @@
 //      one legality fixpoint decide which edges may be u8; a fresh compile
 //      adds the envelope gate, a replay must reproduce the plan's dtype
 //      tokens under the same rules (LOWINO_U8_HANDOFF=0 skips the pass);
-//   5. plan_arena: liveness over the final op list, then every intermediate
+//   5. assign_layouts: NCHW or 64-channel blocked per value, by one rule
+//      derived from the ops and engines (EngineCaps::blocked_io) —
+//      blocked-I/O engines chain on blocked arena buffers with no relayout —
+//      plus one explicit, dtype-preserving reorder op on every edge whose
+//      two ends disagree. Nothing is serialized: a replay re-derives it;
+//   6. plan_arena: liveness over the final op list, then every intermediate
 //      activation in one arena via the planner (serve/arena.h); planned vs
 //      naive peak bytes are reported in the SessionPlan.
 // Non-quantizable convolutions (grouped ones included) run the shared FP32
@@ -56,6 +61,7 @@
 #include "quant/quantize.h"
 #include "serve/arena.h"
 #include "tensor/dtype.h"
+#include "tensor/layout.h"
 #include "tensor/tensor.h"
 #include "tuning/wisdom.h"
 
@@ -119,14 +125,29 @@ struct SessionPlan {
     // compile's seed and legality rules could not have produced them.
     DType in_dtype = DType::kF32;
     DType out_dtype = DType::kF32;
+    // Layout-pass outcome (summary only, never serialized: layouts are
+    // derived from the ops and engines, so a replay reproduces them).
+    ActLayout in_layout = ActLayout::kNchw;
+    ActLayout out_layout = ActLayout::kNchw;
+  };
+
+  /// One explicit relayout the layout pass put on an edge (summary only).
+  struct Reorder {
+    std::string consumer;  ///< label of the op that reads the relayouted value
+    ActLayout to = ActLayout::kNchw;
+    std::size_t bytes = 0;  ///< bytes moved per run
   };
 
   std::size_t batch = 0;
   std::vector<ConvChoice> convs;
+  std::vector<Reorder> reorders;  ///< not serialized (re-derived on replay)
   std::size_t arena_bytes = 0;  ///< planned arena peak
-  std::size_t naive_bytes = 0;  ///< one-buffer-per-value footprint
+  /// One buffer per model activation; the layout pass's reorder copies are
+  /// arena-planned but are not part of this baseline.
+  std::size_t naive_bytes = 0;
 
-  /// Human-readable multi-line report (engine per layer, arena savings).
+  /// Human-readable multi-line report (engine, dtypes and layouts per layer,
+  /// the reorder ops with their bytes, arena savings).
   std::string summary() const;
 
   /// Plain-text format ("# lowino-plan v3" header; conv lines carry an
@@ -170,7 +191,7 @@ class InferenceSession {
   InferenceSession() = default;
 
   struct Op {
-    enum class Kind { kConvEngine, kConvFp32, kRelu, kMaxPool, kDense, kAddRelu };
+    enum class Kind { kConvEngine, kConvFp32, kRelu, kMaxPool, kDense, kAddRelu, kReorder };
     Kind kind = Kind::kRelu;
     std::size_t in0 = 0;   ///< value id
     std::size_t in1 = 0;   ///< second input (kAddRelu; residual when fuse_sum)
@@ -193,7 +214,9 @@ class InferenceSession {
   /// One lowered value (activation). Values 0 and `output_value_` live in
   /// the caller's tensors; everything else lives in the arena. The dtype is
   /// assigned by the compile-time type-assignment pass (FP32 by default; u8
-  /// on hand-off edges, with `qp` recording the hand-off quantization).
+  /// on hand-off edges, with `qp` recording the hand-off quantization), the
+  /// layout by the layout pass (NCHW by default; blocked values are rank-4
+  /// B x C x H x W stored as B x [C/64] x H x W x 64).
   struct Value {
     std::vector<std::size_t> shape;
     std::size_t elems = 0;
@@ -203,7 +226,13 @@ class InferenceSession {
     bool external = false;
     DType dtype = DType::kF32;
     QuantParams qp;  ///< hand-off quantization (meaningful when dtype == kU8)
-    std::size_t bytes() const { return elems * dtype_bytes(dtype); }
+    ActLayout layout = ActLayout::kNchw;
+    /// Stored elements: `elems`, plus the padding lanes when blocked.
+    std::size_t extent() const {
+      return layout == ActLayout::kBlocked64 ? elems / shape[1] * round_up(shape[1], kChanBlock)
+                                             : elems;
+    }
+    std::size_t bytes() const { return extent() * dtype_bytes(dtype); }
   };
 
   // compile()'s passes, in the order it runs them (session.cc).
@@ -216,7 +245,10 @@ class InferenceSession {
                              const std::vector<Tensor<float>>& ref);
   static void assign_dtypes(InferenceSession& s, const PlanOptions& options,
                             const std::vector<Tensor<float>>& ref);
+  static void assign_layouts(InferenceSession& s);
   static void plan_arena(InferenceSession& s);
+
+  friend struct InferenceSessionTestPeer;  // white-box layout checks (tests/test_serve.cc)
 
   void execute_op(Op& op, const void* in0, const void* in1, void* out);
   const void* value_in(std::size_t v, const Tensor<float>& input) const;

@@ -13,11 +13,25 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "common/aligned_buffer.h"
 #include "tensor/conv_desc.h"
 
 namespace lowino {
+
+/// Layout of one serving activation: the interface NCHW layout, or the
+/// 64-channel blocked layout below (BlockedActLayout), whose padding lanes
+/// (channels >= C) hold quantized zero — 0.0f, or byte 128 for u8.
+enum class ActLayout : std::uint8_t {
+  kNchw = 0,
+  kBlocked64 = 1,
+};
+
+/// Display token ("nchw" / "blocked64") for plan summaries.
+inline constexpr const char* layout_token(ActLayout l) {
+  return l == ActLayout::kBlocked64 ? "blocked64" : "nchw";
+}
 
 /// B x [C/64] x H x W x 64 blocked activation layout (input & output images).
 struct BlockedActLayout {

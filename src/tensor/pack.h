@@ -1,4 +1,10 @@
 // Packing between the interface NCHW layout and the blocked layouts.
+//
+// Every relayout moves tiles of 64 pixels x 64 channels through L1 (16 x 16
+// AVX-512 transposes for FP32 where the CPU has them), so the 64 NCHW planes
+// of a channel block are walked one at a time rather than as 64 interleaved
+// store streams. They serve the serving session's explicit reorder ops, the
+// NCHW engine entry points and the Winograd baselines.
 #pragma once
 
 #include <cstddef>
@@ -6,6 +12,7 @@
 #include <span>
 
 #include "tensor/conv_desc.h"
+#include "tensor/dtype.h"
 #include "tensor/layout.h"
 
 namespace lowino {
@@ -33,5 +40,12 @@ void pack_nchw_u8_to_blocked(std::span<const std::uint8_t> src, std::size_t batc
 void unpack_blocked_u8_to_nchw(std::span<const std::uint8_t> src, std::size_t batch,
                                std::size_t channels, std::size_t height, std::size_t width,
                                std::span<std::uint8_t> dst, ThreadPool* pool = nullptr);
+
+/// Moves one B x C x H x W activation of element type `dtype` into layout
+/// `to` (from the other one): pack_nchw_to_blocked / its u8 twin when `to`
+/// is kBlocked64, the unpacks when it is kNchw.
+void relayout(DType dtype, ActLayout to, const void* src, std::size_t batch,
+              std::size_t channels, std::size_t height, std::size_t width, void* dst,
+              ThreadPool* pool = nullptr);
 
 }  // namespace lowino

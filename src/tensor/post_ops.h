@@ -28,15 +28,16 @@ namespace lowino {
 
 struct PostOps {
   bool relu = false;
-  /// Residual source for the "+sum" stage, or nullptr. NCHW, with exactly the
-  /// convolution's output shape (B x K x OH x OW). Applied before ReLU. May
-  /// alias the output tensor (in-place sum): every element is read before the
-  /// corresponding store.
+  /// Residual source for the "+sum" stage, or nullptr. Exactly the
+  /// convolution's output shape (B x K x OH x OW), in the output's layout:
+  /// NCHW for the NCHW entry points, blocked for the blocked ones. Applied
+  /// before ReLU. May alias the output tensor (in-place sum): every element is
+  /// read before the corresponding store.
   const float* sum = nullptr;
 
-  /// u8 residual source (serving u8 hand-off), or nullptr. Same NCHW shape as
-  /// `sum`; bytes carry the +128 zero-point encoding and are de-quantized on
-  /// the fly as (q - 128) * sum_u8_inv_scale before the add. At most one of
+  /// u8 residual source (serving u8 hand-off), or nullptr. Same shape and
+  /// layout as `sum`; bytes carry the +128 zero-point encoding and are
+  /// de-quantized on the fly as (q - 128) * sum_u8_inv_scale before the add. At most one of
   /// `sum` / `sum_u8` may be set. Only engines with u8 hand-off support
   /// (ConvEngine::supports_u8_handoff) accept a u8 residual.
   const std::uint8_t* sum_u8 = nullptr;

@@ -11,6 +11,8 @@
 #include "common/cpu_features.h"
 #include "common/rng.h"
 #include "lowino/lowino.h"
+#include "parallel/thread_pool.h"
+#include "tensor/pack.h"
 
 namespace lowino {
 namespace {
@@ -195,6 +197,124 @@ TEST(FusedWorkspaceBytes, UnresolvedAutoReportsStaged) {
   const ConvDesc d = make_desc(1, 64, 64, 28);
   LoWinoConvolution conv(d, {});
   EXPECT_EQ(conv.workspace_bytes(), conv.workspace_bytes(ExecutionMode::kStaged, 1));
+}
+
+// --- Blocked residual: the in-place alias the serving arena relies on -------
+//
+// A fused conv's output may share its residual's arena slot. The residual is
+// read blocked, at the output's own offsets: each output tile reads its
+// residual positions right before storing them, and tiles are disjoint, so an
+// output aliasing its residual must produce exactly the bytes of a separate
+// output buffer — F(2x2) and F(4x4), staged and fused, FP32 and u8.
+TEST(BlockedResidual, InPlaceAliasMatchesSeparateOutput) {
+  const ConvDesc d = make_desc(2, 48, 96, 12);  // both channel counts padded
+  const Problem p = make_problem(d, 29);
+  ThreadPool pool(3);
+  const BlockedActLayout in_layout(d.batch, d.in_channels, d.height, d.width);
+  const BlockedActLayout out_layout(d.batch, d.out_channels, d.out_height(), d.out_width());
+  const std::size_t out_elems = d.batch * d.out_channels * d.out_height() * d.out_width();
+  std::vector<float> in(in_layout.size());
+  pack_nchw_to_blocked(p.input, d.batch, d.in_channels, d.height, d.width, in);
+  Rng rng(31);
+  std::vector<float> res_nchw(out_elems);
+  for (float& v : res_nchw) v = rng.uniform(-1.0f, 1.0f);
+  const QuantParams qp = QuantParams::from_threshold(2.0f, 8);
+
+  for (const std::size_t m : {std::size_t{2}, std::size_t{4}}) {
+    for (const ExecutionMode mode : {ExecutionMode::kStaged, ExecutionMode::kFused}) {
+      for (const DType dtype : {DType::kF32, DType::kU8}) {
+        SCOPED_TRACE(testing::Message() << "m=" << m << " mode=" << execution_mode_name(mode)
+                                        << " dtype=" << dtype_token(dtype));
+        LoWinoConfig cfg;
+        cfg.m = m;
+        cfg.execution_mode = mode;
+        LoWinoConvolution conv(d, cfg);
+        conv.set_uniform_input_threshold(2.0f);
+        conv.set_filters(p.weights, p.bias);
+        if (dtype == DType::kU8) conv.set_output_u8(qp);
+        const std::size_t bytes = out_layout.size() * dtype_bytes(dtype);
+
+        // The residual, blocked in the output's dtype (quantized like a u8
+        // hand-off edge), with quantized-zero padding lanes.
+        std::vector<std::uint8_t> res_nchw_u8(out_elems);
+        quantize_u8_shift128(res_nchw, qp.scale, res_nchw_u8);
+        std::vector<std::uint8_t> residual(bytes);
+        relayout(dtype, ActLayout::kBlocked64,
+                 dtype == DType::kU8 ? static_cast<const void*>(res_nchw_u8.data())
+                                     : res_nchw.data(),
+                 d.batch, d.out_channels, d.out_height(), d.out_width(), residual.data());
+        PostOps post{.relu = true};
+        if (dtype == DType::kU8) {
+          post.sum_u8_inv_scale = qp.inv_scale;
+        }
+        const auto with_sum = [&](const void* sum) {
+          PostOps q = post;
+          if (dtype == DType::kU8) {
+            q.sum_u8 = static_cast<const std::uint8_t*>(sum);
+          } else {
+            q.sum = static_cast<const float*>(sum);
+          }
+          return q;
+        };
+
+        std::vector<std::uint8_t> separate(bytes, 0xAB);
+        conv.execute_blocked_typed(in.data(), separate.data(), &pool,
+                                   with_sum(residual.data()));
+        std::vector<std::uint8_t> aliased = residual;
+        conv.execute_blocked_typed(in.data(), aliased.data(), &pool,
+                                   with_sum(aliased.data()));
+        EXPECT_EQ(0, std::memcmp(separate.data(), aliased.data(), bytes));
+
+        // Padding lanes (channels 96..127) hold quantized zero.
+        for (std::size_t b = 0; b < d.batch; ++b) {
+          for (std::size_t y = 0; y < d.out_height(); ++y) {
+            for (std::size_t x = 0; x < d.out_width(); ++x) {
+              for (std::size_t ci = d.out_channels % kChanBlock; ci < kChanBlock; ++ci) {
+                const std::size_t at = out_layout.offset(b, 1, y, x) + ci;
+                if (dtype == DType::kU8) {
+                  ASSERT_EQ(separate[at], 128);
+                } else {
+                  ASSERT_EQ(reinterpret_cast<const float*>(separate.data())[at], 0.0f);
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockedResidual, BlockedCoreMatchesNchwEntryPoint) {
+  // execute_nchw_typed is pack -> blocked core -> unpack, its NCHW residual
+  // packed like the input: unpacking the blocked core's output gives the
+  // same bytes.
+  const ConvDesc d = make_desc(2, 48, 96, 10);
+  const Problem p = make_problem(d, 37);
+  ThreadPool pool(2);
+  const std::size_t out_elems = d.batch * d.out_channels * d.out_height() * d.out_width();
+  Rng rng(41);
+  std::vector<float> res(out_elems);
+  for (float& v : res) v = rng.uniform(-1.0f, 1.0f);
+  for (const std::size_t m : {std::size_t{2}, std::size_t{4}}) {
+    LoWinoConfig cfg;
+    cfg.m = m;
+    LoWinoConvolution conv(d, cfg);
+    conv.set_uniform_input_threshold(2.0f);
+    conv.set_filters(p.weights, p.bias);
+    std::vector<float> nchw(out_elems);
+    conv.execute_nchw_typed(p.input.data(), nchw.data(), &pool, PostOps{.sum = res.data()});
+
+    std::vector<float> in(conv.input_layout().size()), res_b(conv.output_layout().size());
+    std::vector<float> out_b(conv.output_layout().size()), unpacked(out_elems);
+    pack_nchw_to_blocked(p.input, d.batch, d.in_channels, d.height, d.width, in);
+    pack_nchw_to_blocked(res, d.batch, d.out_channels, d.out_height(), d.out_width(), res_b);
+    conv.execute_blocked_typed(in.data(), out_b.data(), &pool, PostOps{.sum = res_b.data()});
+    unpack_blocked_to_nchw(out_b, d.batch, d.out_channels, d.out_height(), d.out_width(),
+                           unpacked);
+    EXPECT_EQ(0, std::memcmp(nchw.data(), unpacked.data(), out_elems * sizeof(float)))
+        << "m=" << m;
+  }
 }
 
 // --- Steady-state allocation behavior ---------------------------------------

@@ -13,6 +13,7 @@
 #include "nn/model_zoo.h"
 #include "nn/train.h"
 #include "quant/quantize.h"
+#include "tensor/layout.h"
 
 namespace lowino {
 namespace {
@@ -429,6 +430,34 @@ TEST(EngineNames, AllDistinct) {
   d.pad = 1;
   EXPECT_FALSE(engine_caps(EngineKind::kFp32Direct, d).quantized);
   EXPECT_TRUE(engine_caps(EngineKind::kLoWinoF4, d).quantized);
+}
+
+TEST(EngineCapsQuery, BlockedIoIsTheLoWinoFamilyAndGatesRunBlocked) {
+  ConvDesc d;
+  d.batch = 1;
+  d.in_channels = d.out_channels = 8;
+  d.height = d.width = 8;
+  d.kernel = 3;
+  d.pad = 1;
+  for (const EngineKind kind : all_engine_kinds()) {
+    const bool lowino = kind == EngineKind::kLoWinoF2 || kind == EngineKind::kLoWinoF4 ||
+                        kind == EngineKind::kLoWinoF6;
+    EXPECT_EQ(engine_caps(kind, d).blocked_io, lowino) << engine_token(kind);
+  }
+  // run_blocked keeps the lifecycle and refuses engines without blocked I/O.
+  std::vector<float> in(BlockedActLayout(1, 8, 8, 8).size(), 0.5f), out(in.size());
+  std::vector<float> w(8 * 8 * 9, 0.1f), bias(8, 0.0f);
+  std::unique_ptr<ConvEngine> lowino = make_conv_engine(EngineKind::kLoWinoF2, d);
+  lowino->calibrate(std::vector<float>(8 * 64, 0.5f));
+  lowino->finalize_calibration();
+  EXPECT_THROW(lowino->run_blocked(in.data(), out.data(), nullptr), std::logic_error);
+  lowino->set_filters(w, bias);
+  EXPECT_NO_THROW(lowino->run_blocked(in.data(), out.data(), nullptr));
+  std::unique_ptr<ConvEngine> direct = make_conv_engine(EngineKind::kInt8Direct, d);
+  direct->calibrate(std::vector<float>(8 * 64, 0.5f));
+  direct->finalize_calibration();
+  direct->set_filters(w, bias);
+  EXPECT_THROW(direct->run_blocked(in.data(), out.data(), nullptr), std::logic_error);
 }
 
 // --- EngineCaps: per-shape support gating ------------------------------------

@@ -5,6 +5,7 @@
 // (global operator new counting + the AlignedBuffer allocation counter).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -18,12 +19,14 @@
 #include "common/aligned_buffer.h"
 #include "common/env.h"
 #include "common/rng.h"
+#include "nn/layers.h"
 #include "nn/model_zoo.h"
 #include "parallel/thread_pool.h"
 #include "profile/profiler.h"
 #include "quant/quantize.h"
 #include "serve/arena.h"
 #include "serve/session.h"
+#include "tensor/layout.h"
 #include "tuning/wisdom.h"
 
 // ---------------------------------------------------------------------------
@@ -60,6 +63,59 @@ void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace lowino {
+
+// White-box access for the layout-pass tests (a friend of InferenceSession).
+struct InferenceSessionTestPeer {
+  using Op = InferenceSession::Op;
+  using Value = InferenceSession::Value;
+
+  static const std::vector<Op>& ops(const InferenceSession& s) { return s.ops_; }
+  static const std::vector<Value>& values(const InferenceSession& s) { return s.values_; }
+  static std::size_t output_value(const InferenceSession& s) { return s.output_value_; }
+
+  /// run(), with `after(value, bytes)` called on each op's output right after
+  /// the op — before the arena slot can be reused.
+  template <typename Fn>
+  static void run_observed(InferenceSession& s, const Tensor<float>& input,
+                           Tensor<float>& output, Fn&& after) {
+    output.reshape(s.values_[s.output_value_].shape);
+    for (Op& op : s.ops_) {
+      const void* in1 = op.kind == Op::Kind::kAddRelu || op.fuse_sum
+                            ? s.value_in(op.in1, input)
+                            : nullptr;
+      void* out = s.value_out(op.out, output);
+      s.execute_op(op, s.value_in(op.in0, input), in1, out);
+      after(op.out, static_cast<const std::uint8_t*>(out));
+    }
+  }
+
+  /// The same plan — engines, scales, dtypes, fusion — replayed op by op on
+  /// NCHW buffers of its own: every conv through the NCHW engine entry points
+  /// (run / run_typed), every reorder a plain copy.
+  static Tensor<float> nchw_replay(InferenceSession& s, const Tensor<float>& input) {
+    const std::vector<Value> saved = s.values_;
+    for (Value& v : s.values_) v.layout = ActLayout::kNchw;
+    std::vector<std::vector<std::uint8_t>> bufs(s.values_.size());
+    Tensor<float> out(s.values_[s.output_value_].shape);
+    const auto ptr = [&](std::size_t v) -> void* {
+      if (v == 0) return const_cast<float*>(input.data());
+      if (v == s.output_value_) return out.data();
+      bufs[v].resize(s.values_[v].bytes());
+      return bufs[v].data();
+    };
+    for (Op& op : s.ops_) {
+      void* in1 = op.kind == Op::Kind::kAddRelu || op.fuse_sum ? ptr(op.in1) : nullptr;
+      if (op.kind == Op::Kind::kReorder) {
+        std::memcpy(ptr(op.out), ptr(op.in0), s.values_[op.out].bytes());
+      } else {
+        s.execute_op(op, ptr(op.in0), in1, ptr(op.out));
+      }
+    }
+    s.values_ = saved;
+    return out;
+  }
+};
+
 namespace {
 
 std::uint64_t heap_alloc_count() {
@@ -1021,6 +1077,212 @@ TEST(InferenceSession, EmitsOneServeSpanPerOp) {
   EXPECT_EQ(serve.spans, session.op_count());
   EXPECT_GT(serve.seconds, 0.0);
   profiler_reset();
+}
+
+// --- Layout pass --------------------------------------------------------------
+
+using Peer = InferenceSessionTestPeer;
+
+/// The live values a session's ops write, with the op kind that writes them.
+std::vector<std::pair<std::size_t, Peer::Op::Kind>> written_values(const InferenceSession& s) {
+  std::vector<std::pair<std::size_t, Peer::Op::Kind>> out;
+  for (const Peer::Op& op : Peer::ops(s)) out.emplace_back(op.out, op.kind);
+  return out;
+}
+
+std::size_t reorder_count(const InferenceSession& s) {
+  std::size_t n = 0;
+  for (const Peer::Op& op : Peer::ops(s)) n += op.kind == Peer::Op::Kind::kReorder;
+  return n;
+}
+
+/// C = 48 stem, 48 -> 96 and 96 -> 48 Winograd convs: every blocked value
+/// has padding lanes.
+SequentialModel make_padded_net(std::size_t hw = 8) {
+  Rng rng(7);
+  SequentialModel m;
+  auto stem = std::make_unique<ConvLayer>(1, 48, hw, 3, 1, rng);
+  stem->set_quantizable(false);
+  m.add(std::move(stem));
+  m.add(std::make_unique<ReluLayer>());
+  m.add(std::make_unique<ConvLayer>(48, 96, hw, 3, 1, rng));
+  m.add(std::make_unique<ReluLayer>());
+  m.add(std::make_unique<ConvLayer>(96, 48, hw, 3, 1, rng));
+  m.add(std::make_unique<ReluLayer>());
+  m.add(std::make_unique<MaxPoolLayer>(48, hw));
+  m.add(std::make_unique<DenseLayer>(48 * (hw / 2) * (hw / 2), 10, rng));
+  return m;
+}
+
+TEST(BlockedLayout, MiniVggIsBlockedUpToOneReorderBeforeDense) {
+  for (const char* fuse : {"1", "0"}) {
+    ScopedRuntimeOverride fusion("LOWINO_FUSE_POSTOPS", fuse);
+    SequentialModel model = make_minivgg();
+    InferenceSession s = forced_session(model, random_input(2, 16, 31), EngineKind::kLoWinoF2,
+                                        &ThreadPool::global());
+    ASSERT_EQ(reorder_count(s), 1u) << "fuse=" << fuse;
+    const auto& ops = Peer::ops(s);
+    const auto& values = Peer::values(s);
+    // The one reorder feeds dense; every other internal value is blocked.
+    const auto dense = std::find_if(ops.begin(), ops.end(), [](const Peer::Op& op) {
+      return op.kind == Peer::Op::Kind::kDense;
+    });
+    ASSERT_NE(dense, ops.end());
+    ASSERT_NE(dense, ops.begin());
+    EXPECT_EQ(std::prev(dense)->kind, Peer::Op::Kind::kReorder);
+    EXPECT_EQ(values[dense->in0].layout, ActLayout::kNchw);
+    for (const auto& [v, kind] : written_values(s)) {
+      if (v == dense->in0 || v == Peer::output_value(s)) continue;
+      EXPECT_EQ(values[v].layout, ActLayout::kBlocked64) << "value " << v << " fuse=" << fuse;
+    }
+    for (const SessionPlan::ConvChoice& c : s.plan().convs) {
+      EXPECT_EQ(c.in_layout, ActLayout::kBlocked64);
+      EXPECT_EQ(c.out_layout, ActLayout::kBlocked64);
+    }
+    ASSERT_EQ(s.plan().reorders.size(), 1u);
+    EXPECT_EQ(s.plan().reorders[0].to, ActLayout::kNchw);
+    EXPECT_EQ(s.plan().reorders[0].bytes, 2u * 128 * 4 * 4 * sizeof(float));
+    const std::string summary = s.plan().summary();
+    EXPECT_NE(summary.find("(layout blocked64:blocked64)"), std::string::npos) << summary;
+    EXPECT_NE(summary.find("reorder to nchw before dense"), std::string::npos) << summary;
+    // Layouts are derived, never serialized.
+    EXPECT_EQ(s.plan().serialize().find("layout"), std::string::npos);
+  }
+}
+
+TEST(BlockedLayout, MiniResNetKeepsBothResidualsBlocked) {
+  SequentialModel model = make_miniresnet();
+  InferenceSession s = forced_session(model, random_input(2, 16, 37), EngineKind::kLoWinoF4,
+                                      &ThreadPool::global());
+  EXPECT_EQ(reorder_count(s), 1u);
+  for (const Peer::Op& op : Peer::ops(s)) {
+    if (op.fuse_sum) {
+      EXPECT_EQ(Peer::values(s)[op.in1].layout, ActLayout::kBlocked64) << op.label;
+    }
+  }
+}
+
+TEST(BlockedLayout, MiniMobileNetChangesNoLayout) {
+  // int8_dw and int8_1x1 are not blocked-I/O engines: the op list gains no
+  // reorder and every value stays NCHW, as before the layout pass existed.
+  PlanOptions options;
+  options.pool = &ThreadPool::global();
+  options.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1};
+  options.seconds_per_candidate = 0.002;
+  SequentialModel model = make_minimobilenet();
+  InferenceSession s = InferenceSession::compile(model, random_input(2, 16, 41), options);
+  EXPECT_EQ(reorder_count(s), 0u);
+  EXPECT_TRUE(s.plan().reorders.empty());
+  for (const Peer::Value& v : Peer::values(s)) EXPECT_EQ(v.layout, ActLayout::kNchw);
+  std::vector<Peer::Op::Kind> kinds;
+  for (const Peer::Op& op : Peer::ops(s)) kinds.push_back(op.kind);
+  using K = Peer::Op::Kind;
+  const std::vector<K> want = post_op_fusion_enabled()
+      ? std::vector<K>{K::kConvFp32, K::kConvEngine, K::kConvEngine, K::kMaxPool,
+                       K::kConvEngine, K::kConvEngine, K::kMaxPool, K::kDense}
+      : std::vector<K>{K::kConvFp32, K::kRelu, K::kConvEngine, K::kRelu, K::kConvEngine,
+                       K::kRelu, K::kMaxPool, K::kConvEngine, K::kRelu, K::kConvEngine,
+                       K::kRelu, K::kMaxPool, K::kDense};
+  EXPECT_EQ(kinds, want);
+}
+
+TEST(BlockedLayout, PaddedLanesHoldQuantizedZero) {
+  for (const char* fuse : {"1", "0"}) {
+    for (const char* u8 : {"1", "0"}) {
+      ScopedRuntimeOverride fusion("LOWINO_FUSE_POSTOPS", fuse);
+      ScopedRuntimeOverride handoff("LOWINO_U8_HANDOFF", u8);
+      SCOPED_TRACE(testing::Message() << "fuse=" << fuse << " u8=" << u8);
+      SequentialModel model = make_padded_net();
+      InferenceSession s = forced_session(model, random_input(2, 8, 43), EngineKind::kLoWinoF2,
+                                          &ThreadPool::global());
+      std::size_t checked = 0, u8_checked = 0;
+      Tensor<float> out;
+      Peer::run_observed(s, random_input(2, 8, 44), out,
+                         [&](std::size_t v, const std::uint8_t* data) {
+        const Peer::Value& val = Peer::values(s)[v];
+        if (val.layout != ActLayout::kBlocked64) return;
+        const std::size_t c = val.shape[1];
+        ASSERT_NE(c % kChanBlock, 0u);
+        const BlockedActLayout layout(val.shape[0], c, val.shape[2], val.shape[3]);
+        for (std::size_t b = 0; b < val.shape[0]; ++b) {
+          for (std::size_t y = 0; y < val.shape[2]; ++y) {
+            for (std::size_t x = 0; x < val.shape[3]; ++x) {
+              for (std::size_t ci = c % kChanBlock; ci < kChanBlock; ++ci) {
+                const std::size_t at = layout.offset(b, layout.chan_blocks - 1, y, x) + ci;
+                if (val.dtype == DType::kU8) {
+                  ASSERT_EQ(data[at], 128) << "value " << v;
+                } else {
+                  ASSERT_EQ(reinterpret_cast<const float*>(data)[at], 0.0f) << "value " << v;
+                }
+              }
+            }
+          }
+        }
+        ++checked;
+        u8_checked += val.dtype == DType::kU8;
+      });
+      EXPECT_GE(checked, 4u);  // stem, both convs, maxpool (+ unfused relus)
+      if (std::string(u8) == "1") EXPECT_GT(u8_checked, 0u);
+      EXPECT_EQ(reorder_count(s), 1u);
+    }
+  }
+}
+
+TEST(BlockedLayout, ServesLikeAnNchwReplayOfThePlan) {
+  // The blocked session against the same plan replayed op by op through the
+  // NCHW engine entry points: bit-identical logits, for every zoo net and the
+  // padded net, with each kill-switch flipped.
+  ThreadPool& pool = ThreadPool::global();
+  struct Net {
+    const char* name;
+    SequentialModel (*make)();
+    std::size_t hw;
+    EngineKind kind;
+  };
+  const Net nets[] = {
+      {"vgg", [] { return make_minivgg(); }, 16, EngineKind::kLoWinoF2},
+      {"resnet", [] { return make_miniresnet(); }, 16, EngineKind::kLoWinoF4},
+      {"mobilenet", [] { return make_minimobilenet(); }, 16, EngineKind::kInt8Depthwise},
+      {"padded", [] { return make_padded_net(); }, 8, EngineKind::kLoWinoF4},
+  };
+  for (const auto& [fuse, u8] : {std::pair{"1", "1"}, std::pair{"0", "1"}, std::pair{"1", "0"}}) {
+    ScopedRuntimeOverride fusion("LOWINO_FUSE_POSTOPS", fuse);
+    ScopedRuntimeOverride handoff("LOWINO_U8_HANDOFF", u8);
+    for (const Net& net : nets) {
+      SCOPED_TRACE(testing::Message() << net.name << " fuse=" << fuse << " u8=" << u8);
+      SequentialModel model = net.make();
+      PlanOptions options;
+      options.pool = &pool;
+      options.seconds_per_candidate = 0.002;
+      if (net.kind == EngineKind::kInt8Depthwise) {
+        options.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1};
+      } else {
+        options.forced_engine = net.kind;
+      }
+      InferenceSession s =
+          InferenceSession::compile(model, random_input(2, net.hw, 47), options);
+      const Tensor<float> input = random_input(2, net.hw, 48);
+      Tensor<float> out;
+      s.run(input, out);
+      const Tensor<float> replay = Peer::nchw_replay(s, input);
+      ASSERT_EQ(out.shape(), replay.shape());
+      EXPECT_EQ(0, std::memcmp(out.data(), replay.data(), out.size() * sizeof(float)));
+    }
+  }
+}
+
+TEST(BlockedLayout, BlockedServeStaysAllocationFree) {
+  SequentialModel model = make_padded_net();
+  InferenceSession session = forced_session(model, random_input(2, 8, 53), EngineKind::kLoWinoF4,
+                                            &ThreadPool::global());
+  const Tensor<float> input = random_input(2, 8, 54);
+  Tensor<float> out;
+  session.run(input, out);
+  const std::uint64_t heap_before = heap_alloc_count();
+  const std::uint64_t aligned_before = aligned_buffer_alloc_count();
+  for (int i = 0; i < 5; ++i) session.run(input, out);
+  EXPECT_EQ(heap_alloc_count(), heap_before);
+  EXPECT_EQ(aligned_buffer_alloc_count(), aligned_before);
 }
 
 }  // namespace

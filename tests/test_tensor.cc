@@ -1,8 +1,12 @@
 // Tests for tensors, the Table-1 blocked layouts, and NCHW packing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <tuple>
+#include <type_traits>
+#include <vector>
 
 #include "common/rng.h"
 #include "parallel/thread_pool.h"
@@ -239,6 +243,89 @@ TEST(PackWithThreadPool, MatchesSerial) {
     ASSERT_EQ(serial[i], parallel[i]);
   }
 }
+
+// --- Cache-blocked relayout kernels -------------------------------------------
+
+/// Element-at-a-time oracle of the blocked layout (the definition in
+/// tensor/layout.h, with padding lanes set to `pad`).
+template <typename T>
+std::vector<T> reference_blocked(const std::vector<T>& nchw, std::size_t b, std::size_t c,
+                                 std::size_t h, std::size_t w, T pad) {
+  const BlockedActLayout layout(b, c, h, w);
+  std::vector<T> out(layout.size());
+  for (std::size_t bi = 0; bi < b; ++bi) {
+    for (std::size_t cb = 0; cb < layout.chan_blocks; ++cb) {
+      for (std::size_t y = 0; y < h; ++y) {
+        for (std::size_t x = 0; x < w; ++x) {
+          for (std::size_t ci = 0; ci < kChanBlock; ++ci) {
+            const std::size_t ch = cb * kChanBlock + ci;
+            out[layout.offset(bi, cb, y, x) + ci] =
+                ch < c ? nchw[((bi * c + ch) * h + y) * w + x] : pad;
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// (batch, channels, height, width): C % 64 != 0 and pixel counts that are
+/// not a multiple of the 64-pixel tile or of the 16-pixel transpose.
+class Relayout : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
+
+template <typename T>
+void check_relayout(std::size_t b, std::size_t c, std::size_t h, std::size_t w, T pad,
+                    ThreadPool* pool) {
+  Rng rng(b * 7919 + c * 131 + h * 17 + w);
+  std::vector<T> src(b * c * h * w);
+  for (T& v : src) {
+    if constexpr (std::is_same_v<T, float>) {
+      v = rng.uniform(-4.0f, 4.0f);
+    } else {
+      v = static_cast<T>(rng.uniform(0.0f, 255.99f));
+    }
+  }
+  const std::vector<T> want = reference_blocked(src, b, c, h, w, pad);
+  std::vector<T> blocked(want.size(), T{7}), back(src.size(), T{9});
+  if constexpr (std::is_same_v<T, float>) {
+    pack_nchw_to_blocked(src, b, c, h, w, blocked, pool);
+    unpack_blocked_to_nchw(blocked, b, c, h, w, back, pool);
+  } else {
+    pack_nchw_u8_to_blocked(src, b, c, h, w, blocked, pool);
+    unpack_blocked_u8_to_nchw(blocked, b, c, h, w, back, pool);
+  }
+  ASSERT_EQ(0, std::memcmp(blocked.data(), want.data(), want.size() * sizeof(T)))
+      << "pack differs from the element-wise layout";
+  ASSERT_EQ(0, std::memcmp(back.data(), src.data(), src.size() * sizeof(T)))
+      << "unpack(pack(x)) != x";
+}
+
+TEST_P(Relayout, F32BitExactWithZeroPadding) {
+  const auto [b, c, h, w] = GetParam();
+  check_relayout<float>(b, c, h, w, 0.0f, nullptr);
+}
+
+TEST_P(Relayout, U8BitExactWith128Padding) {
+  const auto [b, c, h, w] = GetParam();
+  check_relayout<std::uint8_t>(b, c, h, w, std::uint8_t{128}, nullptr);
+}
+
+TEST_P(Relayout, ThreadPoolMatchesSerial) {
+  ThreadPool pool(3);
+  const auto [b, c, h, w] = GetParam();
+  check_relayout<float>(b, c, h, w, 0.0f, &pool);
+  check_relayout<std::uint8_t>(b, c, h, w, std::uint8_t{128}, &pool);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, Relayout,
+                         ::testing::Values(std::make_tuple(1, 48, 9, 9),
+                                           std::make_tuple(2, 100, 5, 13),
+                                           std::make_tuple(1, 64, 8, 8),
+                                           std::make_tuple(2, 130, 17, 3),
+                                           std::make_tuple(1, 16, 12, 12),
+                                           std::make_tuple(3, 200, 11, 11),
+                                           std::make_tuple(2, 96, 16, 16),
+                                           std::make_tuple(1, 1, 1, 1)));
 
 TEST(TransformedInputLayout, OffsetsAreUniqueAndInBounds) {
   const TransformedInputLayout l(/*total_tiles=*/10, /*padded_c=*/128, /*t=*/16,
