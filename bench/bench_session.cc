@@ -1,12 +1,15 @@
-// Serving-path benchmark: the planned InferenceSession against the
-// single-engine forward_engine evaluation path on the model-zoo networks.
+// Serving-path benchmark: the planned InferenceSession against the best
+// single-engine session on the model-zoo networks.
 //
-// forward_engine forces ONE engine kind on every convolution; the session
-// plans per layer (wisdom-backed shoot-out across the candidate set, accuracy
-// envelope enforced) and serves from a liveness-planned arena. The claim to
-// check: the auto-planned session is at least as fast as the best
-// single-engine choice, because per-layer selection can only match or beat a
-// uniform assignment.
+// A single-engine row is a session with that engine forced on every
+// quantizable convolution (rows whose engine cannot run some layer are
+// skipped). MiniMobileNet's depthwise and pointwise layers have no engine in
+// common, so its baseline row is the {int8_dw, int8_1x1} candidate pair,
+// which leaves one eligible engine per layer. The planned session picks per
+// layer (wisdom-backed shoot-out across the candidate set, accuracy envelope
+// enforced). The claim to check: the auto-planned session is at least as
+// fast as the best single-engine choice, because per-layer selection can
+// only match or beat a uniform assignment.
 //
 // Env: LOWINO_BENCH_BATCH (default 16), LOWINO_BENCH_HW (default 32),
 //      LOWINO_BENCH_BUDGET_MS (measurement budget per cell).
@@ -30,6 +33,23 @@ Tensor<float> random_input(std::size_t batch, std::size_t hw, std::uint64_t seed
   return t;
 }
 
+/// Whether `kind` can run every quantizable convolution of `model` — what a
+/// session forcing it needs.
+bool runs_every_conv(SequentialModel& model, EngineKind kind, std::size_t batch) {
+  const auto supports = [&](const ConvLayer& conv) {
+    return !conv.quantizable() || engine_caps(kind, conv.conv_desc(batch)).supports;
+  };
+  for (std::size_t i = 0; i < model.layer_count(); ++i) {
+    Layer& layer = model.layer(i);
+    if (const auto* conv = dynamic_cast<const ConvLayer*>(&layer)) {
+      if (!supports(*conv)) return false;
+    } else if (auto* res = dynamic_cast<ResidualBlock*>(&layer)) {
+      if (!supports(res->conv1()) || !supports(res->conv2())) return false;
+    }
+  }
+  return true;
+}
+
 int bench_main() {
   ThreadPool& pool = ThreadPool::global();
   const std::size_t batch = bench::batch_override();
@@ -41,16 +61,21 @@ int bench_main() {
                                    EngineKind::kLoWinoF4,    EngineKind::kLoWinoF6,
                                    EngineKind::kInt8Conv1x1, EngineKind::kInt8Depthwise};
 
-  std::printf("InferenceSession vs forward_engine: batch=%zu hw=%zu, %zu thread(s)\n\n",
+  std::printf("InferenceSession: planned vs best single engine: batch=%zu hw=%zu, "
+              "%zu thread(s)\n\n",
               batch, hw, pool.num_threads());
 
   struct ModelSpec {
     const char* name;
     SequentialModel model;
+    std::vector<EngineKind> pair;  ///< baseline candidate pair (empty: none)
   };
-  ModelSpec models[] = {{"MiniVGG", make_minivgg(hw)},
-                        {"MiniResNet", make_miniresnet(hw)},
-                        {"MiniMobileNet", make_minimobilenet(hw)}};
+  ModelSpec models[] = {
+      {"MiniVGG", make_minivgg(hw), {}},
+      {"MiniResNet", make_miniresnet(hw), {}},
+      {"MiniMobileNet",
+       make_minimobilenet(hw),
+       {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1}}};
 
   for (auto& spec : models) {
     std::printf("=== %s ===\n", spec.name);
@@ -58,24 +83,38 @@ int bench_main() {
     bench::print_rule(60);
 
     double best_single = 0.0;
-    const char* best_name = nullptr;
+    std::string best_name;
     std::vector<std::pair<std::string, double>> rows;
-    for (const EngineKind kind : candidates) {
-      spec.model.calibrate(calib, kind);
-      spec.model.finalize_calibration(kind);
-      const double sec =
-          bench::measure([&] { spec.model.forward_engine(input, kind, &pool); });
-      rows.emplace_back(std::string("forward_engine ") + engine_name(kind), sec);
-      if (!best_name || sec < best_single) {
+    const auto baseline = [&](const std::string& name, const PlanOptions& plan) {
+      InferenceSession single = InferenceSession::compile(spec.model, calib, plan);
+      Tensor<float> scratch;
+      const double sec = bench::measure([&] { single.run(input, scratch); });
+      rows.emplace_back(name, sec);
+      if (best_name.empty() || sec < best_single) {
         best_single = sec;
-        best_name = engine_name(kind);
+        best_name = name;
       }
+    };
+    for (const EngineKind kind : candidates) {
+      if (!runs_every_conv(spec.model, kind, batch)) continue;
+      PlanOptions forced;
+      forced.forced_engine = kind;
+      forced.pool = &pool;
+      baseline(std::string("forced ") + engine_name(kind), forced);
+    }
+    if (!spec.pair.empty()) {
+      PlanOptions pair;
+      pair.candidates = spec.pair;
+      pair.pool = &pool;
+      std::string name = "pair";
+      for (const EngineKind kind : spec.pair) name += std::string(" ") + engine_token(kind);
+      baseline(name, pair);
     }
 
     // Two plans: the default accuracy envelope (may reject the fastest
     // engine on noisy layers — the latency cost of accuracy), and a
     // latency-only plan, which is the apples-to-apples comparison against
-    // forward_engine (itself unconstrained by any envelope).
+    // the forced sessions (themselves unconstrained by any envelope).
     PlanOptions options;
     options.candidates.assign(std::begin(candidates), std::end(candidates));
     options.pool = &pool;
@@ -129,7 +168,7 @@ int bench_main() {
       std::printf("%-36s %12.3f %9.2fx\n", name.c_str(), 1e3 * sec, best_single / sec);
     }
     std::printf("\nbest single engine: %s; latency-only session speedup over it: %.2fx\n",
-                best_name, best_single / fast_sec);
+                best_name.c_str(), best_single / fast_sec);
     std::printf("post-op fusion: ops %zu -> %zu, arena %zu -> %zu bytes (%.0f%%), "
                 "fused speedup %.2fx\n",
                 unfused_ops, session.op_count(), unfused_arena, session.plan().arena_bytes,

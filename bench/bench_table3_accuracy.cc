@@ -6,6 +6,12 @@
 // measured quantity is identical in kind: FP32 top-1 vs INT8 top-1 after
 // post-training quantization with ~500-sample calibration.
 //
+// Each row is what ships: an InferenceSession with the row's engine forced on
+// every quantizable conv (every Table 3 kind supports all of them: 3x3,
+// stride 1, ungrouped), calibrated on the 512-image set as 16 batches of 32
+// and evaluated through session.run — u8 hand-off, blocked layouts and fused
+// epilogues as compiled.
+//
 // Env: LOWINO_TRAIN_N (default 1280), LOWINO_TEST_N (default 640),
 //      LOWINO_EPOCHS (default 8), LOWINO_FAST=1 (quick smoke configuration),
 //      LOWINO_BENCH_ENGINES (comma-separated engine tokens, e.g.
@@ -19,6 +25,7 @@
 #include "common/env.h"
 #include "nn/model_zoo.h"
 #include "nn/train.h"
+#include "serve/session.h"
 
 namespace lowino {
 namespace {
@@ -95,21 +102,33 @@ int bench_main() {
   ModelSpec models[] = {{"MiniVGG (for VGG16)", make_minivgg()},
                         {"MiniResNet (for ResNet-50)", make_miniresnet()}};
 
+  const std::vector<Tensor<float>> calib = image_batches(calib_set, calib_n, batch);
   for (auto& spec : models) {
     std::printf("=== %s ===\n", spec.name);
     const double train_acc = train_model(spec.model, train_set, cfg);
     const EvalResult fp32 = evaluate_fp32(spec.model, test_set, batch);
     std::printf("training accuracy %.2f%%; FP32 test top-1 %.2f%%\n\n", 100.0 * train_acc,
                 100.0 * fp32.accuracy);
-    std::printf("%-12s %-36s %10s %10s %8s\n", "group", "method", "FP32 (%)", "INT8 (%)",
-                "drop");
-    bench::print_rule(82);
+    std::printf("%-12s %-36s %10s %10s %8s %9s\n", "group", "method", "FP32 (%)", "INT8 (%)",
+                "drop", "u8 edges");
+    bench::print_rule(92);
     for (const EngineRow& row : engines) {
-      calibrate_model(spec.model, calib_set, row.kind, calib_n, batch);
-      const EvalResult q = evaluate_engine(spec.model, test_set, row.kind, batch);
-      std::printf("%-12s %-36s %10.2f %10.2f %+7.2f\n", row.group, engine_name(row.kind),
+      PlanOptions options;
+      options.forced_engine = row.kind;
+      InferenceSession session = InferenceSession::compile(spec.model, calib, options);
+      Tensor<float> logits;
+      const EvalResult q =
+          evaluate(test_set, batch, [&](const Tensor<float>& x) -> const Tensor<float>& {
+            session.run(x, logits);
+            return logits;
+          });
+      std::size_t u8_edges = 0;
+      for (const SessionPlan::ConvChoice& c : session.plan().convs) {
+        u8_edges += (c.in_dtype == DType::kU8) + (c.out_dtype == DType::kU8);
+      }
+      std::printf("%-12s %-36s %10.2f %10.2f %+7.2f %9zu\n", row.group, engine_name(row.kind),
                   100.0 * fp32.accuracy, 100.0 * q.accuracy,
-                  100.0 * (q.accuracy - fp32.accuracy));
+                  100.0 * (q.accuracy - fp32.accuracy), u8_edges);
       std::fflush(stdout);
     }
     std::printf("\n");

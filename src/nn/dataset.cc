@@ -96,4 +96,15 @@ void fill_batch(const Dataset& data, std::size_t first, std::size_t batch, Tenso
   }
 }
 
+std::vector<Tensor<float>> image_batches(const Dataset& data, std::size_t n,
+                                         std::size_t batch) {
+  std::vector<Tensor<float>> batches;
+  std::vector<int> labels;
+  const std::size_t limit = std::min(n, data.size());
+  for (std::size_t first = 0; first + batch <= limit; first += batch) {
+    fill_batch(data, first, batch, batches.emplace_back(), labels);
+  }
+  return batches;
+}
+
 }  // namespace lowino

@@ -37,6 +37,13 @@ Dataset make_shape_dataset(std::size_t n, std::uint64_t seed, std::size_t hw = 1
 void fill_batch(const Dataset& data, std::size_t first, std::size_t batch, Tensor<float>& x,
                 std::vector<int>& y);
 
+/// The first `n` samples (at most the whole dataset) as `batch`-sized NCHW
+/// tensors, a trailing partial batch dropped: the calibration batches of
+/// InferenceSession::compile, e.g. the paper's "~500 unlabeled sample images"
+/// (Eq. 7) as 16 batches of 32.
+std::vector<Tensor<float>> image_batches(const Dataset& data, std::size_t n,
+                                         std::size_t batch);
+
 const char* shape_class_name(int label);
 
 }  // namespace lowino

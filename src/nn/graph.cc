@@ -25,50 +25,6 @@ void SequentialModel::update(float lr, float momentum) {
   for (auto& l : layers_) l->update(lr, momentum);
 }
 
-void SequentialModel::calibrate(const Tensor<float>& input, EngineKind kind) {
-  activations_.resize(layers_.size() + 1);
-  activations_[0] = input;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i]->calibrate_with(activations_[i], kind);
-    layers_[i]->forward(activations_[i], activations_[i + 1], /*train=*/false);
-  }
-}
-
-void SequentialModel::finalize_calibration(EngineKind kind) {
-  for (auto& l : layers_) l->finalize_calibration(kind);
-}
-
-const Tensor<float>& SequentialModel::forward_engine(const Tensor<float>& input,
-                                                     EngineKind kind, ThreadPool* pool) {
-  // Two persistent ping-pong tensors instead of layers+1 buffers: layer i
-  // reads one and writes the other, so steady-state calls never allocate
-  // (Tensor::reshape only grows) and the footprint is 2 activations, not L+1.
-  if (layers_.empty()) {
-    engine_act_[0] = input;
-    return engine_act_[0];
-  }
-  const Tensor<float>* src = &input;
-  std::size_t which = 0;
-  const bool fuse = post_op_fusion_enabled();
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    Tensor<float>& dst = engine_act_[which];
-    auto* conv = fuse ? dynamic_cast<ConvLayer*>(layers_[i].get()) : nullptr;
-    if (conv != nullptr && i + 1 < layers_.size() &&
-        dynamic_cast<ReluLayer*>(layers_[i + 1].get()) != nullptr) {
-      // conv→relu collapses into the convolution's fused output pass — the
-      // same epilogue the session compiler plans, and bit-identical to the
-      // two-op sequence, so this path and session.run stay comparable.
-      conv->forward_engine_fused(*src, dst, kind, pool, PostOps{.relu = true});
-      ++i;
-    } else {
-      layers_[i]->forward_engine(*src, dst, kind, pool);
-    }
-    src = &dst;
-    which ^= 1;
-  }
-  return *src;
-}
-
 std::size_t SequentialModel::parameter_count() const {
   std::size_t n = 0;
   for (const auto& l : layers_) n += l->parameter_count();

@@ -1,14 +1,14 @@
-// Sequential model container: FP32 training forward/backward, quantized
-// inference with a selectable engine, and the calibration pass that feeds
-// each convolution its own FP32 input distribution (the "~500 sample images"
-// procedure of Eq. 7).
+// Sequential model container: FP32 training forward/backward over a list of
+// layers. Quantized inference is not the model's job: serve/session.h
+// compiles a model into an InferenceSession, which calibrates its own engines
+// on FP32 calibration batches (the "~500 sample images" procedure of Eq. 7)
+// and is the one quantized runtime.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "nn/engines.h"
 #include "nn/layers.h"
 #include "tensor/tensor.h"
 
@@ -28,22 +28,6 @@ class SequentialModel {
 
   void update(float lr, float momentum);
 
-  /// Calibration pass for a quantized engine: runs FP32 forward, feeding each
-  /// layer's *input* to its calibration hook. Call once per calibration batch.
-  void calibrate(const Tensor<float>& input, EngineKind kind);
-  /// Finishes calibration of all layers for `kind`.
-  void finalize_calibration(EngineKind kind);
-
-  /// Inference forward with the chosen engine for every convolution.
-  ///
-  /// This is the *debug / evaluation* path: one EngineKind forced on every
-  /// layer, activations in two persistent ping-pong tensors (steady-state
-  /// allocation-free, but no cross-layer memory planning and no per-layer
-  /// engine choice). Production serving goes through serve/session.h, which
-  /// plans engines per layer and lays activations out in a single arena.
-  const Tensor<float>& forward_engine(const Tensor<float>& input, EngineKind kind,
-                                      ThreadPool* pool = nullptr);
-
   std::size_t parameter_count() const;
   std::string summary() const;
 
@@ -51,7 +35,6 @@ class SequentialModel {
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<Tensor<float>> activations_;  ///< per-layer FP32 activations
   std::vector<Tensor<float>> grads_;
-  Tensor<float> engine_act_[2];  ///< forward_engine ping-pong pair
 };
 
 }  // namespace lowino

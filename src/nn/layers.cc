@@ -1,9 +1,7 @@
 #include "nn/layers.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "direct/direct_f32.h"
@@ -181,84 +179,6 @@ void ConvLayer::backward(const Tensor<float>& grad_out, Tensor<float>& grad_in) 
 void ConvLayer::update(float lr, float momentum) {
   sgd_update(weights_, grad_w_, mom_w_, lr, momentum);
   sgd_update(bias_, grad_b_, mom_b_, lr, momentum);
-  ++weights_version_;
-}
-
-ConvEngine& ConvLayer::engine_for(EngineKind kind, std::size_t batch) {
-  EngineSlot& slot = engines_[{kind, batch}];
-  if (slot.engine == nullptr) {
-    slot.engine = make_conv_engine(kind, desc_for_batch(batch));
-    slot.weights_version = 0;
-  }
-  return *slot.engine;
-}
-
-void ConvLayer::calibrate_with(const Tensor<float>& in, EngineKind kind) {
-  const EngineCaps caps = engine_caps(kind, desc_for_batch(in.dim(0)));
-  // Layers whose shape `kind` cannot handle stay FP32 under a forced-engine
-  // sweep (see forward_engine_fused) — no calibration needed.
-  if (!caps.quantized || !caps.supports || !quantizable_) return;
-  engine_for(kind, in.dim(0)).calibrate(in.span());
-}
-
-void ConvLayer::finalize_calibration(EngineKind kind) {
-  if (!engine_caps(kind, desc_for_batch(1)).quantized) return;
-  for (auto& [key, slot] : engines_) {
-    if (key.first == kind && slot.engine != nullptr && !slot.calibrated) {
-      slot.engine->finalize_calibration();
-      slot.calibrated = true;
-    }
-  }
-}
-
-void ConvLayer::forward_engine(const Tensor<float>& in, Tensor<float>& out, EngineKind kind,
-                               ThreadPool* pool) {
-  forward_engine_fused(in, out, kind, pool, PostOps{});
-}
-
-void ConvLayer::forward_engine_fused(const Tensor<float>& in, Tensor<float>& out,
-                                     EngineKind kind, ThreadPool* pool, const PostOps& post) {
-  const std::size_t batch = in.dim(0);
-  const ConvDesc d = desc_for_batch(batch);
-  const EngineCaps caps = engine_caps(kind, d);
-  out.reshape({batch, k_, d.out_height(), d.out_width()});
-  if (!quantizable_ || !caps.supports) {
-    // Not quantizable, or the forced kind cannot handle this layer's shape
-    // (e.g. a depthwise layer under an int8_direct sweep): stay FP32, exactly
-    // like a non-quantizable stem, with the epilogue in the store loop.
-    conv_f32_forward(d, in.span(), weights_, bias_, out.span(), scratch_, post);
-    return;
-  }
-  EngineSlot& slot = engines_[{kind, batch}];
-  if (slot.engine == nullptr) {
-    if (caps.quantized) {
-      throw std::logic_error(name() + ": engine not calibrated for this batch size (" +
-                             std::to_string(batch) + ") — run the calibration pass first");
-    }
-    slot.engine = make_conv_engine(kind, d);  // FP32 engines need no calibration
-  }
-  if (slot.weights_version != weights_version_) {
-    slot.engine->set_filters({weights_.data(), weights_.size()}, {bias_.data(), bias_.size()});
-    slot.weights_version = weights_version_;
-  }
-  if (caps.post_ops) {
-    slot.engine->run(in.span(), out.span(), pool, post);
-    return;
-  }
-  slot.engine->run(in.span(), out.span(), pool);
-  if (post.none()) return;
-  // Unfused fallback: the same sum-then-ReLU epilogue applied after the plain
-  // run — the per-element float op sequence matches the fused engine path, so
-  // the two routes stay bit-identical.
-  float* o = out.data();
-  const std::size_t n = out.size();
-  if (post.sum != nullptr) {
-    const float* res = post.sum;
-    for (std::size_t i = 0; i < n; ++i) o[i] += res[i];
-  }
-  if (post.relu) {
-    for (std::size_t i = 0; i < n; ++i) o[i] = std::max(0.0f, o[i]);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -421,41 +341,6 @@ void ResidualBlock::backward(const Tensor<float>& grad_out, Tensor<float>& grad_
 void ResidualBlock::update(float lr, float momentum) {
   conv1_.update(lr, momentum);
   conv2_.update(lr, momentum);
-}
-
-void ResidualBlock::calibrate_with(const Tensor<float>& in, EngineKind kind) {
-  conv1_.calibrate_with(in, kind);
-  // conv2 sees the activated intermediate; reproduce it in FP32.
-  conv1_.forward(in, mid_, /*train=*/false);
-  relu_mid_.forward(mid_, mid_act_, /*train=*/false);
-  conv2_.calibrate_with(mid_act_, kind);
-}
-
-void ResidualBlock::finalize_calibration(EngineKind kind) {
-  conv1_.finalize_calibration(kind);
-  conv2_.finalize_calibration(kind);
-}
-
-void ResidualBlock::forward_engine(const Tensor<float>& in, Tensor<float>& out,
-                                   EngineKind kind, ThreadPool* pool) {
-  if (post_op_fusion_enabled()) {
-    // The block collapses to two convolutions: conv1 with a fused ReLU, conv2
-    // with the skip-add + ReLU folded into its output pass. Engines without
-    // post-op support fall back inside forward_engine_fused (bit-identical),
-    // so this path is unconditional once the kill-switch allows fusion.
-    conv1_.forward_engine_fused(in, mid_act_, kind, pool, PostOps{.relu = true});
-    out.reshape(in.shape());
-    conv2_.forward_engine_fused(mid_act_, out, kind, pool,
-                                PostOps{.relu = true, .sum = in.data()});
-    return;
-  }
-  conv1_.forward_engine(in, mid_, kind, pool);
-  relu_mid_.forward(mid_, mid_act_, /*train=*/false);
-  conv2_.forward_engine(mid_act_, f_out_, kind, pool);
-  out.reshape(in.shape());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out.data()[i] = std::max(0.0f, in.data()[i] + f_out_.data()[i]);
-  }
 }
 
 }  // namespace lowino

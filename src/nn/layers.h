@@ -1,25 +1,23 @@
-// NN layers with forward + backward (training) and pluggable quantized
-// inference engines (the Table 3 evaluation substrate).
+// NN layers: FP32 forward + backward (training) and the weights and shapes
+// that quantized inference reads.
 //
 // Tensors are NCHW FP32 (`Tensor<float>`), batch in dim 0. Training uses the
-// FP32 im2col-GEMM path; quantized inference swaps each 3x3 convolution's
-// engine via nn/engines.h. Shapes (except batch) are fixed at construction.
+// FP32 im2col-GEMM path. The layers hold no quantized state: the one
+// quantized runtime is serve/session.h, which lowers a model to ops and runs
+// each quantizable convolution through an engine of its own (nn/engines.h),
+// built from the layer's conv_desc(), weights() and bias(). Shapes (except
+// batch) are fixed at construction.
 #pragma once
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "direct/direct_f32.h"
-#include "nn/engines.h"
 #include "tensor/conv_desc.h"
 #include "tensor/tensor.h"
 
 namespace lowino {
-
-class ThreadPool;
 
 class Layer {
  public:
@@ -33,14 +31,6 @@ class Layer {
   virtual void backward(const Tensor<float>& grad_out, Tensor<float>& grad_in) = 0;
   /// SGD + momentum update; zeroes the gradients afterwards.
   virtual void update(float lr, float momentum) {}
-
-  /// Quantized-inference hooks (default: FP32 forward).
-  virtual void calibrate_with(const Tensor<float>& in, EngineKind kind) {}
-  virtual void finalize_calibration(EngineKind kind) {}
-  virtual void forward_engine(const Tensor<float>& in, Tensor<float>& out, EngineKind kind,
-                              ThreadPool* pool) {
-    forward(in, out, /*train=*/false);
-  }
 
   virtual std::size_t parameter_count() const { return 0; }
 };
@@ -57,19 +47,6 @@ class ConvLayer : public Layer {
   void forward(const Tensor<float>& in, Tensor<float>& out, bool train) override;
   void backward(const Tensor<float>& grad_out, Tensor<float>& grad_in) override;
   void update(float lr, float momentum) override;
-
-  void calibrate_with(const Tensor<float>& in, EngineKind kind) override;
-  void finalize_calibration(EngineKind kind) override;
-  void forward_engine(const Tensor<float>& in, Tensor<float>& out, EngineKind kind,
-                      ThreadPool* pool) override;
-
-  /// forward_engine with a fused PostOps epilogue. When the layer is not
-  /// quantizable or `kind` lacks post-op support, runs the plain path and
-  /// applies the element-wise epilogue afterwards — bit-identical either way
-  /// (see tensor/post_ops.h), so callers may fuse opportunistically without
-  /// changing results.
-  void forward_engine_fused(const Tensor<float>& in, Tensor<float>& out, EngineKind kind,
-                            ThreadPool* pool, const PostOps& post);
 
   /// Span-based FP32 forward (conv_f32_forward over this layer's weights).
   /// All scratch lives in a member buffer — allocation-free once it is warm.
@@ -97,7 +74,6 @@ class ConvLayer : public Layer {
 
  private:
   ConvDesc desc_for_batch(std::size_t batch) const;
-  ConvEngine& engine_for(EngineKind kind, std::size_t batch);
 
   std::size_t c_, k_, hw_, r_, pad_, groups_;
   std::vector<float> weights_, bias_;
@@ -106,16 +82,6 @@ class ConvLayer : public Layer {
 
   Tensor<float> cached_in_;  ///< input cache for backward
   ConvF32Scratch scratch_;   ///< FP32 forward scratch; col keeps the batch after train
-
-  /// Engines keyed by (kind, batch); filters are (re)loaded lazily whenever
-  /// the FP32 weights changed since the engine last saw them.
-  struct EngineSlot {
-    std::unique_ptr<ConvEngine> engine;
-    std::uint64_t weights_version = 0;
-    bool calibrated = false;
-  };
-  std::map<std::pair<EngineKind, std::size_t>, EngineSlot> engines_;
-  std::uint64_t weights_version_ = 1;
   bool quantizable_ = true;
 };
 
@@ -172,10 +138,6 @@ class ResidualBlock : public Layer {
   void forward(const Tensor<float>& in, Tensor<float>& out, bool train) override;
   void backward(const Tensor<float>& grad_out, Tensor<float>& grad_in) override;
   void update(float lr, float momentum) override;
-  void calibrate_with(const Tensor<float>& in, EngineKind kind) override;
-  void finalize_calibration(EngineKind kind) override;
-  void forward_engine(const Tensor<float>& in, Tensor<float>& out, EngineKind kind,
-                      ThreadPool* pool) override;
   std::size_t parameter_count() const override {
     return conv1_.parameter_count() + conv2_.parameter_count();
   }

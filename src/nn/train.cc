@@ -94,10 +94,7 @@ double train_model(SequentialModel& model, const Dataset& data, const TrainConfi
   return last_epoch_acc;
 }
 
-namespace {
-
-template <typename Forward>
-EvalResult evaluate_impl(const Dataset& data, std::size_t batch, Forward&& fwd) {
+EvalResult evaluate(const Dataset& data, std::size_t batch, const ForwardFn& forward) {
   EvalResult result;
   Tensor<float> x, grad;
   std::vector<int> y, pred;
@@ -105,7 +102,7 @@ EvalResult evaluate_impl(const Dataset& data, std::size_t batch, Forward&& fwd) 
   std::size_t batches = 0;
   for (std::size_t start = 0; start + batch <= data.size(); start += batch) {
     fill_batch(data, start, batch, x, y);
-    const Tensor<float>& logits = fwd(x);
+    const Tensor<float>& logits = forward(x);
     loss_sum += softmax_xent(logits, y, grad);
     ++batches;
     predict(logits, pred);
@@ -121,31 +118,10 @@ EvalResult evaluate_impl(const Dataset& data, std::size_t batch, Forward&& fwd) 
   return result;
 }
 
-}  // namespace
-
 EvalResult evaluate_fp32(SequentialModel& model, const Dataset& data, std::size_t batch) {
-  return evaluate_impl(data, batch, [&](const Tensor<float>& x) -> const Tensor<float>& {
+  return evaluate(data, batch, [&](const Tensor<float>& x) -> const Tensor<float>& {
     return model.forward(x, /*train=*/false);
   });
-}
-
-EvalResult evaluate_engine(SequentialModel& model, const Dataset& data, EngineKind kind,
-                           std::size_t batch, ThreadPool* pool) {
-  return evaluate_impl(data, batch, [&](const Tensor<float>& x) -> const Tensor<float>& {
-    return model.forward_engine(x, kind, pool);
-  });
-}
-
-void calibrate_model(SequentialModel& model, const Dataset& data, EngineKind kind,
-                     std::size_t n_samples, std::size_t batch) {
-  Tensor<float> x;
-  std::vector<int> y;
-  const std::size_t limit = std::min(n_samples, data.size());
-  for (std::size_t start = 0; start + batch <= limit; start += batch) {
-    fill_batch(data, start, batch, x, y);
-    model.calibrate(x, kind);
-  }
-  model.finalize_calibration(kind);
 }
 
 }  // namespace lowino

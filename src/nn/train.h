@@ -1,17 +1,17 @@
-// Training (SGD + momentum, softmax cross-entropy) and evaluation — FP32 and
-// per-engine quantized (the Table 3 measurement loop).
+// Training (SGD + momentum, softmax cross-entropy) and evaluation: one loop
+// over a dataset that scores whatever forward pass it is given — the model's
+// own FP32 forward (evaluate_fp32), or a compiled InferenceSession for the
+// quantized Table 3 measurement (bench/bench_table3_accuracy.cc).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 
 #include "nn/dataset.h"
-#include "nn/engines.h"
 #include "nn/graph.h"
 
 namespace lowino {
-
-class ThreadPool;
 
 struct TrainConfig {
   std::size_t epochs = 10;
@@ -41,17 +41,14 @@ void predict(const Tensor<float>& logits, std::vector<int>& out);
 /// Trains in place; returns final-epoch training accuracy.
 double train_model(SequentialModel& model, const Dataset& data, const TrainConfig& config);
 
-/// FP32 evaluation (any dataset size).
+/// Maps one input batch to its logits.
+using ForwardFn = std::function<const Tensor<float>&(const Tensor<float>&)>;
+
+/// Scores `forward` on `data` in `batch`-sized chunks. Samples beyond the
+/// last full batch are dropped (a compiled session serves one batch size).
+EvalResult evaluate(const Dataset& data, std::size_t batch, const ForwardFn& forward);
+
+/// FP32 evaluation: evaluate() over the model's own forward pass.
 EvalResult evaluate_fp32(SequentialModel& model, const Dataset& data, std::size_t batch = 32);
-
-/// Quantized-engine evaluation. Samples beyond the last full batch are
-/// dropped (engines are specialized per batch size). Calibrate first!
-EvalResult evaluate_engine(SequentialModel& model, const Dataset& data, EngineKind kind,
-                           std::size_t batch = 32, ThreadPool* pool = nullptr);
-
-/// Runs the calibration pass over ~`n_samples` images in `batch`-sized chunks
-/// and finalizes — the paper's "~500 unlabeled sample images" (Eq. 7).
-void calibrate_model(SequentialModel& model, const Dataset& data, EngineKind kind,
-                     std::size_t n_samples = 512, std::size_t batch = 32);
 
 }  // namespace lowino

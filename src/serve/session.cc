@@ -85,27 +85,33 @@ std::string plan_wisdom_key(const std::string& desc_str, bool fuse_relu, bool fu
   return key;
 }
 
-/// SNR values are clamped before they enter a plan record: an FP32 candidate
-/// reproduces the reference bit-for-bit and quantization_error() then reports
-/// +inf dB, which would not round-trip through the text format.
-double clamp_snr(double snr_db) { return std::min(snr_db, 999.0); }
+/// SNR values are clamped to a finite range before they enter a plan record:
+/// an all-zero reference with nonzero noise (e.g. a conv whose every output
+/// is negative, behind a fused ReLU, under a noisy engine) makes
+/// quantization_error() report log10(0) = -inf dB, which would not
+/// round-trip through the text format.
+double clamp_snr(double snr_db) { return std::clamp(snr_db, -999.0, 999.0); }
 
-/// Hand-off quantization for one u8 activation edge, chosen deterministically
-/// from the plan-time FP32 reference tensor: the KL-calibrated scale first,
-/// falling back to the plain abs-max scale when KL over-clips below the
-/// envelope. `met` reports whether the chosen scale reaches `min_snr_db` —
-/// compile demotes the edge to FP32 on a miss; replay keeps the plan's
-/// recorded dtype (the procedure is deterministic for a given calibration
-/// input, so a replayed session is bit-identical to the session it came from).
+/// Hand-off quantization for value `v`, one u8 activation edge, chosen
+/// deterministically from the plan-time FP32 reference tensors: the
+/// KL-calibrated scale first, falling back to the plain abs-max scale when KL
+/// over-clips below the envelope. The histogram sees every calibration batch;
+/// the SNR is measured on the first. `met` reports whether the chosen scale
+/// reaches `min_snr_db` — compile demotes the edge to FP32 on a miss; replay
+/// keeps the plan's recorded dtype (the procedure is deterministic for given
+/// calibration batches, so a replayed session is bit-identical to the session
+/// it came from).
 struct EdgeCalib {
   QuantParams qp;
   double snr_db = 0.0;
   bool met = false;
 };
 
-EdgeCalib calibrate_edge(std::span<const float> ref, double min_snr_db) {
+EdgeCalib calibrate_edge(std::span<const std::vector<Tensor<float>>> refs, std::size_t v,
+                         double min_snr_db) {
   Histogram hist;
-  hist.collect(ref);
+  for (const std::vector<Tensor<float>>& batch_ref : refs) hist.collect(batch_ref[v].span());
+  const std::span<const float> ref = refs.front()[v].span();
   std::vector<std::uint8_t> q(ref.size());
   std::vector<float> dq(ref.size());
   const auto snr_of = [&](const QuantParams& qp) {
@@ -333,29 +339,40 @@ std::span<const EngineKind> allowed_engines(const PlanOptions& options,
 InferenceSession InferenceSession::compile(SequentialModel& model,
                                            const Tensor<float>& calib_input,
                                            const PlanOptions& options) {
+  return compile(model, std::span<const Tensor<float>>(&calib_input, 1), options);
+}
+
+InferenceSession InferenceSession::compile(SequentialModel& model,
+                                           std::span<const Tensor<float>> calib_batches,
+                                           const PlanOptions& options) {
   InferenceSession s;
   s.pool_ = options.pool != nullptr ? options.pool : &ThreadPool::global();
-  lower(s, model, calib_input);
+  lower(s, model, calib_batches);
   validate_replay(s, options);
   fuse(s, options);
-  const std::vector<Tensor<float>> ref = fp32_reference(s, calib_input);
-  select_engines(s, options, ref);
-  assign_dtypes(s, options, ref);
+  const std::vector<std::vector<Tensor<float>>> refs = fp32_reference(s, calib_batches);
+  select_engines(s, options, refs);
+  assign_dtypes(s, options, refs);
   assign_layouts(s);
   plan_arena(s);
   // Pre-warm every lazily grown buffer so steady-state runs never allocate
   // (engine workspaces, FP32 conv scratch, warmup output).
-  s.run(calib_input, s.warmup_out_);
-  s.run(calib_input, s.warmup_out_);
+  s.run(calib_batches.front(), s.warmup_out_);
+  s.run(calib_batches.front(), s.warmup_out_);
   return s;
 }
 
 /// Pass 1: the model as a flat op list over SSA values (residual blocks are
 /// flattened so the skip connection is a real live range).
 void InferenceSession::lower(InferenceSession& s, SequentialModel& model,
-                             const Tensor<float>& calib_input) {
+                             std::span<const Tensor<float>> calib_batches) {
   if (model.layer_count() == 0) lower_fail("model has no layers");
+  if (calib_batches.empty()) lower_fail("no calibration batch");
+  const Tensor<float>& calib_input = calib_batches.front();
   if (calib_input.rank() != 4) lower_fail("calibration input must be rank-4 NCHW");
+  for (const Tensor<float>& b : calib_batches) {
+    if (b.shape() != calib_input.shape()) lower_fail("calibration batches differ in shape");
+  }
   const std::size_t batch = calib_input.dim(0);
   if (batch == 0) lower_fail("calibration batch must be non-empty");
   s.plan_.batch = batch;
@@ -517,37 +534,44 @@ void InferenceSession::fuse(InferenceSession& s, const PlanOptions& options) {
   s.ops_ = std::move(fused);
 }
 
-/// One FP32 pass over the calibration batch: every value's reference tensor
-/// (each conv's input distribution and fused reference output — the accuracy
-/// envelope's ground truth). Every conv runs the shared FP32 kernel with its
-/// fused epilogue, so the reference is bit-comparable to the engines' output.
-std::vector<Tensor<float>> InferenceSession::fp32_reference(InferenceSession& s,
-                                                            const Tensor<float>& calib_input) {
-  std::vector<Tensor<float>> ref(s.values_.size());
-  ref[0] = calib_input;
+/// One FP32 pass per calibration batch: every value's reference tensor (each
+/// conv's input distribution and fused reference output — the accuracy
+/// envelope's ground truth), indexed [batch][value]. Every conv runs the
+/// shared FP32 kernel with its fused epilogue, so the reference is
+/// bit-comparable to the engines' output.
+std::vector<std::vector<Tensor<float>>> InferenceSession::fp32_reference(
+    InferenceSession& s, std::span<const Tensor<float>> calib_batches) {
+  std::vector<std::vector<Tensor<float>>> refs;
+  refs.reserve(calib_batches.size());
   ConvF32Scratch scratch;
-  for (Op& op : s.ops_) {
-    ref[op.out].reshape(s.values_[op.out].shape);
-    const float* in1 =
-        op.kind == Op::Kind::kAddRelu || op.fuse_sum ? ref[op.in1].data() : nullptr;
-    if (op.conv != nullptr) {
-      conv_f32_forward(op.conv->conv_desc(s.plan_.batch), ref[op.in0].span(),
-                       op.conv->weights(), op.conv->bias(), ref[op.out].span(), scratch,
-                       PostOps{op.fuse_relu, in1});
-    } else {
-      s.execute_op(op, ref[op.in0].data(), in1, ref[op.out].data());
+  for (const Tensor<float>& calib_input : calib_batches) {
+    std::vector<Tensor<float>>& ref = refs.emplace_back(s.values_.size());
+    ref[0] = calib_input;
+    for (Op& op : s.ops_) {
+      ref[op.out].reshape(s.values_[op.out].shape);
+      const float* in1 =
+          op.kind == Op::Kind::kAddRelu || op.fuse_sum ? ref[op.in1].data() : nullptr;
+      if (op.conv != nullptr) {
+        conv_f32_forward(op.conv->conv_desc(s.plan_.batch), ref[op.in0].span(),
+                         op.conv->weights(), op.conv->bias(), ref[op.out].span(), scratch,
+                         PostOps{op.fuse_relu, in1});
+      } else {
+        s.execute_op(op, ref[op.in0].data(), in1, ref[op.out].data());
+      }
     }
   }
-  return ref;
+  return refs;
 }
 
 /// Pass 3: an engine per kConvEngine op, by the precedence of
 /// allowed_engines: a forced or replayed kind is built as is; otherwise a
 /// wisdom hint, else a measured shoot-out ranked by envelope first, then
-/// speed (below the envelope: highest SNR). Every choice is recorded in the
-/// plan, with a measured SNR, and written back to wisdom.
+/// speed (below the envelope: highest SNR). Engines calibrate on every
+/// calibration batch; SNR and time are measured on the first. Every choice
+/// is recorded in the plan, with a measured SNR, and written back to wisdom.
 void InferenceSession::select_engines(InferenceSession& s, const PlanOptions& options,
-                                      const std::vector<Tensor<float>>& ref) {
+                                      const std::vector<std::vector<Tensor<float>>>& refs) {
+  const std::vector<Tensor<float>>& ref = refs.front();
   const SessionPlan* replay = replayed_plan(options);
   const bool pinned = options.forced_engine || replay != nullptr;
   Tensor<float> actual;  // candidate output scratch
@@ -570,7 +594,9 @@ void InferenceSession::select_engines(InferenceSession& s, const PlanOptions& op
       if (!caps.supports || (!post.none() && !caps.post_ops)) return nullptr;
       std::unique_ptr<ConvEngine> e = make_conv_engine(kind, desc);
       if (caps.quantized) {
-        e->calibrate(plan_in.span());
+        for (const std::vector<Tensor<float>>& batch_ref : refs) {
+          e->calibrate(batch_ref[op.in0].span());
+        }
         e->finalize_calibration();
       }
       e->set_filters(op.conv->weights(), op.conv->bias());
@@ -660,7 +686,7 @@ void InferenceSession::select_engines(InferenceSession& s, const PlanOptions& op
 /// the fixpoint); a replay seeds from the plan's tokens instead and must pass
 /// the same seed and fixpoint rules unchanged, with no SNR gate.
 void InferenceSession::assign_dtypes(InferenceSession& s, const PlanOptions& options,
-                                     const std::vector<Tensor<float>>& ref) {
+                                     const std::vector<std::vector<Tensor<float>>>& refs) {
   if (!u8_handoff_enabled()) return;
   const SessionPlan* replay = replayed_plan(options);
   const auto reads_u8 = [](const Op& op) {
@@ -723,8 +749,8 @@ void InferenceSession::assign_dtypes(InferenceSession& s, const PlanOptions& opt
     for (const Op& op : s.ops_) {
       if (op.kind != Op::Kind::kConvEngine || want[op.out] == 0 || gated[op.out] != 0) continue;
       // Replayed scales re-derive deterministically from the calibration
-      // input, so a replayed session is bit-identical to the original.
-      const EdgeCalib ec = calibrate_edge(ref[op.out].span(), options.min_snr_db);
+      // batches, so a replayed session is bit-identical to the original.
+      const EdgeCalib ec = calibrate_edge(refs, op.out, options.min_snr_db);
       if (!ec.met && replay == nullptr) {
         want[op.out] = 0;
         stable = false;

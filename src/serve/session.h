@@ -2,8 +2,12 @@
 // time* (the API counterpart of the paper's "tune ahead of time, serve from
 // wisdom" workflow, extended from one convolution to a whole network).
 //
-// Plan time — InferenceSession::compile(model, calib_input, options) runs
-// six passes, in order, over one flat op list:
+// Plan time — InferenceSession::compile(model, calib_batches, options) runs
+// six passes, in order, over one flat op list. The calibration batches share
+// one shape, whose batch dimension fixes the session batch; every
+// calibration statistic (engine calibration, u8 edge histograms) sees every
+// batch, while every measurement that ranks or gates (shoot-out SNR and
+// time, the edge SNR gate) and the pre-warm runs use the first batch only:
 //   1. lower: the SequentialModel becomes convolutions, ReLU, maxpool, dense
 //      and residual-add ops (residual blocks are flattened so the skip
 //      connection becomes a real multi-buffer live range). A replayed plan
@@ -13,8 +17,8 @@
 //      convolution's single output pass (PostOps epilogue) when an allowed
 //      engine supports it, killing the element-wise passes. Gated by the
 //      LOWINO_FUSE_POSTOPS kill-switch (default on; set 0 to A/B);
-//   3. select_engines: one FP32 pass over the calibration batch captures
-//      every convolution's input and reference output; then each quantizable
+//   3. select_engines: one FP32 pass per calibration batch captures every
+//      convolution's input and reference output; then each quantizable
 //      convolution gets forced_engine, else the replayed plan's engine, else
 //      a WisdomStore hint, else a measured shoot-out across the eligible
 //      candidates gated by an accuracy envelope (minimum signal-to-noise vs
@@ -52,11 +56,13 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/aligned_buffer.h"
 #include "direct/direct_f32.h"
+#include "nn/engines.h"
 #include "nn/graph.h"
 #include "quant/quantize.h"
 #include "serve/arena.h"
@@ -166,10 +172,18 @@ struct SessionPlan {
 
 class InferenceSession {
  public:
-  /// Plans and builds a session. `calib_input` is one representative input
-  /// batch (rank-4 NCHW); its batch dimension fixes the session batch.
-  /// Throws std::invalid_argument on unsupported models/shapes and
+  /// Plans and builds a session. `calib_batches` are representative input
+  /// batches (rank-4 NCHW, all of one shape); their batch dimension fixes the
+  /// session batch, so calibrating on more images than one serving batch
+  /// holds means passing more batches. Engine calibration and u8 edge
+  /// histograms see every batch; the shoot-out's SNR and time, the edge SNR
+  /// gate and the pre-warm runs use the first. Throws std::invalid_argument
+  /// on unsupported models/shapes (and on no or mismatched batches) and
   /// std::logic_error never (lifecycle ordering is the session's job).
+  static InferenceSession compile(SequentialModel& model,
+                                  std::span<const Tensor<float>> calib_batches,
+                                  const PlanOptions& options = {});
+  /// compile() on one calibration batch.
   static InferenceSession compile(SequentialModel& model, const Tensor<float>& calib_input,
                                   const PlanOptions& options = {});
 
@@ -236,15 +250,16 @@ class InferenceSession {
   };
 
   // compile()'s passes, in the order it runs them (session.cc).
-  static void lower(InferenceSession& s, SequentialModel& model, const Tensor<float>& calib_input);
+  static void lower(InferenceSession& s, SequentialModel& model,
+                    std::span<const Tensor<float>> calib_batches);
   static void validate_replay(const InferenceSession& s, const PlanOptions& options);
   static void fuse(InferenceSession& s, const PlanOptions& options);
-  static std::vector<Tensor<float>> fp32_reference(InferenceSession& s,
-                                                   const Tensor<float>& calib_input);
+  static std::vector<std::vector<Tensor<float>>> fp32_reference(
+      InferenceSession& s, std::span<const Tensor<float>> calib_batches);
   static void select_engines(InferenceSession& s, const PlanOptions& options,
-                             const std::vector<Tensor<float>>& ref);
+                             const std::vector<std::vector<Tensor<float>>>& refs);
   static void assign_dtypes(InferenceSession& s, const PlanOptions& options,
-                            const std::vector<Tensor<float>>& ref);
+                            const std::vector<std::vector<Tensor<float>>>& refs);
   static void assign_layouts(InferenceSession& s);
   static void plan_arena(InferenceSession& s);
 

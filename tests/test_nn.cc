@@ -1,5 +1,6 @@
 // Tests for the NN runtime: dataset, loss, layer gradients (finite
-// differences), training convergence, and quantized-engine inference.
+// differences), training convergence, and quantized inference of trained
+// models through forced-engine sessions.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +14,7 @@
 #include "nn/model_zoo.h"
 #include "nn/train.h"
 #include "quant/quantize.h"
+#include "serve/session.h"
 #include "tensor/layout.h"
 
 namespace lowino {
@@ -353,6 +355,25 @@ TEST(Training, LossDecreases) {
 }
 
 // --- Quantized inference ------------------------------------------------------
+PlanOptions forced(EngineKind kind) {
+  PlanOptions options;
+  options.forced_engine = kind;
+  return options;
+}
+
+/// Top-1 on `test_set` of a session compiled with `options` and calibrated
+/// on the first 128 images of `calib_set`, as 4 batches of 32.
+EvalResult session_eval(SequentialModel& model, const Dataset& calib_set,
+                        const Dataset& test_set, const PlanOptions& options) {
+  const std::vector<Tensor<float>> calib = image_batches(calib_set, 128, 32);
+  InferenceSession session = InferenceSession::compile(model, calib, options);
+  Tensor<float> logits;
+  return evaluate(test_set, 32, [&](const Tensor<float>& x) -> const Tensor<float>& {
+    session.run(x, logits);
+    return logits;
+  });
+}
+
 class EngineAgreement : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(EngineAgreement, QuantizedModelAgreesWithFp32) {
@@ -366,9 +387,8 @@ TEST_P(EngineAgreement, QuantizedModelAgreesWithFp32) {
   cfg.batch = 32;
   train_model(model, train_set, cfg);
 
-  calibrate_model(model, calib_set, kind, 128, 32);
   const EvalResult fp32 = evaluate_fp32(model, test_set, 32);
-  const EvalResult quant = evaluate_engine(model, test_set, kind, 32);
+  const EvalResult quant = session_eval(model, calib_set, test_set, forced(kind));
   EXPECT_EQ(quant.samples, 96u);
   // Quantized accuracy within a few points of FP32 for sound schemes.
   EXPECT_GT(quant.accuracy, fp32.accuracy - 0.08)
@@ -394,23 +414,12 @@ TEST(EngineAgreement, DownscaleF4DegradesAccuracy) {
   cfg.batch = 32;
   train_model(model, train_set, cfg);
 
-  calibrate_model(model, calib_set, EngineKind::kDownscaleF4, 128, 32);
-  calibrate_model(model, calib_set, EngineKind::kLoWinoF4, 128, 32);
   const EvalResult fp32 = evaluate_fp32(model, test_set, 32);
-  const EvalResult ds4 = evaluate_engine(model, test_set, EngineKind::kDownscaleF4, 32);
-  const EvalResult lw4 = evaluate_engine(model, test_set, EngineKind::kLoWinoF4, 32);
+  const EvalResult ds4 =
+      session_eval(model, calib_set, test_set, forced(EngineKind::kDownscaleF4));
+  const EvalResult lw4 = session_eval(model, calib_set, test_set, forced(EngineKind::kLoWinoF4));
   EXPECT_LT(ds4.accuracy, fp32.accuracy - 0.15) << "down-scaling F(4,4) should degrade";
   EXPECT_GT(lw4.accuracy, ds4.accuracy) << "LoWino F(4,4) must beat down-scaling F(4,4)";
-}
-
-TEST(EngineForward, ThrowsWithoutCalibration) {
-  Rng rng(5);
-  ConvLayer conv(64, 64, 8, 3, 1, rng);
-  Tensor<float> in({1, 64, 8, 8});
-  in.zero();
-  Tensor<float> out;
-  EXPECT_THROW(conv.forward_engine(in, out, EngineKind::kLoWinoF2, nullptr),
-               std::logic_error);
 }
 
 TEST(EngineNames, AllDistinct) {
@@ -544,9 +553,9 @@ TEST(ModelZoo, ShapesAndParameterCounts) {
 }
 
 TEST(EngineAgreement, MiniMobileNetDedicatedEnginesTrackFp32) {
-  // End-to-end on the depthwise net: forcing int8_dw quantizes the depthwise
-  // layers (the pointwise/stem layers fall back to FP32 — their shapes are
-  // outside the engine's capability set), and int8_1x1 does the converse.
+  // End-to-end on the depthwise net: with {int8_dw, int8_1x1} as the only
+  // candidates, each quantizable layer has exactly one eligible engine, so
+  // the depthwise layers run int8_dw and the pointwise layers int8_1x1.
   const Dataset train_set = make_shape_dataset(320, 130);
   const Dataset calib_set = make_shape_dataset(128, 131);
   const Dataset test_set = make_shape_dataset(96, 132);
@@ -557,13 +566,12 @@ TEST(EngineAgreement, MiniMobileNetDedicatedEnginesTrackFp32) {
   train_model(model, train_set, cfg);
 
   const EvalResult fp32 = evaluate_fp32(model, test_set, 32);
-  for (const EngineKind kind : {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1}) {
-    calibrate_model(model, calib_set, kind, 128, 32);
-    const EvalResult quant = evaluate_engine(model, test_set, kind, 32);
-    EXPECT_EQ(quant.samples, 96u);
-    EXPECT_GT(quant.accuracy, fp32.accuracy - 0.08)
-        << engine_name(kind) << ": " << quant.accuracy << " vs fp32 " << fp32.accuracy;
-  }
+  PlanOptions dedicated;
+  dedicated.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1};
+  const EvalResult quant = session_eval(model, calib_set, test_set, dedicated);
+  EXPECT_EQ(quant.samples, 96u);
+  EXPECT_GT(quant.accuracy, fp32.accuracy - 0.08)
+      << quant.accuracy << " vs fp32 " << fp32.accuracy;
 }
 
 TEST(PaperLayers, Table2Complete) {

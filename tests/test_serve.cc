@@ -1,16 +1,18 @@
 // Tests for the serving layer (src/serve): the liveness-based arena planner
 // (fuzzed), SessionPlan text round-trip, and InferenceSession — differential
-// bit-identity against SequentialModel::forward_engine, plan replay,
+// bit-identity against a layer-by-layer engine replay (engine_replay.h), plan replay,
 // wisdom-backed selection, and the zero-allocation steady-state contract
 // (global operator new counting + the AlignedBuffer allocation counter).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <span>
@@ -19,6 +21,7 @@
 #include "common/aligned_buffer.h"
 #include "common/env.h"
 #include "common/rng.h"
+#include "engine_replay.h"
 #include "nn/layers.h"
 #include "nn/model_zoo.h"
 #include "parallel/thread_pool.h"
@@ -262,8 +265,8 @@ Tensor<float> random_input(std::size_t batch, std::size_t hw, std::uint64_t seed
   return t;
 }
 
-/// Calibrates `model` for `kind` on `calib` and compiles a session from the
-/// same calibration batch, so both paths share identical quantization scales.
+/// A session with `kind` forced on every quantizable convolution, calibrated
+/// on `calib`.
 InferenceSession forced_session(SequentialModel& model, const Tensor<float>& calib,
                                 EngineKind kind, ThreadPool* pool) {
   PlanOptions options;
@@ -272,8 +275,12 @@ InferenceSession forced_session(SequentialModel& model, const Tensor<float>& cal
   return InferenceSession::compile(model, calib, options);
 }
 
-TEST(InferenceSession, BitIdenticalToForwardEngineMiniVgg) {
-  // forward_engine hands FP32 between layers; the u8 hand-off deliberately
+bool same_bits(const Tensor<float>& a, const Tensor<float>& b) {
+  return a.shape() == b.shape() && std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(InferenceSession, BitIdenticalToEngineReplayMiniVgg) {
+  // The replay hands FP32 between layers; the u8 hand-off deliberately
   // changes that, so the bit-identity contract is pinned to hand-off-off.
   ScopedRuntimeOverride u8_off("LOWINO_U8_HANDOFF", "0");
   ThreadPool& pool = ThreadPool::global();
@@ -282,34 +289,31 @@ TEST(InferenceSession, BitIdenticalToForwardEngineMiniVgg) {
   for (const EngineKind kind :
        {EngineKind::kInt8Direct, EngineKind::kLoWinoF2, EngineKind::kLoWinoF4}) {
     SequentialModel model = make_minivgg();
-    model.calibrate(calib, kind);
-    model.finalize_calibration(kind);
     InferenceSession session = forced_session(model, calib, kind, &pool);
-    const Tensor<float>& ref = model.forward_engine(input, kind, &pool);
+    EngineReplay replay(model, kind, calib);
     Tensor<float> out;
     session.run(input, out);
-    ASSERT_EQ(out.shape(), ref.shape());
-    EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), out.size() * sizeof(float)))
-        << "engine " << engine_token(kind);
+    EXPECT_TRUE(same_bits(out, replay.run(input, &pool))) << "engine " << engine_token(kind);
+    // The replay calibrates on its own: a session calibrated on other data
+    // must not match it, or the oracle would be reading the session's scales.
+    InferenceSession other = forced_session(model, input, kind, &pool);
+    other.run(input, out);
+    EXPECT_FALSE(same_bits(out, replay.run(input, &pool))) << "engine " << engine_token(kind);
   }
 }
 
-TEST(InferenceSession, BitIdenticalToForwardEngineMiniResNet) {
+TEST(InferenceSession, BitIdenticalToEngineReplayMiniResNet) {
   ScopedRuntimeOverride u8_off("LOWINO_U8_HANDOFF", "0");
   ThreadPool& pool = ThreadPool::global();
   const Tensor<float> calib = random_input(2, 16, 303);
   const Tensor<float> input = random_input(2, 16, 404);
   for (const EngineKind kind : {EngineKind::kInt8Direct, EngineKind::kLoWinoF4}) {
     SequentialModel model = make_miniresnet();
-    model.calibrate(calib, kind);
-    model.finalize_calibration(kind);
     InferenceSession session = forced_session(model, calib, kind, &pool);
-    const Tensor<float>& ref = model.forward_engine(input, kind, &pool);
+    EngineReplay replay(model, kind, calib);
     Tensor<float> out;
     session.run(input, out);
-    ASSERT_EQ(out.shape(), ref.shape());
-    EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), out.size() * sizeof(float)))
-        << "engine " << engine_token(kind);
+    EXPECT_TRUE(same_bits(out, replay.run(input, &pool))) << "engine " << engine_token(kind);
   }
 }
 
@@ -574,15 +578,30 @@ TEST(InferenceSession, PlanDecisionsArePinned) {
   ScopedRuntimeOverride fuse_on("LOWINO_FUSE_POSTOPS", "1");
   ScopedRuntimeOverride u8_on("LOWINO_U8_HANDOFF", "1");
   const Tensor<float> calib = random_input(2, 16, 1717);
-  const auto decide = [&](SequentialModel model, PlanOptions options) {
+  const auto decide_on = [&](SequentialModel model, std::span<const Tensor<float>> batches,
+                             PlanOptions options) {
     options.pool = &ThreadPool::global();
     options.seconds_per_candidate = 0.002;
-    return plan_decisions(InferenceSession::compile(model, calib, options).plan());
+    return plan_decisions(InferenceSession::compile(model, batches, options).plan());
+  };
+  const auto decide = [&](SequentialModel model, PlanOptions options) {
+    return decide_on(std::move(model), {&calib, 1}, options);
   };
   PlanOptions f4, direct, dedicated;
   f4.forced_engine = EngineKind::kLoWinoF4;
   direct.forced_engine = EngineKind::kInt8Direct;
   dedicated.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1};
+
+  // The single-tensor overload is compile() on a span of one.
+  {
+    SequentialModel model = make_minivgg();
+    PlanOptions options = f4;
+    options.pool = &ThreadPool::global();
+    EXPECT_EQ(InferenceSession::compile(model, calib, options).plan().serialize(),
+              InferenceSession::compile(model, std::span<const Tensor<float>>(&calib, 1), options)
+                  .plan()
+                  .serialize());
+  }
 
   EXPECT_EQ(decide(make_minivgg(), f4),
             "batch = 2\n"
@@ -600,18 +619,23 @@ TEST(InferenceSession, PlanDecisionsArePinned) {
             "B2 C64 K64 H16 W16 r3\n"
             "conv = 3 int8_direct post=relu dtype=u8:f32 | conv3x3(64->128)+relu | "
             "B2 C64 K128 H8 W8 r3\n");
-  EXPECT_EQ(decide(make_miniresnet(), f4),
-            "batch = 2\n"
-            "arena = 196608\n"
-            "naive = 253952\n"
-            "conv = 1 lowino_f4 post=relu dtype=f32:u8 | conv3x3(64->64)+relu | "
-            "B2 C64 K64 H16 W16 r3\n"
-            "conv = 2 lowino_f4 post=sum+relu dtype=u8:u8 | conv3x3(64->64)+sum+relu | "
-            "B2 C64 K64 H16 W16 r3\n"
-            "conv = 4 lowino_f4 post=relu dtype=u8:u8 | conv3x3(64->64)+relu | "
-            "B2 C64 K64 H8 W8 r3\n"
-            "conv = 5 lowino_f4 post=sum+relu dtype=u8:f32 | conv3x3(64->64)+sum+relu | "
-            "B2 C64 K64 H8 W8 r3\n");
+  const std::string resnet_f4 =
+      "batch = 2\n"
+      "arena = 196608\n"
+      "naive = 253952\n"
+      "conv = 1 lowino_f4 post=relu dtype=f32:u8 | conv3x3(64->64)+relu | "
+      "B2 C64 K64 H16 W16 r3\n"
+      "conv = 2 lowino_f4 post=sum+relu dtype=u8:u8 | conv3x3(64->64)+sum+relu | "
+      "B2 C64 K64 H16 W16 r3\n"
+      "conv = 4 lowino_f4 post=relu dtype=u8:u8 | conv3x3(64->64)+relu | "
+      "B2 C64 K64 H8 W8 r3\n"
+      "conv = 5 lowino_f4 post=sum+relu dtype=u8:f32 | conv3x3(64->64)+sum+relu | "
+      "B2 C64 K64 H8 W8 r3\n";
+  EXPECT_EQ(decide(make_miniresnet(), f4), resnet_f4);
+  // Calibrating on the same batch twice doubles every histogram count, which
+  // is exact in floating point: the decisions must not move.
+  const Tensor<float> twice[] = {calib, calib};
+  EXPECT_EQ(decide_on(make_miniresnet(), twice, f4), resnet_f4);
   EXPECT_EQ(decide(make_miniresnet(), direct),
             "batch = 2\n"
             "arena = 196608\n"
@@ -636,6 +660,76 @@ TEST(InferenceSession, PlanDecisionsArePinned) {
             "B2 C64 K64 H8 W8 r3 g64\n"
             "conv = 5 int8_1x1 post=relu dtype=u8:f32 | conv1x1(64->128)+relu | "
             "B2 C64 K128 H8 W8 r1\n");
+
+  // vendor_f2 has no post-op support: nothing fuses into its convs, and the
+  // ReLU and add+relu passes stay ops of their own.
+  PlanOptions vendor;
+  vendor.forced_engine = EngineKind::kVendorF2;
+  vendor.pool = &ThreadPool::global();
+  SequentialModel resnet = make_miniresnet();
+  const InferenceSession unfused = InferenceSession::compile(resnet, calib, vendor);
+  EXPECT_EQ(plan_decisions(unfused.plan()).find("post="), std::string::npos);
+  std::size_t relus = 0, add_relus = 0;
+  for (const auto& op : InferenceSessionTestPeer::ops(unfused)) {
+    relus += op.kind == InferenceSessionTestPeer::Op::Kind::kRelu;
+    add_relus += op.kind == InferenceSessionTestPeer::Op::Kind::kAddRelu;
+  }
+  EXPECT_EQ(relus, 2u);      // the one in each residual block; the stem's relu fuses
+  EXPECT_EQ(add_relus, 2u);  // one per residual block
+}
+
+TEST(InferenceSession, AllZeroReferencePlanRoundTrips) {
+  // A conv with no positive output (non-negative input, all-negative
+  // weights, zero bias) feeds a ReLU: its fused FP32 reference is all zeros.
+  // On a sparse input, F(4x4) and F(6x6) spread transformed-domain noise
+  // into positions whose exact output is 0, so their SNR is -inf dB. The
+  // plan must still save, load, replay and serve identically.
+  ThreadPool& pool = ThreadPool::global();
+  const auto make_net = [] {
+    Rng rng(77);
+    SequentialModel m;
+    auto stem = std::make_unique<ConvLayer>(1, 64, 16, 3, 1, rng);
+    stem->set_quantizable(false);
+    m.add(std::move(stem));
+    m.add(std::make_unique<ReluLayer>());
+    auto conv = std::make_unique<ConvLayer>(64, 64, 16, 3, 1, rng);
+    for (float& w : conv->mutable_weights()) w = -0.01f * std::abs(w);
+    m.add(std::move(conv));
+    m.add(std::make_unique<ReluLayer>());
+    m.add(std::make_unique<MaxPoolLayer>(64, 16));
+    m.add(std::make_unique<DenseLayer>(64 * 8 * 8, 10, rng));
+    return m;
+  };
+  Tensor<float> calib = random_input(2, 16, 1919);
+  for (std::size_t i = 0; i < calib.size(); ++i) {
+    if (i % 29 != 0) calib.data()[i] = 0.0f;
+  }
+  const Tensor<float> input = random_input(2, 16, 2020);
+  const std::string path = ::testing::TempDir() + "lowino_all_zero_reference_plan.txt";
+  for (const EngineKind kind : {EngineKind::kLoWinoF2, EngineKind::kLoWinoF4,
+                                EngineKind::kLoWinoF6, EngineKind::kInt8Direct}) {
+    SequentialModel model = make_net();
+    InferenceSession session = forced_session(model, calib, kind, &pool);
+    const double snr_db = session.plan().convs.at(0).snr_db;
+    ASSERT_TRUE(std::isfinite(snr_db)) << engine_token(kind);
+    if (kind == EngineKind::kLoWinoF6) {
+      EXPECT_LT(snr_db, 0.0) << "the net no longer yields an all-zero reference with noise";
+    }
+    ASSERT_TRUE(session.plan().save(path));
+    const std::optional<SessionPlan> loaded = SessionPlan::load(path);
+    ASSERT_TRUE(loaded.has_value()) << engine_token(kind);
+    EXPECT_EQ(loaded->serialize(), session.plan().serialize());
+    SequentialModel fresh = make_net();
+    PlanOptions replay;
+    replay.pool = &pool;
+    replay.reuse = &*loaded;
+    InferenceSession replayed = InferenceSession::compile(fresh, calib, replay);
+    Tensor<float> out, out_replayed;
+    session.run(input, out);
+    replayed.run(input, out_replayed);
+    EXPECT_TRUE(same_bits(out, out_replayed)) << engine_token(kind);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(InferenceSession, PlanReplayRejectsInconsistentDtypeTokens) {
@@ -814,24 +908,21 @@ TEST(InferenceSession, FusedPlanReplaysUnderKillSwitchBitIdentically) {
                            out_fused.size() * sizeof(float)));
 }
 
-TEST(InferenceSession, FusedRunStaysAllocationFreeAndBitIdenticalToForwardEngine) {
-  // forward_engine routes through the same fused epilogues (ConvLayer::
-  // forward_engine_fused), so the differential holds with fusion on for an
-  // engine with post-op support and for one without (graceful fallback).
+TEST(InferenceSession, FusedRunStaysAllocationFreeAndBitIdenticalToEngineReplay) {
+  // The replay runs every conv unfused, with separate ReLU and add+relu
+  // passes, so the differential holds with fusion on for an engine with
+  // post-op support (fused epilogues) and for one without (the session keeps
+  // the element-wise ops).
   ScopedRuntimeOverride u8_off("LOWINO_U8_HANDOFF", "0");
   ThreadPool& pool = ThreadPool::global();
   const Tensor<float> calib = random_input(2, 16, 1313);
   const Tensor<float> input = random_input(2, 16, 1414);
   for (const EngineKind kind : {EngineKind::kInt8Direct, EngineKind::kFp32WinoF4}) {
     SequentialModel model = make_miniresnet();
-    model.calibrate(calib, kind);
-    model.finalize_calibration(kind);
     InferenceSession session = forced_session(model, calib, kind, &pool);
-    const Tensor<float>& ref = model.forward_engine(input, kind, &pool);
     Tensor<float> out;
     session.run(input, out);
-    ASSERT_EQ(out.shape(), ref.shape());
-    EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), out.size() * sizeof(float)))
+    EXPECT_TRUE(same_bits(out, EngineReplay(model, kind, calib).run(input, &pool)))
         << "engine " << engine_token(kind);
     const std::uint64_t heap_before = heap_alloc_count();
     for (int i = 0; i < 3; ++i) session.run(input, out);

@@ -17,6 +17,7 @@
 
 #include "common/env.h"
 #include "common/rng.h"
+#include "engine_replay.h"
 #include "lowino/convolution.h"
 #include "parallel/thread_pool.h"
 #include "profile/profiler.h"
@@ -194,8 +195,8 @@ TEST(ThreadStress, ProfiledConcurrentFusedConvolutionsAreBitIdentical) {
 // is session-owned, so concurrent runs share only immutable model weights.
 // Outputs must stay bitwise identical to a single-threaded reference run.
 TEST(ThreadStress, ConcurrentSessionsServeIndependently) {
-  // Golden comes from forward_engine (FP32 inter-layer hand-off), so pin the
-  // u8 hand-off off for the bit-compare.
+  // Golden comes from the layer-by-layer engine replay (FP32 inter-layer
+  // hand-off), so pin the u8 hand-off off for the bit-compare.
   ScopedRuntimeOverride u8_off("LOWINO_U8_HANDOFF", "0");
   auto make_input = [](std::uint64_t seed) {
     Tensor<float> t({2, 1, 16, 16});
@@ -208,10 +209,6 @@ TEST(ThreadStress, ConcurrentSessionsServeIndependently) {
 
   SequentialModel vgg = make_minivgg();
   SequentialModel resnet = make_miniresnet();
-  vgg.calibrate(calib, EngineKind::kLoWinoF2);
-  vgg.finalize_calibration(EngineKind::kLoWinoF2);
-  resnet.calibrate(calib, EngineKind::kLoWinoF4);
-  resnet.finalize_calibration(EngineKind::kLoWinoF4);
 
   ThreadPool pool_a(2), pool_b(2), pool_ref(2);
   PlanOptions opt_a, opt_b;
@@ -222,10 +219,11 @@ TEST(ThreadStress, ConcurrentSessionsServeIndependently) {
   InferenceSession sess_a = InferenceSession::compile(vgg, calib, opt_a);
   InferenceSession sess_b = InferenceSession::compile(resnet, calib, opt_b);
 
-  // Single-threaded goldens from the layer-sequential path on a third pool.
-  const Tensor<float> golden_a = vgg.forward_engine(input, EngineKind::kLoWinoF2, &pool_ref);
+  // Single-threaded goldens from the layer-sequential replay on a third pool.
+  const Tensor<float> golden_a =
+      EngineReplay(vgg, EngineKind::kLoWinoF2, calib).run(input, &pool_ref);
   const Tensor<float> golden_b =
-      resnet.forward_engine(input, EngineKind::kLoWinoF4, &pool_ref);
+      EngineReplay(resnet, EngineKind::kLoWinoF4, calib).run(input, &pool_ref);
 
   constexpr int kIterations = 6;
   Tensor<float> out_a, out_b;
