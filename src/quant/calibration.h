@@ -24,14 +24,29 @@ struct CalibrationResult {
 /// set is small (sparse histograms make the divergence estimate noisy); the
 /// coverage floor keeps the sweep's outlier-clipping behaviour while bounding
 /// the damage. Set to 0 for the unmodified TensorRT-style sweep.
+///
+/// Cost: O(bins x quant_levels) with one log per level — prefix sums of the
+/// counts, of the non-empty-bin counts and of r log r (r = count / total)
+/// price each candidate threshold in O(quant_levels). The O(bins^2) sweep it
+/// replaces is kept as the test oracle (testing/kl_oracle.h); both pick the
+/// same bin except on rounding ties (see below).
+///
+/// Ties: a larger threshold replaces the best one only if its KL is smaller
+/// by more than 1e-12 (KL is clamped at >= 0), so on a flat KL curve the
+/// smallest threshold wins, as an exact strict < would have it. Where two
+/// thresholds tie in exact arithmetic, the oracle's last-bit noise can pick
+/// the larger one.
+///
+/// Scale invariance: the sweep reads the counts only through ratios of
+/// integer counts, each rounded once, so multiplying all counts by an
+/// integer gives a bit-identical bin, tau and KL. Calibrating on every
+/// batch replicated k times therefore gives exactly the scales of one copy.
+///
+/// Non-finite values never reach the sweep: Histogram::collect ignores them.
 CalibrationResult calibrate_kl(const Histogram& hist, std::size_t quant_levels = 128,
                                double min_coverage = 0.999);
 
 /// Convenience: KL-calibrated QuantParams for a histogram.
 QuantParams calibrate_params(const Histogram& hist);
-
-/// Discrete KL divergence between two (unnormalized) distributions; zero
-/// q-mass where p has mass is smoothed. Exposed for tests.
-double kl_divergence(std::span<const double> p, std::span<const double> q);
 
 }  // namespace lowino

@@ -22,6 +22,12 @@ class Histogram {
   /// its bin width (merging bins pairwise) until the new maximum fits, so the
   /// result is independent of how the data was batched. An all-zero first
   /// batch defers range selection to the next batch.
+  ///
+  /// Non-finite values (+-Inf, NaN) are ignored: they count neither in
+  /// total() nor in max_abs_seen(), and never move the range. Finite values
+  /// near FLT_MAX keep the range finite: bin_width() and edge(bins() - 1)
+  /// stay finite (the range stops growing at the widest finite one, and
+  /// values past it land in the last bin).
   void collect(std::span<const float> values);
 
   std::size_t bins() const { return counts_.size(); }

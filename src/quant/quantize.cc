@@ -1,7 +1,9 @@
 #include "quant/quantize.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "common/saturate.h"
 
@@ -11,7 +13,9 @@ QuantParams QuantParams::from_threshold(float tau, int bits) {
   // Degenerate all-zero tensors calibrate to tau == 0; scale 1 keeps them
   // exactly representable (everything quantizes to 0).
   const float qmax = static_cast<float>((1 << (bits - 1)) - 1);
-  float scale = tau > 0.0f ? qmax / tau : 1.0f;
+  // An infinite tau would give scale 0 and inv_scale +inf (every de-quantized
+  // value NaN); saturate it at the largest finite threshold instead.
+  float scale = tau > 0.0f ? qmax / std::min(tau, std::numeric_limits<float>::max()) : 1.0f;
   // Sub-normal tau (e.g. a tensor whose only non-zero is ~1e-40) overflows
   // qmax/tau to +inf, whose inverse is 0 and whose products are NaN. Treat it
   // like the all-zero case: scale 1 quantizes the (negligible) values to 0.

@@ -16,6 +16,9 @@ struct QuantParams {
   float scale = 1.0f;      ///< alpha in Eq. 5
   float inv_scale = 1.0f;  ///< 1 / alpha, used by de-quantization (Eq. 6)
 
+  /// At 8 bits, scale and inv_scale are finite and positive for every tau:
+  /// tau <= 0, NaN and sub-normal tau give scale 1, and +inf saturates at
+  /// FLT_MAX.
   static QuantParams from_threshold(float tau, int bits = 8);
   static QuantParams from_scale(float scale);
 };

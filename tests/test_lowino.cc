@@ -2,12 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "direct/direct_f32.h"
 #include "lowino/lowino.h"
+#include "nn/engines.h"
 #include "profile/profiler.h"
 #include "quant/quantize.h"
 #include "tensor/pack.h"
@@ -107,6 +109,40 @@ TEST(LoWino, IdentityFilterReproducesInput) {
   std::vector<float> out(in.size());
   conv.execute_nchw(in, out);
   EXPECT_GT(quantization_error(in, out).signal_to_noise_db, 25.0);
+}
+
+TEST(LoWinoCalibration, InfInCalibrationInputGivesFiniteScales) {
+  // A +Inf in the calibration data used to hang Histogram::collect (an
+  // infinite bin width never stops the range-growth loop). Non-finite
+  // transformed values are now ignored: calibration returns, every
+  // Winograd-domain input scale is finite, and the lowino_f4 engine built on
+  // those scales serves finite, accurate outputs.
+  const ConvDesc d = make_desc(1, 64, 64, 12);
+  const Problem p = make_problem(d, 31);
+  std::vector<float> calib = p.input;
+  calib[5] = std::numeric_limits<float>::infinity();
+  calib[300] = -std::numeric_limits<float>::infinity();
+
+  LoWinoConfig cfg;
+  cfg.m = 4;
+  LoWinoConvolution conv(d, cfg);
+  conv.calibrate(calib);
+  conv.finalize_calibration();
+  for (std::size_t t = 0; t < conv.scales().t_elems(); ++t) {
+    const float s = conv.scales().input_scale(t);
+    EXPECT_TRUE(std::isfinite(s)) << "tap " << t;
+    EXPECT_GT(s, 0.0f) << "tap " << t;
+  }
+
+  std::unique_ptr<ConvEngine> engine = make_conv_engine(EngineKind::kLoWinoF4, d);
+  engine->calibrate(calib);
+  engine->finalize_calibration();
+  engine->set_filters(p.weights, p.bias);
+  std::vector<float> out(p.ref.size());
+  engine->run(p.input, out, nullptr);
+  for (const float v : out) ASSERT_TRUE(std::isfinite(v));
+  const double clean_snr = run_and_snr(d, cfg, p);
+  EXPECT_GT(quantization_error(p.ref, out).signal_to_noise_db, clean_snr - 1.0);
 }
 
 TEST(LoWino, ZeroFilterGivesBias) {

@@ -4,12 +4,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <iomanip>
+#include <iostream>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "common/env.h"
 #include "common/rng.h"
 #include "quant/calibration.h"
 #include "quant/histogram.h"
 #include "quant/quantize.h"
+#include "testing/kl_oracle.h"
 
 namespace lowino {
 namespace {
@@ -174,6 +181,21 @@ TEST(Histogram, RangeExpandsForLaterBatches) {
   EXPECT_FLOAT_EQ(h.max_abs_seen(), 100.0f);
 }
 
+TEST(Histogram, OddBinCountKeepsTopBinOnGrowth) {
+  // Doubling the width merges bins pairwise; with an odd bin count the top
+  // bin has no partner and used to be dropped, so the counts no longer
+  // summed to total().
+  Histogram h(7);
+  h.collect(std::vector<float>{0.1f, 1.0f});        // range [0, 1.25)
+  h.collect(std::vector<float>{1.2f, 1.2f});        // bin 6, no growth
+  ASSERT_EQ(h.count(6), 2u);
+  h.collect(std::vector<float>{2.0f});
+  std::uint64_t sum = 0;
+  for (const std::uint64_t c : h.counts()) sum += c;
+  EXPECT_EQ(sum, h.total());
+  EXPECT_EQ(h.count(3), 2u);  // [6w, 7w) lies in the merged bin [6w, 8w)
+}
+
 TEST(Histogram, BatchingOrderIndependent) {
   // Same data in different batch splits must produce the same histogram.
   Rng rng(123);
@@ -196,13 +218,13 @@ TEST(Histogram, BatchingOrderIndependent) {
 
 TEST(KlDivergence, ZeroForIdenticalDistributions) {
   std::vector<double> p = {1, 2, 3, 4};
-  EXPECT_NEAR(kl_divergence(p, p), 0.0, 1e-12);
+  EXPECT_NEAR(testing::kl_divergence(p, p), 0.0, 1e-12);
 }
 
 TEST(KlDivergence, PositiveForDifferent) {
   std::vector<double> p = {10, 1, 1, 1};
   std::vector<double> q = {1, 1, 1, 10};
-  EXPECT_GT(kl_divergence(p, q), 0.1);
+  EXPECT_GT(testing::kl_divergence(p, q), 0.1);
 }
 
 TEST(Calibration, GaussianClipsOutliers) {
@@ -339,6 +361,275 @@ TEST(Calibration, CalibratedScaleBeatsMaxAbsOnDistributionBody) {
     return mse / static_cast<double>(n);
   };
   EXPECT_LT(body_mse(calibrated), 0.25 * body_mse(maxabs));
+}
+
+// --- Non-finite and saturating calibration inputs --------------------------
+
+float tau_of(std::initializer_list<std::vector<float>> batches, std::size_t bins = 256) {
+  Histogram h(bins);
+  for (const auto& b : batches) h.collect(b);
+  return calibrate_kl(h).tau;
+}
+
+TEST(Histogram, InfInFirstBatchIsIgnored) {
+  // An Inf in the range-setting batch used to make the bin width infinite
+  // and the range-growth loop spin forever.
+  const float inf = std::numeric_limits<float>::infinity();
+  Histogram h(256);
+  h.collect(std::vector<float>{0.5f, inf, -2.0f, 1.0f, -inf});
+  EXPECT_EQ(h.total(), 3u);
+  EXPECT_FLOAT_EQ(h.max_abs_seen(), 2.0f);
+  EXPECT_TRUE(std::isfinite(h.bin_width()));
+  EXPECT_EQ(calibrate_kl(h).tau, tau_of({{0.5f, -2.0f, 1.0f}}));
+}
+
+TEST(Histogram, InfInLaterBatchIsIgnored) {
+  const float inf = std::numeric_limits<float>::infinity();
+  Histogram h(256);
+  h.collect(std::vector<float>{0.5f, -2.0f});
+  h.collect(std::vector<float>{1.0f, -inf, 3.0f});
+  EXPECT_EQ(h.total(), 4u);
+  EXPECT_FLOAT_EQ(h.max_abs_seen(), 3.0f);
+  EXPECT_EQ(calibrate_kl(h).tau, tau_of({{0.5f, -2.0f}, {1.0f, 3.0f}}));
+}
+
+TEST(Histogram, NanIsIgnored) {
+  // NaN used to reach static_cast<size_t>(NaN * inv_w), which is UB.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Histogram h(256);
+  h.collect(std::vector<float>{nan, 0.25f, 1.0f});
+  h.collect(std::vector<float>{-0.75f, nan});
+  EXPECT_EQ(h.total(), 3u);
+  EXPECT_FLOAT_EQ(h.max_abs_seen(), 1.0f);
+  EXPECT_EQ(calibrate_kl(h).tau, tau_of({{0.25f, 1.0f}, {-0.75f}}));
+}
+
+TEST(Histogram, OnlyNonFiniteValuesDeferRange) {
+  const float inf = std::numeric_limits<float>::infinity();
+  Histogram h(64);
+  h.collect(std::vector<float>{inf, std::numeric_limits<float>::quiet_NaN()});
+  EXPECT_TRUE(h.empty());
+  EXPECT_EQ(h.bin_width(), 0.0f);
+}
+
+void expect_finite_range_and_params(const Histogram& h) {
+  EXPECT_TRUE(std::isfinite(h.bin_width()));
+  EXPECT_GT(h.bin_width(), 0.0f);
+  EXPECT_TRUE(std::isfinite(h.edge(h.bins() - 1)));
+  const QuantParams p = calibrate_params(h);
+  EXPECT_TRUE(std::isfinite(p.scale));
+  EXPECT_GT(p.scale, 0.0f);
+  EXPECT_TRUE(std::isfinite(p.inv_scale));
+  EXPECT_GT(p.inv_scale, 0.0f);
+}
+
+TEST(Histogram, NearFltMaxAloneKeepsRangeFinite) {
+  // 1.25f * 3e38f overflows; the range must stop at the widest finite one.
+  Histogram h;
+  h.collect(std::vector<float>{3e38f});
+  EXPECT_EQ(h.total(), 1u);
+  expect_finite_range_and_params(h);
+}
+
+TEST(Histogram, NearFltMaxAfterNormalBatchKeepsRangeFinite) {
+  Rng rng(17);
+  std::vector<float> normal(4096);
+  for (auto& v : normal) v = rng.normal();
+  for (const std::size_t bins : {std::size_t{2048}, std::size_t{1000}}) {
+    Histogram h(bins);
+    h.collect(normal);
+    h.collect(std::vector<float>{-3e38f, std::numeric_limits<float>::max()});
+    EXPECT_EQ(h.total(), normal.size() + 2);
+    EXPECT_EQ(h.max_abs_seen(), std::numeric_limits<float>::max());
+    EXPECT_EQ(h.count(h.bins() - 1), 1u);  // FLT_MAX sits at the top edge
+    expect_finite_range_and_params(h);
+  }
+}
+
+TEST(QuantParams, HugeOrInfiniteThresholdIsFinite) {
+  for (const float tau : {3e38f, std::numeric_limits<float>::max(),
+                          std::numeric_limits<float>::infinity()}) {
+    const QuantParams p = QuantParams::from_threshold(tau);
+    EXPECT_TRUE(std::isfinite(p.scale)) << tau;
+    EXPECT_GT(p.scale, 0.0f) << tau;
+    EXPECT_TRUE(std::isfinite(p.inv_scale)) << tau;
+    EXPECT_GT(p.inv_scale, 0.0f) << tau;
+  }
+  EXPECT_EQ(QuantParams::from_threshold(std::numeric_limits<float>::quiet_NaN()).scale, 1.0f);
+}
+
+// --- Prefix-sum sweep vs. the O(bins^2) oracle ------------------------------
+
+/// One fuzzed calibration input: the batches collected into a histogram of
+/// `bins` bins. Generated from a per-case seed, so a failure reproduces from
+/// the printed seed alone.
+struct HistCase {
+  std::size_t bins = 0;
+  const char* shape = "";
+  std::vector<std::vector<float>> batches;
+
+  /// Collects every batch `replicas` times in a row: the range never depends
+  /// on the repeat, so every count is exactly `replicas` times the original.
+  Histogram build(int replicas = 1) const {
+    Histogram h(bins);
+    for (const auto& b : batches) {
+      for (int r = 0; r < replicas; ++r) h.collect(b);
+    }
+    return h;
+  }
+};
+
+HistCase fuzz_histogram(std::uint64_t seed) {
+  Rng rng(seed);
+  HistCase c;
+  do {
+    c.bins = 300 + rng.next_below(3001);
+  } while (c.bins % 128 == 0);
+  const std::size_t n = 500 + rng.next_below(6000);
+  const float sigma = std::exp(rng.uniform(-6.0f, 3.0f));
+  std::vector<float> v(n);
+  switch (seed % 6) {
+    case 0:
+      c.shape = "gaussian";
+      for (auto& x : v) x = sigma * rng.normal();
+      break;
+    case 1:
+      c.shape = "heavy-tailed";  // Gaussian with a log-normal scale mixture
+      for (auto& x : v) x = sigma * rng.normal() * std::exp(1.5f * rng.normal());
+      break;
+    case 2: {
+      c.shape = "spikes+outliers";
+      std::vector<float> spikes(1 + rng.next_below(8));
+      for (auto& s : spikes) s = sigma * rng.uniform(-1.0f, 1.0f);
+      for (auto& x : v) x = spikes[rng.next_below(spikes.size())];
+      const std::size_t outliers = 1 + rng.next_below(5);
+      for (std::size_t k = 0; k < outliers; ++k) {
+        v[rng.next_below(n)] = sigma * rng.uniform(10.0f, 100.0f);
+      }
+      break;
+    }
+    case 3: {
+      c.shape = "two-spikes";  // two values, everything between them empty
+      const float hi = sigma * rng.uniform(2.0f, 50.0f);
+      const double p_lo = rng.next_double();
+      for (auto& x : v) x = rng.next_double() < p_lo ? sigma : -hi;
+      break;
+    }
+    case 4:
+      c.shape = "one-bin";
+      for (auto& x : v) x = rng.next_below(2) ? sigma : -sigma;
+      break;
+    default: {
+      c.shape = "zero-inflated";
+      const double zeros = rng.uniform(0.5f, 0.99f);
+      for (auto& x : v) x = rng.next_double() < zeros ? 0.0f : std::abs(sigma * rng.normal());
+      break;
+    }
+  }
+  // Sorted input in several batches makes the range grow (bins merge), so
+  // the top of the histogram is not always at 1 / 1.25 of its range.
+  if (rng.next_below(2)) std::sort(v.begin(), v.end(), [](float a, float b) {
+    return std::abs(a) < std::abs(b);
+  });
+  const std::size_t n_batches = 1 + rng.next_below(4);
+  for (std::size_t b = 0; b < n_batches; ++b) {
+    c.batches.emplace_back(v.begin() + static_cast<std::ptrdiff_t>(b * n / n_batches),
+                           v.begin() + static_cast<std::ptrdiff_t>((b + 1) * n / n_batches));
+  }
+  return c;
+}
+
+std::uint64_t kl_fuzz_seed() {
+  return static_cast<std::uint64_t>(env_long("LOWINO_TEST_SEED", 20261017));
+}
+
+TEST(KlSweep, MatchesOracleOnFuzzedCorpus) {
+  // Every sweep must pick the oracle's bin. The one tolerated difference is
+  // a rounding tie: thresholds whose KL is equal in exact arithmetic, where
+  // the oracle's own last-bit noise decides. There the smaller threshold
+  // must win (the documented tie rule), and the oracle's KL at both bins
+  // must agree within the 1e-12 tie margin. Ties are counted and printed.
+  // LOWINO_KL_FUZZ_CASES sets the corpus size (each case runs four sweeps);
+  // the tier-2 entry kl_sweep_tier2 runs 2000.
+  const auto cases = static_cast<std::uint64_t>(env_long("LOWINO_KL_FUZZ_CASES", 250));
+  const std::uint64_t base = kl_fuzz_seed();
+  std::size_t mismatches = 0, ties = 0;
+  for (std::uint64_t i = 0; i < cases; ++i) {
+    const HistCase c = fuzz_histogram(base + i);
+    const Histogram h = c.build();
+    for (const double coverage : {0.999, 0.0}) {
+      for (const std::size_t levels : {std::size_t{128}, std::size_t{255}}) {
+        const CalibrationResult got = calibrate_kl(h, levels, coverage);
+        const CalibrationResult want = testing::calibrate_kl_reference(h, levels, coverage);
+        const std::string where = std::string(c.shape) + " seed " + std::to_string(base + i) +
+                                  " bins " + std::to_string(c.bins) + " levels " +
+                                  std::to_string(levels) + " coverage " +
+                                  std::to_string(coverage);
+        if (got.bin != want.bin) {
+          const double oracle_at_got = testing::kl_at_threshold(h, got.bin + 1, levels);
+          const bool tie = got.bin < want.bin && oracle_at_got - want.kl <= 1e-12;
+          ++(tie ? ties : mismatches);
+          std::ostream& os = tie ? std::cout : std::cerr;
+          os << std::setprecision(17) << (tie ? "rounding tie: " : "MISMATCH: ") << where
+             << ": bin " << got.bin
+              << " (kl " << got.kl << ", oracle kl " << oracle_at_got << ") vs oracle bin "
+              << want.bin << " (kl " << want.kl << ")\n";
+          continue;
+        }
+        EXPECT_EQ(got.tau, want.tau) << where;
+        EXPECT_NEAR(got.kl, want.kl, 1e-9 * std::max(1.0, want.kl)) << where;
+      }
+    }
+  }
+  std::cout << cases * 4 << " sweeps: " << mismatches << " mismatches, " << ties
+            << " rounding ties\n";
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(KlSweep, BitIdenticalUnderCountScaling) {
+  // Collecting the same data k times multiplies every count by k; the sweep
+  // must return the same bin and the bit-identical KL (the replicated-image
+  // calibration of the batched-server tests relies on it).
+  const std::uint64_t base = kl_fuzz_seed() + 1000000;
+  for (std::uint64_t i = 0; i < 120; ++i) {
+    const HistCase c = fuzz_histogram(base + i);
+    const Histogram one = c.build();
+    for (const int k : {2, 3, 7}) {
+      const Histogram scaled = c.build(k);
+      ASSERT_EQ(scaled.total(), one.total() * static_cast<std::uint64_t>(k));
+      for (const double coverage : {0.999, 0.0}) {
+        const CalibrationResult a = calibrate_kl(one, 128, coverage);
+        const CalibrationResult b = calibrate_kl(scaled, 128, coverage);
+        ASSERT_EQ(a.bin, b.bin) << c.shape << " seed " << base + i << " x" << k;
+        ASSERT_EQ(a.tau, b.tau) << c.shape << " seed " << base + i << " x" << k;
+        ASSERT_EQ(a.kl, b.kl) << c.shape << " seed " << base + i << " x" << k;
+      }
+    }
+  }
+}
+
+TEST(KlSweep, TwoSpikeTiePicksSmallestThreshold) {
+  // Spikes at 0.1, 0.5 and 3.0 in 2048 bins: bins 54, 273 and 1638, each in
+  // its own quantization level for every threshold that keeps them all. KL
+  // is exactly 0 from threshold bin 1638 on, so the flat curve is a pure tie
+  // that prefix-sum rounding must not break: the smallest threshold wins, as
+  // the oracle's strict < picks it.
+  Histogram h;
+  std::vector<float> batch;
+  for (int k = 0; k < 100; ++k) batch.push_back(0.1f);
+  for (int k = 0; k < 300; ++k) batch.push_back(0.5f);
+  for (int k = 0; k < 600; ++k) batch.push_back(-3.0f);
+  h.collect(batch);
+  ASSERT_EQ(h.count(54), 100u);
+  ASSERT_EQ(h.count(273), 300u);
+  ASSERT_EQ(h.count(1638), 600u);
+  const CalibrationResult want = testing::calibrate_kl_reference(h, 128, 0.0);
+  EXPECT_EQ(want.bin, 1638u);
+  EXPECT_EQ(want.kl, 0.0);
+  const CalibrationResult got = calibrate_kl(h, 128, 0.0);
+  EXPECT_EQ(got.bin, 1638u);
+  EXPECT_NEAR(got.kl, 0.0, 1e-12);  // prefix sums need not cancel exactly
+  EXPECT_EQ(got.tau, h.edge(1638));
 }
 
 }  // namespace
