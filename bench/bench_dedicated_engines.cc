@@ -8,6 +8,12 @@
 // reference (the fallback a session without the dedicated engine would use;
 // no GEMM-shaped engine covers groups == C).
 //
+// Both dedicated engines have one kernel on the 64-channel blocked layout;
+// their NCHW column (execute_nchw) wraps it in pack -> core -> unpack, and
+// the blocked column times the core alone (execute_blocked_typed on packed
+// FP32 buffers, what a blocked serving chain runs), so the kernel gain shows
+// apart from the relayout cost. The first rows are MiniMobileNet's convs.
+//
 // Env: LOWINO_BENCH_BATCH (default 16), LOWINO_BENCH_BUDGET_MS.
 #include <cmath>
 #include <cstdio>
@@ -19,6 +25,7 @@
 #include "direct/direct_int8.h"
 #include "parallel/thread_pool.h"
 #include "quant/quantize.h"
+#include "tensor/layout.h"
 
 namespace lowino {
 namespace {
@@ -72,6 +79,17 @@ void fp32_grouped_direct(const ConvDesc& d, const bench::LayerData& data,
   }
 }
 
+/// Median seconds of `conv`'s blocked core on packed FP32 buffers.
+template <typename Conv>
+double measure_blocked(Conv& conv, const ConvDesc& d, ThreadPool& pool) {
+  std::vector<float> in(BlockedActLayout(d.batch, d.in_channels, d.height, d.width).size(), 0.0f);
+  std::vector<float> out(
+      BlockedActLayout(d.batch, d.out_channels, d.out_height(), d.out_width()).size());
+  // Any values do: the core's time does not depend on them.
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<float>(i % 13) * 0.1f - 0.6f;
+  return bench::measure([&] { conv.execute_blocked_typed(in.data(), out.data(), &pool); });
+}
+
 }  // namespace
 
 int bench_main() {
@@ -86,21 +104,23 @@ int bench_main() {
     ConvDesc desc;
   };
   const Shape pw[] = {
+      {"pw 32->64 /32", make_desc(32, 64, 32, 1, 1, 1, batch)},
+      {"pw 64->128 /16", make_desc(64, 128, 16, 1, 1, 1, batch)},
       {"pw 64->128 /28", make_desc(64, 128, 28, 1, 1, 1, batch)},
       {"pw 128->128 /28", make_desc(128, 128, 28, 1, 1, 1, batch)},
       {"pw 256->256 /14", make_desc(256, 256, 14, 1, 1, 1, batch)},
       {"pw 256->512 /14 s2", make_desc(256, 512, 14, 1, 2, 1, batch)},
       {"pw 512->512 /7", make_desc(512, 512, 7, 1, 1, 1, batch)},
   };
-  std::printf("%-20s %12s %12s %9s | %10s\n", "pointwise layer", "direct ms", "1x1 ms",
-              "speedup", "1x1 GOPS");
-  bench::print_rule(72);
+  std::printf("%-20s %12s %12s %9s | %12s %9s | %10s\n", "pointwise layer", "direct ms",
+              "1x1 ms", "speedup", "blocked ms", "speedup", "core GOPS");
+  bench::print_rule(96);
   double pw_geomean = 0.0;
   for (const Shape& s : pw) {
     const ConvDesc& d = s.desc;
     const bench::LayerData data = bench::make_layer_data(d, 11);
     std::vector<float> out(d.batch * d.out_channels * d.out_height() * d.out_width());
-    double t_direct, t_1x1;
+    double t_direct, t_1x1, t_blocked;
     {
       Int8DirectConv conv(d);
       conv.set_input_threshold(abs_max(data.input));
@@ -112,10 +132,12 @@ int bench_main() {
       conv.set_input_threshold(abs_max(data.input));
       conv.set_filters(data.weights, data.bias);
       t_1x1 = bench::measure([&] { conv.execute_nchw(data.input, out, &pool); });
+      t_blocked = measure_blocked(conv, d, pool);
     }
     pw_geomean += std::log(t_direct / t_1x1);
-    std::printf("%-20s %12.3f %12.3f %8.2fx | %10.1f\n", s.name, 1e3 * t_direct,
-                1e3 * t_1x1, t_direct / t_1x1, bench::direct_gflops(d, t_1x1));
+    std::printf("%-20s %12.3f %12.3f %8.2fx | %12.3f %8.2fx | %10.1f\n", s.name, 1e3 * t_direct,
+                1e3 * t_1x1, t_direct / t_1x1, 1e3 * t_blocked, t_direct / t_blocked,
+                bench::direct_gflops(d, t_blocked));
     std::fflush(stdout);
   }
   pw_geomean = std::exp(pw_geomean / (sizeof(pw) / sizeof(pw[0])));
@@ -123,28 +145,32 @@ int bench_main() {
 
   // --- depthwise: int8_dw vs the FP32 scalar grouped fallback -------------
   const Shape dw[] = {
+      {"dw3x3 g=32 /32", make_desc(32, 32, 32, 3, 1, 32, batch)},
+      {"dw3x3 g=64 /16", make_desc(64, 64, 16, 3, 1, 64, batch)},
       {"dw3x3 g=64 /56", make_desc(64, 64, 56, 3, 1, 64, batch)},
       {"dw3x3 g=128 /28", make_desc(128, 128, 28, 3, 1, 128, batch)},
       {"dw3x3 g=256 /14 s2", make_desc(256, 256, 14, 3, 2, 256, batch)},
       {"dw3x3 g=512 /7", make_desc(512, 512, 7, 3, 1, 512, batch)},
   };
-  std::printf("%-20s %12s %12s %9s | %10s\n", "depthwise layer", "fp32 ms", "int8_dw ms",
-              "speedup", "dw GOPS");
-  bench::print_rule(72);
+  std::printf("%-20s %12s %12s %9s | %12s %9s | %10s\n", "depthwise layer", "fp32 ms",
+              "int8_dw ms", "speedup", "blocked ms", "speedup", "core GOPS");
+  bench::print_rule(96);
   for (const Shape& s : dw) {
     const ConvDesc& d = s.desc;
     const bench::LayerData data = bench::make_layer_data(d, 13);
     std::vector<float> out(d.batch * d.out_channels * d.out_height() * d.out_width());
     const double t_fp32 = bench::measure([&] { fp32_grouped_direct(d, data, out); });
-    double t_dw;
+    double t_dw, t_blocked;
     {
       Int8DepthwiseConv conv(d);
       conv.set_input_threshold(abs_max(data.input));
       conv.set_filters(data.weights, data.bias);
       t_dw = bench::measure([&] { conv.execute_nchw(data.input, out, &pool); });
+      t_blocked = measure_blocked(conv, d, pool);
     }
-    std::printf("%-20s %12.3f %12.3f %8.2fx | %10.1f\n", s.name, 1e3 * t_fp32, 1e3 * t_dw,
-                t_fp32 / t_dw, bench::direct_gflops(d, t_dw));
+    std::printf("%-20s %12.3f %12.3f %8.2fx | %12.3f %8.2fx | %10.1f\n", s.name, 1e3 * t_fp32,
+                1e3 * t_dw, t_fp32 / t_dw, 1e3 * t_blocked, t_fp32 / t_blocked,
+                bench::direct_gflops(d, t_blocked));
     std::fflush(stdout);
   }
   return 0;

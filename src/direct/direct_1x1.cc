@@ -6,61 +6,14 @@
 #include <stdexcept>
 
 #include "common/saturate.h"
+#include "direct/blocked_epilogue.h"
+#include "parallel/partition.h"
 #include "parallel/thread_pool.h"
+#include "profile/profiler.h"
 #include "quant/calibration.h"
+#include "tensor/layout.h"
 
 namespace lowino {
-namespace {
-
-/// Builds the (OH*OW) x c_pad A matrix for one image: quantize(+128) and
-/// transpose the C x H x W plane. Channel-major walk keeps the input reads
-/// sequential; the strided writes stay in cache (one row per spatial pixel).
-/// pad = 0 is guaranteed for r = 1, so there is no out-of-bounds branch.
-void gather_quantized(const ConvDesc& desc, const float* input, std::size_t b,
-                      float scale, std::size_t c_pad, std::uint8_t* a) {
-  const std::size_t C = desc.in_channels, H = desc.height, W = desc.width;
-  const std::size_t OH = desc.out_height(), OW = desc.out_width(), s = desc.stride;
-  for (std::size_t c = 0; c < C; ++c) {
-    const float* plane = input + ((b * C + c) * H) * W;
-    std::uint8_t* dst = a + c;
-    for (std::size_t oh = 0; oh < OH; ++oh) {
-      const float* src = plane + (oh * s) * W;
-      for (std::size_t ow = 0; ow < OW; ++ow) {
-        const std::int32_t q = round_nearest_even(src[ow * s] * scale) + 128;
-        dst[(oh * OW + ow) * c_pad] = static_cast<std::uint8_t>(std::clamp(q, 0, 255));
-      }
-    }
-  }
-  // Padding channels: quantized zero, annihilated by the zero filter rows.
-  std::uint8_t* tail = a;
-  for (std::size_t p = 0; p < OH * OW; ++p, tail += c_pad) {
-    for (std::size_t c = C; c < c_pad; ++c) tail[c] = 128;
-  }
-}
-
-/// u8 hand-off gather: the bytes already carry the adopted quantization, so
-/// this is a pure (strided) transpose.
-void gather_u8(const ConvDesc& desc, const std::uint8_t* input, std::size_t b,
-               std::size_t c_pad, std::uint8_t* a) {
-  const std::size_t C = desc.in_channels, H = desc.height, W = desc.width;
-  const std::size_t OH = desc.out_height(), OW = desc.out_width(), s = desc.stride;
-  for (std::size_t c = 0; c < C; ++c) {
-    const std::uint8_t* plane = input + ((b * C + c) * H) * W;
-    std::uint8_t* dst = a + c;
-    for (std::size_t oh = 0; oh < OH; ++oh) {
-      const std::uint8_t* src = plane + (oh * s) * W;
-      for (std::size_t ow = 0; ow < OW; ++ow) {
-        dst[(oh * OW + ow) * c_pad] = src[ow * s];
-      }
-    }
-  }
-  std::uint8_t* tail = a;
-  for (std::size_t p = 0; p < OH * OW; ++p, tail += c_pad) {
-    for (std::size_t c = C; c < c_pad; ++c) tail[c] = 128;
-  }
-}
-
-}  // namespace
 
 Int8Conv1x1Conv::Int8Conv1x1Conv(const ConvDesc& desc) : desc_(desc) {
   desc.validate();
@@ -144,64 +97,106 @@ void Int8Conv1x1Conv::set_output_u8(const QuantParams& qp) {
 void Int8Conv1x1Conv::execute_nchw(std::span<const float> input, std::span<float> output,
                                    ThreadPool* pool, const PostOps& post) {
   // The span API is FP32-by-contract regardless of u8 hand-off configuration.
-  execute_impl(input.data(), output.data(), false, false, pool, post);
+  execute_nchw_impl(input.data(), output.data(), DType::kF32, DType::kF32, pool, post);
 }
 
 void Int8Conv1x1Conv::execute_typed(const void* input, void* output, ThreadPool* pool,
                                     const PostOps& post) {
-  execute_impl(input, output, in_u8_, out_u8_, pool, post);
+  execute_nchw_impl(input, output, in_u8_ ? DType::kU8 : DType::kF32,
+                    out_u8_ ? DType::kU8 : DType::kF32, pool, post);
 }
 
-void Int8Conv1x1Conv::execute_impl(const void* input, void* output, bool in_u8,
-                                   bool out_u8, ThreadPool* pool, const PostOps& post) {
+void Int8Conv1x1Conv::execute_blocked_typed(const void* input, void* output, ThreadPool* pool,
+                                            const PostOps& post) {
+  execute_blocked_impl(input, output, in_u8_ ? DType::kU8 : DType::kF32,
+                       out_u8_ ? DType::kU8 : DType::kF32, pool, post, desc_.batch);
+}
+
+void Int8Conv1x1Conv::execute_nchw_impl(const void* input, void* output, DType in_dtype,
+                                        DType out_dtype, ThreadPool* pool,
+                                        const PostOps& post) {
+  // One image per worker thread per pass: the staging buffers stay a few
+  // images large whatever the batch.
+  const std::size_t threads = pool != nullptr ? pool->num_threads() : 1;
+  staging_.run(desc_, threads, in_dtype, out_dtype, input, output, post, pool,
+               [&](const void* in, void* out, const PostOps& core, std::size_t images) {
+                 execute_blocked_impl(in, out, in_dtype, out_dtype, pool, core, images);
+               });
+}
+
+void Int8Conv1x1Conv::execute_blocked_impl(const void* input, void* output, DType in_dtype,
+                                           DType out_dtype, ThreadPool* pool,
+                                           const PostOps& post, std::size_t batch) {
   assert(filters_set_ && input_scales_set_);
+  const std::size_t C = desc_.in_channels, K = desc_.out_channels, s = desc_.stride;
   const std::size_t OH = desc_.out_height(), OW = desc_.out_width();
   const std::size_t rows = OH * OW;
-  const std::size_t K = desc_.out_channels;
-  a_.ensure(rows * c_pad_);
-  acc_.ensure(rows * k_pad_);
-  const float requant = out_u8_qp_.scale;
-  for (std::size_t b = 0; b < desc_.batch; ++b) {
-    if (in_u8) {
-      gather_u8(desc_, static_cast<const std::uint8_t*>(input), b, c_pad_, a_.data());
-    } else {
-      gather_quantized(desc_, static_cast<const float*>(input), b, input_params_.scale,
-                       c_pad_, a_.data());
-    }
-    int8_gemm_packed(a_.data(), c_pad_, w_packed_.data(), comp_.data(), acc_.data(),
-                     k_pad_, rows, c_pad_, k_pad_, blocking_, pool);
-    for (std::size_t k = 0; k < K; ++k) {
-      const std::size_t plane = (b * K + k) * rows;
-      const float* res = post.sum != nullptr ? post.sum + plane : nullptr;
-      const std::uint8_t* res8 = post.sum_u8 != nullptr ? post.sum_u8 + plane : nullptr;
-      const float res8_inv = post.sum_u8_inv_scale;
-      const float dq = w_dequant_[k];
-      const float bk = bias_[k];
-      if (out_u8) {
-        std::uint8_t* dst = static_cast<std::uint8_t*>(output) + plane;
-        for (std::size_t p = 0; p < rows; ++p) {
-          float v = static_cast<float>(acc_[p * k_pad_ + k]) * dq + bk;
-          if (res != nullptr) v += res[p];
-          if (res8 != nullptr) {
-            v += static_cast<float>(static_cast<std::int32_t>(res8[p]) - 128) * res8_inv;
-          }
-          if (post.relu) v = std::max(0.0f, v);
-          // Requant stage: same rounding contract as quantize_u8_shift128.
-          const std::int32_t q = round_nearest_even(v * requant) + 128;
-          dst[p] = static_cast<std::uint8_t>(std::clamp(q, 0, 255));
-        }
+  const BlockedActLayout in_layout(batch, C, desc_.height, desc_.width);
+  const BlockedActLayout out_layout(batch, K, OH, OW);
+  const std::size_t cb_in = in_layout.chan_blocks;
+  // A u8 input with one channel block at stride 1 already is the GEMM's A
+  // matrix: one 64-byte row per pixel, of which the first c_pad bytes are
+  // multiplied (padding lanes hold 128 and meet zero filter rows anyway).
+  // Otherwise each row chunk's pixels are copied (u8) or quantized (FP32)
+  // into a per-thread panel with the pixel's channel blocks side by side.
+  const bool in_u8 = in_dtype == DType::kU8;
+  const bool in_place = in_u8 && cb_in == 1 && s == 1;
+  const std::size_t lda = cb_in * kChanBlock;
+  const std::size_t panel_bytes = in_place ? 0 : round_up(kRowChunk * lda, kCacheLineBytes);
+  const std::size_t chunks = ceil_div(rows, kRowChunk);
+  const std::size_t items = batch * chunks;
+  const std::size_t threads = pool != nullptr ? pool->num_threads() : 1;
+  if (scratch_.size() < threads) scratch_.resize(threads);
+  for (auto& buf : scratch_) buf.ensure(panel_bytes + kRowChunk * k_pad_ * sizeof(std::int32_t));
+
+  const float scale = input_params_.scale;
+  const BlockedEpilogue epilogue{&post, out_dtype == DType::kU8, out_u8_qp_.scale};
+  auto body = [&](std::size_t tid, std::size_t nw) {
+    std::uint8_t* panel = scratch_[tid].data();
+    std::int32_t* acc = reinterpret_cast<std::int32_t*>(panel + panel_bytes);
+    const Range range = static_partition(items, nw, tid);
+    for (std::size_t item = range.begin; item < range.end; ++item) {
+      const std::size_t b = item / chunks;
+      const std::size_t p0 = (item % chunks) * kRowChunk;
+      const std::size_t n = std::min(kRowChunk, rows - p0);
+      const std::uint8_t* a = panel;
+      if (in_place) {
+        a = static_cast<const std::uint8_t*>(input) + in_layout.offset(b, 0, p0 / OW, p0 % OW);
       } else {
-        float* dst = static_cast<float*>(output) + plane;
-        for (std::size_t p = 0; p < rows; ++p) {
-          float v = static_cast<float>(acc_[p * k_pad_ + k]) * dq + bk;
-          if (res != nullptr) v += res[p];
-          if (res8 != nullptr) {
-            v += static_cast<float>(static_cast<std::int32_t>(res8[p]) - 128) * res8_inv;
+        ProfileSpan span(ProfileStage::kInputTransform);
+        for (std::size_t p = 0; p < n; ++p) {
+          const std::size_t ih = (p0 + p) / OW * s, iw = (p0 + p) % OW * s;
+          for (std::size_t cb = 0; cb < cb_in; ++cb) {
+            std::uint8_t* dst = panel + p * lda + cb * kChanBlock;
+            const std::size_t at = in_layout.offset(b, cb, ih, iw);
+            if (in_u8) {
+              std::memcpy(dst, static_cast<const std::uint8_t*>(input) + at, kChanBlock);
+            } else {
+              // Padding lanes are 0.0f and quantize to 128.
+              quantize_u8_shift128({static_cast<const float*>(input) + at, kChanBlock}, scale,
+                                   {dst, kChanBlock});
+            }
           }
-          dst[p] = post.relu ? std::max(0.0f, v) : v;
+        }
+      }
+      int8_gemm_packed(a, lda, w_packed_.data(), comp_.data(), acc, k_pad_, n, c_pad_, k_pad_,
+                       blocking_);
+      ProfileSpan span(ProfileStage::kOutputTransform);
+      for (std::size_t kb = 0; kb < out_layout.chan_blocks; ++kb) {
+        const std::size_t k0 = kb * kChanBlock;
+        const std::size_t valid = std::min(kChanBlock, K - k0);
+        std::size_t at = out_layout.offset(b, kb, p0 / OW, p0 % OW);
+        for (std::size_t p = 0; p < n; ++p, at += kChanBlock) {
+          epilogue.store(acc + p * k_pad_ + k0, w_dequant_.data() + k0, bias_.data() + k0,
+                         valid, at, output);
         }
       }
     }
+  };
+  if (pool != nullptr) {
+    pool->run(body);
+  } else {
+    body(0, 1);
   }
 }
 

@@ -2,23 +2,34 @@
 //
 // A 1x1 convolution is a (OH*OW) x C by C x K matrix product per image — no
 // im2col patch expansion, no out-of-bounds checks (validate() forces pad = 0
-// when r = 1). The A matrix build is a straight quantize(+128)-and-transpose
-// gather (strided along the spatial axis when stride > 1), roughly r*r = 9x
-// less index arithmetic than the generic direct engine's im2col on the same
-// shape. Quantization scheme, GEMM substrate and the dequant/PostOps/requant
-// tail are shared with Int8DirectConv so the speedup isolates the gather.
+// when r = 1). The engine has one kernel, on the 64-channel blocked layout
+// (tensor/layout.h): its pixel rows are the GEMM's A rows. A u8 input with
+// C <= 64 at stride 1 is multiplied straight off the caller's buffer (lda =
+// 64, reduction over round_up(C, 4) lanes, so padding lanes are never
+// multiplied); with C > 64 or stride > 1 each row chunk's 64-byte pixel rows
+// are copied side by side into a per-thread panel, and an FP32 input is
+// quantized straight into that panel. The dequant/PostOps/requant epilogue
+// then walks each pixel's 64 contiguous output lanes
+// (direct/blocked_epilogue.h).
+// The NCHW entry points wrap that core in pack -> core -> unpack
+// (tensor/blocked_staging.h). Quantization scheme, GEMM substrate and the
+// epilogue's float order are shared with Int8DirectConv, so the speedup
+// isolates the A-row build.
 //
 // Mirrors the Euler `elx_conv_direct_1x1_lp` specialization (SNIPPETS.md).
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/aligned_buffer.h"
 #include "gemm/int8_gemm.h"
 #include "quant/histogram.h"
 #include "quant/quantize.h"
+#include "tensor/blocked_staging.h"
 #include "tensor/conv_desc.h"
+#include "tensor/dtype.h"
 #include "tensor/post_ops.h"
 
 namespace lowino {
@@ -28,7 +39,7 @@ class ThreadPool;
 /// Same public surface as Int8DirectConv (the conformance fuzzer drives both
 /// uniformly). The constructor throws std::invalid_argument — before any
 /// workspace allocation — unless kernel == 1 and groups == 1; any stride is
-/// accepted (the gather is just strided).
+/// accepted (a strided pixel row is copied like any other).
 class Int8Conv1x1Conv {
  public:
   explicit Int8Conv1x1Conv(const ConvDesc& desc);
@@ -47,7 +58,8 @@ class Int8Conv1x1Conv {
 
   /// Serving u8 hand-off — identical contract to Int8DirectConv: set_input_u8
   /// ADOPTS the hand-off quantization as the spatial input scale, set_output_u8
-  /// appends the requant stage. Only execute_typed honors either.
+  /// appends the requant stage. Only execute_typed and execute_blocked_typed
+  /// honor either.
   void set_input_u8(const QuantParams& qp);
   void set_output_u8(const QuantParams& qp);
   bool input_is_u8() const { return in_u8_; }
@@ -55,6 +67,14 @@ class Int8Conv1x1Conv {
 
   void execute_typed(const void* input, void* output, ThreadPool* pool = nullptr,
                      const PostOps& post = {});
+
+  /// execute_typed's core on blocked buffers (B x [C/64] x H x W x 64):
+  /// input, output and any residual are blocked with the configured hand-off
+  /// dtypes, padding lanes quantized zero (0.0f, or byte 128 for u8); the
+  /// output's padding lanes are written as quantized zero. The residual may
+  /// alias the output: each pixel reads its residual lanes before storing.
+  void execute_blocked_typed(const void* input, void* output, ThreadPool* pool = nullptr,
+                             const PostOps& post = {});
 
   const ConvDesc& desc() const { return desc_; }
   float input_scale() const { return input_params_.scale; }
@@ -75,8 +95,13 @@ class Int8Conv1x1Conv {
   bool filters_set_ = false;
   AlignedBuffer<float> weights_fp32_;  ///< kept until scales are known
 
-  AlignedBuffer<std::uint8_t> a_;     ///< quantized+transposed activations
-  AlignedBuffer<std::int32_t> acc_;   ///< GEMM result
+  /// Output pixels per work item: one GEMM of kRowChunk A rows (a multiple
+  /// of the 6-row register tile) and its epilogue.
+  static constexpr std::size_t kRowChunk = 96;
+  /// Per-thread scratch: the A panel (when the input is not used in place)
+  /// followed by the kRowChunk x k_pad int32 accumulators.
+  std::vector<AlignedBuffer<std::uint8_t>> scratch_;
+  BlockedStaging staging_;  ///< the NCHW entry points' blocked buffers
   Int8GemmBlocking blocking_;
 
   bool in_u8_ = false;
@@ -84,8 +109,12 @@ class Int8Conv1x1Conv {
   QuantParams out_u8_qp_;
 
   void pack_weights();
-  void execute_impl(const void* input, void* output, bool in_u8, bool out_u8,
-                    ThreadPool* pool, const PostOps& post);
+  void execute_nchw_impl(const void* input, void* output, DType in_dtype, DType out_dtype,
+                         ThreadPool* pool, const PostOps& post);
+  /// The core over `batch` images (the NCHW entry points run it a few
+  /// images at a time).
+  void execute_blocked_impl(const void* input, void* output, DType in_dtype, DType out_dtype,
+                            ThreadPool* pool, const PostOps& post, std::size_t batch);
 };
 
 }  // namespace lowino

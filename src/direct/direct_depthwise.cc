@@ -6,8 +6,12 @@
 #include <stdexcept>
 
 #include "common/saturate.h"
+#include "direct/blocked_epilogue.h"
+#include "parallel/partition.h"
 #include "parallel/thread_pool.h"
+#include "profile/profiler.h"
 #include "quant/calibration.h"
+#include "tensor/layout.h"
 
 namespace lowino {
 
@@ -50,8 +54,12 @@ void Int8DepthwiseConv::set_filters(std::span<const float> weights,
 }
 
 void Int8DepthwiseConv::pack_weights() {
+  // Filters go lane-major per output block, [K/64][r*r][64] with zero
+  // padding lanes, so a tap's 64 weights sit next to each other like the
+  // 64 lanes of the pixel they multiply.
   const std::size_t K = desc_.out_channels;
-  w_q_.reset(K * taps_);
+  w_q_.reset(round_up(K, kChanBlock) * taps_);
+  w_q_.fill_zero();
   w_dequant_.reset(K);
   for (std::size_t k = 0; k < K; ++k) {
     float amax = 0.0f;
@@ -59,8 +67,9 @@ void Int8DepthwiseConv::pack_weights() {
       amax = std::max(amax, std::abs(weights_fp32_[k * taps_ + t]));
     }
     const float w_scale = QuantParams::from_threshold(amax).scale;
+    std::int32_t* w = w_q_.data() + (k / kChanBlock) * taps_ * kChanBlock + k % kChanBlock;
     for (std::size_t t = 0; t < taps_; ++t) {
-      w_q_[k * taps_ + t] = saturate_cast_i8(weights_fp32_[k * taps_ + t] * w_scale);
+      w[t * kChanBlock] = saturate_cast_i8(weights_fp32_[k * taps_ + t] * w_scale);
     }
     w_dequant_[k] = 1.0f / (input_params_.scale * w_scale);
   }
@@ -81,149 +90,150 @@ void Int8DepthwiseConv::set_output_u8(const QuantParams& qp) {
 void Int8DepthwiseConv::execute_nchw(std::span<const float> input, std::span<float> output,
                                      ThreadPool* pool, const PostOps& post) {
   // The span API is FP32-by-contract regardless of u8 hand-off configuration.
-  execute_impl(input.data(), output.data(), false, false, pool, post);
+  execute_nchw_impl(input.data(), output.data(), DType::kF32, DType::kF32, pool, post);
 }
 
 void Int8DepthwiseConv::execute_typed(const void* input, void* output, ThreadPool* pool,
                                       const PostOps& post) {
-  execute_impl(input, output, in_u8_, out_u8_, pool, post);
+  execute_nchw_impl(input, output, in_u8_ ? DType::kU8 : DType::kF32,
+                    out_u8_ ? DType::kU8 : DType::kF32, pool, post);
 }
 
-void Int8DepthwiseConv::execute_impl(const void* input, void* output, bool in_u8,
-                                     bool out_u8, ThreadPool* pool, const PostOps& post) {
+void Int8DepthwiseConv::execute_blocked_typed(const void* input, void* output,
+                                              ThreadPool* pool, const PostOps& post) {
+  execute_blocked_impl(input, output, in_u8_ ? DType::kU8 : DType::kF32,
+                       out_u8_ ? DType::kU8 : DType::kF32, pool, post, desc_.batch);
+}
+
+void Int8DepthwiseConv::execute_nchw_impl(const void* input, void* output, DType in_dtype,
+                                          DType out_dtype, ThreadPool* pool,
+                                          const PostOps& post) {
+  // One image per worker thread per pass: the staging buffers stay a few
+  // images large whatever the batch.
+  const std::size_t threads = pool != nullptr ? pool->num_threads() : 1;
+  staging_.run(desc_, threads, in_dtype, out_dtype, input, output, post, pool,
+               [&](const void* in, void* out, const PostOps& core, std::size_t images) {
+                 execute_blocked_impl(in, out, in_dtype, out_dtype, pool, core, images);
+               });
+}
+
+void Int8DepthwiseConv::execute_blocked_impl(const void* input, void* output, DType in_dtype,
+                                             DType out_dtype, ThreadPool* pool,
+                                             const PostOps& post, std::size_t batch) {
   assert(filters_set_ && input_scales_set_);
   const std::size_t C = desc_.in_channels, H = desc_.height, W = desc_.width;
   const std::size_t K = desc_.out_channels, r = desc_.kernel, s = desc_.stride;
   const std::size_t pad = desc_.height_pad(), pad_w = desc_.width_pad();
   const std::size_t OH = desc_.out_height(), OW = desc_.out_width();
-  const std::size_t rows = OH * OW;
   const std::size_t mult = K / C;  ///< channel multiplier
+  const BlockedActLayout in_layout(batch, C, H, W);
+  const BlockedActLayout out_layout(batch, K, OH, OW);
+  const bool in_u8 = in_dtype == DType::kU8;
+  // A u8 input at multiplier 1 is read in place: output block kb reads input
+  // block kb lane for lane. Otherwise each (image, output block) plane of
+  // quantized input lanes is built in per-thread scratch first.
+  const bool in_place = in_u8 && mult == 1;
+  const std::size_t plane_pixels = H * W;
+  const std::size_t plane_bytes =
+      in_place ? 0 : round_up(plane_pixels * kChanBlock, kCacheLineBytes);
+  const std::size_t row_bytes = OW * kChanBlock * sizeof(std::int32_t);
+  const std::size_t chunk_rows = std::max<std::size_t>(1, kAccChunkBytes / row_bytes);
+  const std::size_t threads = pool != nullptr ? pool->num_threads() : 1;
+  if (scratch_.size() < threads) scratch_.resize(threads);
+  for (auto& buf : scratch_) buf.ensure(plane_bytes + chunk_rows * row_bytes);
+
+  const std::uint8_t* in8 = static_cast<const std::uint8_t*>(input);
+  const float* in32 = static_cast<const float*>(input);
   const float scale = input_params_.scale;
-  const float requant = out_u8_qp_.scale;
-
-  const std::uint8_t* q_in = static_cast<const std::uint8_t*>(input);
-  if (!in_u8) {
-    // Quantize the whole activation tensor once (each plane is read `mult`
-    // times by the filter loop; quantizing up front keeps that loop integer).
-    const float* f_in = static_cast<const float*>(input);
-    const std::size_t elems = desc_.batch * C * H * W;
-    in_q_.ensure(elems);
-    auto quantize_range = [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::int32_t q = round_nearest_even(f_in[i] * scale) + 128;
-        in_q_[i] = static_cast<std::uint8_t>(std::clamp(q, 0, 255));
-      }
-    };
-    if (pool != nullptr) {
-      pool->parallel_for(elems, quantize_range);
-    } else {
-      quantize_range(0, elems);
-    }
-    q_in = in_q_.data();
-  }
-
-  // One (batch, output-channel) plane per work item: direct int32
-  // accumulation of (q - 128) * w_q over the in-bounds taps; out-of-bounds
-  // taps are quantized zero and contribute nothing.
-  auto plane_body = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t bk = begin; bk < end; ++bk) {
-      const std::size_t b = bk / K, k = bk % K;
-      const std::size_t c = k / mult;  // the group's single input channel
-      const std::uint8_t* src = q_in + ((b * C + c) * H) * W;
-      const std::int8_t* w = w_q_.data() + k * taps_;
-      const std::size_t plane = (b * K + k) * rows;
-      const float* res = post.sum != nullptr ? post.sum + plane : nullptr;
-      const std::uint8_t* res8 = post.sum_u8 != nullptr ? post.sum_u8 + plane : nullptr;
-      const float res8_inv = post.sum_u8_inv_scale;
-      const float dq = w_dequant_[k];
-      const float bk_bias = bias_[k];
-      // Dequant / +sum / ReLU / requant epilogue for one finished pixel.
-      const auto store = [&](std::size_t p, std::int32_t acc) {
-        float v = static_cast<float>(acc) * dq + bk_bias;
-        if (res != nullptr) v += res[p];
-        if (res8 != nullptr) {
-          v += static_cast<float>(static_cast<std::int32_t>(res8[p]) - 128) * res8_inv;
-        }
-        if (post.relu) v = std::max(0.0f, v);
-        if (out_u8) {
-          // Requant stage: same rounding contract as quantize_u8_shift128.
-          const std::int32_t q = round_nearest_even(v * requant) + 128;
-          static_cast<std::uint8_t*>(output)[plane + p] =
-              static_cast<std::uint8_t>(std::clamp(q, 0, 255));
-        } else {
-          static_cast<float*>(output)[plane + p] = v;
-        }
-      };
-      // Fully-bounded accumulation for the border pixels.
-      const auto edge_pixel = [&](std::size_t oh, std::size_t ow, std::ptrdiff_t ih0,
-                                  std::size_t i_lo, std::size_t i_hi) {
-        const std::ptrdiff_t iw0 = static_cast<std::ptrdiff_t>(ow * s) -
-                                   static_cast<std::ptrdiff_t>(pad_w);
-        const std::size_t j_lo = iw0 < 0 ? static_cast<std::size_t>(-iw0) : 0;
-        const std::size_t j_hi =
-            std::min(r, static_cast<std::size_t>(static_cast<std::ptrdiff_t>(W) - iw0));
-        std::int32_t acc = 0;
-        for (std::size_t i = i_lo; i < i_hi; ++i) {
-          const std::uint8_t* in_row = src + (ih0 + static_cast<std::ptrdiff_t>(i)) * W;
-          const std::int8_t* w_row = w + i * r;
-          for (std::size_t j = j_lo; j < j_hi; ++j) {
-            acc += (static_cast<std::int32_t>(in_row[iw0 + static_cast<std::ptrdiff_t>(j)]) -
-                    128) *
-                   static_cast<std::int32_t>(w_row[j]);
+  const auto quantize = [scale](float x) {
+    const std::int32_t q = round_nearest_even(x * scale) + 128;
+    return static_cast<std::uint8_t>(std::clamp(q, 0, 255));
+  };
+  const BlockedEpilogue epilogue{&post, out_dtype == DType::kU8, out_u8_qp_.scale};
+  const std::size_t items = batch * out_layout.chan_blocks;
+  auto body = [&](std::size_t tid, std::size_t nw) {
+    std::uint8_t* plane = scratch_[tid].data();
+    std::int32_t* acc = reinterpret_cast<std::int32_t*>(plane + plane_bytes);
+    const Range range = static_partition(items, nw, tid);
+    for (std::size_t item = range.begin; item < range.end; ++item) {
+      const std::size_t b = item / out_layout.chan_blocks;
+      const std::size_t kb = item % out_layout.chan_blocks;
+      const std::size_t k0 = kb * kChanBlock;
+      const std::size_t valid = std::min(kChanBlock, K - k0);
+      const std::uint8_t* src = plane;
+      if (in_place) {
+        src = in8 + in_layout.offset(b, kb, 0, 0);
+      } else if (mult == 1) {
+        // Quantize input block kb (padding lanes are 0.0f and become 128).
+        ProfileSpan span(ProfileStage::kInputTransform);
+        quantize_u8_shift128({in32 + in_layout.offset(b, kb, 0, 0), plane_pixels * kChanBlock},
+                             scale, {plane, plane_pixels * kChanBlock});
+      } else {
+        // Lane gather: lane l carries input channel (k0 + l) / mult.
+        ProfileSpan span(ProfileStage::kInputTransform);
+        for (std::size_t l = 0; l < kChanBlock; ++l) {
+          std::uint8_t* dst = plane + l;
+          if (l >= valid) {
+            for (std::size_t p = 0; p < plane_pixels; ++p) dst[p * kChanBlock] = 128;
+            continue;
+          }
+          const std::size_t c = (k0 + l) / mult;
+          const std::size_t at = in_layout.offset(b, c / kChanBlock, 0, 0) + c % kChanBlock;
+          for (std::size_t p = 0; p < plane_pixels; ++p) {
+            const std::size_t i = at + p * kChanBlock;
+            dst[p * kChanBlock] = in_u8 ? in8[i] : quantize(in32[i]);
           }
         }
-        store(oh * OW + ow, acc);
-      };
-      // Width range whose full r-tap window is in-bounds: iw0 >= 0 and
-      // iw0 + r <= W. Everything outside runs through edge_pixel.
-      const std::size_t ow_lo = std::min(OW, (pad_w + s - 1) / s);
-      const std::size_t ow_hi =
-          W + pad_w >= r ? std::min(OW, (W + pad_w - r) / s + 1) : 0;
-      for (std::size_t oh = 0; oh < OH; ++oh) {
-        // In-bounds tap window along the height (out-of-bounds rows are
-        // quantized zero and contribute nothing, so skipping them is exact).
-        const std::ptrdiff_t ih0 = static_cast<std::ptrdiff_t>(oh * s) -
-                                   static_cast<std::ptrdiff_t>(pad);
-        const std::size_t i_lo = ih0 < 0 ? static_cast<std::size_t>(-ih0) : 0;
-        const std::size_t i_hi =
-            std::min(r, static_cast<std::size_t>(static_cast<std::ptrdiff_t>(H) - ih0));
-        for (std::size_t ow = 0; ow < std::min(ow_lo, OW); ++ow) {
-          edge_pixel(oh, ow, ih0, i_lo, i_hi);
-        }
-        // Interior: tap-major accumulation over a chunk of output pixels —
-        // fixed trip counts and contiguous (or s-strided) input rows, which
-        // the compiler vectorizes; the scalar bounded path above cannot be.
-        constexpr std::size_t kChunk = 64;
-        std::int32_t accs[kChunk];
-        for (std::size_t ow0 = ow_lo; ow0 < ow_hi; ow0 += kChunk) {
-          const std::size_t n = std::min(kChunk, ow_hi - ow0);
-          for (std::size_t t = 0; t < n; ++t) accs[t] = 0;
-          for (std::size_t i = i_lo; i < i_hi; ++i) {
-            const std::uint8_t* in_row = src + (ih0 + static_cast<std::ptrdiff_t>(i)) * W +
-                                         (static_cast<std::ptrdiff_t>(ow0 * s) -
-                                          static_cast<std::ptrdiff_t>(pad_w));
-            const std::int8_t* w_row = w + i * r;
-            for (std::size_t j = 0; j < r; ++j) {
-              const std::int32_t wv = w_row[j];
-              const std::uint8_t* p = in_row + j;
-              for (std::size_t t = 0; t < n; ++t) {
-                accs[t] += (static_cast<std::int32_t>(p[t * s]) - 128) * wv;
+      }
+      const std::int32_t* w = w_q_.data() + kb * taps_ * kChanBlock;
+      for (std::size_t oh0 = 0; oh0 < OH; oh0 += chunk_rows) {
+        const std::size_t n_rows = std::min(chunk_rows, OH - oh0);
+        {
+          // The tap reduction, pixel-major over 64 lanes: int32 sums of
+          // (q - 128) * w_q over the in-bounds taps (out-of-bounds taps are
+          // quantized zero and contribute nothing, so skipping them is exact).
+          ProfileSpan span(ProfileStage::kGemm);
+          for (std::size_t oh = oh0; oh < oh0 + n_rows; ++oh) {
+            const std::ptrdiff_t ih0 =
+                static_cast<std::ptrdiff_t>(oh * s) - static_cast<std::ptrdiff_t>(pad);
+            const std::size_t i_lo = ih0 < 0 ? static_cast<std::size_t>(-ih0) : 0;
+            const std::size_t i_hi =
+                std::min(r, static_cast<std::size_t>(static_cast<std::ptrdiff_t>(H) - ih0));
+            for (std::size_t ow = 0; ow < OW; ++ow) {
+              const std::ptrdiff_t iw0 =
+                  static_cast<std::ptrdiff_t>(ow * s) - static_cast<std::ptrdiff_t>(pad_w);
+              const std::size_t j_lo = iw0 < 0 ? static_cast<std::size_t>(-iw0) : 0;
+              const std::size_t j_hi =
+                  std::min(r, static_cast<std::size_t>(static_cast<std::ptrdiff_t>(W) - iw0));
+              std::int32_t sum[kChanBlock] = {};
+              for (std::size_t i = i_lo; i < i_hi; ++i) {
+                const auto ih = static_cast<std::size_t>(ih0 + static_cast<std::ptrdiff_t>(i));
+                for (std::size_t j = j_lo; j < j_hi; ++j) {
+                  const auto iw = static_cast<std::size_t>(iw0 + static_cast<std::ptrdiff_t>(j));
+                  const std::uint8_t* px = src + (ih * W + iw) * kChanBlock;
+                  const std::int32_t* wt = w + (i * r + j) * kChanBlock;
+                  for (std::size_t l = 0; l < kChanBlock; ++l) {
+                    sum[l] += (static_cast<std::int32_t>(px[l]) - 128) * wt[l];
+                  }
+                }
               }
+              std::memcpy(acc + ((oh - oh0) * OW + ow) * kChanBlock, sum, sizeof(sum));
             }
           }
-          for (std::size_t t = 0; t < n; ++t) store(oh * OW + ow0 + t, accs[t]);
         }
-        for (std::size_t ow = std::max(ow_hi, ow_lo); ow < OW; ++ow) {
-          edge_pixel(oh, ow, ih0, i_lo, i_hi);
+        ProfileSpan span(ProfileStage::kOutputTransform);
+        const std::size_t at = out_layout.offset(b, kb, oh0, 0);
+        for (std::size_t p = 0; p < n_rows * OW; ++p) {
+          epilogue.store(acc + p * kChanBlock, w_dequant_.data() + k0, bias_.data() + k0, valid,
+                         at + p * kChanBlock, output);
         }
       }
     }
   };
-  const std::size_t work = desc_.batch * K;
   if (pool != nullptr) {
-    pool->parallel_for(work, plane_body);
+    pool->run(body);
   } else {
-    plane_body(0, work);
+    body(0, 1);
   }
 }
 

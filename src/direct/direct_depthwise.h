@@ -11,17 +11,33 @@
 // Accumulation is int32 over (q - 128) * w_q with out-of-bounds taps skipped
 // (padding is quantized zero, contributing nothing).
 //
+// The engine has one kernel, on the 64-channel blocked layout
+// (tensor/layout.h): per (image, 64-channel output block) it runs pixel-major
+// over 64 constant lanes, each tap adding a pixel's 64 contiguous input lanes
+// times the tap's 64 weights, and the epilogue stores 64 contiguous output
+// lanes (direct/blocked_epilogue.h). A u8 input at multiplier 1 is read in
+// place; an FP32 input is quantized one (image, block) plane at a time into
+// per-thread scratch (H x W x 64 bytes — no whole-tensor buffer). With a
+// channel multiplier K/C > 1, output lane l of block kb reads input channel
+// (64 kb + l) / mult, which may sit in another block or lane: that plane is
+// lane-gathered into the same scratch first (correct, not tuned). The NCHW
+// entry points wrap the core in pack -> core -> unpack
+// (tensor/blocked_staging.h).
+//
 // Mirrors the Euler `elx_conv_direct_depthwise_lp` specialization
 // (SNIPPETS.md). Supports any kernel, stride and asymmetric padding.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/aligned_buffer.h"
 #include "quant/histogram.h"
 #include "quant/quantize.h"
+#include "tensor/blocked_staging.h"
 #include "tensor/conv_desc.h"
+#include "tensor/dtype.h"
 #include "tensor/post_ops.h"
 
 namespace lowino {
@@ -56,6 +72,14 @@ class Int8DepthwiseConv {
   void execute_typed(const void* input, void* output, ThreadPool* pool = nullptr,
                      const PostOps& post = {});
 
+  /// execute_typed's core on blocked buffers (B x [C/64] x H x W x 64):
+  /// input, output and any residual are blocked with the configured hand-off
+  /// dtypes, padding lanes quantized zero (0.0f, or byte 128 for u8); the
+  /// output's padding lanes are written as quantized zero. The residual may
+  /// alias the output: each pixel reads its residual lanes before storing.
+  void execute_blocked_typed(const void* input, void* output, ThreadPool* pool = nullptr,
+                             const PostOps& post = {});
+
   const ConvDesc& desc() const { return desc_; }
   float input_scale() const { return input_params_.scale; }
 
@@ -67,21 +91,31 @@ class Int8DepthwiseConv {
   QuantParams input_params_;
   bool input_scales_set_ = false;
 
-  AlignedBuffer<std::int8_t> w_q_;    ///< [K][r*r] quantized filters
+  AlignedBuffer<std::int32_t> w_q_;   ///< [K/64][r*r][64] quantized filters, zero-padded
   AlignedBuffer<float> w_dequant_;    ///< per-channel 1/(scale_in*scale_w)
   AlignedBuffer<float> bias_;
   bool filters_set_ = false;
   AlignedBuffer<float> weights_fp32_;  ///< kept until scales are known
 
-  AlignedBuffer<std::uint8_t> in_q_;  ///< one image's quantized activations
+  /// Output rows per reduction/epilogue chunk: as many as keep the chunk's
+  /// int32 sums within this many bytes (at least one row).
+  static constexpr std::size_t kAccChunkBytes = 32 * 1024;
+  /// Per-thread scratch: the quantized or lane-gathered input plane (when the
+  /// input is not read in place) followed by the chunk's int32 sums.
+  std::vector<AlignedBuffer<std::uint8_t>> scratch_;
+  BlockedStaging staging_;  ///< the NCHW entry points' blocked buffers
 
   bool in_u8_ = false;
   bool out_u8_ = false;
   QuantParams out_u8_qp_;
 
   void pack_weights();
-  void execute_impl(const void* input, void* output, bool in_u8, bool out_u8,
-                    ThreadPool* pool, const PostOps& post);
+  void execute_nchw_impl(const void* input, void* output, DType in_dtype, DType out_dtype,
+                         ThreadPool* pool, const PostOps& post);
+  /// The core over `batch` images (the NCHW entry points run it a few
+  /// images at a time).
+  void execute_blocked_impl(const void* input, void* output, DType in_dtype, DType out_dtype,
+                            ThreadPool* pool, const PostOps& post, std::size_t batch);
 };
 
 }  // namespace lowino

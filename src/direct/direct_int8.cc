@@ -7,6 +7,7 @@
 #include "common/saturate.h"
 #include "quant/calibration.h"
 #include "parallel/thread_pool.h"
+#include "profile/profiler.h"
 
 namespace lowino {
 namespace {
@@ -178,15 +179,19 @@ void Int8DirectConv::execute_impl(const void* input, void* output, bool in_u8, b
   acc_.ensure(rows * k_pad_);
   const float requant = out_u8_qp_.scale;
   for (std::size_t b = 0; b < desc_.batch; ++b) {
-    if (in_u8) {
-      im2col_u8(desc_, static_cast<const std::uint8_t*>(input), b, patch_pad_, col_.data());
-    } else {
-      im2col_quantized(desc_,
-                       std::span<const float>(static_cast<const float*>(input), in_elems), b,
-                       input_params_.scale, patch_pad_, col_.data());
+    {
+      ProfileSpan span(ProfileStage::kInputTransform);
+      if (in_u8) {
+        im2col_u8(desc_, static_cast<const std::uint8_t*>(input), b, patch_pad_, col_.data());
+      } else {
+        im2col_quantized(desc_,
+                         std::span<const float>(static_cast<const float*>(input), in_elems), b,
+                         input_params_.scale, patch_pad_, col_.data());
+      }
     }
     int8_gemm_packed(col_.data(), patch_pad_, w_packed_.data(), comp_.data(), acc_.data(),
                      k_pad_, rows, patch_pad_, k_pad_, blocking_, pool);
+    ProfileSpan span(ProfileStage::kOutputTransform);
     for (std::size_t k = 0; k < K; ++k) {
       const std::size_t plane = (b * K + k) * rows;
       const float* res = post.sum != nullptr ? post.sum + plane : nullptr;

@@ -8,7 +8,6 @@
 #include "gemm/vnni_kernels.h"
 #include "parallel/thread_pool.h"
 #include "profile/profiler.h"
-#include "tensor/pack.h"
 
 namespace lowino {
 
@@ -98,11 +97,10 @@ LoWinoConvolution::LoWinoConvolution(const ConvDesc& desc, const LoWinoConfig& c
 void LoWinoConvolution::calibrate(std::span<const float> input_nchw,
                                   std::size_t tile_stride) {
   ProfileSpan span(ProfileStage::kCalibration);
-  in_blocked_.ensure(in_layout_.size() * sizeof(float));
-  const std::span<float> blocked(reinterpret_cast<float*>(in_blocked_.data()),
-                                 in_layout_.size());
-  pack_nchw_to_blocked(input_nchw, desc_.batch, desc_.in_channels, desc_.height, desc_.width,
-                       blocked);
+  const std::span<const float> blocked(
+      static_cast<const float*>(
+          staging_.pack_input(desc_, desc_.batch, DType::kF32, input_nchw.data(), nullptr)),
+      in_layout_.size());
   InputTransformContext ctx{&desc_, &geo_, &bt_plan_, in_layout_, v_layout_, false,
                             canonical_tm_};
   collect_calibration(ctx, blocked, calibrator_, tile_stride);
@@ -246,35 +244,11 @@ void LoWinoConvolution::execute_nchw_typed(const void* input, void* output, Thre
 void LoWinoConvolution::execute_nchw_impl(const void* input, void* output, DType in_dtype,
                                           DType out_dtype, ThreadPool* pool,
                                           const PostOps& post) {
-  const std::size_t oh = desc_.out_height(), ow = desc_.out_width();
-  in_blocked_.ensure(in_layout_.size() * dtype_bytes(in_dtype));
-  out_blocked_.ensure(out_layout_.size() * dtype_bytes(out_dtype));
-  relayout(in_dtype, ActLayout::kBlocked64, input, desc_.batch, desc_.in_channels,
-           desc_.height, desc_.width, in_blocked_.data(), pool);
-
-  // The core reads the residual blocked. A residual of the output's dtype is
-  // packed straight into the output buffer and summed in place; one of the
-  // other dtype (an FP32 output with a u8 residual, or the reverse) gets its
-  // own buffer.
-  PostOps core = post;
-  if (post.has_sum()) {
-    const DType sum_dtype = post.sum_u8 != nullptr ? DType::kU8 : DType::kF32;
-    AlignedBuffer<std::uint8_t>& buf = sum_dtype == out_dtype ? out_blocked_ : sum_blocked_;
-    buf.ensure(out_layout_.size() * dtype_bytes(sum_dtype));
-    relayout(sum_dtype, ActLayout::kBlocked64,
-             post.sum_u8 != nullptr ? static_cast<const void*>(post.sum_u8) : post.sum,
-             desc_.batch, desc_.out_channels, oh, ow, buf.data(), pool);
-    if (sum_dtype == DType::kU8) {
-      core.sum_u8 = buf.data();
-    } else {
-      core.sum = reinterpret_cast<const float*>(buf.data());
-    }
-  }
-
-  execute_blocked_impl(in_blocked_.data(), out_blocked_.data(), in_dtype, out_dtype, pool,
-                       core);
-  relayout(out_dtype, ActLayout::kNchw, out_blocked_.data(), desc_.batch, desc_.out_channels,
-           oh, ow, output, pool);
+  // One pass over the whole batch: the core's layouts are sized for it.
+  staging_.run(desc_, desc_.batch, in_dtype, out_dtype, input, output, post, pool,
+               [&](const void* in, void* out, const PostOps& core, std::size_t) {
+                 execute_blocked_impl(in, out, in_dtype, out_dtype, pool, core);
+               });
 }
 
 }  // namespace lowino

@@ -28,6 +28,7 @@
 #include "lowino/input_transform.h"
 #include "lowino/output_transform.h"
 #include "lowino/scales.h"
+#include "tensor/blocked_staging.h"
 #include "tensor/conv_desc.h"
 #include "tensor/post_ops.h"
 #include "winograd/transform.h"
@@ -169,10 +170,7 @@ class LoWinoConvolution {
 
   AlignedBuffer<std::uint8_t> v_buf_;
   AlignedBuffer<std::int32_t> z_buf_;
-  // Blocked staging of the NCHW entry points (bytes, FP32 or u8).
-  AlignedBuffer<std::uint8_t> in_blocked_;
-  AlignedBuffer<std::uint8_t> out_blocked_;
-  AlignedBuffer<std::uint8_t> sum_blocked_;  ///< a residual whose dtype differs from the output's
+  BlockedStaging staging_;  ///< the NCHW entry points' blocked buffers
   bool in_u8_ = false;
   bool out_u8_ = false;
   QuantParams in_u8_qp_;

@@ -32,14 +32,18 @@ class Int8Conv1x1Engine final : public ConvEngine {
                     const PostOps& post) override {
     conv_.execute_typed(in, out, pool, post);
   }
+  void do_run_blocked(const void* in, void* out, ThreadPool* pool,
+                      const PostOps& post) override {
+    conv_.execute_blocked_typed(in, out, pool, post);
+  }
 
  private:
   Int8Conv1x1Conv conv_;
 };
 
 bool supports_1x1(const ConvDesc& desc) {
-  // Any stride (the gather is just strided); pad = 0 follows from
-  // is_valid()'s pad < kernel.
+  // Any stride (a strided pixel row is copied like any other); pad = 0
+  // follows from is_valid()'s pad < kernel.
   return desc.kernel == 1 && desc.groups == 1;
 }
 
@@ -48,7 +52,7 @@ bool supports_1x1(const ConvDesc& desc) {
 void register_int8_conv1x1_engine(EngineRegistrations& regs) {
   regs.push_back({EngineKind::kInt8Conv1x1, "INT8 direct 1x1", "int8_1x1",
                   /*quantized=*/true, /*post_ops=*/true, /*u8_handoff=*/true,
-                  /*blocked_io=*/false,
+                  /*blocked_io=*/true,
                   supports_1x1, [](const ConvDesc& d) {
                     return std::unique_ptr<ConvEngine>(new Int8Conv1x1Engine(d));
                   }});

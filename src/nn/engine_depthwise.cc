@@ -31,6 +31,10 @@ class Int8DepthwiseEngine final : public ConvEngine {
                     const PostOps& post) override {
     conv_.execute_typed(in, out, pool, post);
   }
+  void do_run_blocked(const void* in, void* out, ThreadPool* pool,
+                      const PostOps& post) override {
+    conv_.execute_blocked_typed(in, out, pool, post);
+  }
 
  private:
   Int8DepthwiseConv conv_;
@@ -43,7 +47,7 @@ bool supports_depthwise(const ConvDesc& desc) { return desc.is_depthwise(); }
 void register_int8_depthwise_engine(EngineRegistrations& regs) {
   regs.push_back({EngineKind::kInt8Depthwise, "INT8 depthwise direct", "int8_dw",
                   /*quantized=*/true, /*post_ops=*/true, /*u8_handoff=*/true,
-                  /*blocked_io=*/false,
+                  /*blocked_io=*/true,
                   supports_depthwise, [](const ConvDesc& d) {
                     return std::unique_ptr<ConvEngine>(new Int8DepthwiseEngine(d));
                   }});

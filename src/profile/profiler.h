@@ -50,9 +50,12 @@ namespace lowino {
 /// the same convolution produce directly comparable breakdowns.
 enum class ProfileStage : std::uint8_t {
   kFilterPack = 0,  ///< offline filter transform + quantization + packing
-  kInputTransform,  ///< input transform + quantization (incl. the V scatter)
-  kGemm,            ///< batched INT8 GEMM (incl. the Z scatter)
-  kOutputTransform, ///< de-quant + output transform incl. any fused epilogue
+  kInputTransform,  ///< input transform + quantization (incl. the V scatter);
+                    ///< the direct engines' quantize / gather of their A rows
+  kGemm,            ///< batched INT8 GEMM (incl. the Z scatter); the depthwise
+                    ///< engine's tap reduction, which stands in its place
+  kOutputTransform, ///< de-quant + output transform incl. any fused epilogue;
+                    ///< the direct engines' dequant / post-op / requant store
   kCalibration,     ///< Winograd-domain statistics collection
   kTunerTrial,      ///< one auto-tuner candidate measurement
   kServe,           ///< one serving op inside InferenceSession::run

@@ -910,8 +910,9 @@ void InferenceSession::plan_arena(InferenceSession& s) {
   // slot when the conv is the residual's final consumer. Safe for every
   // post-op-capable engine because each output element's residual is read
   // before that element is stored, and no other element's store touches it:
-  // the direct engines read each residual element in the same scalar
-  // iteration that overwrites it; the Winograd engines, which read the
+  // int8_direct reads each residual element in the same scalar iteration that
+  // overwrites it, int8_1x1 and int8_dw read a pixel's 64 residual lanes
+  // before storing that pixel; the Winograd engines, which read the
   // residual blocked in the output's own layout, have each output tile read
   // its residual positions right before storing them, and tiles (the units
   // of work) are disjoint. This is what turns fusion into an arena *peak*

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <type_traits>
 
 #include "common/cpu_features.h"
 #include "parallel/thread_pool.h"
@@ -32,7 +31,7 @@ void for_batch(std::size_t n, ThreadPool* pool, Fn&& fn) {
 /// alias in L1 (planes of 4 KiB or more).
 constexpr std::size_t kTilePixels = 64;
 
-/// Channels per transpose group (one 16 x 16 FP32 transpose).
+/// Channels per transpose group (one 16 x 16 transpose).
 constexpr std::size_t kGroup = 16;
 
 #ifdef LOWINO_COMPILE_AVX512
@@ -41,10 +40,9 @@ constexpr std::size_t kGroup = 16;
 // CMakeLists.txt); the warning is a false positive.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wuninitialized"
-/// dst[j * ds + i] = src[i * ss + j] for a 16 x 16 FP32 block.
-void transpose16x16(const float* src, std::size_t ss, float* dst, std::size_t ds) {
-  __m512 r[16], t[16];
-  for (int i = 0; i < 16; ++i) r[i] = _mm512_loadu_ps(src + i * ss);
+/// Transposes 16 rows of 16 32-bit lanes in registers.
+void transpose16x16(__m512 r[16]) {
+  __m512 t[16];
   for (int i = 0; i < 16; i += 2) {
     t[i] = _mm512_unpacklo_ps(r[i], r[i + 1]);
     t[i + 1] = _mm512_unpackhi_ps(r[i], r[i + 1]);
@@ -67,51 +65,75 @@ void transpose16x16(const float* src, std::size_t ss, float* dst, std::size_t ds
     r[i] = _mm512_shuffle_f32x4(t[i], t[i + 8], 0x88);
     r[i + 8] = _mm512_shuffle_f32x4(t[i], t[i + 8], 0xdd);
   }
+}
+
+/// dst[j * ds + i] = src[i * ss + j] for a 16 x 16 block of FP32 values.
+void transpose_group(const float* src, std::size_t ss, float* dst, std::size_t ds) {
+  __m512 r[16];
+  for (int i = 0; i < 16; ++i) r[i] = _mm512_loadu_ps(src + i * ss);
+  transpose16x16(r);
   for (int j = 0; j < 16; ++j) _mm512_storeu_ps(dst + j * ds, r[j]);
+}
+
+/// The same for bytes: each row is widened to 32-bit lanes, transposed, and
+/// narrowed back.
+void transpose_group(const std::uint8_t* src, std::size_t ss, std::uint8_t* dst,
+                     std::size_t ds) {
+  __m512 r[16];
+  for (int i = 0; i < 16; ++i) {
+    const __m128i row = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i * ss));
+    r[i] = _mm512_castsi512_ps(_mm512_cvtepu8_epi32(row));
+  }
+  transpose16x16(r);
+  for (int j = 0; j < 16; ++j) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + j * ds),
+                     _mm512_cvtepi32_epi8(_mm512_castps_si512(r[j])));
+  }
 }
 #pragma GCC diagnostic pop
 #endif
 
-/// Whether FP32 tiles may use the AVX-512 16 x 16 transpose.
-template <typename T>
+/// Whether tiles may use the AVX-512 16 x 16 transposes.
 bool simd_transpose() {
 #ifdef LOWINO_COMPILE_AVX512
-  return std::is_same_v<T, float> && cpu_features().has_avx512_kernels();
+  return cpu_features().has_avx512_kernels();
 #else
   return false;
 #endif
 }
 
 template <typename T>
-void transpose_group(const T* src, std::size_t ss, T* dst, std::size_t ds) {
+void simd_group(const T* src, std::size_t ss, T* dst, std::size_t ds) {
 #ifdef LOWINO_COMPILE_AVX512
-  if constexpr (std::is_same_v<T, float>) transpose16x16(src, ss, dst, ds);
+  transpose_group(src, ss, dst, ds);
 #else
   (void)src, (void)ss, (void)dst, (void)ds;
 #endif
 }
 
 /// One tile NCHW -> blocked: `n` pixels of `valid` channel planes (stride
-/// `plane`) into n x 64 blocked lanes; lanes >= valid take `pad`.
+/// `plane`) into n x 64 blocked lanes; lanes >= valid take `pad`, written
+/// one pixel's contiguous run at a time.
 template <typename T>
 void pack_tile(const T* src, std::size_t plane, std::size_t valid, std::size_t n, T* dst,
                T pad, bool simd) {
-  for (std::size_t c0 = 0; c0 < kChanBlock; c0 += kGroup) {
-    const std::size_t cv = valid > c0 ? std::min(kGroup, valid - c0) : 0;
+  for (std::size_t c0 = 0; c0 < valid; c0 += kGroup) {
+    const std::size_t cv = std::min(kGroup, valid - c0);
     std::size_t p = 0;
     if (simd && cv == kGroup) {
       for (; p + kGroup <= n; p += kGroup) {
-        transpose_group(src + c0 * plane + p, plane, dst + p * kChanBlock + c0, kChanBlock);
+        simd_group(src + c0 * plane + p, plane, dst + p * kChanBlock + c0, kChanBlock);
       }
     }
-    for (std::size_t c = 0; c < kGroup; ++c) {
+    for (std::size_t c = 0; c < cv; ++c) {
+      const T* s = src + (c0 + c) * plane;
       T* d = dst + c0 + c;
-      if (c < cv) {
-        const T* s = src + (c0 + c) * plane;
-        for (std::size_t q = p; q < n; ++q) d[q * kChanBlock] = s[q];
-      } else {
-        for (std::size_t q = 0; q < n; ++q) d[q * kChanBlock] = pad;
-      }
+      for (std::size_t q = p; q < n; ++q) d[q * kChanBlock] = s[q];
+    }
+  }
+  if (valid < kChanBlock) {
+    for (std::size_t q = 0; q < n; ++q) {
+      std::fill(dst + q * kChanBlock + valid, dst + (q + 1) * kChanBlock, pad);
     }
   }
 }
@@ -125,7 +147,7 @@ void unpack_tile(const T* src, std::size_t plane, std::size_t valid, std::size_t
     std::size_t p = 0;
     if (simd && cv == kGroup) {
       for (; p + kGroup <= n; p += kGroup) {
-        transpose_group(src + p * kChanBlock + c0, kChanBlock, dst + c0 * plane + p, plane);
+        simd_group(src + p * kChanBlock + c0, kChanBlock, dst + c0 * plane + p, plane);
       }
     }
     for (std::size_t c = 0; c < cv; ++c) {
@@ -163,7 +185,7 @@ void pack_nchw_to_blocked_impl(std::span<const T> src, std::size_t batch, std::s
   assert(src.size() >= batch * channels * height * width);
   assert(dst.size() >= BlockedActLayout(batch, channels, height, width).size());
   const std::size_t hw = height * width;
-  const bool simd = simd_transpose<T>();
+  const bool simd = simd_transpose();
   for_each_tile(batch, channels, height, width, pool,
                    [&](std::size_t nchw, std::size_t blocked, std::size_t valid, std::size_t n) {
                      pack_tile(src.data() + nchw, hw, valid, n, dst.data() + blocked,
@@ -178,7 +200,7 @@ void unpack_blocked_to_nchw_impl(std::span<const T> src, std::size_t batch, std:
   assert(src.size() >= BlockedActLayout(batch, channels, height, width).size());
   assert(dst.size() >= batch * channels * height * width);
   const std::size_t hw = height * width;
-  const bool simd = simd_transpose<T>();
+  const bool simd = simd_transpose();
   for_each_tile(batch, channels, height, width, pool,
                    [&](std::size_t nchw, std::size_t blocked, std::size_t valid, std::size_t n) {
                      unpack_tile(src.data() + blocked, hw, valid, n, dst.data() + nchw, simd);

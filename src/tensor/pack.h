@@ -1,10 +1,12 @@
 // Packing between the interface NCHW layout and the blocked layouts.
 //
 // Every relayout moves tiles of 64 pixels x 64 channels through L1 (16 x 16
-// AVX-512 transposes for FP32 where the CPU has them), so the 64 NCHW planes
-// of a channel block are walked one at a time rather than as 64 interleaved
-// store streams. They serve the serving session's explicit reorder ops, the
-// NCHW engine entry points and the Winograd baselines.
+// AVX-512 transposes, of FP32 values or of bytes widened to 32-bit lanes,
+// where the CPU has them), so the 64 NCHW planes of a channel block are
+// walked one at a time rather than as 64 interleaved store streams; padding
+// lanes are filled one pixel's contiguous run at a time. They serve the
+// serving session's explicit reorder ops, the NCHW engine entry points and
+// the Winograd baselines.
 #pragma once
 
 #include <cstddef>

@@ -1,15 +1,20 @@
 // Tests for the direct convolution engines (FP32 reference, im2col FP32,
-// INT8 direct).
+// INT8 direct, and the blocked I/O of the INT8 1x1 and depthwise engines).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
 #include "direct/direct_f32.h"
 #include "direct/direct_int8.h"
+#include "nn/engines.h"
 #include "parallel/thread_pool.h"
 #include "quant/quantize.h"
+#include "tensor/layout.h"
+#include "tensor/pack.h"
 
 namespace lowino {
 namespace {
@@ -177,6 +182,156 @@ TEST(Int8Direct, ParallelMatchesSerial) {
   conv.execute_nchw(p.input, serial);
   conv.execute_nchw(p.input, parallel, &pool);
   for (std::size_t i = 0; i < serial.size(); ++i) ASSERT_EQ(serial[i], parallel[i]);
+}
+
+// --- Blocked I/O of the INT8 1x1 and depthwise engines -----------------------
+
+/// run_blocked on packed buffers against the NCHW entry points (run for
+/// all-FP32 edges, run_typed otherwise), byte for byte, for every input and
+/// output dtype, with and without ReLU, and with no, an FP32 and a u8
+/// residual. The blocked output's padding lanes must hold quantized zero, and
+/// a residual of the output's dtype may alias the output buffer.
+void expect_blocked_matches_nchw(EngineKind kind, const ConvDesc& d, unsigned seed,
+                                 ThreadPool& pool) {
+  const std::size_t K = d.out_channels, oh = d.out_height(), ow = d.out_width();
+  const std::size_t in_n = d.batch * d.in_channels * d.height * d.width;
+  const std::size_t out_n = d.batch * K * oh * ow;
+  const BlockedActLayout in_layout(d.batch, d.in_channels, d.height, d.width);
+  const BlockedActLayout out_layout(d.batch, K, oh, ow);
+  Rng rng(seed);
+  std::vector<float> in32(in_n), res32(out_n), bias(K);
+  std::vector<float> w(K * d.group_in_channels() * d.kernel * d.kernel);
+  std::vector<std::uint8_t> in8(in_n), res8(out_n);
+  for (auto& v : in32) v = rng.uniform(-1.5f, 1.5f);
+  for (auto& v : res32) v = rng.uniform(-1.0f, 1.0f);
+  for (auto& v : bias) v = rng.uniform(-0.2f, 0.2f);
+  for (auto& v : w) v = rng.uniform(-0.5f, 0.5f);
+  for (auto& v : in8) v = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto& v : res8) v = static_cast<std::uint8_t>(rng.next_u64());
+
+  for (const DType in_t : {DType::kF32, DType::kU8}) {
+    for (const DType out_t : {DType::kF32, DType::kU8}) {
+      for (const bool relu : {false, true}) {
+        for (const int sum : {0, 1, 2}) {  // none, FP32, u8 residual
+          SCOPED_TRACE(testing::Message() << engine_token(kind) << " " << d.to_string() << " in="
+                                          << dtype_token(in_t) << " out=" << dtype_token(out_t)
+                                          << " relu=" << relu << " sum=" << sum);
+          std::unique_ptr<ConvEngine> e = make_conv_engine(kind, d);
+          e->calibrate(in32);
+          e->finalize_calibration();
+          e->set_filters(w, bias);
+          if (in_t == DType::kU8) e->set_input_u8(QuantParams::from_threshold(1.0f));
+          if (out_t == DType::kU8) e->set_output_u8(QuantParams::from_threshold(2.0f));
+          const void* in_nchw =
+              in_t == DType::kU8 ? static_cast<const void*>(in8.data()) : in32.data();
+          PostOps post;
+          post.relu = relu;
+          if (sum == 1) post.sum = res32.data();
+          if (sum == 2) {
+            post.sum_u8 = res8.data();
+            post.sum_u8_inv_scale = 0.02f;
+          }
+          std::vector<std::uint8_t> want(out_n * dtype_bytes(out_t));
+          if (in_t == DType::kF32 && out_t == DType::kF32 && sum != 2) {
+            e->run(in32, {reinterpret_cast<float*>(want.data()), out_n}, nullptr, post);
+          } else {
+            e->run_typed(in_nchw, want.data(), nullptr, post);
+          }
+
+          std::vector<std::uint8_t> in_b(in_layout.size() * dtype_bytes(in_t));
+          relayout(in_t, ActLayout::kBlocked64, in_nchw, d.batch, d.in_channels, d.height,
+                   d.width, in_b.data());
+          const DType sum_t = sum == 2 ? DType::kU8 : DType::kF32;
+          std::vector<std::uint8_t> res_b(sum != 0 ? out_layout.size() * dtype_bytes(sum_t) : 0);
+          PostOps bpost = post;
+          if (sum != 0) {
+            relayout(sum_t, ActLayout::kBlocked64,
+                     sum == 2 ? static_cast<const void*>(res8.data()) : res32.data(), d.batch, K,
+                     oh, ow, res_b.data());
+            bpost.sum = sum == 1 ? reinterpret_cast<const float*>(res_b.data()) : nullptr;
+            bpost.sum_u8 = sum == 2 ? res_b.data() : nullptr;
+          }
+          std::vector<std::uint8_t> out_b(out_layout.size() * dtype_bytes(out_t), 0xAB);
+          e->run_blocked(in_b.data(), out_b.data(), &pool, bpost);
+
+          // Padding lanes: quantized zero (byte 128, or 0.0f).
+          for (std::size_t b = 0; b < d.batch; ++b) {
+            for (std::size_t p = 0; p < oh * ow; ++p) {
+              for (std::size_t l = K % kChanBlock; K % kChanBlock != 0 && l < kChanBlock; ++l) {
+                const std::size_t at =
+                    out_layout.offset(b, out_layout.chan_blocks - 1, p / ow, p % ow) + l;
+                if (out_t == DType::kU8) {
+                  ASSERT_EQ(out_b[at], 128);
+                } else {
+                  float v;
+                  std::memcpy(&v, out_b.data() + at * sizeof(float), sizeof(float));
+                  ASSERT_EQ(v, 0.0f);
+                }
+              }
+            }
+          }
+          std::vector<std::uint8_t> got(want.size());
+          relayout(out_t, ActLayout::kNchw, out_b.data(), d.batch, K, oh, ow, got.data());
+          EXPECT_TRUE(got == want);
+
+          if (sum != 0 && sum_t == out_t) {
+            // In place: the residual's blocked copy doubles as the output.
+            PostOps apost = bpost;
+            if (sum == 1) apost.sum = reinterpret_cast<const float*>(res_b.data());
+            if (sum == 2) apost.sum_u8 = res_b.data();
+            e->run_blocked(in_b.data(), res_b.data(), &pool, apost);
+            EXPECT_TRUE(res_b == out_b);
+          }
+        }
+      }
+    }
+  }
+}
+
+ConvDesc blocked_desc(std::size_t c, std::size_t k, std::size_t r, std::size_t stride,
+                      std::size_t groups) {
+  ConvDesc d;
+  d.batch = 2;
+  d.in_channels = c;
+  d.out_channels = k;
+  d.height = 9;  // odd, non-square
+  d.width = 7;
+  d.kernel = r;
+  d.pad = r / 2;
+  d.stride = stride;
+  d.groups = groups;
+  return d;
+}
+
+TEST(BlockedDirect, Int8Conv1x1RunBlockedMatchesNchwEntryPoints) {
+  // C > 64 (96, 160) takes the copied panel path, C <= 64 at stride 1 the
+  // in-place one; K = 40 and 130 leave padding lanes in the last block.
+  ThreadPool pool(3);
+  unsigned seed = 100;
+  for (const std::size_t c : {24, 32, 64, 96, 160}) {
+    for (const std::size_t k : {40, 64, 130}) {
+      for (const std::size_t stride : {1, 2}) {
+        expect_blocked_matches_nchw(EngineKind::kInt8Conv1x1, blocked_desc(c, k, 1, stride, 1),
+                                    ++seed, pool);
+      }
+    }
+  }
+}
+
+TEST(BlockedDirect, Int8DepthwiseRunBlockedMatchesNchwEntryPoints) {
+  // mult = 2 lane-gathers input channels across blocks (C = 96, 160).
+  ThreadPool pool(3);
+  unsigned seed = 200;
+  for (const std::size_t c : {24, 32, 64, 96, 160}) {
+    for (const std::size_t mult : {1, 2}) {
+      for (const std::size_t r : {3, 5}) {
+        for (const std::size_t stride : {1, 2}) {
+          expect_blocked_matches_nchw(EngineKind::kInt8Depthwise,
+                                      blocked_desc(c, mult * c, r, stride, c), ++seed, pool);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -441,7 +441,7 @@ TEST(EngineNames, AllDistinct) {
   EXPECT_TRUE(engine_caps(EngineKind::kLoWinoF4, d).quantized);
 }
 
-TEST(EngineCapsQuery, BlockedIoIsTheLoWinoFamilyAndGatesRunBlocked) {
+TEST(EngineCapsQuery, BlockedIoIsLoWinoPlusTheDedicatedDirectEnginesAndGatesRunBlocked) {
   ConvDesc d;
   d.batch = 1;
   d.in_channels = d.out_channels = 8;
@@ -449,9 +449,10 @@ TEST(EngineCapsQuery, BlockedIoIsTheLoWinoFamilyAndGatesRunBlocked) {
   d.kernel = 3;
   d.pad = 1;
   for (const EngineKind kind : all_engine_kinds()) {
-    const bool lowino = kind == EngineKind::kLoWinoF2 || kind == EngineKind::kLoWinoF4 ||
-                        kind == EngineKind::kLoWinoF6;
-    EXPECT_EQ(engine_caps(kind, d).blocked_io, lowino) << engine_token(kind);
+    const bool blocked = kind == EngineKind::kLoWinoF2 || kind == EngineKind::kLoWinoF4 ||
+                         kind == EngineKind::kLoWinoF6 || kind == EngineKind::kInt8Conv1x1 ||
+                         kind == EngineKind::kInt8Depthwise;
+    EXPECT_EQ(engine_caps(kind, d).blocked_io, blocked) << engine_token(kind);
   }
   // run_blocked keeps the lifecycle and refuses engines without blocked I/O.
   std::vector<float> in(BlockedActLayout(1, 8, 8, 8).size(), 0.5f), out(in.size());

@@ -23,9 +23,12 @@
 
 #include "common/aligned_buffer.h"
 #include "common/timer.h"
+#include "common/rng.h"
 #include "lowino/convolution.h"
+#include "nn/model_zoo.h"
 #include "parallel/thread_pool.h"
 #include "profile/profiler.h"
+#include "serve/session.h"
 
 namespace lowino {
 namespace {
@@ -441,6 +444,36 @@ TEST(ProfileAccuracy, FusedModeYieldsPerStageSplit) {
                                ProfileStage::kOutputTransform}) {
     EXPECT_GT(stage_seconds(s), 0.0) << profile_stage_name(s);
     EXPECT_GT(stage_spans(s), 1u) << profile_stage_name(s);
+  }
+}
+
+TEST(ProfileAccuracy, DirectFamilyMobileNetRecordsEveryStage) {
+  // int8_dw and int8_1x1 serving MiniMobileNet: the FP32-input depthwise conv
+  // quantizes (input transform), the depthwise tap reduction and the 1x1
+  // GEMMs record kGemm, and every conv's epilogue records the output
+  // transform — the served time is no longer all serve-op self time.
+  ProfilerGuard guard;
+  ThreadPool pool(2);
+  Tensor<float> calib({2, 1, 16, 16}), input({2, 1, 16, 16});
+  Rng rng(3);
+  for (std::size_t i = 0; i < calib.size(); ++i) calib.data()[i] = rng.uniform(-1.0f, 1.0f);
+  for (std::size_t i = 0; i < input.size(); ++i) input.data()[i] = rng.uniform(-1.0f, 1.0f);
+  SequentialModel model = make_minimobilenet();
+  PlanOptions options;
+  options.pool = &pool;
+  options.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1};
+  options.seconds_per_candidate = 0.002;
+  InferenceSession session = InferenceSession::compile(model, calib, options);
+  Tensor<float> out;
+  session.run(input, out);  // warm-up
+  profiler_reset();
+  profiler_set_enabled(true);
+  session.run(input, out);
+  profiler_set_enabled(false);
+  for (const ProfileStage s : {ProfileStage::kInputTransform, ProfileStage::kGemm,
+                               ProfileStage::kOutputTransform}) {
+    EXPECT_GT(stage_seconds(s), 0.0) << profile_stage_name(s);
+    EXPECT_GT(stage_spans(s), 0u) << profile_stage_name(s);
   }
 }
 

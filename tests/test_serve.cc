@@ -648,10 +648,12 @@ TEST(InferenceSession, PlanDecisionsArePinned) {
             "B2 C64 K64 H8 W8 r3\n"
             "conv = 5 int8_direct post=sum+relu dtype=u8:f32 | conv3x3(64->64)+sum+relu | "
             "B2 C64 K64 H8 W8 r3\n");
+  // MobileNet runs blocked end to end: its 32-channel values are padded to
+  // 64 lanes, hence the larger arena; the engine decisions do not move.
   EXPECT_EQ(decide(make_minimobilenet(), dedicated),
             "batch = 2\n"
-            "arena = 81920\n"
-            "naive = 212992\n"
+            "arena = 163840\n"
+            "naive = 294912\n"
             "conv = 1 int8_dw post=relu dtype=f32:u8 | dwconv3x3(32->32)+relu | "
             "B2 C32 K32 H16 W16 r3 g32\n"
             "conv = 2 int8_1x1 post=relu dtype=u8:u8 | conv1x1(32->64)+relu | "
@@ -1253,68 +1255,113 @@ TEST(BlockedLayout, MiniResNetKeepsBothResidualsBlocked) {
   }
 }
 
-TEST(BlockedLayout, MiniMobileNetChangesNoLayout) {
-  // int8_dw and int8_1x1 are not blocked-I/O engines: the op list gains no
-  // reorder and every value stays NCHW, as before the layout pass existed.
+/// A session over the dedicated {int8_dw, int8_1x1} engines (the only ones
+/// that carry a depthwise-separable net's convs).
+InferenceSession dedicated_session(SequentialModel& model, const Tensor<float>& calib) {
   PlanOptions options;
   options.pool = &ThreadPool::global();
   options.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1};
   options.seconds_per_candidate = 0.002;
-  SequentialModel model = make_minimobilenet();
-  InferenceSession s = InferenceSession::compile(model, random_input(2, 16, 41), options);
-  EXPECT_EQ(reorder_count(s), 0u);
-  EXPECT_TRUE(s.plan().reorders.empty());
-  for (const Peer::Value& v : Peer::values(s)) EXPECT_EQ(v.layout, ActLayout::kNchw);
-  std::vector<Peer::Op::Kind> kinds;
-  for (const Peer::Op& op : Peer::ops(s)) kinds.push_back(op.kind);
-  using K = Peer::Op::Kind;
-  const std::vector<K> want = post_op_fusion_enabled()
-      ? std::vector<K>{K::kConvFp32, K::kConvEngine, K::kConvEngine, K::kMaxPool,
-                       K::kConvEngine, K::kConvEngine, K::kMaxPool, K::kDense}
-      : std::vector<K>{K::kConvFp32, K::kRelu, K::kConvEngine, K::kRelu, K::kConvEngine,
-                       K::kRelu, K::kMaxPool, K::kConvEngine, K::kRelu, K::kConvEngine,
-                       K::kRelu, K::kMaxPool, K::kDense};
-  EXPECT_EQ(kinds, want);
+  return InferenceSession::compile(model, calib, options);
+}
+
+TEST(BlockedLayout, MiniMobileNetIsBlockedUpToOneReorderBeforeDense) {
+  // int8_dw and int8_1x1 are blocked-I/O engines: the FP32 stem writes
+  // blocked, both maxpools run on 64 lanes, and one reorder feeds dense.
+  for (const char* fuse : {"1", "0"}) {
+    ScopedRuntimeOverride fusion("LOWINO_FUSE_POSTOPS", fuse);
+    SequentialModel model = make_minimobilenet();
+    InferenceSession s = dedicated_session(model, random_input(2, 16, 41));
+    ASSERT_EQ(reorder_count(s), 1u) << "fuse=" << fuse;
+    const auto& ops = Peer::ops(s);
+    const auto& values = Peer::values(s);
+    const auto dense = std::find_if(ops.begin(), ops.end(), [](const Peer::Op& op) {
+      return op.kind == Peer::Op::Kind::kDense;
+    });
+    ASSERT_NE(dense, ops.end());
+    ASSERT_NE(dense, ops.begin());
+    EXPECT_EQ(std::prev(dense)->kind, Peer::Op::Kind::kReorder);
+    EXPECT_EQ(values[dense->in0].layout, ActLayout::kNchw);
+    for (const auto& [v, kind] : written_values(s)) {
+      if (v == dense->in0 || v == Peer::output_value(s)) continue;
+      EXPECT_EQ(values[v].layout, ActLayout::kBlocked64) << "value " << v << " fuse=" << fuse;
+    }
+    ASSERT_EQ(s.plan().convs.size(), 4u);
+    for (const SessionPlan::ConvChoice& c : s.plan().convs) {
+      EXPECT_EQ(c.in_layout, ActLayout::kBlocked64) << c.layer;
+      EXPECT_EQ(c.out_layout, ActLayout::kBlocked64) << c.layer;
+    }
+    ASSERT_EQ(s.plan().reorders.size(), 1u);
+    EXPECT_EQ(s.plan().reorders[0].to, ActLayout::kNchw);
+    EXPECT_EQ(s.plan().reorders[0].bytes, 2u * 128 * 4 * 4 * sizeof(float));
+    const std::string summary = s.plan().summary();
+    EXPECT_NE(summary.find("(layout blocked64:blocked64)"), std::string::npos) << summary;
+    EXPECT_NE(summary.find("reorder to nchw before dense"), std::string::npos) << summary;
+    EXPECT_EQ(s.plan().serialize().find("layout"), std::string::npos);
+  }
+}
+
+/// Stem 1 -> 24, depthwise 24 and pointwise 24 -> 40: the depthwise-separable
+/// twin of make_padded_net, every blocked value with padding lanes.
+SequentialModel make_padded_separable_net(std::size_t hw = 8) {
+  Rng rng(11);
+  SequentialModel m;
+  auto stem = std::make_unique<ConvLayer>(1, 24, hw, 3, 1, rng);
+  stem->set_quantizable(false);
+  m.add(std::move(stem));
+  m.add(std::make_unique<ReluLayer>());
+  m.add(std::make_unique<ConvLayer>(24, 24, hw, 3, 1, rng, /*groups=*/24));
+  m.add(std::make_unique<ReluLayer>());
+  m.add(std::make_unique<ConvLayer>(24, 40, hw, 1, 0, rng));
+  m.add(std::make_unique<ReluLayer>());
+  m.add(std::make_unique<MaxPoolLayer>(40, hw));
+  m.add(std::make_unique<DenseLayer>(40 * (hw / 2) * (hw / 2), 10, rng));
+  return m;
 }
 
 TEST(BlockedLayout, PaddedLanesHoldQuantizedZero) {
-  for (const char* fuse : {"1", "0"}) {
-    for (const char* u8 : {"1", "0"}) {
-      ScopedRuntimeOverride fusion("LOWINO_FUSE_POSTOPS", fuse);
-      ScopedRuntimeOverride handoff("LOWINO_U8_HANDOFF", u8);
-      SCOPED_TRACE(testing::Message() << "fuse=" << fuse << " u8=" << u8);
-      SequentialModel model = make_padded_net();
-      InferenceSession s = forced_session(model, random_input(2, 8, 43), EngineKind::kLoWinoF2,
-                                          &ThreadPool::global());
-      std::size_t checked = 0, u8_checked = 0;
-      Tensor<float> out;
-      Peer::run_observed(s, random_input(2, 8, 44), out,
-                         [&](std::size_t v, const std::uint8_t* data) {
-        const Peer::Value& val = Peer::values(s)[v];
-        if (val.layout != ActLayout::kBlocked64) return;
-        const std::size_t c = val.shape[1];
-        ASSERT_NE(c % kChanBlock, 0u);
-        const BlockedActLayout layout(val.shape[0], c, val.shape[2], val.shape[3]);
-        for (std::size_t b = 0; b < val.shape[0]; ++b) {
-          for (std::size_t y = 0; y < val.shape[2]; ++y) {
-            for (std::size_t x = 0; x < val.shape[3]; ++x) {
-              for (std::size_t ci = c % kChanBlock; ci < kChanBlock; ++ci) {
-                const std::size_t at = layout.offset(b, layout.chan_blocks - 1, y, x) + ci;
-                if (val.dtype == DType::kU8) {
-                  ASSERT_EQ(data[at], 128) << "value " << v;
-                } else {
-                  ASSERT_EQ(reinterpret_cast<const float*>(data)[at], 0.0f) << "value " << v;
+  for (const bool separable : {false, true}) {
+    for (const char* fuse : {"1", "0"}) {
+      for (const char* u8 : {"1", "0"}) {
+        ScopedRuntimeOverride fusion("LOWINO_FUSE_POSTOPS", fuse);
+        ScopedRuntimeOverride handoff("LOWINO_U8_HANDOFF", u8);
+        SCOPED_TRACE(testing::Message()
+                     << (separable ? "separable" : "winograd") << " fuse=" << fuse << " u8=" << u8);
+        SequentialModel model = separable ? make_padded_separable_net() : make_padded_net();
+        InferenceSession s = separable
+                                 ? dedicated_session(model, random_input(2, 8, 43))
+                                 : forced_session(model, random_input(2, 8, 43),
+                                                  EngineKind::kLoWinoF2, &ThreadPool::global());
+        std::size_t checked = 0, u8_checked = 0;
+        Tensor<float> out;
+        Peer::run_observed(s, random_input(2, 8, 44), out,
+                           [&](std::size_t v, const std::uint8_t* data) {
+          const Peer::Value& val = Peer::values(s)[v];
+          if (val.layout != ActLayout::kBlocked64) return;
+          const std::size_t c = val.shape[1];
+          ASSERT_NE(c % kChanBlock, 0u);
+          const BlockedActLayout layout(val.shape[0], c, val.shape[2], val.shape[3]);
+          for (std::size_t b = 0; b < val.shape[0]; ++b) {
+            for (std::size_t y = 0; y < val.shape[2]; ++y) {
+              for (std::size_t x = 0; x < val.shape[3]; ++x) {
+                for (std::size_t ci = c % kChanBlock; ci < kChanBlock; ++ci) {
+                  const std::size_t at = layout.offset(b, layout.chan_blocks - 1, y, x) + ci;
+                  if (val.dtype == DType::kU8) {
+                    ASSERT_EQ(data[at], 128) << "value " << v;
+                  } else {
+                    ASSERT_EQ(reinterpret_cast<const float*>(data)[at], 0.0f) << "value " << v;
+                  }
                 }
               }
             }
           }
-        }
-        ++checked;
-        u8_checked += val.dtype == DType::kU8;
-      });
-      EXPECT_GE(checked, 4u);  // stem, both convs, maxpool (+ unfused relus)
-      if (std::string(u8) == "1") EXPECT_GT(u8_checked, 0u);
-      EXPECT_EQ(reorder_count(s), 1u);
+          ++checked;
+          u8_checked += val.dtype == DType::kU8;
+        });
+        EXPECT_GE(checked, 4u);  // stem, both convs, maxpool (+ unfused relus)
+        if (std::string(u8) == "1") EXPECT_GT(u8_checked, 0u);
+        EXPECT_EQ(reorder_count(s), 1u);
+      }
     }
   }
 }
