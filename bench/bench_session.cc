@@ -11,6 +11,10 @@
 // fast as the best single-engine choice, because per-layer selection can
 // only match or beat a uniform assignment.
 //
+// Each net ends with the prefix-batch scaling of the envelope session:
+// run(input, out, n) at every filled size n = 1..batch, the cost of a served
+// partial batch.
+//
 // Env: LOWINO_BENCH_BATCH (default 16), LOWINO_BENCH_HW (default 32),
 //      LOWINO_BENCH_BUDGET_MS (measurement budget per cell).
 #include <cstdio>
@@ -188,6 +192,13 @@ int bench_main() {
                                      static_cast<double>(f32_arena)
                                : 0.0,
                 envelope_sec != 0.0 ? f32_sec / envelope_sec : 0.0);
+    std::printf("prefix runs (envelope session): %6s %12s %9s\n", "images", "median ms",
+                "vs full");
+    for (std::size_t n = 1; n <= batch; ++n) {
+      const double sec = bench::measure([&] { session.run(input, out, n); });
+      std::printf("%31s %6zu %12.3f %8.2fx\n", "", n, 1e3 * sec,
+                  envelope_sec != 0.0 ? sec / envelope_sec : 0.0);
+    }
     std::printf("%s\n", session.plan().summary().c_str());
   }
   return 0;

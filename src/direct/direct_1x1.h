@@ -54,7 +54,8 @@ class Int8Conv1x1Conv {
   /// `post` fuses the residual +sum / ReLU epilogue into the dequant store
   /// loop (see tensor/post_ops.h).
   void execute_nchw(std::span<const float> input, std::span<float> output,
-                    ThreadPool* pool = nullptr, const PostOps& post = {});
+                    ThreadPool* pool = nullptr, const PostOps& post = {},
+                    std::size_t images = kAllImages);
 
   /// Serving u8 hand-off — identical contract to Int8DirectConv: set_input_u8
   /// ADOPTS the hand-off quantization as the spatial input scale, set_output_u8
@@ -66,15 +67,18 @@ class Int8Conv1x1Conv {
   bool output_is_u8() const { return out_u8_; }
 
   void execute_typed(const void* input, void* output, ThreadPool* pool = nullptr,
-                     const PostOps& post = {});
+                     const PostOps& post = {}, std::size_t images = kAllImages);
 
   /// execute_typed's core on blocked buffers (B x [C/64] x H x W x 64):
   /// input, output and any residual are blocked with the configured hand-off
   /// dtypes, padding lanes quantized zero (0.0f, or byte 128 for u8); the
   /// output's padding lanes are written as quantized zero. The residual may
   /// alias the output: each pixel reads its residual lanes before storing.
+  /// Every execute entry point runs only the first `images` images
+  /// (ConvDesc::resolve_images); the output of later images is left
+  /// untouched.
   void execute_blocked_typed(const void* input, void* output, ThreadPool* pool = nullptr,
-                             const PostOps& post = {});
+                             const PostOps& post = {}, std::size_t images = kAllImages);
 
   const ConvDesc& desc() const { return desc_; }
   float input_scale() const { return input_params_.scale; }
@@ -110,7 +114,7 @@ class Int8Conv1x1Conv {
 
   void pack_weights();
   void execute_nchw_impl(const void* input, void* output, DType in_dtype, DType out_dtype,
-                         ThreadPool* pool, const PostOps& post);
+                         ThreadPool* pool, const PostOps& post, std::size_t images);
   /// The core over `batch` images (the NCHW entry points run it a few
   /// images at a time).
   void execute_blocked_impl(const void* input, void* output, DType in_dtype, DType out_dtype,

@@ -88,32 +88,37 @@ void Int8DepthwiseConv::set_output_u8(const QuantParams& qp) {
 }
 
 void Int8DepthwiseConv::execute_nchw(std::span<const float> input, std::span<float> output,
-                                     ThreadPool* pool, const PostOps& post) {
+                                     ThreadPool* pool, const PostOps& post,
+                                     std::size_t images) {
   // The span API is FP32-by-contract regardless of u8 hand-off configuration.
-  execute_nchw_impl(input.data(), output.data(), DType::kF32, DType::kF32, pool, post);
+  execute_nchw_impl(input.data(), output.data(), DType::kF32, DType::kF32, pool, post,
+                    desc_.resolve_images(images));
 }
 
 void Int8DepthwiseConv::execute_typed(const void* input, void* output, ThreadPool* pool,
-                                      const PostOps& post) {
+                                      const PostOps& post, std::size_t images) {
   execute_nchw_impl(input, output, in_u8_ ? DType::kU8 : DType::kF32,
-                    out_u8_ ? DType::kU8 : DType::kF32, pool, post);
+                    out_u8_ ? DType::kU8 : DType::kF32, pool, post,
+                    desc_.resolve_images(images));
 }
 
 void Int8DepthwiseConv::execute_blocked_typed(const void* input, void* output,
-                                              ThreadPool* pool, const PostOps& post) {
+                                              ThreadPool* pool, const PostOps& post,
+                                              std::size_t images) {
   execute_blocked_impl(input, output, in_u8_ ? DType::kU8 : DType::kF32,
-                       out_u8_ ? DType::kU8 : DType::kF32, pool, post, desc_.batch);
+                       out_u8_ ? DType::kU8 : DType::kF32, pool, post,
+                       desc_.resolve_images(images));
 }
 
 void Int8DepthwiseConv::execute_nchw_impl(const void* input, void* output, DType in_dtype,
                                           DType out_dtype, ThreadPool* pool,
-                                          const PostOps& post) {
+                                          const PostOps& post, std::size_t images) {
   // One image per worker thread per pass: the staging buffers stay a few
   // images large whatever the batch.
   const std::size_t threads = pool != nullptr ? pool->num_threads() : 1;
-  staging_.run(desc_, threads, in_dtype, out_dtype, input, output, post, pool,
-               [&](const void* in, void* out, const PostOps& core, std::size_t images) {
-                 execute_blocked_impl(in, out, in_dtype, out_dtype, pool, core, images);
+  staging_.run(desc_, images, threads, in_dtype, out_dtype, input, output, post, pool,
+               [&](const void* in, void* out, const PostOps& core, std::size_t n) {
+                 execute_blocked_impl(in, out, in_dtype, out_dtype, pool, core, n);
                });
 }
 

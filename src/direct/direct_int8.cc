@@ -158,18 +158,19 @@ void Int8DirectConv::set_output_u8(const QuantParams& qp) {
 }
 
 void Int8DirectConv::execute_nchw(std::span<const float> input, std::span<float> output,
-                                  ThreadPool* pool, const PostOps& post) {
+                                  ThreadPool* pool, const PostOps& post, std::size_t images) {
   // The span API is FP32-by-contract regardless of u8 hand-off configuration.
-  execute_impl(input.data(), output.data(), false, false, pool, post);
+  execute_impl(input.data(), output.data(), false, false, pool, post,
+               desc_.resolve_images(images));
 }
 
 void Int8DirectConv::execute_typed(const void* input, void* output, ThreadPool* pool,
-                                   const PostOps& post) {
-  execute_impl(input, output, in_u8_, out_u8_, pool, post);
+                                   const PostOps& post, std::size_t images) {
+  execute_impl(input, output, in_u8_, out_u8_, pool, post, desc_.resolve_images(images));
 }
 
 void Int8DirectConv::execute_impl(const void* input, void* output, bool in_u8, bool out_u8,
-                                  ThreadPool* pool, const PostOps& post) {
+                                  ThreadPool* pool, const PostOps& post, std::size_t images) {
   assert(filters_set_ && input_scales_set_);
   const std::size_t OH = desc_.out_height(), OW = desc_.out_width();
   const std::size_t rows = OH * OW;
@@ -178,7 +179,7 @@ void Int8DirectConv::execute_impl(const void* input, void* output, bool in_u8, b
   col_.ensure(rows * patch_pad_);
   acc_.ensure(rows * k_pad_);
   const float requant = out_u8_qp_.scale;
-  for (std::size_t b = 0; b < desc_.batch; ++b) {
+  for (std::size_t b = 0; b < images; ++b) {
     {
       ProfileSpan span(ProfileStage::kInputTransform);
       if (in_u8) {

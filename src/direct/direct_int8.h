@@ -35,9 +35,12 @@ class Int8DirectConv {
   void set_filters(std::span<const float> weights, std::span<const float> bias = {});
 
   /// `post` fuses the residual +sum / ReLU epilogue into the dequant store
-  /// loop (see tensor/post_ops.h).
+  /// loop (see tensor/post_ops.h). Both execute entry points run only the
+  /// first `images` images (ConvDesc::resolve_images); the output of later
+  /// images is left untouched.
   void execute_nchw(std::span<const float> input, std::span<float> output,
-                    ThreadPool* pool = nullptr, const PostOps& post = {});
+                    ThreadPool* pool = nullptr, const PostOps& post = {},
+                    std::size_t images = kAllImages);
 
   /// Serving u8 hand-off (tensor/dtype.h). set_input_u8 ADOPTS the hand-off
   /// quantization as the engine's spatial input scale — the producer's bytes
@@ -54,7 +57,7 @@ class Int8DirectConv {
   /// set_input_u8 / set_output_u8, FP32 otherwise); `post.sum_u8` may supply
   /// a u8 residual with either configuration.
   void execute_typed(const void* input, void* output, ThreadPool* pool = nullptr,
-                     const PostOps& post = {});
+                     const PostOps& post = {}, std::size_t images = kAllImages);
 
   const ConvDesc& desc() const { return desc_; }
   float input_scale() const { return input_params_.scale; }
@@ -86,7 +89,7 @@ class Int8DirectConv {
 
   void pack_weights();
   void execute_impl(const void* input, void* output, bool in_u8, bool out_u8,
-                    ThreadPool* pool, const PostOps& post);
+                    ThreadPool* pool, const PostOps& post, std::size_t images);
 };
 
 }  // namespace lowino

@@ -111,14 +111,15 @@ void batched_int8_gemm(const TransformedInputLayout& vl, const std::uint8_t* v,
                        const PackedFilterLayout& ul, const std::int8_t* u,
                        const std::int32_t* comp, const TransformedOutputLayout& zl,
                        std::int32_t* z, const Int8GemmBlocking& blocking, ThreadPool* pool,
-                       Int8GemmScratch* scratch) {
+                       Int8GemmScratch* scratch, std::size_t n_blocks) {
   assert(blocking.valid());
   assert(vl.c_blk == blocking.c_blk && vl.n_blk == blocking.n_blk);
   assert(ul.c_blk == blocking.c_blk && ul.k_blk == blocking.k_blk);
   assert(vl.c_blocks == ul.c_blocks && vl.t_elems == ul.t_elems && vl.t_elems == zl.t_elems);
 
   const std::size_t t_elems = vl.t_elems;
-  const std::size_t n_blocks = vl.n_blocks;
+  assert(n_blocks <= vl.n_blocks);
+  if (n_blocks == 0) n_blocks = vl.n_blocks;
   const std::size_t c_blocks = vl.c_blocks;
   const std::size_t k_blocks = ul.k_blocks;
   const std::size_t n_blk = blocking.n_blk;

@@ -59,13 +59,16 @@ struct Int8GemmBlocking {
 /// for n < vl tiles, t < T, k < zl.k_blocks*64. `comp` has shape
 /// [T][k_padded] where k_padded = ul.k_blocks * ul.k_blk. Rows of V beyond the
 /// real tile count are computed but simply never read downstream.
+/// `n_blocks` (1..vl.n_blocks, 0 = all) computes only the leading n-blocks —
+/// a prefix-batch run; every computed row is the same as in a full run.
 /// Requirements: vl.c_blk == blocking.c_blk, ul layout blocked with
 /// (blocking.c_blk, blocking.k_blk), vl.n_blk == blocking.n_blk.
 void batched_int8_gemm(const TransformedInputLayout& vl, const std::uint8_t* v,
                        const PackedFilterLayout& ul, const std::int8_t* u,
                        const std::int32_t* comp, const TransformedOutputLayout& zl,
                        std::int32_t* z, const Int8GemmBlocking& blocking,
-                       ThreadPool* pool = nullptr, Int8GemmScratch* scratch = nullptr);
+                       ThreadPool* pool = nullptr, Int8GemmScratch* scratch = nullptr,
+                       std::size_t n_blocks = 0);
 
 /// Block-level GEMM for one n-block slice (the fused streaming path).
 ///

@@ -168,23 +168,28 @@ std::size_t LoWinoConvolution::workspace_bytes(ExecutionMode mode,
 }
 
 void LoWinoConvolution::execute_blocked(std::span<const float> input, std::span<float> output,
-                                        ThreadPool* pool, const PostOps& post) {
-  assert(input.size() >= in_layout_.size());
-  assert(output.size() >= out_layout_.size());
+                                        ThreadPool* pool, const PostOps& post,
+                                        std::size_t images) {
+  images = desc_.resolve_images(images);
+  assert(input.size() >= in_layout_.size() / desc_.batch * images);
+  assert(output.size() >= out_layout_.size() / desc_.batch * images);
   // The span API is FP32-by-contract regardless of any u8 hand-off
   // configuration — calibration/tuning/testing flows keep their semantics.
-  execute_blocked_impl(input.data(), output.data(), DType::kF32, DType::kF32, pool, post);
+  execute_blocked_impl(input.data(), output.data(), DType::kF32, DType::kF32, pool, post,
+                       images);
 }
 
 void LoWinoConvolution::execute_blocked_typed(const void* input, void* output,
-                                              ThreadPool* pool, const PostOps& post) {
+                                              ThreadPool* pool, const PostOps& post,
+                                              std::size_t images) {
   execute_blocked_impl(input, output, in_u8_ ? DType::kU8 : DType::kF32,
-                       out_u8_ ? DType::kU8 : DType::kF32, pool, post);
+                       out_u8_ ? DType::kU8 : DType::kF32, pool, post,
+                       desc_.resolve_images(images));
 }
 
 void LoWinoConvolution::execute_blocked_impl(const void* input, void* output, DType in_dtype,
                                              DType out_dtype, ThreadPool* pool,
-                                             const PostOps& post) {
+                                             const PostOps& post, std::size_t images) {
   if (!ready()) {
     throw std::logic_error("LoWinoConvolution: set_filters + calibration required");
   }
@@ -205,6 +210,11 @@ void LoWinoConvolution::execute_blocked_impl(const void* input, void* output, DT
   out_ctx.requant_scale = out_u8_qp_.scale;
   out_ctx.sum_u8 = post.sum_u8;
   out_ctx.sum_u8_dequant = post.sum_u8_inv_scale;
+  // A prefix run covers whole images: their tiles come first (image-major
+  // numbering), and the mode stays the one resolved for the full batch.
+  const std::size_t tiles = images * geo_.tiles_per_image;
+  in_ctx.tiles = tiles;
+  out_ctx.tiles = tiles;
 
   if (mode == ExecutionMode::kFused) {
     const FusedGeometry fg =
@@ -226,28 +236,31 @@ void LoWinoConvolution::execute_blocked_impl(const void* input, void* output, DT
   run_input_transform(in_ctx, input, scales_, v_buf_.data(), pool);
   batched_int8_gemm(v_layout_, v_buf_.data(), filters_.layout, filters_.data.data(),
                     filters_.comp.data(), z_layout_, z_buf_.data(), config_.blocking, pool,
-                    &gemm_scratch_);
+                    &gemm_scratch_, ceil_div(tiles, config_.blocking.n_blk));
   run_output_transform(out_ctx, z_buf_.data(), scales_, output, pool);
 }
 
 void LoWinoConvolution::execute_nchw(std::span<const float> input, std::span<float> output,
-                                     ThreadPool* pool, const PostOps& post) {
-  execute_nchw_impl(input.data(), output.data(), DType::kF32, DType::kF32, pool, post);
+                                     ThreadPool* pool, const PostOps& post,
+                                     std::size_t images) {
+  execute_nchw_impl(input.data(), output.data(), DType::kF32, DType::kF32, pool, post,
+                    desc_.resolve_images(images));
 }
 
 void LoWinoConvolution::execute_nchw_typed(const void* input, void* output, ThreadPool* pool,
-                                           const PostOps& post) {
+                                           const PostOps& post, std::size_t images) {
   execute_nchw_impl(input, output, in_u8_ ? DType::kU8 : DType::kF32,
-                    out_u8_ ? DType::kU8 : DType::kF32, pool, post);
+                    out_u8_ ? DType::kU8 : DType::kF32, pool, post,
+                    desc_.resolve_images(images));
 }
 
 void LoWinoConvolution::execute_nchw_impl(const void* input, void* output, DType in_dtype,
                                           DType out_dtype, ThreadPool* pool,
-                                          const PostOps& post) {
-  // One pass over the whole batch: the core's layouts are sized for it.
-  staging_.run(desc_, desc_.batch, in_dtype, out_dtype, input, output, post, pool,
-               [&](const void* in, void* out, const PostOps& core, std::size_t) {
-                 execute_blocked_impl(in, out, in_dtype, out_dtype, pool, core);
+                                          const PostOps& post, std::size_t images) {
+  // One pass over every requested image: the core's layouts are sized for it.
+  staging_.run(desc_, images, images, in_dtype, out_dtype, input, output, post, pool,
+               [&](const void* in, void* out, const PostOps& core, std::size_t n) {
+                 execute_blocked_impl(in, out, in_dtype, out_dtype, pool, core, n);
                });
 }
 

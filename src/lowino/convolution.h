@@ -73,15 +73,22 @@ class LoWinoConvolution {
   /// `post` is the optional fused epilogue (residual +sum, ReLU) applied
   /// inside the de-quant/output-transform pass — see tensor/post_ops.h. Its
   /// NCHW residual is packed to the blocked layout before the core runs.
+  ///
+  /// Every execute_*() entry point takes a prefix-batch `images` count
+  /// (ConvDesc::resolve_images): only images [0, images) are computed —
+  /// their tiles, and the GEMM n-blocks that hold them — bit-identical to a
+  /// whole-batch run; the output of later images is left untouched.
   void execute_nchw(std::span<const float> input, std::span<float> output,
-                    ThreadPool* pool = nullptr, const PostOps& post = {});
+                    ThreadPool* pool = nullptr, const PostOps& post = {},
+                    std::size_t images = kAllImages);
 
   /// Runs on pre-blocked FP32 activations (B x [C/64] x H x W x 64, padding
   /// lanes zero). A `post` residual is blocked too, in the output's layout,
   /// and may alias `output` (each output tile reads its residual positions
   /// before storing them, and tiles are disjoint).
   void execute_blocked(std::span<const float> input, std::span<float> output,
-                       ThreadPool* pool = nullptr, const PostOps& post = {});
+                       ThreadPool* pool = nullptr, const PostOps& post = {},
+                       std::size_t images = kAllImages);
 
   /// Serving u8 hand-off configuration (tensor/dtype.h). After set_input_u8,
   /// execute_nchw_typed reads u8 bytes (q = round_ne(qp.scale * x) + 128) and
@@ -105,14 +112,14 @@ class LoWinoConvolution {
   /// dtypes (u8 after set_input_u8 / set_output_u8, FP32 otherwise).
   /// `post.sum_u8` may supply a u8 residual with either configuration.
   void execute_nchw_typed(const void* input, void* output, ThreadPool* pool = nullptr,
-                          const PostOps& post = {});
+                          const PostOps& post = {}, std::size_t images = kAllImages);
 
   /// execute_nchw_typed's core on blocked buffers: input, output and any
   /// residual are blocked (padding lanes quantized zero: 0.0f, or byte 128
   /// for u8) with the configured hand-off dtypes; the residual may alias the
   /// output as in execute_blocked.
   void execute_blocked_typed(const void* input, void* output, ThreadPool* pool = nullptr,
-                             const PostOps& post = {});
+                             const PostOps& post = {}, std::size_t images = kAllImages);
 
   BlockedActLayout input_layout() const { return in_layout_; }
   BlockedActLayout output_layout() const { return out_layout_; }
@@ -144,10 +151,11 @@ class LoWinoConvolution {
 
  private:
   void maybe_build_dequant();
+  /// The blocked core over the first `images` images (already resolved).
   void execute_blocked_impl(const void* input, void* output, DType in_dtype, DType out_dtype,
-                            ThreadPool* pool, const PostOps& post);
+                            ThreadPool* pool, const PostOps& post, std::size_t images);
   void execute_nchw_impl(const void* input, void* output, DType in_dtype, DType out_dtype,
-                         ThreadPool* pool, const PostOps& post);
+                         ThreadPool* pool, const PostOps& post, std::size_t images);
 
   ConvDesc desc_;
   LoWinoConfig config_;

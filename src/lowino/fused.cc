@@ -56,7 +56,8 @@ void run_fused(const InputTransformContext& in_ctx, const OutputTransformContext
   const std::size_t c_blocks64 = in_ctx.in_layout.chan_blocks;
   const std::size_t k_blocks64 = out_ctx.out_layout.chan_blocks;
   const std::size_t k_real = k_blocks64 * kChanBlock;
-  const std::size_t n_blocks = (geo.total_tiles + n_blk - 1) / n_blk;
+  const std::size_t tiles = in_ctx.tile_count();
+  const std::size_t n_blocks = ceil_div(tiles, n_blk);
 
   assert(ws.allocated_threads() >= (pool != nullptr ? pool->num_threads() : 1));
 
@@ -70,7 +71,7 @@ void run_fused(const InputTransformContext& in_ctx, const OutputTransformContext
     const Range nbs = static_partition(n_blocks, nw, tid);
     for (std::size_t nb = nbs.begin; nb < nbs.end; ++nb) {
       const std::size_t tile0 = nb * n_blk;
-      const std::size_t rows = std::min(n_blk, geo.total_tiles - tile0);
+      const std::size_t rows = std::min(n_blk, tiles - tile0);
 
       // Stage 1: transform + quantize the n-block into the V panel
       // ([C/Cblk][T][Nblk][Cblk] — the staged layout with nb fixed, so the

@@ -85,7 +85,8 @@ class FusedWorkspace {
 /// Runs the whole convolution pipeline in fused streaming mode over the
 /// blocked input, writing the blocked output. `ws` must have been ensure()d
 /// for the pool's thread count. `in_ctx.v_layout`/`in_ctx.nt_store` and
-/// `out_ctx.z_layout` are ignored (the fused path owns its panel layouts).
+/// `out_ctx.z_layout` are ignored (the fused path owns its panel layouts);
+/// `in_ctx.tiles` bounds the n-blocks of a prefix-batch run.
 /// `in_blocked`/`out_blocked` point at in_ctx.in_dtype / out_ctx.out_dtype
 /// elements (FP32 or u8 hand-off bytes).
 void run_fused(const InputTransformContext& in_ctx, const OutputTransformContext& out_ctx,

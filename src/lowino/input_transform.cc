@@ -160,7 +160,7 @@ void run_input_transform(const InputTransformContext& ctx, const void* in_blocke
   const WinogradGeometry& geo = *ctx.geo;
   const std::size_t c_blocks64 = ctx.in_layout.chan_blocks;
   const std::size_t t_elems = geo.t_elems;
-  const std::size_t jobs = geo.total_tiles * c_blocks64;
+  const std::size_t jobs = ctx.tile_count() * c_blocks64;
 
   // Resolve per-position scales once (stack-resident: T is tiny and a heap
   // buffer here would make steady-state execute() calls allocate).

@@ -61,9 +61,15 @@ struct InputTransformContext {
   /// exactly 0), and everything downstream is identical to the FP32 path.
   DType in_dtype = DType::kF32;
   float in_dequant = 1.0f;  ///< inv_scale of the u8 input hand-off
+  /// Prefix-batch bound: the drivers process tiles [0, tiles) only; 0 means
+  /// every tile. Tiles are numbered image by image, so the first n images
+  /// are exactly the first n * tiles_per_image tiles.
+  std::size_t tiles = 0;
+  std::size_t tile_count() const { return tiles != 0 ? tiles : geo->total_tiles; }
 };
 
-/// Transforms + quantizes the whole blocked input into `v`. `in_blocked`
+/// Transforms + quantizes the blocked input's first ctx.tile_count() tiles
+/// into `v`. `in_blocked`
 /// points at ctx.in_dtype elements (FP32 floats or u8 hand-off bytes).
 void run_input_transform(const InputTransformContext& ctx, const void* in_blocked,
                          const WinogradScales& scales, std::uint8_t* v,

@@ -94,7 +94,7 @@ void run_output_transform(const OutputTransformContext& ctx, const std::int32_t*
                           ThreadPool* pool) {
   const WinogradGeometry& geo = *ctx.geo;
   const std::size_t k_blocks64 = ctx.out_layout.chan_blocks;
-  const std::size_t jobs = geo.total_tiles * k_blocks64;
+  const std::size_t jobs = ctx.tile_count() * k_blocks64;
 
   auto worker = [&](std::size_t tid, std::size_t nw) {
     ProfileSpan span(ProfileStage::kOutputTransform);

@@ -70,6 +70,11 @@ struct OutputTransformContext {
   /// (q - 128) * sum_u8_dequant. At most one of sum / sum_u8.
   const std::uint8_t* sum_u8 = nullptr;
   float sum_u8_dequant = 1.0f;
+  /// Prefix-batch bound, as InputTransformContext::tiles: only tiles
+  /// [0, tiles) are stored (0 = every tile); later output images are not
+  /// touched.
+  std::size_t tiles = 0;
+  std::size_t tile_count() const { return tiles != 0 ? tiles : geo->total_tiles; }
 };
 
 /// `out_blocked` points at ctx.out_dtype elements (FP32 or u8 hand-off bytes).

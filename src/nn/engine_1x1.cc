@@ -19,22 +19,19 @@ class Int8Conv1x1Engine final : public ConvEngine {
   void do_set_filters(std::span<const float> w, std::span<const float> b) override {
     conv_.set_filters(w, b);
   }
-  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool) override {
-    conv_.execute_nchw(in, out, pool);
-  }
-  void do_run_post(std::span<const float> in, std::span<float> out, ThreadPool* pool,
-                   const PostOps& post) override {
-    conv_.execute_nchw(in, out, pool, post);
+  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool,
+              const PostOps& post, std::size_t images) override {
+    conv_.execute_nchw(in, out, pool, post, images);
   }
   void do_set_input_u8(const QuantParams& qp) override { conv_.set_input_u8(qp); }
   void do_set_output_u8(const QuantParams& qp) override { conv_.set_output_u8(qp); }
-  void do_run_typed(const void* in, void* out, ThreadPool* pool,
-                    const PostOps& post) override {
-    conv_.execute_typed(in, out, pool, post);
+  void do_run_typed(const void* in, void* out, ThreadPool* pool, const PostOps& post,
+                    std::size_t images) override {
+    conv_.execute_typed(in, out, pool, post, images);
   }
-  void do_run_blocked(const void* in, void* out, ThreadPool* pool,
-                      const PostOps& post) override {
-    conv_.execute_blocked_typed(in, out, pool, post);
+  void do_run_blocked(const void* in, void* out, ThreadPool* pool, const PostOps& post,
+                      std::size_t images) override {
+    conv_.execute_blocked_typed(in, out, pool, post, images);
   }
 
  private:

@@ -131,34 +131,16 @@ void ConvEngine::set_filters(std::span<const float> weights, std::span<const flo
 }
 
 void ConvEngine::run(std::span<const float> input, std::span<float> output,
-                     ThreadPool* pool) {
+                     ThreadPool* pool, const PostOps& post, std::size_t images) {
   if (state_ != Lifecycle::kReady) {
     misuse("run() before set_filters()");
   }
-  do_run(input, output, pool);
-}
-
-void ConvEngine::run(std::span<const float> input, std::span<float> output,
-                     ThreadPool* pool, const PostOps& post) {
-  if (state_ != Lifecycle::kReady) {
-    misuse("run() before set_filters()");
-  }
-  if (post.none()) {
-    do_run(input, output, pool);
-    return;
-  }
-  if (!supports_post_ops()) {
+  if (!post.none() && !supports_post_ops()) {
     misuse("run() with a fused PostOps epilogue on an engine that does not "
            "support post-ops — check supports_post_ops() and fall back to "
            "unfused execution");
   }
-  do_run_post(input, output, pool, post);
-}
-
-void ConvEngine::do_run_post(std::span<const float>, std::span<float>, ThreadPool*,
-                             const PostOps&) {
-  misuse("do_run_post() not implemented despite engine_caps(kind, desc).post_ops — "
-         "the capability table and the engine wrapper disagree");
+  do_run(input, output, pool, post, desc_.resolve_images(images));
 }
 
 void ConvEngine::set_input_u8(const QuantParams& qp) {
@@ -188,7 +170,7 @@ void ConvEngine::set_output_u8(const QuantParams& qp) {
 }
 
 void ConvEngine::run_typed(const void* input, void* output, ThreadPool* pool,
-                           const PostOps& post) {
+                           const PostOps& post, std::size_t images) {
   if (state_ != Lifecycle::kReady) {
     misuse("run_typed() before set_filters()");
   }
@@ -200,11 +182,11 @@ void ConvEngine::run_typed(const void* input, void* output, ThreadPool* pool,
     misuse("run_typed() with a fused PostOps epilogue on an engine that does "
            "not support post-ops");
   }
-  do_run_typed(input, output, pool, post);
+  do_run_typed(input, output, pool, post, desc_.resolve_images(images));
 }
 
 void ConvEngine::run_blocked(const void* input, void* output, ThreadPool* pool,
-                             const PostOps& post) {
+                             const PostOps& post, std::size_t images) {
   if (state_ != Lifecycle::kReady) {
     misuse("run_blocked() before set_filters()");
   }
@@ -216,10 +198,11 @@ void ConvEngine::run_blocked(const void* input, void* output, ThreadPool* pool,
     misuse("run_blocked() with a fused PostOps epilogue on an engine that does "
            "not support post-ops");
   }
-  do_run_blocked(input, output, pool, post);
+  do_run_blocked(input, output, pool, post, desc_.resolve_images(images));
 }
 
-void ConvEngine::do_run_blocked(const void*, void*, ThreadPool*, const PostOps&) {
+void ConvEngine::do_run_blocked(const void*, void*, ThreadPool*, const PostOps&,
+                                std::size_t) {
   misuse("do_run_blocked() not implemented despite engine_caps(kind, desc).blocked_io — "
          "the capability table and the engine wrapper disagree");
 }
@@ -236,7 +219,8 @@ void ConvEngine::do_set_output_u8(const QuantParams&) {
          "— the capability table and the engine wrapper disagree");
 }
 
-void ConvEngine::do_run_typed(const void*, void*, ThreadPool*, const PostOps&) {
+void ConvEngine::do_run_typed(const void*, void*, ThreadPool*, const PostOps&,
+                              std::size_t) {
   misuse("do_run_typed() not implemented despite engine_caps(kind, desc).u8_handoff — "
          "the capability table and the engine wrapper disagree");
 }
@@ -257,11 +241,8 @@ class Fp32DirectEngine final : public ConvEngine {
   void do_set_filters(std::span<const float> w, std::span<const float> b) override {
     conv_.set_filters(w, b);
   }
-  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool) override {
-    conv_.execute_nchw(in, out, pool);
-  }
-  void do_run_post(std::span<const float> in, std::span<float> out, ThreadPool* pool,
-                   const PostOps& post) override {
+  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool,
+              const PostOps& post, std::size_t) override {
     conv_.execute_nchw(in, out, pool, post);
   }
 
@@ -281,7 +262,8 @@ class Fp32WinoEngine final : public ConvEngine {
   void do_set_filters(std::span<const float> w, std::span<const float> b) override {
     conv_.set_filters(w, b);
   }
-  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool) override {
+  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool,
+              const PostOps&, std::size_t) override {
     conv_.execute_nchw(in, out, pool);
   }
 
@@ -301,18 +283,15 @@ class Int8DirectEngine final : public ConvEngine {
   void do_set_filters(std::span<const float> w, std::span<const float> b) override {
     conv_.set_filters(w, b);
   }
-  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool) override {
-    conv_.execute_nchw(in, out, pool);
-  }
-  void do_run_post(std::span<const float> in, std::span<float> out, ThreadPool* pool,
-                   const PostOps& post) override {
-    conv_.execute_nchw(in, out, pool, post);
+  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool,
+              const PostOps& post, std::size_t images) override {
+    conv_.execute_nchw(in, out, pool, post, images);
   }
   void do_set_input_u8(const QuantParams& qp) override { conv_.set_input_u8(qp); }
   void do_set_output_u8(const QuantParams& qp) override { conv_.set_output_u8(qp); }
-  void do_run_typed(const void* in, void* out, ThreadPool* pool,
-                    const PostOps& post) override {
-    conv_.execute_typed(in, out, pool, post);
+  void do_run_typed(const void* in, void* out, ThreadPool* pool, const PostOps& post,
+                    std::size_t images) override {
+    conv_.execute_typed(in, out, pool, post, images);
   }
 
  private:
@@ -336,22 +315,19 @@ class LoWinoEngine final : public ConvEngine {
   void do_set_filters(std::span<const float> w, std::span<const float> b) override {
     conv_.set_filters(w, b);
   }
-  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool) override {
-    conv_.execute_nchw(in, out, pool);
-  }
-  void do_run_post(std::span<const float> in, std::span<float> out, ThreadPool* pool,
-                   const PostOps& post) override {
-    conv_.execute_nchw(in, out, pool, post);
+  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool,
+              const PostOps& post, std::size_t images) override {
+    conv_.execute_nchw(in, out, pool, post, images);
   }
   void do_set_input_u8(const QuantParams& qp) override { conv_.set_input_u8(qp); }
   void do_set_output_u8(const QuantParams& qp) override { conv_.set_output_u8(qp); }
-  void do_run_typed(const void* in, void* out, ThreadPool* pool,
-                    const PostOps& post) override {
-    conv_.execute_nchw_typed(in, out, pool, post);
+  void do_run_typed(const void* in, void* out, ThreadPool* pool, const PostOps& post,
+                    std::size_t images) override {
+    conv_.execute_nchw_typed(in, out, pool, post, images);
   }
-  void do_run_blocked(const void* in, void* out, ThreadPool* pool,
-                      const PostOps& post) override {
-    conv_.execute_blocked_typed(in, out, pool, post);
+  void do_run_blocked(const void* in, void* out, ThreadPool* pool, const PostOps& post,
+                      std::size_t images) override {
+    conv_.execute_blocked_typed(in, out, pool, post, images);
   }
 
  private:
@@ -378,7 +354,8 @@ class DownscaleEngine final : public ConvEngine {
   void do_set_filters(std::span<const float> w, std::span<const float> b) override {
     conv_.set_filters(w, b);
   }
-  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool) override {
+  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool,
+              const PostOps&, std::size_t) override {
     conv_.execute_nchw(in, out, pool);
   }
 
@@ -398,7 +375,8 @@ class UpcastEngine final : public ConvEngine {
   void do_set_filters(std::span<const float> w, std::span<const float> b) override {
     conv_.set_filters(w, b);
   }
-  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool) override {
+  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool,
+              const PostOps&, std::size_t) override {
     conv_.execute_nchw(in, out, pool);
   }
 
@@ -417,7 +395,8 @@ class VendorEngine final : public ConvEngine {
   void do_set_filters(std::span<const float> w, std::span<const float> b) override {
     conv_.set_filters(w, b);
   }
-  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool) override {
+  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool,
+              const PostOps&, std::size_t) override {
     conv_.execute_nchw(in, out, pool);
   }
 
@@ -500,7 +479,9 @@ void register_core_engines(EngineRegistrations& regs) {
 
 std::unique_ptr<ConvEngine> make_conv_engine(EngineKind kind, const ConvDesc& desc) {
   desc.validate();
-  return engine_registration(kind).factory(desc);
+  std::unique_ptr<ConvEngine> engine = engine_registration(kind).factory(desc);
+  engine->desc_ = desc;
+  return engine;
 }
 
 }  // namespace lowino

@@ -116,6 +116,15 @@ std::size_t lowino_calibration_stride(std::size_t total_tiles);
 ///
 /// set_filters() may be called again at any point after the engine is ready
 /// (weight reload); run() stays legal afterwards.
+///
+/// Prefix-batch execution: every run entry point takes an `images` count
+/// (default kAllImages, the whole batch) and computes only images
+/// [0, images), which must lie in [1, desc.batch] (std::invalid_argument
+/// otherwise). The first `images` images of the output are bit-identical to
+/// a whole-batch run's; the bytes of later images are unspecified. The
+/// quantized engines (int8_direct, LoWino, int8_1x1, int8_dw) leave them
+/// untouched and do proportionally less work; the comparator baselines may
+/// still compute the whole batch.
 class ConvEngine {
  public:
   enum class Lifecycle {
@@ -129,13 +138,12 @@ class ConvEngine {
   void calibrate(std::span<const float> input_nchw);
   void finalize_calibration();
   void set_filters(std::span<const float> weights, std::span<const float> bias);
-  void run(std::span<const float> input, std::span<float> output, ThreadPool* pool);
-  /// Runs with a fused PostOps epilogue. An empty `post` is identical to the
-  /// overload above; a non-empty one on an engine whose supports_post_ops()
-  /// is false throws std::logic_error — callers must consult the capability
-  /// and fall back to unfused execution plus element-wise passes themselves.
+  /// Runs with an optional fused PostOps epilogue. A non-empty `post` on an
+  /// engine whose supports_post_ops() is false throws std::logic_error —
+  /// callers must consult the capability and fall back to unfused execution
+  /// plus element-wise passes themselves.
   void run(std::span<const float> input, std::span<float> output, ThreadPool* pool,
-           const PostOps& post);
+           const PostOps& post = {}, std::size_t images = kAllImages);
 
   /// See EngineCaps::post_ops (kind-invariant, hence no desc parameter).
   bool supports_post_ops() const;
@@ -161,7 +169,7 @@ class ConvEngine {
   /// engines whose supports_u8_handoff() is true — FP32-only engines keep the
   /// span-typed run() as their sole entry point.
   void run_typed(const void* input, void* output, ThreadPool* pool,
-                 const PostOps& post = {});
+                 const PostOps& post = {}, std::size_t images = kAllImages);
 
   /// run_typed() on the 64-channel blocked layout (tensor/layout.h):
   /// `input`, `output` and any `post` residual are B x [C/64] x H x W x 64
@@ -169,7 +177,7 @@ class ConvEngine {
   /// the output. No relayout happens inside. Only legal on engines whose
   /// EngineCaps::blocked_io is true; misuse throws std::logic_error.
   void run_blocked(const void* input, void* output, ThreadPool* pool,
-                   const PostOps& post = {});
+                   const PostOps& post = {}, std::size_t images = kAllImages);
 
   Lifecycle lifecycle() const { return state_; }
   virtual EngineKind kind() const = 0;
@@ -179,25 +187,26 @@ class ConvEngine {
   virtual void do_finalize_calibration() = 0;
   virtual void do_set_filters(std::span<const float> weights,
                               std::span<const float> bias) = 0;
+  /// The run hooks receive `images` resolved to a count in [1, desc.batch].
+  /// `post` is empty unless supports_post_ops().
   virtual void do_run(std::span<const float> input, std::span<float> output,
-                      ThreadPool* pool) = 0;
-  /// Only dispatched when supports_post_ops() and `post` is non-empty; the
-  /// default (for declining engines) is unreachable through the public run().
-  virtual void do_run_post(std::span<const float> input, std::span<float> output,
-                           ThreadPool* pool, const PostOps& post);
+                      ThreadPool* pool, const PostOps& post, std::size_t images) = 0;
   /// Only dispatched when supports_u8_handoff(); the defaults throw — a
   /// capable wrapper must implement all three.
   virtual void do_set_input_u8(const QuantParams& qp);
   virtual void do_set_output_u8(const QuantParams& qp);
   virtual void do_run_typed(const void* input, void* output, ThreadPool* pool,
-                            const PostOps& post);
+                            const PostOps& post, std::size_t images);
   /// Only dispatched when EngineCaps::blocked_io; the default throws.
   virtual void do_run_blocked(const void* input, void* output, ThreadPool* pool,
-                              const PostOps& post);
+                              const PostOps& post, std::size_t images);
 
  private:
+  friend std::unique_ptr<ConvEngine> make_conv_engine(EngineKind kind, const ConvDesc& desc);
+
   [[noreturn]] void misuse(const char* what) const;
 
+  ConvDesc desc_;  ///< set by make_conv_engine; bounds the prefix-batch `images`
   Lifecycle state_ = Lifecycle::kCalibrating;
   bool saw_calibration_ = false;
   DType in_dtype_ = DType::kF32;

@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cstring>
@@ -64,6 +65,21 @@ const char* serve_result_name(ServeResult r) {
     case ServeResult::kWorkerLost: return "worker-lost";
   }
   return "?";
+}
+
+// ---------------------------------------------------------------------------
+// Stats
+
+std::size_t LatencyHistogram::bucket_of(Nanos ns) {
+  if (ns < 2) return 0;
+  const auto width = static_cast<std::size_t>(std::bit_width(static_cast<std::uint64_t>(ns)));
+  return std::min(width - 1, kBuckets - 1);
+}
+
+std::uint64_t LatencyHistogram::total() const {
+  std::uint64_t n = 0;
+  for (const std::uint64_t c : counts) n += c;
+  return n;
 }
 
 // ---------------------------------------------------------------------------
@@ -253,7 +269,7 @@ std::size_t ServerCore::close_batch(Nanos now, std::vector<std::uint32_t>& batch
     Slot& slot = slots_[batch[i]];
     assert(slot.state == SlotState::kQueued);
     slot.state = SlotState::kRunning;
-    stats_.queue_ns_sum += static_cast<std::uint64_t>(now - slot.enqueue_ns);
+    slot.close_ns = now;
   }
   running_ += n;
   ++stats_.batches;
@@ -266,24 +282,23 @@ std::size_t ServerCore::close_batch(Nanos now, std::vector<std::uint32_t>& batch
   return n;
 }
 
-void ServerCore::complete(std::span<const std::uint32_t> batch) {
-  for (const std::uint32_t ticket : batch) {
-    Slot& slot = slots_[ticket];
-    assert(slot.state == SlotState::kRunning);
-    slot.state = SlotState::kDone;
-  }
-  assert(running_ >= batch.size());
-  running_ -= batch.size();
-  stats_.served += batch.size();
+void ServerCore::complete(std::span<const std::uint32_t> batch, Nanos now) {
+  for (const std::uint32_t ticket : batch) complete_one(ticket, now);
 }
 
-void ServerCore::complete_one(std::uint32_t ticket) {
+void ServerCore::complete_one(std::uint32_t ticket, Nanos now) {
   Slot& slot = slots_[ticket];
   assert(slot.state == SlotState::kRunning);
   slot.state = SlotState::kDone;
   assert(running_ >= 1);
   --running_;
   ++stats_.served;
+  // Booked on completion, so a failed request never reaches the served-only
+  // times.
+  stats_.queue_ns_sum += static_cast<std::uint64_t>(slot.close_ns - slot.enqueue_ns);
+  stats_.queue_ns.record(slot.close_ns - slot.enqueue_ns);
+  stats_.exec_ns.record(now - slot.close_ns);
+  stats_.total_ns.record(now - slot.enqueue_ns);
 }
 
 void ServerCore::fail(std::uint32_t ticket, bool lost) {
@@ -314,9 +329,9 @@ std::size_t ServerCore::fail_all_queued(std::vector<std::uint32_t>& out) {
 }
 
 std::size_t ServerCore::settle_batch(std::span<const std::uint32_t> batch, bool batch_ok,
-                                     std::span<const std::uint8_t> retry_ok) {
+                                     std::span<const std::uint8_t> retry_ok, Nanos now) {
   if (batch_ok) {
-    complete(batch);
+    complete(batch, now);
     return 0;
   }
   assert(retry_ok.size() == batch.size());
@@ -325,7 +340,7 @@ std::size_t ServerCore::settle_batch(std::span<const std::uint32_t> batch, bool 
   std::size_t n_failed = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (retry_ok[i]) {
-      complete_one(batch[i]);
+      complete_one(batch[i], now);
     } else {
       fail(batch[i]);
       ++n_failed;
@@ -345,6 +360,21 @@ const float* ServerCore::slot_input(std::uint32_t ticket) const {
 
 float* ServerCore::slot_output(std::uint32_t ticket) const {
   return slots_[ticket].output;
+}
+
+void run_session_batch(const ServerCore& core, std::span<const std::uint32_t> batch,
+                       InferenceSession& session, Tensor<float>& in, Tensor<float>& out) {
+  const std::size_t in_elems = in.size() / session.batch();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    std::memcpy(in.data() + i * in_elems, core.slot_input(batch[i]),
+                in_elems * sizeof(float));
+  }
+  session.run(in, out, batch.size());
+  const std::size_t out_elems = out.size() / session.batch();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    std::memcpy(core.slot_output(batch[i]), out.data() + i * out_elems,
+                out_elems * sizeof(float));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -375,7 +405,7 @@ ManualServer::StepOutcome ManualServer::step() {
           outcome.batch,
           [&](std::span<const std::uint32_t> tickets) { runner_(tickets, core_); },
           retry_ok);
-      core_.settle_batch(outcome.batch, batch_ok, retry_ok);
+      core_.settle_batch(outcome.batch, batch_ok, retry_ok, clock_->now());
       for (const std::uint32_t t : outcome.batch) {
         if (core_.state(t) == SlotState::kFailed) outcome.failed.push_back(t);
       }
@@ -654,11 +684,16 @@ void BatchingServer::worker_loop(Worker& worker) {
     // batch): hand it to another idle worker before going busy.
     if (core_.pending() > 0) work_cv_.notify_one();
     lk.unlock();
+    // Lock-free by contract: a kRunning slot's bindings are immutable until
+    // it settles, and the mutex acquire that closed the batch ordered them.
     const bool batch_ok = run_contained(
-        batch, [&](std::span<const std::uint32_t> tickets) { run_batch(worker, tickets); },
+        batch,
+        [&](std::span<const std::uint32_t> tickets) {
+          run_session_batch(core_, tickets, *worker.session, worker.in, worker.out);
+        },
         retry_ok);
     lk.lock();
-    const std::size_t n_failed = core_.settle_batch(batch, batch_ok, retry_ok);
+    const std::size_t n_failed = core_.settle_batch(batch, batch_ok, retry_ok, clock().now());
     consecutive_failures = n_failed == batch.size() ? consecutive_failures + 1 : 0;
     for (const std::uint32_t t : batch) slot_sync_[t].cv.notify_one();
     if (consecutive_failures >= kRebuildThreshold) {
@@ -669,24 +704,6 @@ void BatchingServer::worker_loop(Worker& worker) {
         return;  // lk unlocks on scope exit
       }
     }
-  }
-}
-
-void BatchingServer::run_batch(Worker& worker, std::span<const std::uint32_t> batch) {
-  // Lock-free by contract: a kRunning slot's bindings are immutable until
-  // complete(), and the mutex acquire that closed the batch ordered them.
-  // Lanes beyond batch.size() keep stale data — every op is per-image
-  // independent, so extra lanes cost compute but never leak into results.
-  float* gather = worker.in.data();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    std::memcpy(gather + i * input_elems_, core_.slot_input(batch[i]),
-                input_elems_ * sizeof(float));
-  }
-  worker.session->run(worker.in, worker.out);
-  const float* scatter = worker.out.data();
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    std::memcpy(core_.slot_output(batch[i]), scatter + i * output_elems_,
-                output_elems_ * sizeof(float));
   }
 }
 

@@ -63,6 +63,7 @@
 // clocks and the TSan stress suite.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <condition_variable>
@@ -141,6 +142,20 @@ struct BatcherOptions {
   std::size_t shed_low = 0;
 };
 
+/// Fixed log2 buckets of nanosecond durations: bucket 0 holds [0, 2) ns,
+/// bucket i >= 1 holds [2^i, 2^(i+1)) ns, and the last bucket also takes
+/// everything longer (2^39 ns is about 9 minutes). A fixed array, so booking
+/// a time never allocates and a stats snapshot is a plain copy.
+struct LatencyHistogram {
+  static constexpr std::size_t kBuckets = 40;
+  std::array<std::uint64_t, kBuckets> counts{};
+
+  /// The bucket `ns` lands in (negative durations count as 0).
+  static std::size_t bucket_of(Nanos ns);
+  void record(Nanos ns) { ++counts[bucket_of(ns)]; }
+  std::uint64_t total() const;
+};
+
 /// Cumulative serving counters (ServerCore fills them; the threaded server
 /// snapshots under its lock).
 struct ServeStats {
@@ -158,6 +173,11 @@ struct ServeStats {
   std::uint64_t closed_full = 0;       ///< batches closed because full
   std::uint64_t closed_linger = 0;     ///< batches closed by linger expiry
   std::uint64_t queue_ns_sum = 0;      ///< admission -> batch close, served only
+  // Per-request time histograms, served requests only (booked when the
+  // request completes, like queue_ns_sum):
+  LatencyHistogram queue_ns;  ///< admission -> batch close
+  LatencyHistogram exec_ns;   ///< batch close -> settle (the batch's run, plus retry)
+  LatencyHistogram total_ns;  ///< admission -> settle
 
   double mean_batch() const {
     return batches == 0 ? 0.0 : static_cast<double>(batched_requests) / batches;
@@ -259,13 +279,14 @@ class ServerCore {
   bool ready(Nanos now) const;
   Nanos next_event() const { return batcher_.next_event(); }
   /// Closes a batch: pops up to max_batch tickets into `batch`, marks them
-  /// kRunning and updates stats against `now`. Returns the batch size.
+  /// kRunning and stamps their close time `now`. Returns the batch size.
   std::size_t close_batch(Nanos now, std::vector<std::uint32_t>& batch);
-  /// Marks a closed batch's slots kDone (clients may collect + release).
-  void complete(std::span<const std::uint32_t> batch);
-  /// Marks one kRunning slot kDone (the per-member path after a batch-level
-  /// failure was isolated by individual retries).
-  void complete_one(std::uint32_t ticket);
+  /// Marks a closed batch's slots kDone at `now` (clients may collect +
+  /// release) and books their queue / execution / total times.
+  void complete(std::span<const std::uint32_t> batch, Nanos now);
+  /// Marks one kRunning slot kDone at `now` (the per-member path after a
+  /// batch-level failure was isolated by individual retries).
+  void complete_one(std::uint32_t ticket, Nanos now);
   /// Marks one kRunning slot kFailed. `lost` distinguishes a worker/fleet
   /// loss (client sees kWorkerLost) from a contained execution error
   /// (kFailed); stats count the two separately.
@@ -282,9 +303,9 @@ class ServerCore {
   /// batch attempt succeeded every member completes. Otherwise it books one
   /// batch failure and one retry per member, completes the members whose
   /// individual retry succeeded (retry_ok[i] != 0) and fails the rest.
-  /// Returns the number of members failed.
+  /// Completions are booked at `now`. Returns the number of members failed.
   std::size_t settle_batch(std::span<const std::uint32_t> batch, bool batch_ok,
-                           std::span<const std::uint8_t> retry_ok);
+                           std::span<const std::uint8_t> retry_ok, Nanos now);
 
   const float* slot_input(std::uint32_t ticket) const;
   float* slot_output(std::uint32_t ticket) const;
@@ -309,6 +330,7 @@ class ServerCore {
     const float* input = nullptr;
     float* output = nullptr;
     Nanos enqueue_ns = 0;
+    Nanos close_ns = 0;  ///< batch close (kRunning onward)
     SlotState state = SlotState::kFree;
     bool worker_lost = false;  ///< kFailed flavor: abandoned vs contained
   };
@@ -319,6 +341,21 @@ class ServerCore {
   std::size_t running_ = 0;  ///< slots in kRunning
   bool draining_ = false;
 };
+
+/// Gather -> prefix run -> scatter: the one batch-execution routine of the
+/// serving layer (BatchingServer's workers run every batch through it, and a
+/// ManualServer runner over a caller-owned session can too). Copies the
+/// input of each of the n tickets of `batch` into lanes 0..n-1 of `in` (the
+/// session's compile-time input shape), runs `session` over that n-image
+/// prefix (InferenceSession::run(in, out, n), so a partial batch costs its
+/// filled size) and copies output lanes 0..n-1 back to the tickets. Lanes
+/// n.. of `in` keep whatever an earlier batch left there: the prefix rows do
+/// not depend on them (every op is per-image). Allocation-free once `out` has
+/// the network output shape (one full run at pre-warm). Reads only slot
+/// bindings, which are immutable while the tickets are kRunning, so callers
+/// may run it without the server lock.
+void run_session_batch(const ServerCore& core, std::span<const std::uint32_t> batch,
+                       InferenceSession& session, Tensor<float>& in, Tensor<float>& out);
 
 /// Deterministic single-worker executor for tests (see file comment). The
 /// runner is invoked inline from step() with the closed batch's tickets;
@@ -459,12 +496,9 @@ class BatchingServer {
   };
 
   VirtualClock& clock() const;
+  /// Runs each closed batch through run_session_batch without the lock
+  /// held; a one-member span is the isolation retry, a one-image run.
   void worker_loop(Worker& worker);
-  /// Gather -> session.run -> scatter, called without the lock held (slot
-  /// bindings of a kRunning batch are immutable until complete()/fail()).
-  /// A one-member span is the isolation retry: the request runs in lane 0
-  /// and per-image independence makes the stale lanes harmless.
-  void run_batch(Worker& worker, std::span<const std::uint32_t> batch);
   /// (Re)builds `worker`'s session by replaying the shared plan (worker-start
   /// fault point inside). Strong guarantee: on throw the previous session, if
   /// any, is retained.

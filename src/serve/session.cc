@@ -556,7 +556,7 @@ std::vector<std::vector<Tensor<float>>> InferenceSession::fp32_reference(
                          op.conv->weights(), op.conv->bias(), ref[op.out].span(), scratch,
                          PostOps{op.fuse_relu, in1});
       } else {
-        s.execute_op(op, ref[op.in0].data(), in1, ref[op.out].data());
+        s.execute_op(op, ref[op.in0].data(), in1, ref[op.out].data(), s.plan_.batch);
       }
     }
   }
@@ -977,10 +977,15 @@ void* InferenceSession::value_out(std::size_t v, Tensor<float>& output) {
   return arena_.data() + values_[v].offset_bytes;
 }
 
-void InferenceSession::run(const Tensor<float>& input, Tensor<float>& output) {
+void InferenceSession::run(const Tensor<float>& input, Tensor<float>& output,
+                           std::size_t images) {
   maybe_inject_fault(FaultSite::kSessionRun);
   if (input.shape() != values_[0].shape) {
     throw std::invalid_argument("InferenceSession::run: input shape does not match the plan");
+  }
+  if (images < 1 || images > plan_.batch) {
+    throw std::invalid_argument("InferenceSession::run: images must be in [1, batch()], got " +
+                                std::to_string(images));
   }
   // reshape() only when needed: re-running into the same output tensor must
   // not touch the heap (reshape copies the shape vector even when sizes
@@ -995,13 +1000,18 @@ void InferenceSession::run(const Tensor<float>& input, Tensor<float>& output) {
                           ? value_in(op.in1, input)
                           : nullptr;
     void* out = value_out(op.out, output);
-    execute_op(op, in0, in1, out);
+    execute_op(op, in0, in1, out, images);
   }
 }
 
-void InferenceSession::execute_op(Op& op, const void* in0, const void* in1, void* out) {
+void InferenceSession::execute_op(Op& op, const void* in0, const void* in1, void* out,
+                                  std::size_t images) {
   const Value& vi = values_[op.in0];
   const Value& vo = values_[op.out];
+  // Every value is image-major (NCHW and blocked alike), so the first
+  // `images` images of a value are its leading images * extent / batch
+  // elements.
+  const std::size_t out_extent = vo.extent() / plan_.batch * images;
   switch (op.kind) {
     case Op::Kind::kConvEngine: {
       // Injected *before* the engine touches its state: a faulted op leaves
@@ -1021,26 +1031,23 @@ void InferenceSession::execute_op(Op& op, const void* in0, const void* in1, void
       if (vo.layout == ActLayout::kBlocked64) {
         // Blocked chain: input, output and residual stay in the arena's
         // blocked buffers — no relayout inside the engine.
-        op.engine->run_blocked(in0, out, pool_, post);
+        op.engine->run_blocked(in0, out, pool_, post, images);
       } else if (vi.dtype == DType::kU8 || vo.dtype == DType::kU8 || post.sum_u8 != nullptr) {
         // u8 hand-off on any edge: the typed entry point reads/writes the
         // arena buffers with the dtypes the compiler configured.
-        op.engine->run_typed(in0, out, pool_, post);
-      } else if (!post.none()) {
-        // Fused epilogue: the element-wise pass rides inside the engine's
-        // output pass (attributed to its output-transform / store stage).
-        op.engine->run({static_cast<const float*>(in0), vi.elems},
-                       {static_cast<float*>(out), vo.elems}, pool_, post);
+        op.engine->run_typed(in0, out, pool_, post, images);
       } else {
+        // FP32 edges; a fused epilogue rides inside the engine's output pass
+        // (attributed to its output-transform / store stage).
         op.engine->run({static_cast<const float*>(in0), vi.elems},
-                       {static_cast<float*>(out), vo.elems}, pool_);
+                       {static_cast<float*>(out), vo.elems}, pool_, post, images);
       }
       break;
     }
     case Op::Kind::kConvFp32:
-      conv_f32_forward(op.conv->conv_desc(plan_.batch),
+      conv_f32_forward(op.conv->conv_desc(images),
                        {static_cast<const float*>(in0), vi.elems}, op.conv->weights(),
-                       op.conv->bias(), {static_cast<float*>(out), vo.extent()}, op.fp32,
+                       op.conv->bias(), {static_cast<float*>(out), out_extent}, op.fp32,
                        PostOps{op.fuse_relu, static_cast<const float*>(in1)}, vo.layout);
       break;
     case Op::Kind::kRelu: {
@@ -1053,13 +1060,13 @@ void InferenceSession::execute_op(Op& op, const void* in0, const void* in1, void
         // so max(q, 128) IS the quantized ReLU — exact, no dequant round trip.
         const std::uint8_t* src = static_cast<const std::uint8_t*>(in0);
         std::uint8_t* dst = static_cast<std::uint8_t*>(out);
-        for (std::size_t i = 0; i < vo.extent(); ++i) {
+        for (std::size_t i = 0; i < out_extent; ++i) {
           dst[i] = src[i] > 128 ? src[i] : std::uint8_t{128};
         }
       } else {
         const float* src = static_cast<const float*>(in0);
         float* dst = static_cast<float*>(out);
-        for (std::size_t i = 0; i < vo.extent(); ++i) {
+        for (std::size_t i = 0; i < out_extent; ++i) {
           dst[i] = src[i] > 0.0f ? src[i] : 0.0f;
         }
       }
@@ -1074,7 +1081,7 @@ void InferenceSession::execute_op(Op& op, const void* in0, const void* in1, void
       // scale.
       const bool blocked = vo.layout == ActLayout::kBlocked64;
       const std::size_t planes =
-          plan_.batch * (blocked ? ceil_div(op.channels, kChanBlock) : op.channels);
+          images * (blocked ? ceil_div(op.channels, kChanBlock) : op.channels);
       const std::size_t hw = op.hw;
       const std::size_t oh = hw / 2;
       // `lanes` is a compile-time constant (1 or 64) so both loops stay tight.
@@ -1118,10 +1125,10 @@ void InferenceSession::execute_op(Op& op, const void* in0, const void* in1, void
       const std::size_t out_f = op.dense->out_features();
       const float* fin0 = static_cast<const float*>(in0);
       float* fout = static_cast<float*>(out);
-      fp32_gemm(fin0, in_f, op.dense->weights().data(), out_f, fout, out_f, plan_.batch,
-                in_f, out_f);
+      fp32_gemm(fin0, in_f, op.dense->weights().data(), out_f, fout, out_f, images, in_f,
+                out_f);
       const std::span<const float> bias = op.dense->bias();
-      for (std::size_t b = 0; b < plan_.batch; ++b) {
+      for (std::size_t b = 0; b < images; ++b) {
         for (std::size_t o = 0; o < out_f; ++o) fout[b * out_f + o] += bias[o];
       }
       break;
@@ -1131,14 +1138,14 @@ void InferenceSession::execute_op(Op& op, const void* in0, const void* in1, void
       const float* a = static_cast<const float*>(in0);
       const float* b = static_cast<const float*>(in1);
       float* dst = static_cast<float*>(out);
-      for (std::size_t i = 0; i < vo.extent(); ++i) {
+      for (std::size_t i = 0; i < out_extent; ++i) {
         dst[i] = std::max(0.0f, a[i] + b[i]);
       }
       break;
     }
     case Op::Kind::kReorder:
-      relayout(vo.dtype, vo.layout, in0, vo.shape[0], vo.shape[1], vo.shape[2], vo.shape[3],
-               out, pool_);
+      relayout(vo.dtype, vo.layout, in0, images, vo.shape[1], vo.shape[2], vo.shape[3], out,
+               pool_);
       break;
   }
 }

@@ -45,6 +45,14 @@
 // malloc-counting harness in tests/test_serve.cc) and record one
 // ProfileStage::kServe span per op (engine-internal stages nest inside, so
 // LOWINO_PROFILE=1 yields a per-layer, per-stage breakdown).
+// session.run(input, output, images) is a prefix-batch run: every op bounds
+// its work to images [0, images) of the compiled batch — convolution
+// engines run images x tiles_per_image tiles, element-wise ops, pooling,
+// the dense GEMM and relayouts touch only those images — so a partial batch
+// costs its filled size, not the compiled one. The prefix rows are
+// bit-identical to a full run's (every op is per-image independent and its
+// per-image arithmetic does not depend on the image count); the plan, the
+// arena and the engines are the same objects either way.
 //
 // Threading contract: distinct sessions are thread-compatible — every
 // mutable buffer (engines, arena, scratch) is session-owned, and the only
@@ -191,7 +199,16 @@ class InferenceSession {
   /// is reshaped to the network output. Zero heap allocations in steady
   /// state (everything was pre-warmed at compile time; the caller's output
   /// tensor grows once on its first use). Not reentrant.
-  void run(const Tensor<float>& input, Tensor<float>& output);
+  void run(const Tensor<float>& input, Tensor<float>& output) { run(input, output, batch()); }
+
+  /// Prefix-batch run: computes only images [0, images) of `input` (still a
+  /// whole compile-time-shaped tensor) at about images / batch() of a full
+  /// run's cost. The first `images` output rows are bit-identical to a full
+  /// run's; the rows past them are not part of the result (the session's own
+  /// ops and the quantized engines leave them untouched; a forced comparator
+  /// baseline may still compute the whole batch). Throws
+  /// std::invalid_argument unless 1 <= images <= batch().
+  void run(const Tensor<float>& input, Tensor<float>& output, std::size_t images);
 
   const SessionPlan& plan() const { return plan_; }
   std::size_t batch() const { return plan_.batch; }
@@ -265,7 +282,8 @@ class InferenceSession {
 
   friend struct InferenceSessionTestPeer;  // white-box layout checks (tests/test_serve.cc)
 
-  void execute_op(Op& op, const void* in0, const void* in1, void* out);
+  /// Runs one op over images [0, images) of its values.
+  void execute_op(Op& op, const void* in0, const void* in1, void* out, std::size_t images);
   const void* value_in(std::size_t v, const Tensor<float>& input) const;
   void* value_out(std::size_t v, Tensor<float>& output);
 

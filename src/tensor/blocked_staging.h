@@ -35,19 +35,20 @@ class BlockedStaging {
   }
 
   /// Runs `core(in_blocked, out_blocked, core_post, images)` between the
-  /// relayouts of `desc`'s NCHW input (dtype `in_dtype`) and output
-  /// (`out_dtype`), `images_per_pass` (>= 1) images at a time, so the staging
-  /// buffers hold one pass, not necessarily the whole batch.
+  /// relayouts of the first `images` (1..batch) images of `desc`'s NCHW input
+  /// (dtype `in_dtype`) and output (`out_dtype`), `images_per_pass` (>= 1)
+  /// images at a time, so the staging buffers hold one pass, not necessarily
+  /// the whole batch. Output images past `images` are not touched.
   /// `core_post` is `post` with the pass's residual packed to the blocked
   /// layout: a residual of the output's dtype is packed straight into the
   /// output buffer and summed in place; one of the other dtype gets its own
   /// buffer.
   template <typename Core>
-  void run(const ConvDesc& desc, std::size_t images_per_pass, DType in_dtype, DType out_dtype,
-           const void* input, void* output, const PostOps& post, ThreadPool* pool,
-           Core&& core) {
+  void run(const ConvDesc& desc, std::size_t images, std::size_t images_per_pass,
+           DType in_dtype, DType out_dtype, const void* input, void* output,
+           const PostOps& post, ThreadPool* pool, Core&& core) {
     const std::size_t oh = desc.out_height(), ow = desc.out_width();
-    const std::size_t pass = std::min(images_per_pass, desc.batch);
+    const std::size_t pass = std::min(images_per_pass, images);
     const std::size_t in_image = desc.in_channels * desc.height * desc.width;
     const std::size_t out_image = desc.out_channels * oh * ow;
     const std::size_t out_elems = BlockedActLayout(pass, desc.out_channels, oh, ow).size();
@@ -56,8 +57,8 @@ class BlockedStaging {
     out_.ensure(out_elems * dtype_bytes(out_dtype));
     if (post.has_sum()) sum_buf.ensure(out_elems * dtype_bytes(sum_dtype));
 
-    for (std::size_t b0 = 0; b0 < desc.batch; b0 += pass) {
-      const std::size_t n = std::min(pass, desc.batch - b0);
+    for (std::size_t b0 = 0; b0 < images; b0 += pass) {
+      const std::size_t n = std::min(pass, images - b0);
       const void* in_blocked = pack_input(
           desc, n, in_dtype,
           static_cast<const std::uint8_t*>(input) + b0 * in_image * dtype_bytes(in_dtype), pool);

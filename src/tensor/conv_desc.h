@@ -16,6 +16,11 @@ inline constexpr std::size_t kPhi = 4;
 /// Channel block of every blocked activation layout (phi * sigma = 64).
 inline constexpr std::size_t kChanBlock = kPhi * kSigma;
 
+/// Prefix-batch argument of the engines' execute entry points: "every image
+/// of the batch". Any other value runs only images [0, images) — see
+/// ConvDesc::resolve_images.
+inline constexpr std::size_t kAllImages = static_cast<std::size_t>(-1);
+
 /// Describes one 2D convolution layer: B x C x H x W input, K filters of
 /// r x r, zero padding (optionally different along width), arbitrary stride,
 /// optionally grouped (groups = C = depthwise). The Winograd engines only
@@ -81,6 +86,20 @@ struct ConvDesc {
     if (groups < 1) fail("groups must be >= 1");
     if (in_channels % groups != 0) fail("in_channels must be divisible by groups");
     if (out_channels % groups != 0) fail("out_channels must be divisible by groups");
+  }
+
+  /// The image count of a prefix-batch run: `batch` for kAllImages,
+  /// otherwise `images` itself, which must lie in [1, batch] (throws
+  /// std::invalid_argument). A prefix run computes images [0, images) exactly
+  /// as a whole-batch run would — every op is per-image independent — and
+  /// leaves the outputs of the later images unspecified.
+  std::size_t resolve_images(std::size_t images) const {
+    if (images == kAllImages) return batch;
+    if (images < 1 || images > batch) {
+      throw std::invalid_argument("ConvDesc [" + to_string() + "]: a prefix run needs 1 <= " +
+                                  "images <= batch, got " + std::to_string(images));
+    }
+    return images;
   }
 
   /// Engines without grouped-convolution support call this right after

@@ -334,5 +334,112 @@ TEST(BlockedDirect, Int8DepthwiseRunBlockedMatchesNchwEntryPoints) {
   }
 }
 
+// --- Prefix-batch execution ---------------------------------------------------
+
+/// Every prefix 1..B-1 through the ConvEngine entry points against the
+/// whole-batch run, byte for byte: run() on FP32 with an FP32 residual,
+/// run_typed() with u8 input, output and residual, and — on blocked-I/O
+/// engines — run_blocked() with a residual aliasing the output. Images past
+/// the prefix must keep their canary (or, aliased, their residual) bytes.
+void expect_engine_prefix_runs_exact(EngineKind kind, const ConvDesc& d, unsigned seed,
+                                     ThreadPool& pool) {
+  SCOPED_TRACE(testing::Message() << engine_token(kind) << " " << d.to_string());
+  const std::size_t B = d.batch, K = d.out_channels, oh = d.out_height(), ow = d.out_width();
+  const std::size_t in_n = B * d.in_channels * d.height * d.width;
+  const std::size_t out_n = B * K * oh * ow;
+  Rng rng(seed);
+  std::vector<float> in32(in_n), res32(out_n), bias(K);
+  std::vector<float> w(K * d.group_in_channels() * d.kernel * d.kernel);
+  std::vector<std::uint8_t> in8(in_n), res8(out_n);
+  for (auto& v : in32) v = rng.uniform(-1.5f, 1.5f);
+  for (auto& v : res32) v = rng.uniform(-1.0f, 1.0f);
+  for (auto& v : bias) v = rng.uniform(-0.2f, 0.2f);
+  for (auto& v : w) v = rng.uniform(-0.5f, 0.5f);
+  for (auto& v : in8) v = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto& v : res8) v = static_cast<std::uint8_t>(rng.next_u64());
+
+  // `run(out, images)` writes a whole-batch buffer of `bytes` bytes, seeded
+  // from `seed_bytes` (a canary, or the aliased residual).
+  const auto check = [&](std::size_t bytes, const std::vector<std::uint8_t>& seed_bytes,
+                         const auto& run) {
+    std::vector<std::uint8_t> want = seed_bytes;
+    run(want.data(), kAllImages);
+    for (std::size_t n = 1; n < B; ++n) {
+      std::vector<std::uint8_t> got = seed_bytes;
+      run(got.data(), n);
+      const std::size_t image = bytes / B;
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(), n * image)) << "n=" << n;
+      EXPECT_EQ(0, std::memcmp(got.data() + n * image, seed_bytes.data() + n * image,
+                               bytes - n * image))
+          << "images past the prefix were written, n=" << n;
+    }
+  };
+
+  std::unique_ptr<ConvEngine> e = make_conv_engine(kind, d);
+  e->calibrate(in32);
+  e->finalize_calibration();
+  e->set_filters(w, bias);
+  const std::vector<std::uint8_t> canary32(out_n * sizeof(float), 0xA5);
+  check(canary32.size(), canary32, [&](std::uint8_t* out, std::size_t images) {
+    e->run(in32, {reinterpret_cast<float*>(out), out_n}, &pool, PostOps{true, res32.data()},
+           images);
+  });
+  std::vector<float> out(out_n);
+  EXPECT_THROW(e->run(in32, out, &pool, {}, 0), std::invalid_argument);
+  EXPECT_THROW(e->run(in32, out, &pool, {}, B + 1), std::invalid_argument);
+
+  e->set_input_u8(QuantParams::from_threshold(1.0f));
+  e->set_output_u8(QuantParams::from_threshold(2.0f));
+  PostOps post8;
+  post8.sum_u8 = res8.data();
+  post8.sum_u8_inv_scale = 0.02f;
+  const std::vector<std::uint8_t> canary8(out_n, 0xA5);
+  check(out_n, canary8, [&](std::uint8_t* out8, std::size_t images) {
+    e->run_typed(in8.data(), out8, &pool, post8, images);
+  });
+
+  if (!engine_caps(kind, d).blocked_io) return;
+  const BlockedActLayout in_l(B, d.in_channels, d.height, d.width), out_l(B, K, oh, ow);
+  std::vector<std::uint8_t> in_b(in_l.size()), res_b(out_l.size());
+  relayout(DType::kU8, ActLayout::kBlocked64, in8.data(), B, d.in_channels, d.height, d.width,
+           in_b.data());
+  relayout(DType::kU8, ActLayout::kBlocked64, res8.data(), B, K, oh, ow, res_b.data());
+  check(res_b.size(), res_b, [&](std::uint8_t* out_b, std::size_t images) {
+    PostOps alias = post8;
+    alias.relu = true;
+    alias.sum_u8 = out_b;
+    e->run_blocked(in_b.data(), out_b, &pool, alias, images);
+  });
+}
+
+TEST(PrefixRun, EngineInt8Direct) {
+  ThreadPool pool(4);
+  expect_engine_prefix_runs_exact(EngineKind::kInt8Direct, make_desc(3, 24, 40, 9), 31, pool);
+}
+
+ConvDesc prefix_desc(std::size_t c, std::size_t k, std::size_t r, std::size_t stride,
+                     std::size_t groups) {
+  ConvDesc d = blocked_desc(c, k, r, stride, groups);
+  d.batch = 3;
+  return d;
+}
+
+TEST(PrefixRun, EngineInt8Conv1x1) {
+  // C = 32 multiplies u8 input in place; C = 96 at stride 2 copies panels.
+  ThreadPool pool(4);
+  expect_engine_prefix_runs_exact(EngineKind::kInt8Conv1x1, prefix_desc(32, 40, 1, 1, 1), 41,
+                                  pool);
+  expect_engine_prefix_runs_exact(EngineKind::kInt8Conv1x1, prefix_desc(96, 130, 1, 2, 1), 42,
+                                  pool);
+}
+
+TEST(PrefixRun, EngineInt8Depthwise) {
+  ThreadPool pool(4);
+  expect_engine_prefix_runs_exact(EngineKind::kInt8Depthwise, prefix_desc(32, 32, 3, 1, 32), 51,
+                                  pool);
+  expect_engine_prefix_runs_exact(EngineKind::kInt8Depthwise, prefix_desc(96, 192, 3, 2, 96),
+                                  52, pool);
+}
+
 }  // namespace
 }  // namespace lowino

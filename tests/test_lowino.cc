@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -231,6 +232,115 @@ TEST(LoWino, BlockedExecuteMatchesNchw) {
   unpack_blocked_to_nchw(out_blocked.span(), d.batch, d.out_channels, d.out_height(),
                          d.out_width(), blocked_out);
   for (std::size_t i = 0; i < nchw_out.size(); ++i) ASSERT_EQ(nchw_out[i], blocked_out[i]);
+}
+
+// --- Prefix-batch execution ---------------------------------------------------
+
+/// Bytes of images [0, n) and [n, batch) of `buf` (image-major, `image`
+/// bytes each) against `want` and `canary`.
+void expect_prefix(const std::vector<std::uint8_t>& got, const std::vector<std::uint8_t>& want,
+                   const std::vector<std::uint8_t>& canary, std::size_t n, std::size_t image) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(), n * image)) << "prefix differs, n=" << n;
+  EXPECT_EQ(0, std::memcmp(got.data() + n * image, canary.data() + n * image,
+                           got.size() - n * image))
+      << "images past the prefix were written, n=" << n;
+}
+
+template <typename T>
+std::vector<std::uint8_t> bytes_of(const T* data, std::size_t count) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(data);
+  return std::vector<std::uint8_t>(p, p + count * sizeof(T));
+}
+
+/// Every prefix 1..B-1 of a LoWino convolution in an explicit execution mode
+/// against the whole-batch run, through the NCHW, blocked FP32 and blocked
+/// u8 entry points. The small n_blk makes every prefix end inside an n-block
+/// (25 or 9 tiles per image vs 12-row blocks), and the 4-thread pool has
+/// more workers than a one-image prefix has n-blocks. The blocked runs fuse
+/// a residual that aliases the output: images past the prefix must keep
+/// their residual bytes.
+void expect_lowino_prefix_runs_exact(std::size_t m, ExecutionMode mode) {
+  SCOPED_TRACE(testing::Message() << "m=" << m << " fused=" << (mode == ExecutionMode::kFused));
+  ThreadPool pool(4);
+  const ConvDesc d = make_desc(3, 72, 80, 10);
+  const Problem p = make_problem(d, 500 + static_cast<unsigned>(m));
+  LoWinoConfig cfg;
+  cfg.m = m;
+  cfg.execution_mode = mode;
+  cfg.blocking.n_blk = 12;
+  LoWinoConvolution conv(d, cfg);
+  conv.calibrate(p.input);
+  conv.finalize_calibration();
+  conv.set_filters(p.weights, p.bias);
+  const std::size_t B = d.batch;
+  const std::size_t out_n = p.ref.size();
+
+  // NCHW FP32.
+  std::vector<float> full(out_n);
+  conv.execute_nchw(p.input, full, &pool);
+  ASSERT_EQ(conv.last_execution_mode(), mode);
+  const std::vector<std::uint8_t> want = bytes_of(full.data(), out_n);
+  const std::vector<std::uint8_t> canary(want.size(), 0xA5);
+  for (std::size_t n = 1; n < B; ++n) {
+    std::vector<float> out(out_n);
+    std::memcpy(out.data(), canary.data(), canary.size());
+    conv.execute_nchw(p.input, out, &pool, {}, n);
+    expect_prefix(bytes_of(out.data(), out_n), want, canary, n, want.size() / B);
+  }
+
+  // Blocked FP32, ReLU + a residual aliasing the output.
+  const BlockedActLayout in_l = conv.input_layout(), out_l = conv.output_layout();
+  AlignedBuffer<float> in_b(in_l.size()), res_b(out_l.size());
+  pack_nchw_to_blocked(p.input, B, d.in_channels, d.height, d.width, in_b.span());
+  pack_nchw_to_blocked(p.ref, B, d.out_channels, d.out_height(), d.out_width(), res_b.span());
+  const std::vector<std::uint8_t> res = bytes_of(res_b.data(), out_l.size());
+  AlignedBuffer<float> out_b(out_l.size());
+  std::memcpy(out_b.data(), res.data(), res.size());
+  conv.execute_blocked(in_b.span(), out_b.span(), &pool, PostOps{true, out_b.data()});
+  const std::vector<std::uint8_t> want_b = bytes_of(out_b.data(), out_l.size());
+  for (std::size_t n = 1; n < B; ++n) {
+    std::memcpy(out_b.data(), res.data(), res.size());
+    conv.execute_blocked(in_b.span(), out_b.span(), &pool, PostOps{true, out_b.data()}, n);
+    expect_prefix(bytes_of(out_b.data(), out_l.size()), want_b, res, n, res.size() / B);
+  }
+
+  // Blocked u8 hand-off in and out, with a u8 residual aliasing the output.
+  conv.set_input_u8(QuantParams::from_threshold(1.0f));
+  conv.set_output_u8(QuantParams::from_threshold(4.0f));
+  std::vector<std::uint8_t> nchw8(p.input.size()), nchw_res8(out_n);
+  Rng rng(77);
+  for (auto& v : nchw8) v = static_cast<std::uint8_t>(rng.next_u64());
+  for (auto& v : nchw_res8) v = static_cast<std::uint8_t>(rng.next_u64());
+  std::vector<std::uint8_t> in8(in_l.size()), res8(out_l.size());  // padding lanes 128
+  relayout(DType::kU8, ActLayout::kBlocked64, nchw8.data(), B, d.in_channels, d.height, d.width,
+           in8.data());
+  relayout(DType::kU8, ActLayout::kBlocked64, nchw_res8.data(), B, d.out_channels,
+           d.out_height(), d.out_width(), res8.data());
+  PostOps post8;
+  post8.sum_u8_inv_scale = 0.02f;
+  std::vector<std::uint8_t> out8 = res8;
+  post8.sum_u8 = out8.data();
+  conv.execute_blocked_typed(in8.data(), out8.data(), &pool, post8);
+  const std::vector<std::uint8_t> want8 = out8;
+  for (std::size_t n = 1; n < B; ++n) {
+    out8 = res8;
+    post8.sum_u8 = out8.data();
+    conv.execute_blocked_typed(in8.data(), out8.data(), &pool, post8, n);
+    expect_prefix(out8, want8, res8, n, res8.size() / B);
+  }
+
+  std::vector<float> out(out_n);
+  EXPECT_THROW(conv.execute_nchw(p.input, out, &pool, {}, 0), std::invalid_argument);
+  EXPECT_THROW(conv.execute_nchw(p.input, out, &pool, {}, B + 1), std::invalid_argument);
+}
+
+TEST(PrefixRun, EngineLoWinoStaged) {
+  for (const std::size_t m : {2, 4}) expect_lowino_prefix_runs_exact(m, ExecutionMode::kStaged);
+}
+
+TEST(PrefixRun, EngineLoWinoFused) {
+  for (const std::size_t m : {2, 4}) expect_lowino_prefix_runs_exact(m, ExecutionMode::kFused);
 }
 
 // --- Quantization design properties ----------------------------------------

@@ -87,7 +87,7 @@ struct InferenceSessionTestPeer {
                             ? s.value_in(op.in1, input)
                             : nullptr;
       void* out = s.value_out(op.out, output);
-      s.execute_op(op, s.value_in(op.in0, input), in1, out);
+      s.execute_op(op, s.value_in(op.in0, input), in1, out, s.batch());
       after(op.out, static_cast<const std::uint8_t*>(out));
     }
   }
@@ -111,7 +111,7 @@ struct InferenceSessionTestPeer {
       if (op.kind == Op::Kind::kReorder) {
         std::memcpy(ptr(op.out), ptr(op.in0), s.values_[op.out].bytes());
       } else {
-        s.execute_op(op, ptr(op.in0), in1, ptr(op.out));
+        s.execute_op(op, ptr(op.in0), in1, ptr(op.out), s.batch());
       }
     }
     s.values_ = saved;
@@ -1421,6 +1421,115 @@ TEST(BlockedLayout, BlockedServeStaysAllocationFree) {
   for (int i = 0; i < 5; ++i) session.run(input, out);
   EXPECT_EQ(heap_alloc_count(), heap_before);
   EXPECT_EQ(aligned_buffer_alloc_count(), aligned_before);
+}
+
+// --- Prefix-batch execution ---------------------------------------------------
+
+/// The plans each zoo net is checked under: every forced engine the net can
+/// build, the dedicated pair and the default shoot-out.
+struct PrefixPlan {
+  const char* name;
+  std::optional<EngineKind> forced;
+  std::vector<EngineKind> candidates;  ///< empty: the default set
+};
+
+std::vector<PrefixPlan> prefix_plans(bool depthwise_net) {
+  if (depthwise_net) {
+    return {{"int8_dw+int8_1x1", std::nullopt,
+             {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1}},
+            {"shoot-out", std::nullopt, {}}};
+  }
+  return {{"int8_direct", EngineKind::kInt8Direct, {}},
+          {"lowino_f2", EngineKind::kLoWinoF2, {}},
+          {"lowino_f4", EngineKind::kLoWinoF4, {}},
+          {"lowino_f6", EngineKind::kLoWinoF6, {}},
+          {"shoot-out", std::nullopt, {}}};
+}
+
+InferenceSession prefix_session(SequentialModel& model, const Tensor<float>& calib,
+                                const PrefixPlan& plan) {
+  PlanOptions options;
+  options.pool = &ThreadPool::global();
+  options.forced_engine = plan.forced;
+  options.candidates = plan.candidates;
+  options.seconds_per_candidate = 0.002;
+  return InferenceSession::compile(model, calib, options);
+}
+
+constexpr float kCanary = -1234.5f;
+
+/// run(input, out, n) for n = 1..B against the first n rows of a full run,
+/// byte for byte, with the rows past n keeping a canary. A full run on other
+/// data goes first, so every arena lane past the prefix holds stale values
+/// that differ from `input`'s.
+void expect_prefix_lanes_match_full_run(InferenceSession& s, const Tensor<float>& input,
+                                        const Tensor<float>& other) {
+  Tensor<float> full, out;
+  s.run(input, full);
+  s.run(other, out);
+  const std::size_t B = s.batch(), row = full.size() / B;
+  for (std::size_t n = 1; n <= B; ++n) {
+    std::fill(out.data(), out.data() + out.size(), kCanary);
+    s.run(input, out, n);
+    EXPECT_EQ(0, std::memcmp(out.data(), full.data(), n * row * sizeof(float))) << "n=" << n;
+    EXPECT_TRUE(std::all_of(out.data() + n * row, out.data() + out.size(),
+                            [](float v) { return v == kCanary; }))
+        << "rows past the prefix were written, n=" << n;
+  }
+  EXPECT_THROW(s.run(input, out, 0), std::invalid_argument);
+  EXPECT_THROW(s.run(input, out, B + 1), std::invalid_argument);
+}
+
+TEST(PrefixRun, SessionLanesMatchFullRun) {
+  constexpr std::size_t kBatch = 4, kHw = 16;
+  const Tensor<float> calib = random_input(kBatch, kHw, 71);
+  const Tensor<float> input = random_input(kBatch, kHw, 72);
+  const Tensor<float> other = random_input(kBatch, kHw, 73);
+  const struct {
+    const char* name;
+    SequentialModel (*make)(std::size_t, std::size_t, std::uint64_t);
+    bool depthwise;
+  } nets[] = {{"minivgg", make_minivgg, false},
+              {"miniresnet", make_miniresnet, false},
+              {"minimobilenet", make_minimobilenet, true}};
+  for (const auto& net : nets) {
+    SequentialModel model = net.make(kHw, 10, 42);
+    for (const char* fuse : {"1", "0"}) {
+      for (const char* u8 : {"1", "0"}) {
+        ScopedRuntimeOverride fusion("LOWINO_FUSE_POSTOPS", fuse);
+        ScopedRuntimeOverride handoff("LOWINO_U8_HANDOFF", u8);
+        for (const PrefixPlan& plan : prefix_plans(net.depthwise)) {
+          SCOPED_TRACE(testing::Message() << net.name << " " << plan.name << " fuse=" << fuse
+                                          << " u8=" << u8);
+          InferenceSession s = prefix_session(model, calib, plan);
+          expect_prefix_lanes_match_full_run(s, input, other);
+        }
+      }
+    }
+  }
+  // Batch 7: the full run's dense GEMM takes a 6-row register block plus a
+  // 1-row tail, while prefixes below 6 take 1-row blocks only.
+  SequentialModel model = make_miniresnet(kHw);
+  InferenceSession s =
+      prefix_session(model, random_input(7, kHw, 76), {"lowino_f4", EngineKind::kLoWinoF4, {}});
+  expect_prefix_lanes_match_full_run(s, random_input(7, kHw, 77), random_input(7, kHw, 78));
+}
+
+TEST(PrefixRun, StaysAllocationFree) {
+  SequentialModel model = make_miniresnet();
+  const Tensor<float> calib = random_input(4, 16, 74);
+  const Tensor<float> input = random_input(4, 16, 75);
+  InferenceSession s = prefix_session(model, calib, {"shoot-out", std::nullopt, {}});
+  Tensor<float> out;
+  s.run(input, out);  // warm the caller-owned output tensor
+  const std::uint64_t heap_before = heap_alloc_count();
+  const std::uint64_t aligned_before = aligned_buffer_alloc_count();
+  for (int rep = 0; rep < 2; ++rep) {
+    for (std::size_t n = 1; n <= s.batch(); ++n) s.run(input, out, n);
+  }
+  EXPECT_EQ(heap_alloc_count(), heap_before) << "operator new called on a prefix run";
+  EXPECT_EQ(aligned_buffer_alloc_count(), aligned_before)
+      << "AlignedBuffer (re)allocated on a prefix run";
 }
 
 }  // namespace

@@ -143,7 +143,7 @@ TEST(ServerCore, SlotLifecycleAndReuse) {
   EXPECT_EQ(core.close_batch(2 * kMs, batch), 1u);
   EXPECT_EQ(core.state(t), SlotState::kRunning);
   EXPECT_EQ(core.running(), 1u);
-  core.complete(batch);
+  core.complete(batch, 3 * kMs);
   EXPECT_EQ(core.state(t), SlotState::kDone);
   EXPECT_TRUE(core.idle());
   core.release(t);
@@ -307,39 +307,31 @@ TEST(ManualServer, ShutdownDrainsInFlightRequestsInOrder) {
 // calibration stride), and every op must be per-image independent (so stale
 // data in unused lanes of a partial batch cannot bleed into live lanes).
 
-/// Mirrors BatchingServer::run_batch over a caller-owned batched session:
-/// gather ticket inputs into lanes 0..n-1, run, scatter lanes back. Lanes
-/// n.. keep whatever the previous batch left there — deliberately, to prove
-/// stale lanes are harmless.
+/// A ManualServer runner over a caller-owned batched session, through the
+/// serving layer's own gather -> prefix run -> scatter (run_session_batch,
+/// the routine BatchingServer's workers call). Lanes n.. keep whatever the
+/// previous batch left there — deliberately, to prove stale lanes are
+/// harmless.
 class SessionRunner {
  public:
-  SessionRunner(InferenceSession& session, std::size_t max_batch, std::size_t in_elems)
-      : session_(session), max_batch_(max_batch), in_elems_(in_elems) {
-    in_.reshape({max_batch_, 1, 16, 16});
+  explicit SessionRunner(InferenceSession& session) : session_(session) {
+    in_.reshape({session_.batch(), 1, 16, 16});
     std::fill(in_.data(), in_.data() + in_.size(), 0.0f);
     session_.run(in_, out_);
-    out_elems_ = out_.size() / max_batch_;
+    out_elems_ = out_.size() / session_.batch();
   }
 
   std::size_t out_elems() const { return out_elems_; }
 
   ManualServer::BatchRunner fn() {
     return [this](std::span<const std::uint32_t> tickets, ServerCore& core) {
-      for (std::size_t i = 0; i < tickets.size(); ++i) {
-        std::memcpy(in_.data() + i * in_elems_, core.slot_input(tickets[i]),
-                    in_elems_ * sizeof(float));
-      }
-      session_.run(in_, out_);
-      for (std::size_t i = 0; i < tickets.size(); ++i) {
-        std::memcpy(core.slot_output(tickets[i]), out_.data() + i * out_elems_,
-                    out_elems_ * sizeof(float));
-      }
+      run_session_batch(core, tickets, session_, in_, out_);
     };
   }
 
  private:
   InferenceSession& session_;
-  std::size_t max_batch_, in_elems_, out_elems_ = 0;
+  std::size_t out_elems_ = 0;
   Tensor<float> in_, out_;
 };
 
@@ -356,7 +348,6 @@ void check_batched_vs_serial(SequentialModel&& model, const char* model_name) {
     std::memcpy(calibB.data() + b * calib1.size(), calib1.data(),
                 calib1.size() * sizeof(float));
   }
-  const std::size_t in_elems = calib1.size();
 
   for (const EngineKind kind : {EngineKind::kInt8Direct, EngineKind::kLoWinoF4}) {
     PlanOptions options;
@@ -365,7 +356,7 @@ void check_batched_vs_serial(SequentialModel&& model, const char* model_name) {
     InferenceSession serial = InferenceSession::compile(model, calib1, options);
     InferenceSession batched = InferenceSession::compile(model, calibB, options);
 
-    SessionRunner runner(batched, kMaxBatch, in_elems);
+    SessionRunner runner(batched);
     FakeClock clock;
     ManualServer server(batcher_options(kMaxBatch, 10 * kMs, 16), &clock, runner.fn());
 
@@ -578,7 +569,7 @@ TEST(ServerCore, FailedSlotsCountAndRecycle) {
   ASSERT_EQ(core.close_batch(0, batch), 2u);
 
   core.fail(t0);
-  core.complete_one(t1);
+  core.complete_one(t1, 0);
   EXPECT_EQ(core.state(t0), SlotState::kFailed);
   EXPECT_FALSE(core.failed_by_worker_loss(t0)) << "contained error, not abandonment";
   EXPECT_EQ(core.state(t1), SlotState::kDone);
@@ -681,6 +672,93 @@ TEST(ManualServer, TransientBatchFailureRecoversEveryMember) {
   EXPECT_EQ(server.core().stats().failed, 0u);
 }
 
+// --- Served-request times: queue_ns_sum and the log2 histograms --------------
+
+TEST(ServeStats, LatencyHistogramBucketsAreLog2Nanoseconds) {
+  EXPECT_EQ(LatencyHistogram::bucket_of(-5), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(0), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(1), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(2), 1u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(3), 1u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(4), 2u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(1023), 9u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(1024), 10u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(kMs), 19u) << "2^19 <= 1e6 < 2^20";
+  EXPECT_EQ(LatencyHistogram::bucket_of(std::numeric_limits<Nanos>::max()),
+            LatencyHistogram::kBuckets - 1)
+      << "the last bucket takes everything longer";
+}
+
+/// Serves input + 100; each call first spends `exec` of fake time, then
+/// crosses the session-run fault point (where a ScopedFaultPlan may fail it).
+ManualServer::BatchRunner timed_runner(FakeClock& clock, Nanos exec) {
+  return [&clock, exec](std::span<const std::uint32_t> tickets, ServerCore& core) {
+    clock.advance(exec);
+    maybe_inject_fault(FaultSite::kSessionRun);
+    for (const std::uint32_t t : tickets) {
+      core.slot_output(t)[0] = core.slot_input(t)[0] + 100.0f;
+    }
+  };
+}
+
+TEST(ServeStats, HistogramsBookQueueExecutionAndTotalTimes) {
+  FakeClock clock;
+  ManualServer server(batcher_options(2, 10 * kMs, 8), &clock, timed_runner(clock, 3 * kMs));
+  float in[2] = {1, 2}, out[2] = {-1, -1};
+  const std::uint32_t t0 = server.submit({&in[0], 1}, {&out[0], 1});
+  clock.advance(2 * kMs);
+  const std::uint32_t t1 = server.submit({&in[1], 1}, {&out[1], 1});
+  clock.advance(kMs);  // full batch closes at 3 ms, settles at 6 ms
+  ASSERT_EQ(server.step().batch.size(), 2u);
+
+  const ServeStats& stats = server.core().stats();
+  EXPECT_EQ(stats.queue_ns_sum, static_cast<std::uint64_t>(3 * kMs + kMs));
+  const auto expect_counts = [](const LatencyHistogram& h,
+                                std::initializer_list<std::pair<Nanos, std::uint64_t>> want) {
+    LatencyHistogram expected;
+    for (const auto& [ns, n] : want) expected.counts[LatencyHistogram::bucket_of(ns)] += n;
+    EXPECT_EQ(h.counts, expected.counts);
+  };
+  expect_counts(stats.queue_ns, {{3 * kMs, 1}, {kMs, 1}});  // buckets 21 and 19
+  expect_counts(stats.exec_ns, {{3 * kMs, 2}});
+  expect_counts(stats.total_ns, {{6 * kMs, 1}, {4 * kMs, 1}});  // buckets 22 and 21
+  EXPECT_EQ(stats.total_ns.total(), 2u);
+  server.release(t0);
+  server.release(t1);
+}
+
+TEST(ServeStats, FailedRetryAddsNothingToServedTimes) {
+  FakeClock clock;
+  ManualServer server(batcher_options(2, 10 * kMs, 8), &clock, timed_runner(clock, kMs));
+  float in[2] = {1, 2}, out[2] = {-1, -1};
+  const std::uint32_t t0 = server.submit({&in[0], 1}, {&out[0], 1});
+  clock.advance(kMs);
+  const std::uint32_t t1 = server.submit({&in[1], 1}, {&out[1], 1});
+  clock.advance(2 * kMs);  // both queued: 3 ms and 2 ms at the close
+
+  // Session-run checks in step(): 0 the batch attempt, 1 member 0's retry,
+  // 2 member 1's retry. Failing 0 and 2 serves member 0 alone.
+  ScopedFaultPlan plan;
+  plan.fail_calls(FaultSite::kSessionRun, {0, 2});
+  const ManualServer::StepOutcome o = server.step();
+  ASSERT_EQ(o.batch.size(), 2u);
+  EXPECT_EQ(o.failed, (std::vector<std::uint32_t>{t1}));
+
+  // Closed at 3 ms, settled at 6 ms (three 1 ms runner calls).
+  const ServeStats& stats = server.core().stats();
+  EXPECT_EQ(stats.served, 1u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.queue_ns_sum, static_cast<std::uint64_t>(3 * kMs))
+      << "only the served member's admission -> close time";
+  EXPECT_EQ(stats.queue_ns.total(), 1u);
+  EXPECT_EQ(stats.exec_ns.total(), 1u);
+  EXPECT_EQ(stats.total_ns.total(), 1u);
+  EXPECT_EQ(stats.exec_ns.counts[LatencyHistogram::bucket_of(3 * kMs)], 1u);
+  EXPECT_EQ(stats.total_ns.counts[LatencyHistogram::bucket_of(6 * kMs)], 1u);
+  server.release(t0);
+  server.release(t1);
+}
+
 // --- Deadline arithmetic at the epoch end (overflow regression) -------------
 
 TEST(Batcher, LingerArithmeticSaturatesAtTheEpochEnd) {
@@ -752,7 +830,7 @@ TEST(ServerFault, InjectedEngineFaultFailsOneRequestBatchmatesExact) {
   InferenceSession serial = InferenceSession::compile(model, calib1, options);
   InferenceSession batched = InferenceSession::compile(model, calibB, options);
 
-  SessionRunner runner(batched, kMaxBatch, calib1.size());
+  SessionRunner runner(batched);
   FakeClock clock;
   ManualServer server(batcher_options(kMaxBatch, 10 * kMs, 16), &clock, runner.fn());
 

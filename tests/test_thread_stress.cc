@@ -242,5 +242,61 @@ TEST(ThreadStress, ConcurrentSessionsServeIndependently) {
   EXPECT_EQ(0, std::memcmp(out_b.data(), golden_b.data(), out_b.size() * sizeof(float)));
 }
 
+// One-image prefix runs on a 4-thread pool: a lone image has fewer n-blocks
+// than the pool has workers, so most workers find no work in a parallel
+// region. Both a fused-mode convolution and a served session (several pools
+// at once) must still give lane 0 the bits of a whole-batch run.
+TEST(ThreadStress, PrefixRunsOnWidePool) {
+  ConvDesc d = stress_desc();
+  d.batch = 4;
+  const StressData data = stress_data(d);
+  LoWinoConfig cfg;
+  cfg.m = 4;
+  cfg.execution_mode = ExecutionMode::kFused;
+  LoWinoConvolution conv(d, cfg);
+  conv.set_uniform_input_threshold(12.0f);
+  conv.set_filters(data.weights, data.bias);
+  ThreadPool conv_pool(4);
+  const std::size_t image = d.out_channels * d.out_height() * d.out_width();
+  std::vector<float> full(d.batch * image), one(d.batch * image);
+  conv.execute_nchw(data.input, full, &conv_pool);
+
+  auto make_input = [](std::uint64_t seed) {
+    Tensor<float> t({4, 1, 16, 16});
+    Rng rng(seed);
+    for (std::size_t i = 0; i < t.size(); ++i) t.data()[i] = rng.uniform(-1.0f, 1.0f);
+    return t;
+  };
+  const Tensor<float> input = make_input(33);
+  SequentialModel resnet = make_miniresnet();
+  ThreadPool pool_a(4), pool_b(4);
+  PlanOptions opt_a, opt_b;
+  opt_a.forced_engine = EngineKind::kLoWinoF2;
+  opt_a.pool = &pool_a;
+  opt_b.forced_engine = EngineKind::kLoWinoF4;
+  opt_b.pool = &pool_b;
+  InferenceSession sess_a = InferenceSession::compile(resnet, make_input(34), opt_a);
+  InferenceSession sess_b = InferenceSession::compile(resnet, make_input(34), opt_b);
+  Tensor<float> full_a, full_b, out_a, out_b;
+  sess_a.run(input, full_a);
+  sess_b.run(input, full_b);
+
+  constexpr int kIterations = 6;
+  std::thread runner_a([&] {
+    for (int i = 0; i < kIterations; ++i) sess_a.run(input, out_a, 1);
+  });
+  std::thread runner_b([&] {
+    for (int i = 0; i < kIterations; ++i) sess_b.run(input, out_b, 1);
+  });
+  for (int i = 0; i < kIterations; ++i) conv.execute_nchw(data.input, one, &conv_pool, {}, 1);
+  runner_a.join();
+  runner_b.join();
+
+  EXPECT_EQ(0, std::memcmp(one.data(), full.data(), image * sizeof(float)));
+  const std::size_t row = full_a.size() / 4;
+  EXPECT_EQ(0, std::memcmp(out_a.data(), full_a.data(), row * sizeof(float)));
+  EXPECT_EQ(0, std::memcmp(out_b.data(), full_b.data(), row * sizeof(float)));
+}
+
 }  // namespace
 }  // namespace lowino
