@@ -4,10 +4,12 @@
 //   LOWINO_BENCH_BATCH  — batch override for Table 2's batch-64 rows
 //                         (default 16; set 64 for paper-faithful runs)
 //   LOWINO_NUM_THREADS  — thread pool size (default: hardware concurrency)
-//   LOWINO_BENCH_BUDGET — seconds of measurement per (layer, engine) cell
+//   LOWINO_BENCH_BUDGET_MS — milliseconds of measurement per (layer, engine)
+//                            cell (default 300)
 #pragma once
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -26,11 +28,12 @@ inline double cell_budget_seconds() {
   return static_cast<double>(env_long("LOWINO_BENCH_BUDGET_MS", 300)) / 1000.0;
 }
 
-/// Median seconds of fn() under the shared measurement protocol
-/// (1 warmup, >= 2 measured reps, budget-bounded).
+/// Median seconds of fn() under the shared measurement protocol: 1 warmup,
+/// then measured reps until the cell budget is spent (at least 2).
 template <typename Fn>
 double measure(Fn&& fn) {
-  return time_it(fn, /*warmup=*/1, /*min_iters=*/2, /*max_iters=*/20, cell_budget_seconds())
+  return time_it(fn, /*warmup=*/1, /*min_iters=*/2,
+                 /*max_iters=*/std::numeric_limits<int>::max(), cell_budget_seconds())
       .median;
 }
 

@@ -5,76 +5,49 @@
 #include <cstring>
 
 #include "common/saturate.h"
-#include "quant/calibration.h"
+#include "direct/blocked_epilogue.h"
+#include "parallel/partition.h"
 #include "parallel/thread_pool.h"
 #include "profile/profiler.h"
+#include "quant/calibration.h"
+#include "tensor/layout.h"
 
 namespace lowino {
 namespace {
 
-/// im2col with fused spatial quantization and the +128 shift: every patch
-/// value is saturate(round(x * scale)) + 128 as uint8; zero padding becomes
-/// exactly 128 (= quantized zero), which the compensation row accounts for.
-void im2col_quantized(const ConvDesc& desc, std::span<const float> input, std::size_t b,
-                      float scale, std::size_t patch_pad, std::uint8_t* col) {
+/// Builds the patch rows of output pixels [p0, p0 + n) of one image. `image`
+/// holds the image's quantized bytes in the blocked layout ([C/64] x H x W x
+/// 64). Row p's tap t = i * r + j starts at byte t * C; every tap writes
+/// whole 64-byte blocks in increasing address order, so a block's padding
+/// lanes spill into the next tap's bytes, which that tap then overwrites
+/// (the last tap spills into the row's padding, which meets zero filter
+/// rows, or into the next row, or into the panel's slack block).
+void gather_patches(const ConvDesc& desc, const std::uint8_t* image, std::size_t p0,
+                    std::size_t n, std::size_t patch_pad, std::uint8_t* panel) {
   const std::size_t C = desc.in_channels, H = desc.height, W = desc.width;
-  const std::size_t r = desc.kernel, pad = desc.height_pad(), pad_w = desc.width_pad();
-  const std::size_t OH = desc.out_height(), OW = desc.out_width();
-  for (std::size_t oh = 0; oh < OH; ++oh) {
-    for (std::size_t ow = 0; ow < OW; ++ow) {
-      std::uint8_t* row = col + (oh * OW + ow) * patch_pad;
-      std::size_t idx = 0;
-      for (std::size_t c = 0; c < C; ++c) {
-        for (std::size_t i = 0; i < r; ++i) {
-          const std::ptrdiff_t ih = static_cast<std::ptrdiff_t>(oh * desc.stride + i) -
-                                    static_cast<std::ptrdiff_t>(pad);
-          for (std::size_t j = 0; j < r; ++j) {
-            const std::ptrdiff_t iw = static_cast<std::ptrdiff_t>(ow * desc.stride + j) -
-                                      static_cast<std::ptrdiff_t>(pad_w);
-            const bool oob = ih < 0 || ih >= static_cast<std::ptrdiff_t>(H) || iw < 0 ||
-                             iw >= static_cast<std::ptrdiff_t>(W);
-            if (oob) {
-              row[idx++] = 128;
-            } else {
-              const float v = input[((b * C + c) * H + ih) * W + iw];
-              const std::int32_t q = round_nearest_even(v * scale) + 128;
-              row[idx++] = static_cast<std::uint8_t>(std::clamp(q, 0, 255));
-            }
-          }
+  const std::size_t r = desc.kernel, s = desc.stride, OW = desc.out_width();
+  const std::size_t blocks = ceil_div(C, kChanBlock);
+  const std::size_t plane = H * W * kChanBlock;
+  const auto pad = static_cast<std::ptrdiff_t>(desc.height_pad());
+  const auto pad_w = static_cast<std::ptrdiff_t>(desc.width_pad());
+  for (std::size_t p = 0; p < n; ++p) {
+    const std::size_t oh = (p0 + p) / OW, ow = (p0 + p) % OW;
+    std::uint8_t* dst = panel + p * patch_pad;
+    for (std::size_t i = 0; i < r; ++i) {
+      const std::ptrdiff_t ih = static_cast<std::ptrdiff_t>(oh * s + i) - pad;
+      for (std::size_t j = 0; j < r; ++j, dst += C) {
+        const std::ptrdiff_t iw = static_cast<std::ptrdiff_t>(ow * s + j) - pad_w;
+        if (ih < 0 || ih >= static_cast<std::ptrdiff_t>(H) || iw < 0 ||
+            iw >= static_cast<std::ptrdiff_t>(W)) {
+          std::memset(dst, 128, blocks * kChanBlock);
+          continue;
+        }
+        const std::uint8_t* src =
+            image + (static_cast<std::size_t>(ih) * W + static_cast<std::size_t>(iw)) * kChanBlock;
+        for (std::size_t cb = 0; cb < blocks; ++cb) {
+          std::memcpy(dst + cb * kChanBlock, src + cb * plane, kChanBlock);
         }
       }
-      // Padding channels: quantized zero, annihilated by the zero filter rows.
-      for (; idx < patch_pad; ++idx) row[idx] = 128;
-    }
-  }
-}
-
-/// u8 hand-off im2col: the input bytes already carry the engine's quantization
-/// (set_input_u8 adopted the producer's scale), so patches are a plain byte
-/// gather; padding stays 128 = quantized zero, identical to the FP32 path.
-void im2col_u8(const ConvDesc& desc, const std::uint8_t* input, std::size_t b,
-               std::size_t patch_pad, std::uint8_t* col) {
-  const std::size_t C = desc.in_channels, H = desc.height, W = desc.width;
-  const std::size_t r = desc.kernel, pad = desc.height_pad(), pad_w = desc.width_pad();
-  const std::size_t OH = desc.out_height(), OW = desc.out_width();
-  for (std::size_t oh = 0; oh < OH; ++oh) {
-    for (std::size_t ow = 0; ow < OW; ++ow) {
-      std::uint8_t* row = col + (oh * OW + ow) * patch_pad;
-      std::size_t idx = 0;
-      for (std::size_t c = 0; c < C; ++c) {
-        for (std::size_t i = 0; i < r; ++i) {
-          const std::ptrdiff_t ih = static_cast<std::ptrdiff_t>(oh * desc.stride + i) -
-                                    static_cast<std::ptrdiff_t>(pad);
-          for (std::size_t j = 0; j < r; ++j) {
-            const std::ptrdiff_t iw = static_cast<std::ptrdiff_t>(ow * desc.stride + j) -
-                                      static_cast<std::ptrdiff_t>(pad_w);
-            const bool oob = ih < 0 || ih >= static_cast<std::ptrdiff_t>(H) || iw < 0 ||
-                             iw >= static_cast<std::ptrdiff_t>(W);
-            row[idx++] = oob ? std::uint8_t{128} : input[((b * C + c) * H + ih) * W + iw];
-          }
-        }
-      }
-      for (; idx < patch_pad; ++idx) row[idx] = 128;
     }
   }
 }
@@ -118,7 +91,7 @@ void Int8DirectConv::set_filters(std::span<const float> weights, std::span<const
 }
 
 void Int8DirectConv::pack_weights() {
-  const std::size_t K = desc_.out_channels;
+  const std::size_t C = desc_.in_channels, K = desc_.out_channels, r = desc_.kernel;
   // Per-channel exact weight scales.
   std::vector<float> w_scale(K);
   for (std::size_t k = 0; k < K; ++k) {
@@ -128,11 +101,15 @@ void Int8DirectConv::pack_weights() {
     }
     w_scale[k] = QuantParams::from_threshold(amax).scale;
   }
-  // Quantize to the row-major (patch_pad x k_pad) B matrix, then pack.
+  // Quantize to the row-major (patch_pad x k_pad) B matrix, rows in the
+  // patch's (i, j, c) order, then pack.
   std::vector<std::int8_t> w_q(patch_pad_ * k_pad_, 0);
   for (std::size_t k = 0; k < K; ++k) {
-    for (std::size_t p = 0; p < patch_; ++p) {
-      w_q[p * k_pad_ + k] = saturate_cast_i8(weights_fp32_[k * patch_ + p] * w_scale[k]);
+    for (std::size_t c = 0; c < C; ++c) {
+      for (std::size_t t = 0; t < r * r; ++t) {
+        w_q[(t * C + c) * k_pad_ + k] =
+            saturate_cast_i8(weights_fp32_[(k * C + c) * r * r + t] * w_scale[k]);
+      }
     }
   }
   w_packed_.reset((patch_pad_ / 4) * k_pad_ * 4);
@@ -160,71 +137,101 @@ void Int8DirectConv::set_output_u8(const QuantParams& qp) {
 void Int8DirectConv::execute_nchw(std::span<const float> input, std::span<float> output,
                                   ThreadPool* pool, const PostOps& post, std::size_t images) {
   // The span API is FP32-by-contract regardless of u8 hand-off configuration.
-  execute_impl(input.data(), output.data(), false, false, pool, post,
-               desc_.resolve_images(images));
+  execute_nchw_impl(input.data(), output.data(), DType::kF32, DType::kF32, pool, post,
+                    desc_.resolve_images(images));
 }
 
 void Int8DirectConv::execute_typed(const void* input, void* output, ThreadPool* pool,
                                    const PostOps& post, std::size_t images) {
-  execute_impl(input, output, in_u8_, out_u8_, pool, post, desc_.resolve_images(images));
+  execute_nchw_impl(input, output, in_u8_ ? DType::kU8 : DType::kF32,
+                    out_u8_ ? DType::kU8 : DType::kF32, pool, post,
+                    desc_.resolve_images(images));
 }
 
-void Int8DirectConv::execute_impl(const void* input, void* output, bool in_u8, bool out_u8,
-                                  ThreadPool* pool, const PostOps& post, std::size_t images) {
+void Int8DirectConv::execute_blocked_typed(const void* input, void* output, ThreadPool* pool,
+                                           const PostOps& post, std::size_t images) {
+  execute_blocked_impl(input, output, in_u8_ ? DType::kU8 : DType::kF32,
+                       out_u8_ ? DType::kU8 : DType::kF32, pool, post,
+                       desc_.resolve_images(images));
+}
+
+void Int8DirectConv::execute_nchw_impl(const void* input, void* output, DType in_dtype,
+                                       DType out_dtype, ThreadPool* pool, const PostOps& post,
+                                       std::size_t images) {
+  // One image per worker thread per pass: the staging buffers stay a few
+  // images large whatever the batch.
+  const std::size_t threads = pool != nullptr ? pool->num_threads() : 1;
+  staging_.run(desc_, images, threads, in_dtype, out_dtype, input, output, post, pool,
+               [&](const void* in, void* out, const PostOps& core, std::size_t n) {
+                 execute_blocked_impl(in, out, in_dtype, out_dtype, pool, core, n);
+               });
+}
+
+void Int8DirectConv::execute_blocked_impl(const void* input, void* output, DType in_dtype,
+                                          DType out_dtype, ThreadPool* pool,
+                                          const PostOps& post, std::size_t batch) {
   assert(filters_set_ && input_scales_set_);
+  const std::size_t K = desc_.out_channels;
   const std::size_t OH = desc_.out_height(), OW = desc_.out_width();
   const std::size_t rows = OH * OW;
-  const std::size_t K = desc_.out_channels;
-  const std::size_t in_elems = desc_.batch * desc_.in_channels * desc_.height * desc_.width;
-  col_.ensure(rows * patch_pad_);
-  acc_.ensure(rows * k_pad_);
-  const float requant = out_u8_qp_.scale;
-  for (std::size_t b = 0; b < images; ++b) {
-    {
-      ProfileSpan span(ProfileStage::kInputTransform);
-      if (in_u8) {
-        im2col_u8(desc_, static_cast<const std::uint8_t*>(input), b, patch_pad_, col_.data());
-      } else {
-        im2col_quantized(desc_,
-                         std::span<const float>(static_cast<const float*>(input), in_elems), b,
-                         input_params_.scale, patch_pad_, col_.data());
+  const BlockedActLayout in_layout(batch, desc_.in_channels, desc_.height, desc_.width);
+  const BlockedActLayout out_layout(batch, K, OH, OW);
+  const std::size_t image_elems = in_layout.size() / batch;
+  const bool in_u8 = in_dtype == DType::kU8;
+  const std::size_t image_bytes = in_u8 ? 0 : round_up(image_elems, kCacheLineBytes);
+  const std::size_t panel_bytes = round_up(kRowChunk * patch_pad_ + kChanBlock, kCacheLineBytes);
+  const std::size_t chunks = ceil_div(rows, kRowChunk);
+  const std::size_t items = batch * chunks;
+  const std::size_t threads = pool != nullptr ? pool->num_threads() : 1;
+  if (scratch_.size() < threads) scratch_.resize(threads);
+  for (auto& buf : scratch_) {
+    buf.ensure(image_bytes + panel_bytes + kRowChunk * k_pad_ * sizeof(std::int32_t));
+  }
+
+  const float scale = input_params_.scale;
+  const BlockedEpilogue epilogue{&post, out_dtype == DType::kU8, out_u8_qp_.scale};
+  auto body = [&](std::size_t tid, std::size_t nw) {
+    std::uint8_t* quantized = scratch_[tid].data();
+    std::uint8_t* panel = quantized + image_bytes;
+    std::int32_t* acc = reinterpret_cast<std::int32_t*>(panel + panel_bytes);
+    std::size_t quantized_image = batch;  // none yet
+    const Range range = static_partition(items, nw, tid);
+    for (std::size_t item = range.begin; item < range.end; ++item) {
+      const std::size_t b = item / chunks;
+      const std::size_t p0 = (item % chunks) * kRowChunk;
+      const std::size_t n = std::min(kRowChunk, rows - p0);
+      {
+        ProfileSpan span(ProfileStage::kInputTransform);
+        const std::size_t at = in_layout.offset(b, 0, 0, 0);
+        const std::uint8_t* image = quantized;
+        if (in_u8) {
+          image = static_cast<const std::uint8_t*>(input) + at;
+        } else if (quantized_image != b) {
+          // Padding lanes are 0.0f and quantize to 128.
+          quantize_u8_shift128({static_cast<const float*>(input) + at, image_elems}, scale,
+                               {quantized, image_elems});
+          quantized_image = b;
+        }
+        gather_patches(desc_, image, p0, n, patch_pad_, panel);
+      }
+      int8_gemm_packed(panel, patch_pad_, w_packed_.data(), comp_.data(), acc, k_pad_, n,
+                       patch_pad_, k_pad_, blocking_);
+      ProfileSpan span(ProfileStage::kOutputTransform);
+      for (std::size_t kb = 0; kb < out_layout.chan_blocks; ++kb) {
+        const std::size_t k0 = kb * kChanBlock;
+        const std::size_t valid = std::min(kChanBlock, K - k0);
+        std::size_t at = out_layout.offset(b, kb, p0 / OW, p0 % OW);
+        for (std::size_t p = 0; p < n; ++p, at += kChanBlock) {
+          epilogue.store(acc + p * k_pad_ + k0, w_dequant_.data() + k0, bias_.data() + k0,
+                         valid, at, output);
+        }
       }
     }
-    int8_gemm_packed(col_.data(), patch_pad_, w_packed_.data(), comp_.data(), acc_.data(),
-                     k_pad_, rows, patch_pad_, k_pad_, blocking_, pool);
-    ProfileSpan span(ProfileStage::kOutputTransform);
-    for (std::size_t k = 0; k < K; ++k) {
-      const std::size_t plane = (b * K + k) * rows;
-      const float* res = post.sum != nullptr ? post.sum + plane : nullptr;
-      const std::uint8_t* res8 = post.sum_u8 != nullptr ? post.sum_u8 + plane : nullptr;
-      const float res8_inv = post.sum_u8_inv_scale;
-      const float dq = w_dequant_[k];
-      const float bk = bias_[k];
-      if (out_u8) {
-        std::uint8_t* dst = static_cast<std::uint8_t*>(output) + plane;
-        for (std::size_t p = 0; p < rows; ++p) {
-          float v = static_cast<float>(acc_[p * k_pad_ + k]) * dq + bk;
-          if (res != nullptr) v += res[p];
-          if (res8 != nullptr) {
-            v += static_cast<float>(static_cast<std::int32_t>(res8[p]) - 128) * res8_inv;
-          }
-          if (post.relu) v = std::max(0.0f, v);
-          // Requant stage: same rounding contract as quantize_u8_shift128.
-          const std::int32_t q = round_nearest_even(v * requant) + 128;
-          dst[p] = static_cast<std::uint8_t>(std::clamp(q, 0, 255));
-        }
-      } else {
-        float* dst = static_cast<float*>(output) + plane;
-        for (std::size_t p = 0; p < rows; ++p) {
-          float v = static_cast<float>(acc_[p * k_pad_ + k]) * dq + bk;
-          if (res != nullptr) v += res[p];
-          if (res8 != nullptr) {
-            v += static_cast<float>(static_cast<std::int32_t>(res8[p]) - 128) * res8_inv;
-          }
-          dst[p] = post.relu ? std::max(0.0f, v) : v;
-        }
-      }
-    }
+  };
+  if (pool != nullptr) {
+    pool->run(body);
+  } else {
+    body(0, 1);
   }
 }
 

@@ -6,16 +6,36 @@
 // quantized im2col patches (shifted by +128 into uint8) feed the same VNNI
 // GEMM substrate as LoWino, so performance comparisons isolate the algorithm,
 // not the kernel quality.
+//
+// The engine has one kernel, on the 64-channel blocked layout
+// (tensor/layout.h). A patch row is laid out in (i, j, c) order — tap by
+// tap, each tap the C channels of one input pixel — with the weights packed
+// to match, so im2col is a copy of 64-byte pixel rows: per tap, each channel
+// block's 64 lanes land at the tap's offset, and a block's padding lanes
+// (quantized zero) are overwritten by the next tap or meet zero filter rows.
+// Out-of-bounds taps are 128 (quantized zero), which the compensation row
+// accounts for. A u8 input is gathered in place; an FP32 input is quantized
+// one image at a time into per-thread scratch (each worker quantizes the
+// images its row chunks touch), never per patch element. Work items are
+// (image, chunk of output pixels): the chunk's patch rows, one GEMM, and the
+// dequant/PostOps/requant epilogue over each pixel's 64 contiguous output
+// lanes (direct/blocked_epilogue.h). The NCHW entry points wrap that core in
+// pack -> core -> unpack (tensor/blocked_staging.h). The integer GEMM is
+// exact and the epilogue works per element, so the result does not depend on
+// the layout or the patch order.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/aligned_buffer.h"
 #include "gemm/int8_gemm.h"
 #include "quant/histogram.h"
 #include "quant/quantize.h"
+#include "tensor/blocked_staging.h"
 #include "tensor/conv_desc.h"
+#include "tensor/dtype.h"
 #include "tensor/post_ops.h"
 
 namespace lowino {
@@ -35,9 +55,7 @@ class Int8DirectConv {
   void set_filters(std::span<const float> weights, std::span<const float> bias = {});
 
   /// `post` fuses the residual +sum / ReLU epilogue into the dequant store
-  /// loop (see tensor/post_ops.h). Both execute entry points run only the
-  /// first `images` images (ConvDesc::resolve_images); the output of later
-  /// images is left untouched.
+  /// loop (see tensor/post_ops.h).
   void execute_nchw(std::span<const float> input, std::span<float> output,
                     ThreadPool* pool = nullptr, const PostOps& post = {},
                     std::size_t images = kAllImages);
@@ -47,7 +65,8 @@ class Int8DirectConv {
   /// already are round_ne(scale * x) + 128, exactly what im2col would have
   /// produced — and re-packs the weights so the dequant table matches.
   /// set_output_u8 appends the requant stage (bias -> sum -> relu -> requant
-  /// with qp.scale) to the store loop. Only execute_typed honors either.
+  /// with qp.scale) to the store loop. Only execute_typed and
+  /// execute_blocked_typed honor either.
   void set_input_u8(const QuantParams& qp);
   void set_output_u8(const QuantParams& qp);
   bool input_is_u8() const { return in_u8_; }
@@ -59,13 +78,24 @@ class Int8DirectConv {
   void execute_typed(const void* input, void* output, ThreadPool* pool = nullptr,
                      const PostOps& post = {}, std::size_t images = kAllImages);
 
+  /// execute_typed's core on blocked buffers (B x [C/64] x H x W x 64):
+  /// input, output and any residual are blocked with the configured hand-off
+  /// dtypes, padding lanes quantized zero (0.0f, or byte 128 for u8); the
+  /// output's padding lanes are written as quantized zero. The residual may
+  /// alias the output: each pixel reads its residual lanes before storing.
+  /// Every execute entry point runs only the first `images` images
+  /// (ConvDesc::resolve_images); the output of later images is left
+  /// untouched.
+  void execute_blocked_typed(const void* input, void* output, ThreadPool* pool = nullptr,
+                             const PostOps& post = {}, std::size_t images = kAllImages);
+
   const ConvDesc& desc() const { return desc_; }
   float input_scale() const { return input_params_.scale; }
 
  private:
   ConvDesc desc_;
   std::size_t patch_ = 0;       ///< C * r * r
-  std::size_t patch_pad_ = 0;   ///< rounded to 4
+  std::size_t patch_pad_ = 0;   ///< rounded to 4 (the GEMM's reduction dim)
   std::size_t k_pad_ = 0;       ///< rounded to 16
 
   Histogram input_hist_;
@@ -79,8 +109,14 @@ class Int8DirectConv {
   bool filters_set_ = false;
   AlignedBuffer<float> weights_fp32_;     ///< kept until scales are known
 
-  AlignedBuffer<std::uint8_t> col_;       ///< quantized im2col buffer
-  AlignedBuffer<std::int32_t> acc_;       ///< GEMM result
+  /// Output pixels per work item: one GEMM of kRowChunk patch rows (a
+  /// multiple of the 6-row register tile) and its epilogue.
+  static constexpr std::size_t kRowChunk = 96;
+  /// Per-thread scratch: the quantized image (FP32 input only), the patch
+  /// panel (plus one block of slack for the last row's tail copy) and the
+  /// kRowChunk x k_pad int32 accumulators.
+  std::vector<AlignedBuffer<std::uint8_t>> scratch_;
+  BlockedStaging staging_;  ///< the NCHW entry points' blocked buffers
   Int8GemmBlocking blocking_;
 
   bool in_u8_ = false;
@@ -88,8 +124,12 @@ class Int8DirectConv {
   QuantParams out_u8_qp_;
 
   void pack_weights();
-  void execute_impl(const void* input, void* output, bool in_u8, bool out_u8,
-                    ThreadPool* pool, const PostOps& post, std::size_t images);
+  void execute_nchw_impl(const void* input, void* output, DType in_dtype, DType out_dtype,
+                         ThreadPool* pool, const PostOps& post, std::size_t images);
+  /// The core over `batch` images (the NCHW entry points run it a few
+  /// images at a time).
+  void execute_blocked_impl(const void* input, void* output, DType in_dtype, DType out_dtype,
+                            ThreadPool* pool, const PostOps& post, std::size_t batch);
 };
 
 }  // namespace lowino

@@ -293,6 +293,10 @@ class Int8DirectEngine final : public ConvEngine {
                     std::size_t images) override {
     conv_.execute_typed(in, out, pool, post, images);
   }
+  void do_run_blocked(const void* in, void* out, ThreadPool* pool, const PostOps& post,
+                      std::size_t images) override {
+    conv_.execute_blocked_typed(in, out, pool, post, images);
+  }
 
  private:
   Int8DirectConv conv_;
@@ -438,7 +442,7 @@ void register_core_engines(EngineRegistrations& regs) {
                   }});
   regs.push_back({EngineKind::kInt8Direct, "INT8 direct", "int8_direct",
                   /*quantized=*/true, /*post_ops=*/true, /*u8_handoff=*/true,
-                  /*blocked_io=*/false, supports_any_ungrouped, [](const ConvDesc& d) {
+                  /*blocked_io=*/true, supports_any_ungrouped, [](const ConvDesc& d) {
                     return std::unique_ptr<ConvEngine>(new Int8DirectEngine(d));
                   }});
   regs.push_back({EngineKind::kLoWinoF2, "LoWino F(2x2,3x3)", "lowino_f2",

@@ -159,6 +159,16 @@ std::string SessionPlan::summary() const {
     os << "  (layout " << layout_token(c.in_layout) << ':' << layout_token(c.out_layout) << ')';
     if (!c.met_envelope) os << "  (below accuracy envelope; best-effort pick)";
     os << '\n';
+    for (const ShootoutCandidate& k : c.candidates) {
+      os << "    candidate " << engine_token(k.engine) << "  snr " << k.snr_db << " dB"
+         << (k.met_envelope ? "" : " (below envelope)") << ", ";
+      if (k.timed) {
+        os << k.seconds * 1e3 << " ms";
+      } else {
+        os << "untimed";
+      }
+      os << '\n';
+    }
   }
   if (u8_edges > 0) os << "  u8 hand-off: " << u8_edges << " conv edge(s)\n";
   // Why these layouts: blocked-I/O engines chain blocked; every other edge
@@ -332,6 +342,29 @@ std::span<const EngineKind> allowed_engines(const PlanOptions& options,
   }
   if (!options.candidates.empty()) return options.candidates;
   return kDefaultCandidates;
+}
+
+/// The kinds one shoot-out measures: `allowed`, minus int8_direct wherever
+/// int8_1x1 is allowed and carries the conv. On a 1x1 conv the two share
+/// quantization, GEMM and epilogue (bit-identical outputs, so one SNR), and
+/// int8_1x1 never does more work: it multiplies a served u8 input in place
+/// where int8_direct copies it, which a shoot-out on FP32 input cannot see.
+/// Timing both would only let noise pick between equals.
+std::vector<EngineKind> shootout_kinds(std::span<const EngineKind> allowed,
+                                       const ConvDesc& desc) {
+  std::vector<EngineKind> kinds(allowed.begin(), allowed.end());
+  if (std::find(kinds.begin(), kinds.end(), EngineKind::kInt8Conv1x1) != kinds.end() &&
+      engine_caps(EngineKind::kInt8Conv1x1, desc).supports) {
+    std::erase(kinds, EngineKind::kInt8Direct);
+  }
+  return kinds;
+}
+
+/// run_shootout's ranking rule. Strict comparisons, so ties keep the leader;
+/// when both meet the envelope, both are timed.
+bool shootout_beats(const ShootoutCandidate& c, const ShootoutCandidate& leader) {
+  if (c.met_envelope != leader.met_envelope) return c.met_envelope;
+  return c.met_envelope ? c.seconds < leader.seconds : c.snr_db > leader.snr_db;
 }
 
 }  // namespace
@@ -563,18 +596,45 @@ std::vector<std::vector<Tensor<float>>> InferenceSession::fp32_reference(
   return refs;
 }
 
+ShootoutResult run_shootout(std::span<const EngineKind> kinds, const ShootoutHooks& hooks) {
+  ShootoutResult result;
+  for (const EngineKind kind : kinds) {
+    std::optional<ShootoutCandidate> c = hooks.measure(kind);
+    if (!c) continue;
+    if (c->met_envelope) {
+      c->seconds = hooks.time(/*leader=*/false);
+      c->timed = true;
+    }
+    result.candidates.push_back(*c);
+    if (!result.winner || shootout_beats(*c, result.candidates[*result.winner])) {
+      hooks.promote();
+      result.winner = result.candidates.size() - 1;
+    }
+  }
+  if (result.winner && !result.candidates[*result.winner].timed) {
+    ShootoutCandidate& w = result.candidates[*result.winner];
+    w.seconds = hooks.time(/*leader=*/true);
+    w.timed = true;
+  }
+  return result;
+}
+
 /// Pass 3: an engine per kConvEngine op, by the precedence of
 /// allowed_engines: a forced or replayed kind is built as is; otherwise a
-/// wisdom hint, else a measured shoot-out ranked by envelope first, then
-/// speed (below the envelope: highest SNR). Engines calibrate on every
-/// calibration batch; SNR and time are measured on the first. Every choice
-/// is recorded in the plan, with a measured SNR, and written back to wisdom.
+/// wisdom hint, else a measured shoot-out (run_shootout: SNR first, then
+/// timing of what can win). Engines calibrate on every calibration batch;
+/// SNR and time are measured on the first. SNR runs the NCHW entry point;
+/// a blocked-I/O candidate is timed through run_blocked, the entry point a
+/// session serves it by, on blocked copies of the input and residual made
+/// once per conv. Every choice is recorded in the plan, with a measured SNR,
+/// and written back to wisdom.
 void InferenceSession::select_engines(InferenceSession& s, const PlanOptions& options,
                                       const std::vector<std::vector<Tensor<float>>>& refs) {
   const std::vector<Tensor<float>>& ref = refs.front();
   const SessionPlan* replay = replayed_plan(options);
   const bool pinned = options.forced_engine || replay != nullptr;
   Tensor<float> actual;  // candidate output scratch
+  AlignedBuffer<float> in_b, sum_b, out_b;  // blocked timing buffers
   std::size_t ordinal = 0;
   for (std::size_t i = 0; i < s.ops_.size(); ++i) {
     Op& op = s.ops_[i];
@@ -618,7 +678,6 @@ void InferenceSession::select_engines(InferenceSession& s, const PlanOptions& op
     choice.fuse_sum = op.fuse_sum;
     const std::string wisdom_key = plan_wisdom_key(desc_str, op.fuse_relu, op.fuse_sum);
     const std::span<const EngineKind> allowed = allowed_engines(options, ordinal);
-    bool measured = false;
     if (pinned) {
       choice.engine = allowed.front();
       op.engine = build(choice.engine);
@@ -636,34 +695,63 @@ void InferenceSession::select_engines(InferenceSession& s, const PlanOptions& op
       }
     }
     if (op.engine == nullptr) {
-      for (const EngineKind kind : allowed) {
-        std::unique_ptr<ConvEngine> e = build(kind);
-        if (e == nullptr) continue;
-        const double snr = snr_of(*e);
-        const double sec =
-            time_it([&] { e->run(plan_in.span(), actual.span(), s.pool_, post); },
-                    /*warmup=*/1, /*min_iters=*/2, /*max_iters=*/50,
-                    options.seconds_per_candidate)
-                .median;
-        // One ranking: meets the envelope first, then fastest; below it,
-        // highest SNR.
-        const bool meets = meets_envelope(kind, snr);
-        const bool better =
-            !measured || (meets != choice.met_envelope
-                              ? meets
-                              : (meets ? sec < choice.seconds : snr > choice.snr_db));
-        if (better) {
-          measured = true;
-          op.engine = std::move(e);
-          choice.engine = kind;
-          choice.snr_db = snr;
-          choice.seconds = sec;
-          choice.met_envelope = meets;
+      // The blocked copies of the input and residual, made on first use.
+      const std::size_t C = desc.in_channels, K = desc.out_channels;
+      const std::size_t oh = desc.out_height(), ow = desc.out_width();
+      const std::size_t out_elems = BlockedActLayout(desc.batch, K, oh, ow).size();
+      PostOps post_b{op.fuse_relu, nullptr};
+      bool packed = false;
+      const auto pack_blocked = [&] {
+        in_b.ensure(BlockedActLayout(desc.batch, C, desc.height, desc.width).size());
+        relayout(DType::kF32, ActLayout::kBlocked64, plan_in.data(), desc.batch, C,
+                 desc.height, desc.width, in_b.data(), s.pool_);
+        if (op.fuse_sum) {
+          sum_b.ensure(out_elems);
+          relayout(DType::kF32, ActLayout::kBlocked64, post.sum, desc.batch, K, oh, ow,
+                   sum_b.data(), s.pool_);
+          post_b.sum = sum_b.data();
         }
-      }
-      if (op.engine == nullptr) lower_fail("no engine candidate is eligible for " + desc_str);
-    }
-    if (!measured) {
+        out_b.ensure(out_elems);
+        std::fill_n(out_b.data(), out_elems, 0.0f);  // fault its pages in before timing
+        packed = true;
+      };
+      std::unique_ptr<ConvEngine> current;
+      ShootoutHooks hooks;
+      hooks.measure = [&](EngineKind kind) -> std::optional<ShootoutCandidate> {
+        current = build(kind);
+        if (current == nullptr) return std::nullopt;
+        ShootoutCandidate c;
+        c.engine = kind;
+        c.snr_db = snr_of(*current);
+        c.met_envelope = meets_envelope(kind, c.snr_db);
+        return c;
+      };
+      hooks.time = [&](bool leader) {
+        ConvEngine& e = leader ? *op.engine : *current;
+        const bool blocked = engine_caps(e.kind(), desc).blocked_io;
+        if (blocked && !packed) pack_blocked();
+        // The SNR run was the warm-up.
+        return time_it(
+                   [&] {
+                     if (blocked) {
+                       e.run_blocked(in_b.data(), out_b.data(), s.pool_, post_b);
+                     } else {
+                       e.run(plan_in.span(), actual.span(), s.pool_, post);
+                     }
+                   },
+                   /*warmup=*/0, /*min_iters=*/2, /*max_iters=*/50, options.seconds_per_candidate)
+            .median;
+      };
+      hooks.promote = [&] { op.engine = std::move(current); };
+      ShootoutResult shootout = run_shootout(shootout_kinds(allowed, desc), hooks);
+      if (!shootout.winner) lower_fail("no engine candidate is eligible for " + desc_str);
+      const ShootoutCandidate& w = shootout.candidates[*shootout.winner];
+      choice.engine = w.engine;
+      choice.snr_db = w.snr_db;
+      choice.seconds = w.seconds;
+      choice.met_envelope = w.met_envelope;
+      choice.candidates = std::move(shootout.candidates);
+    } else {
       // Forced / replayed / wisdom-hinted engines skip the shoot-out but
       // still get one accuracy measurement so the plan record is honest.
       choice.snr_db = snr_of(*op.engine);

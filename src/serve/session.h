@@ -22,8 +22,10 @@
 //      convolution gets forced_engine, else the replayed plan's engine, else
 //      a WisdomStore hint, else a measured shoot-out across the eligible
 //      candidates gated by an accuracy envelope (minimum signal-to-noise vs
-//      the FP32 reference). One helper owns that precedence for both fuse
-//      and select_engines;
+//      the FP32 reference): SNR first, then timing of only the candidates
+//      that can win (run_shootout), blocked-I/O kinds through run_blocked,
+//      the entry point the session serves them by. One helper owns that
+//      precedence for both fuse and select_engines;
 //   4. assign_dtypes: the u8 activation hand-off per edge. One seed rule and
 //      one legality fixpoint decide which edges may be u8; a fresh compile
 //      adds the envelope gate, a replay must reproduce the plan's dtype
@@ -62,6 +64,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -96,7 +99,7 @@ struct PlanOptions {
   /// candidate passes, the highest-SNR candidate wins anyway (a plan always
   /// exists) and the miss is visible in the SessionPlan record.
   double min_snr_db = 20.0;
-  /// Measurement budget per candidate in the plan-time shoot-out.
+  /// Measurement budget per timed candidate in the plan-time shoot-out.
   double seconds_per_candidate = 0.02;
   /// Pool bound into the session (plan-time measurements and every run).
   /// Null binds ThreadPool::global().
@@ -110,6 +113,42 @@ struct PlanOptions {
   /// model/batch. Takes precedence over wisdom; forced_engine beats both.
   const SessionPlan* reuse = nullptr;
 };
+
+/// One candidate of a plan-time engine shoot-out, as measured.
+struct ShootoutCandidate {
+  EngineKind engine = EngineKind::kLoWinoF4;
+  double snr_db = 0.0;        ///< vs the FP32 reference
+  bool met_envelope = false;  ///< snr_db >= min_snr_db (always true unquantized)
+  bool timed = false;         ///< false: the envelope gate skipped its timing
+  double seconds = 0.0;       ///< plan-time median latency (timed only)
+};
+
+/// The callbacks one shoot-out drives, over at most two engines: the leader
+/// and the candidate under test.
+struct ShootoutHooks {
+  /// Builds `kind` as the candidate under test and measures its SNR
+  /// (engine, snr_db and met_envelope filled); nullopt when the kind cannot
+  /// carry the op.
+  std::function<std::optional<ShootoutCandidate>(EngineKind)> measure;
+  /// Median seconds of the candidate under test, or of the leader.
+  std::function<double(bool leader)> time;
+  /// The candidate under test becomes the leader.
+  std::function<void()> promote;
+};
+
+struct ShootoutResult {
+  std::vector<ShootoutCandidate> candidates;  ///< every eligible kind, in order
+  std::optional<std::size_t> winner;          ///< index into candidates
+};
+
+/// One shoot-out over `kinds`, in order: SNR first, then timing. The ranking
+/// rule: a candidate that meets the accuracy envelope beats one that does
+/// not; two that meet rank by time, two that miss by SNR; ties keep the
+/// earlier candidate. So a candidate is timed only when it meets the
+/// envelope, since one that misses can win only if none meets it; then the
+/// highest SNR wins and only that winner is timed, so the winner always
+/// carries seconds.
+ShootoutResult run_shootout(std::span<const EngineKind> kinds, const ShootoutHooks& hooks);
 
 /// The serializable record of one compile(): what was chosen and why, plus
 /// the memory-planning outcome. Round-trips through serialize()/deserialize()
@@ -143,6 +182,9 @@ struct SessionPlan {
     // derived from the ops and engines, so a replay reproduces them).
     ActLayout in_layout = ActLayout::kNchw;
     ActLayout out_layout = ActLayout::kNchw;
+    // Every shoot-out candidate, in candidate order (summary only, never
+    // serialized; empty when the engine was forced, replayed or hinted).
+    std::vector<ShootoutCandidate> candidates;
   };
 
   /// One explicit relayout the layout pass put on an edge (summary only).
@@ -161,7 +203,8 @@ struct SessionPlan {
   std::size_t naive_bytes = 0;
 
   /// Human-readable multi-line report (engine, dtypes and layouts per layer,
-  /// the reorder ops with their bytes, arena savings).
+  /// each shoot-out candidate, the reorder ops with their bytes, arena
+  /// savings).
   std::string summary() const;
 
   /// Plain-text format ("# lowino-plan v3" header; conv lines carry an

@@ -1,13 +1,16 @@
 // Tests for the direct convolution engines (FP32 reference, im2col FP32,
-// INT8 direct, and the blocked I/O of the INT8 1x1 and depthwise engines).
+// INT8 direct, and the blocked I/O of the INT8 direct, 1x1 and depthwise
+// engines).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/saturate.h"
 #include "direct/direct_f32.h"
 #include "direct/direct_int8.h"
 #include "nn/engines.h"
@@ -15,6 +18,7 @@
 #include "quant/quantize.h"
 #include "tensor/layout.h"
 #include "tensor/pack.h"
+#include "testing/oracle.h"
 
 namespace lowino {
 namespace {
@@ -184,7 +188,7 @@ TEST(Int8Direct, ParallelMatchesSerial) {
   for (std::size_t i = 0; i < serial.size(); ++i) ASSERT_EQ(serial[i], parallel[i]);
 }
 
-// --- Blocked I/O of the INT8 1x1 and depthwise engines -----------------------
+// --- Blocked I/O of the INT8 direct, 1x1 and depthwise engines ---------------
 
 /// run_blocked on packed buffers against the NCHW entry points (run for
 /// all-FP32 edges, run_typed otherwise), byte for byte, for every input and
@@ -213,7 +217,7 @@ void expect_blocked_matches_nchw(EngineKind kind, const ConvDesc& d, unsigned se
     for (const DType out_t : {DType::kF32, DType::kU8}) {
       for (const bool relu : {false, true}) {
         for (const int sum : {0, 1, 2}) {  // none, FP32, u8 residual
-          SCOPED_TRACE(testing::Message() << engine_token(kind) << " " << d.to_string() << " in="
+          SCOPED_TRACE(::testing::Message() << engine_token(kind) << " " << d.to_string() << " in="
                                           << dtype_token(in_t) << " out=" << dtype_token(out_t)
                                           << " relu=" << relu << " sum=" << sum);
           std::unique_ptr<ConvEngine> e = make_conv_engine(kind, d);
@@ -334,6 +338,148 @@ TEST(BlockedDirect, Int8DepthwiseRunBlockedMatchesNchwEntryPoints) {
   }
 }
 
+TEST(BlockedDirect, Int8DirectRunBlockedMatchesNchwEntryPoints) {
+  // C = 3 and 32 leave most of a block's lanes as padding, which the next
+  // tap's copy overwrites; C = 96 and 160 span two and three blocks; r = 1
+  // and 5 change the patch length, stride 2 the gather; K = 40 and 130 leave
+  // padding lanes in the last output block. One and two worker threads.
+  constexpr std::size_t kOut[] = {40, 64, 130};
+  unsigned seed = 300;
+  for (const std::size_t threads : {1, 2}) {
+    ThreadPool pool(threads);
+    for (const std::size_t c : {3, 32, 64, 96, 160}) {
+      for (const std::size_t r : {1, 3, 5}) {
+        for (const std::size_t stride : {1, 2}) {
+          const std::size_t k = kOut[seed % 3];
+          expect_blocked_matches_nchw(EngineKind::kInt8Direct, blocked_desc(c, k, r, stride, 1),
+                                      ++seed, pool);
+        }
+      }
+    }
+  }
+}
+
+/// The engine's own quantization of `weights` (exact per-output-channel
+/// scales) and its int64 convolution by the test oracle on input bytes `q`
+/// (u8, +128 shifted): the exact accumulators any correct int8_direct path
+/// must reproduce before its per-element epilogue.
+struct ExactInt8Direct {
+  std::vector<float> w_scale;
+  std::vector<std::int64_t> acc;
+};
+
+ExactInt8Direct exact_int8_direct(const ConvDesc& d, std::span<const float> weights,
+                                  std::span<const std::uint8_t> q) {
+  const std::size_t K = d.out_channels, patch = d.in_channels * d.kernel * d.kernel;
+  ExactInt8Direct x;
+  std::vector<std::int8_t> w_q(K * patch), in_q(q.size());
+  for (std::size_t k = 0; k < K; ++k) {
+    float amax = 0.0f;
+    for (std::size_t p = 0; p < patch; ++p) amax = std::max(amax, std::abs(weights[k * patch + p]));
+    x.w_scale.push_back(QuantParams::from_threshold(amax).scale);
+    for (std::size_t p = 0; p < patch; ++p) {
+      w_q[k * patch + p] = saturate_cast_i8(weights[k * patch + p] * x.w_scale[k]);
+    }
+  }
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    in_q[i] = static_cast<std::int8_t>(static_cast<int>(q[i]) - 128);
+  }
+  x.acc = testing::direct_conv_i64(d, in_q, w_q);
+  return x;
+}
+
+TEST(BlockedDirect, Int8DirectMatchesExactOracleOnItsQuantizedBytes) {
+  // FP32 and u8 input; the blocked core (whole batch and a one-image
+  // prefix), the NCHW wrapper and the oracle's exact sums pushed through the
+  // engine's epilogue (v = acc * dq + bias, then ReLU) agree byte for byte.
+  ThreadPool pool(2);
+  unsigned seed = 400;
+  for (const std::size_t c : {3, 64, 96}) {
+    for (const std::size_t r : {1, 3, 5}) {
+      for (const std::size_t stride : {1, 2}) {
+        for (const bool u8_in : {false, true}) {
+          const ConvDesc d = blocked_desc(c, 40, r, stride, 1);
+          SCOPED_TRACE(::testing::Message() << d.to_string() << " u8_in=" << u8_in);
+          const std::size_t K = d.out_channels, oh = d.out_height(), ow = d.out_width();
+          const std::size_t in_n = d.batch * c * d.height * d.width, out_n = d.batch * K * oh * ow;
+          Rng rng(++seed);
+          std::vector<float> in32(in_n), w(K * c * r * r), bias(K);
+          std::vector<std::uint8_t> q(in_n);
+          for (auto& v : in32) v = rng.uniform(-1.5f, 1.5f);
+          for (auto& v : w) v = rng.uniform(-0.5f, 0.5f);
+          for (auto& v : bias) v = rng.uniform(-0.2f, 0.2f);
+          for (auto& v : q) v = static_cast<std::uint8_t>(rng.next_u64());
+
+          Int8DirectConv conv(d);
+          conv.set_input_threshold(1.25f);
+          conv.set_filters(w, bias);
+          if (u8_in) {
+            conv.set_input_u8(QuantParams::from_threshold(2.0f));
+          } else {
+            quantize_u8_shift128(in32, conv.input_scale(), q);  // the engine's own bytes
+          }
+          const ExactInt8Direct x = exact_int8_direct(d, w, q);
+          std::vector<float> want(out_n);
+          for (std::size_t i = 0; i < out_n; ++i) {
+            const std::size_t k = i / (oh * ow) % K;
+            const float dq = 1.0f / (conv.input_scale() * x.w_scale[k]);
+            want[i] = std::max(0.0f, static_cast<float>(x.acc[i]) * dq + bias[k]);
+          }
+
+          const void* in = u8_in ? static_cast<const void*>(q.data()) : in32.data();
+          std::vector<float> nchw(out_n);
+          conv.execute_typed(in, nchw.data(), &pool, PostOps{.relu = true});
+          EXPECT_EQ(0, std::memcmp(nchw.data(), want.data(), out_n * sizeof(float)));
+
+          const BlockedActLayout in_l(d.batch, c, d.height, d.width), out_l(d.batch, K, oh, ow);
+          std::vector<std::uint8_t> in_b(in_l.size() * (u8_in ? 1 : sizeof(float)));
+          relayout(u8_in ? DType::kU8 : DType::kF32, ActLayout::kBlocked64, in, d.batch, c,
+                   d.height, d.width, in_b.data());
+          std::vector<float> out_b(out_l.size()), blocked(out_n);
+          conv.execute_blocked_typed(in_b.data(), out_b.data(), &pool, PostOps{.relu = true});
+          relayout(DType::kF32, ActLayout::kNchw, out_b.data(), d.batch, K, oh, ow,
+                   blocked.data());
+          EXPECT_EQ(0, std::memcmp(blocked.data(), want.data(), out_n * sizeof(float)));
+
+          // A one-image prefix writes image 0's bytes and leaves image 1's.
+          std::vector<float> prefix(out_l.size(), -7.0f);
+          conv.execute_blocked_typed(in_b.data(), prefix.data(), &pool, PostOps{.relu = true},
+                                     1);
+          const std::size_t image = out_l.size() / d.batch;
+          EXPECT_EQ(0, std::memcmp(prefix.data(), out_b.data(), image * sizeof(float)));
+          EXPECT_TRUE(std::all_of(prefix.begin() + image, prefix.end(),
+                                  [](float v) { return v == -7.0f; }));
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockedDirect, Int8DirectAndInt8Conv1x1AgreeBytewiseOn1x1) {
+  // Same quantization, GEMM and epilogue on r = 1: the session's shoot-out
+  // measures only int8_1x1 where both apply (serve/session.cc).
+  ThreadPool pool(2);
+  unsigned seed = 500;
+  for (const std::size_t c : {24, 64, 96}) {
+    for (const std::size_t stride : {1, 2}) {
+      const ConvDesc d = blocked_desc(c, 40, 1, stride, 1);
+      SCOPED_TRACE(d.to_string());
+      Problem p = make_problem(d, ++seed);
+      std::vector<float> out_direct(p.ref.size()), out_1x1(p.ref.size());
+      const PostOps post{.relu = true, .sum = p.ref.data()};
+      for (const EngineKind kind : {EngineKind::kInt8Direct, EngineKind::kInt8Conv1x1}) {
+        std::unique_ptr<ConvEngine> e = make_conv_engine(kind, d);
+        e->calibrate(p.input);
+        e->finalize_calibration();
+        e->set_filters(p.weights, p.bias);
+        e->run(p.input, kind == EngineKind::kInt8Direct ? out_direct : out_1x1, &pool, post);
+      }
+      EXPECT_EQ(0, std::memcmp(out_direct.data(), out_1x1.data(),
+                               out_direct.size() * sizeof(float)));
+    }
+  }
+}
+
 // --- Prefix-batch execution ---------------------------------------------------
 
 /// Every prefix 1..B-1 through the ConvEngine entry points against the
@@ -343,7 +489,7 @@ TEST(BlockedDirect, Int8DepthwiseRunBlockedMatchesNchwEntryPoints) {
 /// the prefix must keep their canary (or, aliased, their residual) bytes.
 void expect_engine_prefix_runs_exact(EngineKind kind, const ConvDesc& d, unsigned seed,
                                      ThreadPool& pool) {
-  SCOPED_TRACE(testing::Message() << engine_token(kind) << " " << d.to_string());
+  SCOPED_TRACE(::testing::Message() << engine_token(kind) << " " << d.to_string());
   const std::size_t B = d.batch, K = d.out_channels, oh = d.out_height(), ow = d.out_width();
   const std::size_t in_n = B * d.in_channels * d.height * d.width;
   const std::size_t out_n = B * K * oh * ow;
@@ -412,16 +558,22 @@ void expect_engine_prefix_runs_exact(EngineKind kind, const ConvDesc& d, unsigne
   });
 }
 
-TEST(PrefixRun, EngineInt8Direct) {
-  ThreadPool pool(4);
-  expect_engine_prefix_runs_exact(EngineKind::kInt8Direct, make_desc(3, 24, 40, 9), 31, pool);
-}
-
 ConvDesc prefix_desc(std::size_t c, std::size_t k, std::size_t r, std::size_t stride,
                      std::size_t groups) {
   ConvDesc d = blocked_desc(c, k, r, stride, groups);
   d.batch = 3;
   return d;
+}
+
+TEST(PrefixRun, EngineInt8Direct) {
+  // run_blocked included: C = 3 gathers one padded block per tap, C = 96 at
+  // stride 2 two blocks per tap.
+  ThreadPool pool(4);
+  expect_engine_prefix_runs_exact(EngineKind::kInt8Direct, make_desc(3, 24, 40, 9), 31, pool);
+  expect_engine_prefix_runs_exact(EngineKind::kInt8Direct, prefix_desc(3, 40, 3, 1, 1), 32,
+                                  pool);
+  expect_engine_prefix_runs_exact(EngineKind::kInt8Direct, prefix_desc(96, 130, 3, 2, 1), 33,
+                                  pool);
 }
 
 TEST(PrefixRun, EngineInt8Conv1x1) {

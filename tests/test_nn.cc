@@ -450,8 +450,8 @@ TEST(EngineCapsQuery, BlockedIoIsLoWinoPlusTheDedicatedDirectEnginesAndGatesRunB
   d.pad = 1;
   for (const EngineKind kind : all_engine_kinds()) {
     const bool blocked = kind == EngineKind::kLoWinoF2 || kind == EngineKind::kLoWinoF4 ||
-                         kind == EngineKind::kLoWinoF6 || kind == EngineKind::kInt8Conv1x1 ||
-                         kind == EngineKind::kInt8Depthwise;
+                         kind == EngineKind::kLoWinoF6 || kind == EngineKind::kInt8Direct ||
+                         kind == EngineKind::kInt8Conv1x1 || kind == EngineKind::kInt8Depthwise;
     EXPECT_EQ(engine_caps(kind, d).blocked_io, blocked) << engine_token(kind);
   }
   // run_blocked keeps the lifecycle and refuses engines without blocked I/O.
@@ -463,11 +463,9 @@ TEST(EngineCapsQuery, BlockedIoIsLoWinoPlusTheDedicatedDirectEnginesAndGatesRunB
   EXPECT_THROW(lowino->run_blocked(in.data(), out.data(), nullptr), std::logic_error);
   lowino->set_filters(w, bias);
   EXPECT_NO_THROW(lowino->run_blocked(in.data(), out.data(), nullptr));
-  std::unique_ptr<ConvEngine> direct = make_conv_engine(EngineKind::kInt8Direct, d);
-  direct->calibrate(std::vector<float>(8 * 64, 0.5f));
-  direct->finalize_calibration();
-  direct->set_filters(w, bias);
-  EXPECT_THROW(direct->run_blocked(in.data(), out.data(), nullptr), std::logic_error);
+  std::unique_ptr<ConvEngine> fp32 = make_conv_engine(EngineKind::kFp32Direct, d);
+  fp32->set_filters(w, bias);
+  EXPECT_THROW(fp32->run_blocked(in.data(), out.data(), nullptr), std::logic_error);
 }
 
 // --- EngineCaps: per-shape support gating ------------------------------------

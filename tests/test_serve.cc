@@ -373,6 +373,251 @@ TEST(InferenceSession, AutoSelectionMeetsEnvelopeAndRecordsPlan) {
   EXPECT_EQ(out.dim(0), 2u);
 }
 
+// --- The shoot-out's ranking rule ----------------------------------------------
+
+/// A scripted shoot-out: every kind's SNR, envelope verdict and seconds are
+/// given up front; the hooks record the order in which candidates are timed
+/// and which engines a caller would be holding.
+struct ScriptedShootout {
+  struct Row {
+    EngineKind kind;
+    double snr;
+    bool meets;
+    double seconds;
+    bool eligible = true;
+  };
+
+  explicit ScriptedShootout(std::vector<Row> table) : rows(std::move(table)) {}
+
+  std::vector<Row> rows;
+  std::vector<EngineKind> timed;
+  std::optional<EngineKind> current, leader;
+
+  const Row& row(EngineKind kind) const {
+    return *std::find_if(rows.begin(), rows.end(), [&](const Row& r) { return r.kind == kind; });
+  }
+
+  ShootoutResult run() {
+    std::vector<EngineKind> kinds;
+    for (const Row& r : rows) kinds.push_back(r.kind);
+    ShootoutHooks hooks;
+    hooks.measure = [&](EngineKind kind) -> std::optional<ShootoutCandidate> {
+      const Row& r = row(kind);
+      if (!r.eligible) return std::nullopt;
+      current = kind;
+      ShootoutCandidate c;
+      c.engine = kind;
+      c.snr_db = r.snr;
+      c.met_envelope = r.meets;
+      return c;
+    };
+    hooks.time = [&](bool lead) {
+      const EngineKind kind = lead ? *leader : *current;
+      timed.push_back(kind);
+      return row(kind).seconds;
+    };
+    hooks.promote = [&] { leader = current; };
+    return run_shootout(kinds, hooks);
+  }
+};
+
+/// The single-pass rule the shoot-out used while it timed every candidate:
+/// meets the envelope first, then fastest; below it, highest SNR.
+std::optional<EngineKind> timed_everything_winner(const std::vector<ScriptedShootout::Row>& rows) {
+  const ScriptedShootout::Row* best = nullptr;
+  for (const ScriptedShootout::Row& r : rows) {
+    if (!r.eligible) continue;
+    const bool better = best == nullptr || (r.meets != best->meets
+                                                ? r.meets
+                                                : (r.meets ? r.seconds < best->seconds
+                                                           : r.snr > best->snr));
+    if (better) best = &r;
+  }
+  return best != nullptr ? std::optional<EngineKind>(best->kind) : std::nullopt;
+}
+
+constexpr EngineKind kD = EngineKind::kInt8Direct, kF2 = EngineKind::kLoWinoF2,
+                     kF4 = EngineKind::kLoWinoF4, kF6 = EngineKind::kLoWinoF6;
+
+TEST(ShootoutRank, BelowEnvelopeIsNeverTimedWhenAnotherMeets) {
+  // F4 and F6 miss the envelope but would be fastest; they are not timed.
+  ScriptedShootout s{{{kF6, 12.0, false, 0.001}, {kD, 35.0, true, 0.040},
+                      {kF4, 17.0, false, 0.002}, {kF2, 31.0, true, 0.036}}};
+  const ShootoutResult r = s.run();
+  ASSERT_TRUE(r.winner);
+  EXPECT_EQ(r.candidates[*r.winner].engine, kF2);
+  EXPECT_EQ(s.timed, (std::vector<EngineKind>{kD, kF2}));
+  ASSERT_EQ(r.candidates.size(), 4u);
+  for (const ShootoutCandidate& c : r.candidates) {
+    EXPECT_EQ(c.timed, c.met_envelope) << engine_token(c.engine);
+    EXPECT_EQ(c.seconds, c.timed ? s.row(c.engine).seconds : 0.0) << engine_token(c.engine);
+  }
+}
+
+TEST(ShootoutRank, NoneMeetsHighestSnrWinsAndOnlyItIsTimed) {
+  ScriptedShootout s{{{kD, 18.0, false, 0.040}, {kF2, 19.5, false, 0.036},
+                      {kF4, 17.0, false, 0.002}, {kF6, 12.0, false, 0.001}}};
+  const ShootoutResult r = s.run();
+  ASSERT_TRUE(r.winner);
+  const ShootoutCandidate& w = r.candidates[*r.winner];
+  EXPECT_EQ(w.engine, kF2);
+  EXPECT_TRUE(w.timed);
+  EXPECT_EQ(w.seconds, 0.036);
+  EXPECT_EQ(s.timed, (std::vector<EngineKind>{kF2}));
+  EXPECT_EQ(std::count_if(r.candidates.begin(), r.candidates.end(),
+                          [](const ShootoutCandidate& c) { return c.timed; }),
+            1);
+}
+
+TEST(ShootoutRank, TiesKeepCandidateOrder) {
+  ScriptedShootout meets{{{kF4, 25.0, true, 0.010}, {kF2, 30.0, true, 0.010}}};
+  ShootoutResult r = meets.run();
+  EXPECT_EQ(r.candidates[*r.winner].engine, kF4);
+  ScriptedShootout misses{{{kF6, 15.0, false, 0.001}, {kF4, 15.0, false, 0.0005}}};
+  r = misses.run();
+  EXPECT_EQ(r.candidates[*r.winner].engine, kF6);
+  EXPECT_EQ(misses.timed, (std::vector<EngineKind>{kF6}));
+}
+
+TEST(ShootoutRank, IneligibleKindsAreNotCandidates) {
+  ScriptedShootout s{{{kD, 30.0, true, 0.010, false}, {kF2, 30.0, true, 0.020}}};
+  ShootoutResult r = s.run();
+  ASSERT_EQ(r.candidates.size(), 1u);
+  EXPECT_EQ(r.candidates[0].engine, kF2);
+  ScriptedShootout none{{{kD, 30.0, true, 0.010, false}}};
+  r = none.run();
+  EXPECT_FALSE(r.winner);
+  EXPECT_TRUE(r.candidates.empty());
+  EXPECT_TRUE(none.timed.empty());
+}
+
+TEST(ShootoutRank, PicksTheSameWinnerAsTimingEverything) {
+  // A table of shoot-outs (ties, all-miss, all-meet, mixed orders) plus
+  // random ones: the gated pass picks what the timed-everything pass picked,
+  // and times exactly the envelope-meeting candidates, or the winner alone.
+  std::vector<std::vector<ScriptedShootout::Row>> cases = {
+      {{kD, 35.0, true, 0.04}, {kF2, 31.0, true, 0.036}, {kF4, 17.0, false, 0.02}},
+      {{kF4, 17.0, false, 0.02}, {kF6, 12.0, false, 0.01}},
+      {{kF6, 12.0, false, 0.01}, {kD, 21.0, true, 0.05}},
+      {{kD, 20.0, true, 0.03}, {kF2, 20.0, true, 0.03}},
+      {{kD, 19.0, false, 0.03}, {kF2, 19.0, false, 0.01}, {kF4, 25.0, true, 0.09}},
+      {{kD, 40.0, true, 0.01}},
+      {{kD, 40.0, true, 0.01, false}, {kF2, 10.0, false, 0.02}},
+  };
+  Rng rng(2024);
+  const std::span<const EngineKind> kinds = all_engine_kinds();
+  for (int n = 0; n < 300; ++n) {
+    std::vector<ScriptedShootout::Row> rows;
+    const std::size_t count = 1 + rng.next_below(6);
+    for (std::size_t i = 0; i < count; ++i) {
+      const double snr = 14.0 + 2.0 * static_cast<double>(rng.next_below(6));  // ties
+      rows.push_back({kinds[i], snr, snr >= 20.0,
+                      0.001 * static_cast<double>(1 + rng.next_below(4)),
+                      rng.next_below(5) != 0});
+    }
+    cases.push_back(std::move(rows));
+  }
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "case " << i);
+    ScriptedShootout s{cases[i]};
+    const ShootoutResult r = s.run();
+    const std::optional<EngineKind> want = timed_everything_winner(cases[i]);
+    ASSERT_EQ(r.winner.has_value(), want.has_value());
+    if (!want) continue;
+    const ShootoutCandidate& w = r.candidates[*r.winner];
+    EXPECT_EQ(w.engine, *want);
+    std::vector<EngineKind> expect_timed;
+    for (const ShootoutCandidate& c : r.candidates) {
+      if (c.met_envelope) expect_timed.push_back(c.engine);
+    }
+    if (expect_timed.empty()) expect_timed.push_back(w.engine);
+    EXPECT_EQ(s.timed, expect_timed);
+    EXPECT_TRUE(w.timed);
+  }
+}
+
+/// Checks one compiled plan's shoot-out records against the ranking rule.
+void expect_candidates_follow_the_rule(const SessionPlan& plan) {
+  for (const SessionPlan::ConvChoice& c : plan.convs) {
+    SCOPED_TRACE(c.layer);
+    ASSERT_FALSE(c.candidates.empty());
+    const bool any_meets = std::any_of(c.candidates.begin(), c.candidates.end(),
+                                       [](const ShootoutCandidate& k) { return k.met_envelope; });
+    std::size_t winners = 0;
+    for (const ShootoutCandidate& k : c.candidates) {
+      const bool winner = k.engine == c.engine;
+      winners += winner;
+      EXPECT_EQ(k.timed, k.met_envelope || (!any_meets && winner)) << engine_token(k.engine);
+      EXPECT_EQ(k.timed, k.seconds > 0.0) << engine_token(k.engine);
+      if (winner) {
+        EXPECT_EQ(k.snr_db, c.snr_db);
+        EXPECT_EQ(k.seconds, c.seconds);
+        EXPECT_EQ(k.met_envelope, c.met_envelope);
+      }
+    }
+    EXPECT_EQ(winners, 1u);
+  }
+}
+
+TEST(ShootoutRank, PlanRecordsEveryCandidateAndSummaryPrintsThem) {
+  SequentialModel model = make_minivgg();
+  const Tensor<float> calib = random_input(2, 16, 919);
+  PlanOptions options;
+  options.pool = &ThreadPool::global();
+  options.seconds_per_candidate = 0.002;
+  for (const double min_snr : {20.0, 1000.0}) {  // 1000 dB: nothing meets it
+    SCOPED_TRACE(::testing::Message() << "min_snr_db " << min_snr);
+    options.min_snr_db = min_snr;
+    InferenceSession s = InferenceSession::compile(model, calib, options);
+    expect_candidates_follow_the_rule(s.plan());
+    for (const SessionPlan::ConvChoice& c : s.plan().convs) {
+      // The default set in order: every kind that carries a 3x3 conv.
+      std::vector<EngineKind> kinds;
+      for (const ShootoutCandidate& k : c.candidates) kinds.push_back(k.engine);
+      EXPECT_EQ(kinds, (std::vector<EngineKind>{kD, kF2, kF4, kF6}));
+    }
+    const std::string summary = s.plan().summary();
+    EXPECT_NE(summary.find("    candidate int8_direct  snr "), std::string::npos) << summary;
+    if (min_snr > 100.0) {
+      EXPECT_NE(summary.find("(below envelope), untimed"), std::string::npos) << summary;
+    }
+    // Candidates are summary-only: the plan text is the same without them.
+    SessionPlan bare = s.plan();
+    for (SessionPlan::ConvChoice& c : bare.convs) c.candidates.clear();
+    EXPECT_EQ(s.plan().serialize(), bare.serialize());
+    EXPECT_EQ(s.plan().serialize().find("candidate"), std::string::npos);
+    const std::optional<SessionPlan> back = SessionPlan::deserialize(s.plan().serialize());
+    ASSERT_TRUE(back);
+    for (const SessionPlan::ConvChoice& c : back->convs) EXPECT_TRUE(c.candidates.empty());
+  }
+  // Forced engines skip the shoot-out: no candidates.
+  InferenceSession forced =
+      forced_session(model, calib, EngineKind::kLoWinoF4, &ThreadPool::global());
+  for (const SessionPlan::ConvChoice& c : forced.plan().convs) EXPECT_TRUE(c.candidates.empty());
+}
+
+TEST(ShootoutRank, Int8Conv1x1StandsInForInt8DirectOn1x1Convs) {
+  // The two are bit-identical on r = 1 (test_direct.cc), so only the
+  // dedicated engine is measured there; 3x3 convs keep int8_direct.
+  SequentialModel model = make_minimobilenet();
+  PlanOptions options;
+  options.pool = &ThreadPool::global();
+  options.seconds_per_candidate = 0.002;
+  InferenceSession s = InferenceSession::compile(model, random_input(2, 16, 929), options);
+  expect_candidates_follow_the_rule(s.plan());
+  for (const SessionPlan::ConvChoice& c : s.plan().convs) {
+    SCOPED_TRACE(c.layer);
+    const auto has = [&](EngineKind kind) {
+      return std::any_of(c.candidates.begin(), c.candidates.end(),
+                         [&](const ShootoutCandidate& k) { return k.engine == kind; });
+    };
+    EXPECT_FALSE(has(kD));
+    if (c.desc.find(" r1") != std::string::npos) {
+      EXPECT_TRUE(has(EngineKind::kInt8Conv1x1));
+    }
+  }
+}
+
 TEST(InferenceSession, PlanReplayServesIdentically) {
   const Tensor<float> calib = random_input(2, 16, 111);
   const Tensor<float> input = random_input(2, 16, 222);
@@ -1208,11 +1453,15 @@ SequentialModel make_padded_net(std::size_t hw = 8) {
 }
 
 TEST(BlockedLayout, MiniVggIsBlockedUpToOneReorderBeforeDense) {
-  for (const char* fuse : {"1", "0"}) {
+  for (const auto& [fuse, kind] : {std::pair{"1", EngineKind::kLoWinoF2},
+                                   std::pair{"0", EngineKind::kLoWinoF2},
+                                   std::pair{"1", EngineKind::kInt8Direct},
+                                   std::pair{"0", EngineKind::kInt8Direct}}) {
     ScopedRuntimeOverride fusion("LOWINO_FUSE_POSTOPS", fuse);
+    SCOPED_TRACE(engine_token(kind));
     SequentialModel model = make_minivgg();
-    InferenceSession s = forced_session(model, random_input(2, 16, 31), EngineKind::kLoWinoF2,
-                                        &ThreadPool::global());
+    InferenceSession s =
+        forced_session(model, random_input(2, 16, 31), kind, &ThreadPool::global());
     ASSERT_EQ(reorder_count(s), 1u) << "fuse=" << fuse;
     const auto& ops = Peer::ops(s);
     const auto& values = Peer::values(s);
@@ -1244,13 +1493,15 @@ TEST(BlockedLayout, MiniVggIsBlockedUpToOneReorderBeforeDense) {
 }
 
 TEST(BlockedLayout, MiniResNetKeepsBothResidualsBlocked) {
-  SequentialModel model = make_miniresnet();
-  InferenceSession s = forced_session(model, random_input(2, 16, 37), EngineKind::kLoWinoF4,
-                                      &ThreadPool::global());
-  EXPECT_EQ(reorder_count(s), 1u);
-  for (const Peer::Op& op : Peer::ops(s)) {
-    if (op.fuse_sum) {
-      EXPECT_EQ(Peer::values(s)[op.in1].layout, ActLayout::kBlocked64) << op.label;
+  for (const EngineKind kind : {EngineKind::kLoWinoF4, EngineKind::kInt8Direct}) {
+    SequentialModel model = make_miniresnet();
+    InferenceSession s =
+        forced_session(model, random_input(2, 16, 37), kind, &ThreadPool::global());
+    EXPECT_EQ(reorder_count(s), 1u) << engine_token(kind);
+    for (const Peer::Op& op : Peer::ops(s)) {
+      if (op.fuse_sum) {
+        EXPECT_EQ(Peer::values(s)[op.in1].layout, ActLayout::kBlocked64) << op.label;
+      }
     }
   }
 }
@@ -1320,18 +1571,21 @@ SequentialModel make_padded_separable_net(std::size_t hw = 8) {
 }
 
 TEST(BlockedLayout, PaddedLanesHoldQuantizedZero) {
-  for (const bool separable : {false, true}) {
+  // The 3x3 padded net under forced LoWino and forced int8_direct; the
+  // separable one under the dedicated pair.
+  for (const char* net : {"winograd", "int8_direct", "separable"}) {
     for (const char* fuse : {"1", "0"}) {
       for (const char* u8 : {"1", "0"}) {
         ScopedRuntimeOverride fusion("LOWINO_FUSE_POSTOPS", fuse);
         ScopedRuntimeOverride handoff("LOWINO_U8_HANDOFF", u8);
-        SCOPED_TRACE(testing::Message()
-                     << (separable ? "separable" : "winograd") << " fuse=" << fuse << " u8=" << u8);
+        SCOPED_TRACE(testing::Message() << net << " fuse=" << fuse << " u8=" << u8);
+        const bool separable = std::string(net) == "separable";
+        const EngineKind kind = std::string(net) == "winograd" ? EngineKind::kLoWinoF2
+                                                                : EngineKind::kInt8Direct;
         SequentialModel model = separable ? make_padded_separable_net() : make_padded_net();
-        InferenceSession s = separable
-                                 ? dedicated_session(model, random_input(2, 8, 43))
-                                 : forced_session(model, random_input(2, 8, 43),
-                                                  EngineKind::kLoWinoF2, &ThreadPool::global());
+        InferenceSession s =
+            separable ? dedicated_session(model, random_input(2, 8, 43))
+                      : forced_session(model, random_input(2, 8, 43), kind, &ThreadPool::global());
         std::size_t checked = 0, u8_checked = 0;
         Tensor<float> out;
         Peer::run_observed(s, random_input(2, 8, 44), out,
@@ -1382,12 +1636,16 @@ TEST(BlockedLayout, ServesLikeAnNchwReplayOfThePlan) {
       {"resnet", [] { return make_miniresnet(); }, 16, EngineKind::kLoWinoF4},
       {"mobilenet", [] { return make_minimobilenet(); }, 16, EngineKind::kInt8Depthwise},
       {"padded", [] { return make_padded_net(); }, 8, EngineKind::kLoWinoF4},
+      {"vgg", [] { return make_minivgg(); }, 16, EngineKind::kInt8Direct},
+      {"resnet", [] { return make_miniresnet(); }, 16, EngineKind::kInt8Direct},
+      {"padded", [] { return make_padded_net(); }, 8, EngineKind::kInt8Direct},
   };
   for (const auto& [fuse, u8] : {std::pair{"1", "1"}, std::pair{"0", "1"}, std::pair{"1", "0"}}) {
     ScopedRuntimeOverride fusion("LOWINO_FUSE_POSTOPS", fuse);
     ScopedRuntimeOverride handoff("LOWINO_U8_HANDOFF", u8);
     for (const Net& net : nets) {
-      SCOPED_TRACE(testing::Message() << net.name << " fuse=" << fuse << " u8=" << u8);
+      SCOPED_TRACE(testing::Message() << net.name << " " << engine_token(net.kind)
+                                      << " fuse=" << fuse << " u8=" << u8);
       SequentialModel model = net.make();
       PlanOptions options;
       options.pool = &pool;
