@@ -29,6 +29,17 @@ inline std::uint8_t saturate_cast_u8(float v) {
   return static_cast<std::uint8_t>(std::clamp(r, 0, 255));
 }
 
+/// The u8 hand-off encoding of one already-scaled value (DESIGN.md decision
+/// 13): round to nearest even, then +128, saturated to [0, 255]. The clamp
+/// happens in float, before the conversion, so no out-of-range float ever
+/// reaches the integer conversion (undefined in C++, "integer indefinite" in
+/// SIMD). Non-finite contract: NaN encodes as 128 (quantized zero), +Inf and
+/// every value above the range as 255, -Inf and every value below it as 0.
+inline std::uint8_t quantize_u8_shift128_scaled(float scaled) {
+  const float x = std::isnan(scaled) ? 0.0f : std::clamp(scaled, -128.0f, 127.0f);
+  return static_cast<std::uint8_t>(round_nearest_even(x) + 128);
+}
+
 /// Saturating INT32 -> INT8.
 inline std::int8_t saturate_i32_to_i8(std::int32_t v) {
   return static_cast<std::int8_t>(std::clamp(v, -128, 127));

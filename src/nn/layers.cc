@@ -96,8 +96,7 @@ void ConvLayer::forward(const Tensor<float>& in, Tensor<float>& out, bool train)
   out.reshape({batch, k_, d.out_height(), d.out_width()});
   if (train) cached_in_ = in;
   // A training forward keeps the whole batch's im2col: backward() reads it.
-  conv_f32_forward(d, in.span(), weights_, bias_, out.span(), scratch_, {}, ActLayout::kNchw,
-                   /*keep_col=*/train);
+  conv_f32_forward(d, in.span(), weights_, bias_, out.span(), scratch_, {}, /*keep_col=*/train);
 }
 
 void ConvLayer::forward_fp32(std::span<const float> in, std::span<float> out,

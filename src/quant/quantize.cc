@@ -45,10 +45,7 @@ void quantize_u8_shift128(std::span<const float> src, float scale,
                           std::span<std::uint8_t> dst) {
   assert(dst.size() >= src.size());
   for (std::size_t i = 0; i < src.size(); ++i) {
-    // Round first, shift in the integer domain: adding 128.0f before rounding
-    // could perturb the FP32 tie cases and diverge from the vector kernels.
-    const std::int32_t q = round_nearest_even(src[i] * scale) + 128;
-    dst[i] = static_cast<std::uint8_t>(std::clamp(q, 0, 255));
+    dst[i] = quantize_u8_shift128_scaled(src[i] * scale);
   }
 }
 

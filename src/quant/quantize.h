@@ -30,7 +30,8 @@ float abs_max(std::span<const float> values);
 void quantize_i8(std::span<const float> src, float scale, std::span<std::int8_t> dst);
 
 /// Quantizes FP32 -> UINT8 with the +128 compensation shift of Section 4.2.1
-/// (dst = saturate_u8(round(scale * src) + 128)).
+/// (dst = saturate_u8(round(scale * src) + 128)), one
+/// quantize_u8_shift128_scaled per element: NaN -> 128, +-Inf saturate.
 void quantize_u8_shift128(std::span<const float> src, float scale,
                           std::span<std::uint8_t> dst);
 

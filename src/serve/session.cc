@@ -767,12 +767,16 @@ void InferenceSession::select_engines(InferenceSession& s, const PlanOptions& op
 
 /// Pass 4: the u8 activation hand-off per value (DESIGN.md decision 13).
 /// Seed: a value may be u8 when it is internal and its producer can emit u8
-/// (a hand-off-capable engine conv, or a ReLU/maxpool passthrough, exact on
-/// the +128 encoding). Legality fixpoint: an op that cannot read u8 demotes
-/// its inputs, and a passthrough is all-or-nothing. A fresh compile then
-/// gates each conv-output edge on the envelope (a miss demotes it and re-runs
-/// the fixpoint); a replay seeds from the plan's tokens instead and must pass
-/// the same seed and fixpoint rules unchanged, with no SNR gate.
+/// (a hand-off-capable engine conv, an ungrouped FP32 conv through its
+/// requant epilogue, or a ReLU/maxpool passthrough, exact on the +128
+/// encoding). Legality fixpoint: an op that cannot read u8 demotes its
+/// inputs, and a passthrough is all-or-nothing. A fresh compile then gates
+/// each conv-output edge on the envelope (a miss demotes it and re-runs the
+/// fixpoint); a replay seeds from the plan's tokens instead and must pass the
+/// same seed and fixpoint rules unchanged, with no SNR gate. An FP32 conv has
+/// no token of its own: on a replay its output follows the in_dtype token of
+/// its first engine reader, so a plan from before FP32 convs could emit u8
+/// replays with an FP32 edge there.
 void InferenceSession::assign_dtypes(InferenceSession& s, const PlanOptions& options,
                                      const std::vector<std::vector<Tensor<float>>>& refs) {
   if (!u8_handoff_enabled()) return;
@@ -780,22 +784,41 @@ void InferenceSession::assign_dtypes(InferenceSession& s, const PlanOptions& opt
   const auto reads_u8 = [](const Op& op) {
     return op.kind == Op::Kind::kConvEngine && op.engine->supports_u8_handoff();
   };
+  const auto writes_u8 = [&](const Op& op) {
+    return reads_u8(op) || (op.kind == Op::Kind::kConvFp32 && op.conv->groups() == 1);
+  };
   const auto passthrough = [](const Op& op) {
     return op.kind == Op::Kind::kRelu || op.kind == Op::Kind::kMaxPool;
   };
 
   std::vector<char> want(s.values_.size(), 0);
+  // Replay only: whether each value's first engine reader, seen through
+  // passthroughs, records a u8 in_dtype (-1: no engine reads it).
+  std::vector<signed char> read_as_u8(s.values_.size(), -1);
+  if (replay != nullptr) {
+    std::vector<std::size_t> origin(s.values_.size());
+    for (std::size_t v = 0; v < origin.size(); ++v) origin[v] = v;
+    std::size_t ordinal = 0;
+    for (const Op& op : s.ops_) {
+      if (passthrough(op)) origin[op.out] = origin[op.in0];
+      if (op.kind != Op::Kind::kConvEngine) continue;
+      signed char& first = read_as_u8[origin[op.in0]];
+      if (first < 0) first = replay->convs[ordinal].in_dtype == DType::kU8;
+      ++ordinal;
+    }
+  }
   std::size_t ordinal = 0;
   for (const Op& op : s.ops_) {
-    const bool seed = !s.values_[op.out].external && (reads_u8(op) || passthrough(op));
+    const bool seed = !s.values_[op.out].external && (writes_u8(op) || passthrough(op));
     if (replay == nullptr) {
       want[op.out] = seed;
       continue;
     }
-    // Conv outputs take their recorded token; passthroughs inherit (ops are
-    // in topological order).
+    // Conv outputs take their recorded token; passthroughs inherit.
     if (op.kind == Op::Kind::kConvEngine) {
       want[op.out] = replay->convs[ordinal++].out_dtype == DType::kU8;
+    } else if (op.kind == Op::Kind::kConvFp32) {
+      want[op.out] = read_as_u8[op.out] == 1;
     } else if (passthrough(op)) {
       want[op.out] = want[op.in0];
     }
@@ -835,7 +858,7 @@ void InferenceSession::assign_dtypes(InferenceSession& s, const PlanOptions& opt
     }
     stable = true;
     for (const Op& op : s.ops_) {
-      if (op.kind != Op::Kind::kConvEngine || want[op.out] == 0 || gated[op.out] != 0) continue;
+      if (op.conv == nullptr || want[op.out] == 0 || gated[op.out] != 0) continue;
       // Replayed scales re-derive deterministically from the calibration
       // batches, so a replayed session is bit-identical to the original.
       const EdgeCalib ec = calibrate_edge(refs, op.out, options.min_snr_db);
@@ -879,8 +902,9 @@ void InferenceSession::assign_dtypes(InferenceSession& s, const PlanOptions& opt
 ///   - blocked-I/O engines (EngineCaps::blocked_io) read and write blocked;
 ///   - ReLU, maxpool and add+relu keep their input's layout, and every op
 ///     reads its second input (residual or addend) in its output's layout;
-///   - an ungrouped FP32 conv writes blocked when its readers — seen through
-///     a standalone ReLU, which fusion would have folded into it — include a
+///   - an ungrouped FP32 conv writes blocked when its output is u8 (its u8
+///     store is blocked-only) or when its readers — seen through a
+///     standalone ReLU, which fusion would have folded into it — include a
 ///     blocked reader and no NCHW one (layout-keeping readers take either);
 ///   - everything else (dense, the other engines, grouped FP32 convs) reads
 ///     and writes NCHW.
@@ -905,6 +929,7 @@ void InferenceSession::assign_layouts(InferenceSession& s) {
   const auto fixed = [&](const Op& op) -> std::optional<ActLayout> {
     if (s.values_[op.out].external) return kNchw;
     if (blocked_io(op)) return kBlocked;
+    if (op.kind == Op::Kind::kConvFp32 && s.values_[op.out].dtype == DType::kU8) return kBlocked;
     if (keeps_layout(op) || (op.kind == Op::Kind::kConvFp32 && op.conv->groups() == 1)) {
       return std::nullopt;
     }
@@ -1132,12 +1157,19 @@ void InferenceSession::execute_op(Op& op, const void* in0, const void* in1, void
       }
       break;
     }
-    case Op::Kind::kConvFp32:
-      conv_f32_forward(op.conv->conv_desc(images),
-                       {static_cast<const float*>(in0), vi.elems}, op.conv->weights(),
-                       op.conv->bias(), {static_cast<float*>(out), out_extent}, op.fp32,
-                       PostOps{op.fuse_relu, static_cast<const float*>(in1)}, vo.layout);
+    case Op::Kind::kConvFp32: {
+      const ConvDesc desc = op.conv->conv_desc(images);
+      const PostOps post{op.fuse_relu, static_cast<const float*>(in1)};
+      if (vo.layout == ActLayout::kBlocked64) {
+        conv_f32_blocked(desc, static_cast<const float*>(in0), op.conv->weights(),
+                         op.conv->bias(), out, op.fp32, post,
+                         vo.dtype == DType::kU8 ? &vo.qp : nullptr);
+      } else {
+        conv_f32_forward(desc, {static_cast<const float*>(in0), vi.elems}, op.conv->weights(),
+                         op.conv->bias(), {static_cast<float*>(out), out_extent}, op.fp32, post);
+      }
       break;
+    }
     case Op::Kind::kRelu: {
       // A standalone (unfused) element-wise pass: visible as its own profile
       // stage so traces show these passes disappearing under fusion. Blocked

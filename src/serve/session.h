@@ -27,9 +27,12 @@
 //      the entry point the session serves them by. One helper owns that
 //      precedence for both fuse and select_engines;
 //   4. assign_dtypes: the u8 activation hand-off per edge. One seed rule and
-//      one legality fixpoint decide which edges may be u8; a fresh compile
-//      adds the envelope gate, a replay must reproduce the plan's dtype
-//      tokens under the same rules (LOWINO_U8_HANDOFF=0 skips the pass);
+//      one legality fixpoint decide which edges may be u8 — engine convs and
+//      ungrouped FP32 convs (the stems) emit u8, ReLU and maxpool pass it
+//      through; a fresh compile adds the envelope gate, a replay must
+//      reproduce the plan's dtype tokens under the same rules, an FP32 conv's
+//      edge following its first engine reader's in_dtype token
+//      (LOWINO_U8_HANDOFF=0 skips the pass);
 //   5. assign_layouts: NCHW or 64-channel blocked per value, by one rule
 //      derived from the ops and engines (EngineCaps::blocked_io) —
 //      blocked-I/O engines chain on blocked arena buffers with no relayout —
@@ -39,8 +42,9 @@
 //      activation in one arena via the planner (serve/arena.h); planned vs
 //      naive peak bytes are reported in the SessionPlan.
 // Non-quantizable convolutions (grouped ones included) run the shared FP32
-// kernel, conv_f32_forward, with session-owned scratch. compile() finally
-// pre-warms every scratch buffer on the bound ThreadPool.
+// kernel with session-owned scratch: conv_f32_forward on NCHW, and for a
+// blocked output conv_f32_blocked, whose epilogue may requantize to u8.
+// compile() finally pre-warms every scratch buffer on the bound ThreadPool.
 //
 // Run time — session.run(input, output): executes the op list against the
 // arena. Steady-state runs perform zero heap allocations (asserted by the

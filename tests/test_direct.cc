@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -591,6 +592,194 @@ TEST(PrefixRun, EngineInt8Depthwise) {
                                   pool);
   expect_engine_prefix_runs_exact(EngineKind::kInt8Depthwise, prefix_desc(96, 192, 3, 2, 96),
                                   52, pool);
+}
+
+// --- ConvF32Blocked: the blocked FP32 conv against the NCHW one --------------
+
+struct F32BlockedCase {
+  ConvDesc desc;
+  std::vector<float> input, weights, bias, sum_nchw, sum_blocked;
+  bool relu = false;
+  std::vector<float> ref;  ///< conv_f32_forward's NCHW output
+
+  PostOps post_nchw() const { return {relu, sum_nchw.empty() ? nullptr : sum_nchw.data()}; }
+  PostOps post_blocked() const {
+    return {relu, sum_blocked.empty() ? nullptr : sum_blocked.data()};
+  }
+  std::size_t out_elems() const {
+    return BlockedActLayout(desc.batch, desc.out_channels, desc.out_height(), desc.out_width())
+        .size();
+  }
+};
+
+/// t.ref = conv_f32_forward of the case.
+void fill_nchw_reference(F32BlockedCase& t) {
+  ConvF32Scratch scratch;
+  t.ref.assign(t.desc.batch * t.desc.out_channels * t.desc.out_height() * t.desc.out_width(),
+               0.0f);
+  conv_f32_forward(t.desc, t.input, t.weights, t.bias, t.ref, scratch, t.post_nchw());
+}
+
+F32BlockedCase f32_blocked_case(std::size_t c, std::size_t k, std::size_t r, std::size_t stride,
+                                bool relu, bool sum, unsigned seed, std::size_t batch = 2) {
+  F32BlockedCase t;
+  t.desc = make_desc(batch, c, k, 9, r, r / 2);
+  t.desc.stride = stride;
+  t.relu = relu;
+  Rng rng(seed);
+  t.input.resize(batch * c * 81);
+  t.weights.resize(k * c * r * r);
+  t.bias.resize(k);
+  for (auto& v : t.input) v = rng.uniform(-1.0f, 1.0f);
+  for (auto& v : t.weights) v = rng.uniform(-0.5f, 0.5f);
+  for (auto& v : t.bias) v = rng.uniform(-0.2f, 0.2f);
+  const std::size_t oh = t.desc.out_height(), ow = t.desc.out_width();
+  if (sum) {
+    t.sum_nchw.resize(batch * k * oh * ow);
+    for (auto& v : t.sum_nchw) v = rng.uniform(-1.0f, 1.0f);
+    t.sum_blocked.resize(t.out_elems());
+    relayout(DType::kF32, ActLayout::kBlocked64, t.sum_nchw.data(), batch, k, oh, ow,
+             t.sum_blocked.data());
+  }
+  fill_nchw_reference(t);
+  return t;
+}
+
+/// Runs the blocked path on `t` and checks, byte for byte over the whole
+/// blocked buffer (padding lanes included), that its FP32 output is t.ref
+/// relayouted and its u8 output is t.ref's quantize_u8_shift128 at `qp`.
+void expect_blocked_matches_nchw(const F32BlockedCase& t, const QuantParams& qp) {
+  const ConvDesc& d = t.desc;
+  const std::size_t oh = d.out_height(), ow = d.out_width(), K = d.out_channels;
+  ConvF32Scratch scratch;
+  std::vector<float> want_f(t.out_elems()), got_f(t.out_elems(), -1.0f);
+  relayout(DType::kF32, ActLayout::kBlocked64, t.ref.data(), d.batch, K, oh, ow, want_f.data());
+  conv_f32_blocked(d, t.input.data(), t.weights, t.bias, got_f.data(), scratch, t.post_blocked());
+  EXPECT_EQ(0, std::memcmp(got_f.data(), want_f.data(), want_f.size() * sizeof(float)));
+
+  std::vector<std::uint8_t> q(t.ref.size()), want_u8(t.out_elems()), got_u8(t.out_elems(), 7);
+  quantize_u8_shift128(t.ref, qp.scale, q);
+  relayout(DType::kU8, ActLayout::kBlocked64, q.data(), d.batch, K, oh, ow, want_u8.data());
+  conv_f32_blocked(d, t.input.data(), t.weights, t.bias, got_u8.data(), scratch,
+                   t.post_blocked(), &qp);
+  EXPECT_EQ(0, std::memcmp(got_u8.data(), want_u8.data(), want_u8.size()));
+}
+
+TEST(ConvF32Blocked, MatchesTheNchwPathByteForByte) {
+  // FP32 blocked output bit-identical to the NCHW path, u8 output equal to
+  // its quantization at an edge scale that clips the top 20%: C = 1 and 3
+  // (the stems), 48 and 64; K = 24 and 96 (a partial 16-lane group and block),
+  // 32 (padding-only groups skipped) and 64; r = 1, 3, 5; stride 1 and 2;
+  // ReLU off and on; no residual and an FP32 one. The 9 x 9 image leaves a
+  // partial pixel tile at every stride.
+  unsigned seed = 1;
+  for (const std::size_t c : {1, 3, 48, 64}) {
+    for (const std::size_t k : {24, 32, 64, 96}) {
+      for (const std::size_t r : {1, 3, 5}) {
+        for (const std::size_t stride : {1, 2}) {
+          for (const bool relu : {false, true}) {
+            for (const bool sum : {false, true}) {
+              SCOPED_TRACE(::testing::Message() << "C" << c << " K" << k << " r" << r << " s"
+                                              << stride << " relu " << relu << " sum " << sum);
+              const F32BlockedCase t = f32_blocked_case(c, k, r, stride, relu, sum, seed++);
+              expect_blocked_matches_nchw(
+                  t, QuantParams::from_threshold(0.8f * std::max(abs_max(t.ref), 1e-3f)));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ConvF32Blocked, NonFinitePixelsFollowTheRequantContract) {
+  // NaN, +-Inf and FLT_MAX pixels: the FP32 output keeps the NCHW path's bits
+  // and the u8 output is quantize_u8_shift128 of it — NaN stores 128, +-Inf
+  // saturate — with the padding lanes still quantized zero.
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::max(),
+                            -std::numeric_limits<float>::max()};
+  for (const bool relu : {false, true}) {
+    for (const float special : specials) {
+      SCOPED_TRACE(::testing::Message() << "pixel " << special << " relu " << relu);
+      F32BlockedCase t = f32_blocked_case(1, 24, 3, 1, relu, false, 91);
+      for (std::size_t i = 0; i < t.input.size(); i += 7) t.input[i] = special;
+      fill_nchw_reference(t);
+      const QuantParams qp = QuantParams::from_threshold(2.0f);
+      expect_blocked_matches_nchw(t, qp);
+      // The contract itself, on the reference bytes: NaN outputs store 128;
+      // infinite ones, and finite ones whose scaled value overflows int32,
+      // saturate.
+      std::vector<std::uint8_t> q(t.ref.size());
+      quantize_u8_shift128(t.ref, qp.scale, q);
+      std::size_t extreme = 0;
+      for (std::size_t i = 0; i < q.size(); ++i) {
+        if (std::isfinite(t.ref[i]) && std::abs(t.ref[i] * qp.scale) < 1e10f) continue;
+        ++extreme;
+        ASSERT_EQ(q[i], std::isnan(t.ref[i]) ? 128 : t.ref[i] > 0.0f ? 255 : 0) << i;
+      }
+      // A fused ReLU maps NaN to 0, as std::max(0.0f, NaN) does.
+      if (!(relu && std::isnan(special))) {
+        EXPECT_GT(extreme, 0u);
+      }
+    }
+  }
+}
+
+TEST(ConvF32Blocked, PaddingLanesHoldQuantizedZero) {
+  // K = 24: lanes 24..31 share a computed group with real channels, lanes
+  // 32..63 are whole padding groups. NaN input must not leak into either.
+  F32BlockedCase t = f32_blocked_case(3, 24, 3, 1, false, false, 5);
+  t.input[0] = std::numeric_limits<float>::quiet_NaN();
+  const QuantParams qp = QuantParams::from_threshold(1.0f);
+  ConvF32Scratch scratch;
+  std::vector<float> f(t.out_elems(), -1.0f);
+  std::vector<std::uint8_t> q(t.out_elems(), 7);
+  conv_f32_blocked(t.desc, t.input.data(), t.weights, t.bias, f.data(), scratch);
+  conv_f32_blocked(t.desc, t.input.data(), t.weights, t.bias, q.data(), scratch, {}, &qp);
+  for (std::size_t px = 0; px < t.out_elems() / kChanBlock; ++px) {
+    for (std::size_t l = 24; l < kChanBlock; ++l) {
+      ASSERT_EQ(f[px * kChanBlock + l], 0.0f) << "pixel " << px << " lane " << l;
+      ASSERT_EQ(q[px * kChanBlock + l], 128) << "pixel " << px << " lane " << l;
+    }
+  }
+}
+
+TEST(ConvF32Blocked, PrefixRunLeavesLaterImagesUntouched) {
+  // desc.batch = images < B computes exactly the leading images (the bytes
+  // of a whole-batch run) and never writes past them.
+  for (const bool u8 : {false, true}) {
+    F32BlockedCase t = f32_blocked_case(3, 96, 3, 2, true, true, 17, /*batch=*/3);
+    const QuantParams qp = QuantParams::from_threshold(1.5f);
+    const std::size_t bytes = t.out_elems() * (u8 ? 1 : sizeof(float));
+    const std::size_t image_bytes = bytes / 3;
+    ConvF32Scratch scratch;
+    std::vector<std::uint8_t> full(bytes);
+    conv_f32_blocked(t.desc, t.input.data(), t.weights, t.bias, full.data(), scratch,
+                     t.post_blocked(), u8 ? &qp : nullptr);
+    for (std::size_t images = 1; images < 3; ++images) {
+      ConvDesc d = t.desc;
+      d.batch = images;
+      std::vector<std::uint8_t> got(bytes, 0xA5);
+      conv_f32_blocked(d, t.input.data(), t.weights, t.bias, got.data(), scratch,
+                       t.post_blocked(), u8 ? &qp : nullptr);
+      EXPECT_EQ(0, std::memcmp(got.data(), full.data(), images * image_bytes))
+          << images << " image(s), u8 " << u8;
+      EXPECT_TRUE(std::all_of(got.begin() + images * image_bytes, got.end(),
+                              [](std::uint8_t b) { return b == 0xA5; }))
+          << images << " image(s), u8 " << u8;
+    }
+  }
+}
+
+TEST(ConvF32Blocked, RejectsGroupedShapes) {
+  ConvDesc d = make_desc(1, 8, 8, 6);
+  d.groups = 8;
+  std::vector<float> in(8 * 36), w(8 * 9), b(8), out(64 * 36);
+  ConvF32Scratch scratch;
+  EXPECT_THROW(conv_f32_blocked(d, in.data(), w, b, out.data(), scratch), std::invalid_argument);
 }
 
 }  // namespace

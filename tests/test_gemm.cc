@@ -361,7 +361,40 @@ INSTANTIATE_TEST_SUITE_P(Shapes, Fp32GemmShape,
                                            std::make_tuple(13, 27, 48),
                                            std::make_tuple(25, 32, 80),
                                            std::make_tuple(10, 16, 10),  // k not multiple of 16
-                                           std::make_tuple(64, 128, 96)));
+                                           std::make_tuple(64, 128, 96),
+                                           // Masked k tails, with row counts
+                                           // that are not multiples of 6.
+                                           std::make_tuple(7, 33, 1), std::make_tuple(5, 19, 10),
+                                           std::make_tuple(13, 8, 15),
+                                           std::make_tuple(11, 40, 17),
+                                           std::make_tuple(17, 64, 31),
+                                           std::make_tuple(16, 8192, 10)));  // a dense head
+
+TEST(Fp32Gemm, TailColumnsMatchAPaddedFullGroupBitForBit) {
+  // A k tail runs the FMA sequence of a full 16-lane group: the same product
+  // with B padded by zero columns to k = 16 or 32 gives the same bits.
+  for (const auto& [n, cdim, k] : {std::tuple{16, 8192, 10}, std::tuple{7, 33, 17},
+                                   std::tuple{13, 5, 31}, std::tuple{1, 3, 1}}) {
+    const int kp = (k + 15) / 16 * 16;
+    Rng rng(n * 7 + k);
+    std::vector<float> a(static_cast<std::size_t>(n) * cdim), b(static_cast<std::size_t>(cdim) * k);
+    std::vector<float> bp(static_cast<std::size_t>(cdim) * kp, 0.0f);
+    for (auto& v : a) v = rng.uniform(-1.0f, 1.0f);
+    for (int l = 0; l < cdim; ++l) {
+      for (int j = 0; j < k; ++j) bp[l * kp + j] = b[l * k + j] = rng.uniform(-1.0f, 1.0f);
+    }
+    // Canary columns past k: the tail must not store into them.
+    std::vector<float> got(static_cast<std::size_t>(n) * (k + 1), -7.0f);
+    std::vector<float> want(static_cast<std::size_t>(n) * kp);
+    fp32_gemm(a.data(), cdim, b.data(), k, got.data(), k + 1, n, cdim, k);
+    fp32_gemm(a.data(), cdim, bp.data(), kp, want.data(), kp, n, cdim, kp);
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(0, std::memcmp(&got[i * (k + 1)], &want[i * kp], k * sizeof(float)))
+          << n << "x" << cdim << "x" << k << " row " << i;
+      ASSERT_EQ(got[i * (k + 1) + k], -7.0f) << "row " << i;
+    }
+  }
+}
 
 TEST(Fp32Gemm, ParallelMatchesSerial) {
   ThreadPool pool(3);

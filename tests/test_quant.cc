@@ -13,6 +13,7 @@
 
 #include "common/env.h"
 #include "common/rng.h"
+#include "common/saturate.h"
 #include "quant/calibration.h"
 #include "quant/histogram.h"
 #include "quant/quantize.h"
@@ -122,6 +123,23 @@ TEST(Quantize, PaddingByteDequantizesToExactZero) {
   for (const float scale : {0.03125f, 1.0f, 63.5f, 12345.0f}) {
     dequantize_u8_shift128(pad, 1.0f / scale, out);
     EXPECT_EQ(out[0], 0.0f) << "scale " << scale;
+  }
+}
+
+TEST(Quantize, U8NonFiniteContract) {
+  // The encoding where a request's pixels first become bytes: NaN is quantized
+  // zero (128), +-Inf and every magnitude past the range saturate — including
+  // scaled values beyond int32, whose conversion would be undefined.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float big = std::numeric_limits<float>::max();
+  const std::vector<float> src = {std::numeric_limits<float>::quiet_NaN(), inf, -inf, big, -big,
+                                  3e9f, -3e9f, 127.4f, -128.4f, 0.0f};
+  const std::vector<std::uint8_t> want = {128, 255, 0, 255, 0, 255, 0, 255, 0, 128};
+  std::vector<std::uint8_t> q(src.size());
+  quantize_u8_shift128(src, 1.0f, q);
+  EXPECT_EQ(q, want);
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    EXPECT_EQ(quantize_u8_shift128_scaled(src[i]), want[i]) << src[i];
   }
 }
 

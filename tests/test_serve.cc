@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <optional>
 #include <random>
@@ -94,7 +95,8 @@ struct InferenceSessionTestPeer {
 
   /// The same plan — engines, scales, dtypes, fusion — replayed op by op on
   /// NCHW buffers of its own: every conv through the NCHW engine entry points
-  /// (run / run_typed), every reorder a plain copy.
+  /// (run / run_typed), a u8 stem through conv_f32_forward and
+  /// quantize_u8_shift128, every reorder a plain copy.
   static Tensor<float> nchw_replay(InferenceSession& s, const Tensor<float>& input) {
     const std::vector<Value> saved = s.values_;
     for (Value& v : s.values_) v.layout = ActLayout::kNchw;
@@ -108,8 +110,17 @@ struct InferenceSessionTestPeer {
     };
     for (Op& op : s.ops_) {
       void* in1 = op.kind == Op::Kind::kAddRelu || op.fuse_sum ? ptr(op.in1) : nullptr;
+      const Value& vo = s.values_[op.out];
       if (op.kind == Op::Kind::kReorder) {
-        std::memcpy(ptr(op.out), ptr(op.in0), s.values_[op.out].bytes());
+        std::memcpy(ptr(op.out), ptr(op.in0), vo.bytes());
+      } else if (op.kind == Op::Kind::kConvFp32 && vo.dtype == DType::kU8) {
+        // A u8 stem edge: the NCHW FP32 conv, then the edge's quantization.
+        std::vector<float> f(vo.elems);
+        conv_f32_forward(op.conv->conv_desc(s.batch()),
+                         {static_cast<const float*>(ptr(op.in0)), s.values_[op.in0].elems},
+                         op.conv->weights(), op.conv->bias(), f, op.fp32,
+                         PostOps{op.fuse_relu, static_cast<const float*>(in1)});
+        quantize_u8_shift128(f, vo.qp.scale, {static_cast<std::uint8_t*>(ptr(op.out)), vo.elems});
       } else {
         s.execute_op(op, ptr(op.in0), in1, ptr(op.out), s.batch());
       }
@@ -817,6 +828,7 @@ std::string plan_decisions(const SessionPlan& plan) {
 TEST(InferenceSession, PlanDecisionsArePinned) {
   // Engine, fusion, dtype and arena decisions for the zoo nets, recorded
   // from a known-good compile. A refactor of compile() must reproduce them.
+  // Every stem writes its reader's u8 bytes (conv 0 reads dtype u8).
   // MiniMobileNet runs a shoot-out over a candidate set that leaves exactly
   // one eligible engine per layer (no forced kind takes both its grouped
   // and its 1x1 layers), so its decisions do not depend on timing.
@@ -850,25 +862,25 @@ TEST(InferenceSession, PlanDecisionsArePinned) {
 
   EXPECT_EQ(decide(make_minivgg(), f4),
             "batch = 2\n"
-            "arena = 163840\n"
-            "naive = 253952\n"
-            "conv = 1 lowino_f4 post=relu dtype=f32:u8 | conv3x3(64->64)+relu | "
+            "arena = 81920\n"
+            "naive = 155648\n"
+            "conv = 1 lowino_f4 post=relu dtype=u8:u8 | conv3x3(64->64)+relu | "
             "B2 C64 K64 H16 W16 r3\n"
             "conv = 3 lowino_f4 post=relu dtype=u8:f32 | conv3x3(64->128)+relu | "
             "B2 C64 K128 H8 W8 r3\n");
   EXPECT_EQ(decide(make_minivgg(), direct),
             "batch = 2\n"
-            "arena = 163840\n"
-            "naive = 253952\n"
-            "conv = 1 int8_direct post=relu dtype=f32:u8 | conv3x3(64->64)+relu | "
+            "arena = 81920\n"
+            "naive = 155648\n"
+            "conv = 1 int8_direct post=relu dtype=u8:u8 | conv3x3(64->64)+relu | "
             "B2 C64 K64 H16 W16 r3\n"
             "conv = 3 int8_direct post=relu dtype=u8:f32 | conv3x3(64->128)+relu | "
             "B2 C64 K128 H8 W8 r3\n");
   const std::string resnet_f4 =
       "batch = 2\n"
-      "arena = 196608\n"
-      "naive = 253952\n"
-      "conv = 1 lowino_f4 post=relu dtype=f32:u8 | conv3x3(64->64)+relu | "
+      "arena = 65536\n"
+      "naive = 122880\n"
+      "conv = 1 lowino_f4 post=relu dtype=u8:u8 | conv3x3(64->64)+relu | "
       "B2 C64 K64 H16 W16 r3\n"
       "conv = 2 lowino_f4 post=sum+relu dtype=u8:u8 | conv3x3(64->64)+sum+relu | "
       "B2 C64 K64 H16 W16 r3\n"
@@ -883,9 +895,9 @@ TEST(InferenceSession, PlanDecisionsArePinned) {
   EXPECT_EQ(decide_on(make_miniresnet(), twice, f4), resnet_f4);
   EXPECT_EQ(decide(make_miniresnet(), direct),
             "batch = 2\n"
-            "arena = 196608\n"
-            "naive = 253952\n"
-            "conv = 1 int8_direct post=relu dtype=f32:u8 | conv3x3(64->64)+relu | "
+            "arena = 65536\n"
+            "naive = 122880\n"
+            "conv = 1 int8_direct post=relu dtype=u8:u8 | conv3x3(64->64)+relu | "
             "B2 C64 K64 H16 W16 r3\n"
             "conv = 2 int8_direct post=sum+relu dtype=u8:u8 | conv3x3(64->64)+sum+relu | "
             "B2 C64 K64 H16 W16 r3\n"
@@ -897,9 +909,9 @@ TEST(InferenceSession, PlanDecisionsArePinned) {
   // 64 lanes, hence the larger arena; the engine decisions do not move.
   EXPECT_EQ(decide(make_minimobilenet(), dedicated),
             "batch = 2\n"
-            "arena = 163840\n"
-            "naive = 294912\n"
-            "conv = 1 int8_dw post=relu dtype=f32:u8 | dwconv3x3(32->32)+relu | "
+            "arena = 81920\n"
+            "naive = 196608\n"
+            "conv = 1 int8_dw post=relu dtype=u8:u8 | dwconv3x3(32->32)+relu | "
             "B2 C32 K32 H16 W16 r3 g32\n"
             "conv = 2 int8_1x1 post=relu dtype=u8:u8 | conv1x1(32->64)+relu | "
             "B2 C32 K64 H16 W16 r1\n"
@@ -1015,9 +1027,44 @@ TEST(InferenceSession, PlanReplayRejectsInconsistentDtypeTokens) {
   incapable_engine.convs[0].engine = EngineKind::kFp32WinoF4;
   EXPECT_THROW(replay(incapable_engine), std::invalid_argument);
 
-  SessionPlan u8_from_stem = plan;  // conv 0 reads the FP32 stem's output
-  u8_from_stem.convs[0].in_dtype = DType::kU8;
-  EXPECT_THROW(replay(u8_from_stem), std::invalid_argument);
+  // Conv 0 reads the FP32 stem's output: u8 (a fresh plan) and FP32 (a plan
+  // from before FP32 convs could emit u8) both replay.
+  SessionPlan u8_from_stem = plan;
+  ASSERT_EQ(u8_from_stem.convs[0].in_dtype, DType::kU8);
+  EXPECT_NO_THROW(replay(u8_from_stem));
+  SessionPlan f32_from_stem = plan;
+  f32_from_stem.convs[0].in_dtype = DType::kF32;
+  EXPECT_NO_THROW(replay(f32_from_stem));
+
+  // A grouped FP32 conv has no u8 store: a u8 token after one is refused.
+  const auto make_grouped_net = [] {
+    Rng rng(5);
+    SequentialModel m;
+    auto stem = std::make_unique<ConvLayer>(1, 16, 16, 3, 1, rng);
+    stem->set_quantizable(false);
+    m.add(std::move(stem));
+    m.add(std::make_unique<ReluLayer>());
+    auto dw = std::make_unique<ConvLayer>(16, 16, 16, 3, 1, rng, /*groups=*/16);
+    dw->set_quantizable(false);
+    m.add(std::move(dw));
+    m.add(std::make_unique<ConvLayer>(16, 64, 16, 3, 1, rng));
+    m.add(std::make_unique<ReluLayer>());
+    m.add(std::make_unique<MaxPoolLayer>(64, 16));
+    m.add(std::make_unique<DenseLayer>(64 * 8 * 8, 10, rng));
+    return m;
+  };
+  SequentialModel grouped = make_grouped_net();
+  SessionPlan u8_after_grouped =
+      forced_session(grouped, calib, EngineKind::kInt8Direct, &pool).plan();
+  ASSERT_EQ(u8_after_grouped.convs.size(), 1u);
+  ASSERT_EQ(u8_after_grouped.convs[0].in_dtype, DType::kF32);
+  u8_after_grouped.convs[0].in_dtype = DType::kU8;
+  SequentialModel fresh_grouped = make_grouped_net();
+  PlanOptions grouped_options;
+  grouped_options.pool = &pool;
+  grouped_options.reuse = &u8_after_grouped;
+  EXPECT_THROW(InferenceSession::compile(fresh_grouped, calib, grouped_options),
+               std::invalid_argument);
 }
 
 // --- Post-op fusion ---------------------------------------------------------
@@ -1679,6 +1726,101 @@ TEST(BlockedLayout, BlockedServeStaysAllocationFree) {
   for (int i = 0; i < 5; ++i) session.run(input, out);
   EXPECT_EQ(heap_alloc_count(), heap_before);
   EXPECT_EQ(aligned_buffer_alloc_count(), aligned_before);
+}
+
+// --- FP32 stems on a u8 edge ---------------------------------------------------
+
+/// The zoo nets with the engines the benchmark serves them by (MobileNet's
+/// dedicated pair leaves one eligible engine per layer).
+struct ZooNet {
+  const char* name;
+  SequentialModel (*make)();
+  PlanOptions options;
+};
+
+std::vector<ZooNet> zoo_nets() {
+  PlanOptions direct, dedicated;
+  direct.forced_engine = EngineKind::kInt8Direct;
+  dedicated.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1};
+  for (PlanOptions* o : {&direct, &dedicated}) {
+    o->pool = &ThreadPool::global();
+    o->seconds_per_candidate = 0.002;
+  }
+  return {{"vgg", [] { return make_minivgg(); }, direct},
+          {"resnet", [] { return make_miniresnet(); }, direct},
+          {"mobilenet", [] { return make_minimobilenet(); }, dedicated}};
+}
+
+TEST(PlanReplay, PreStemU8PlanServesAsBefore) {
+  // A v3 plan from before FP32 convs could emit u8 records conv 0 as
+  // dtype=f32:...; it replays with an FP32 stem edge — the same decisions and
+  // arena as then, and served bytes equal to the plan's NCHW replay, whose
+  // stem is the im2col + GEMM path those plans were served by.
+  ScopedRuntimeOverride fuse_on("LOWINO_FUSE_POSTOPS", "1");
+  ScopedRuntimeOverride u8_on("LOWINO_U8_HANDOFF", "1");
+  const Tensor<float> calib = random_input(2, 16, 61);
+  const Tensor<float> input = random_input(2, 16, 62);
+  for (const ZooNet& net : zoo_nets()) {
+    SCOPED_TRACE(net.name);
+    SequentialModel model = net.make();
+    SessionPlan fresh = InferenceSession::compile(model, calib, net.options).plan();
+    ASSERT_EQ(fresh.convs[0].in_dtype, DType::kU8);
+    fresh.convs[0].in_dtype = DType::kF32;
+    const std::string old_text = fresh.serialize();
+    ASSERT_NE(old_text.find(" dtype=f32:"), std::string::npos);
+    const std::optional<SessionPlan> old_plan = SessionPlan::deserialize(old_text);
+    ASSERT_TRUE(old_plan.has_value());
+
+    SequentialModel again = net.make();
+    PlanOptions replay;
+    replay.pool = &ThreadPool::global();
+    replay.reuse = &*old_plan;
+    InferenceSession s = InferenceSession::compile(again, calib, replay);
+    EXPECT_EQ(s.plan().convs[0].in_dtype, DType::kF32);
+    const auto& ops = Peer::ops(s);
+    const auto stem = std::find_if(ops.begin(), ops.end(), [](const Peer::Op& op) {
+      return op.kind == Peer::Op::Kind::kConvFp32;
+    });
+    ASSERT_NE(stem, ops.end());
+    EXPECT_EQ(Peer::values(s)[stem->out].dtype, DType::kF32);
+    Tensor<float> out;
+    s.run(input, out);
+    EXPECT_TRUE(same_bits(out, Peer::nchw_replay(s, input)));
+  }
+}
+
+TEST(InferenceSession, NonFinitePixelsStayInTheirImage) {
+  // NaN, +-Inf and +-FLT_MAX pixels in image 0 of a batch: images 1 and 2
+  // serve the bytes of a clean batch. With the hand-off on, image 0's logits
+  // stay finite too: the stem's requant stores NaN as 128 and saturates the
+  // rest. With it off, FP32 edges (ResNet's skip connection) may carry a
+  // non-finite value to image 0's logits, and only to them.
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::max(),
+                            -std::numeric_limits<float>::max()};
+  for (const char* u8 : {"1", "0"}) {
+    ScopedRuntimeOverride handoff("LOWINO_U8_HANDOFF", u8);
+    for (const ZooNet& net : zoo_nets()) {
+      SCOPED_TRACE(testing::Message() << net.name << " u8=" << u8);
+      SequentialModel model = net.make();
+      InferenceSession s = InferenceSession::compile(model, random_input(3, 16, 71), net.options);
+      const Tensor<float> clean = random_input(3, 16, 72);
+      Tensor<float> want, got;
+      s.run(clean, want);
+      const std::size_t row = want.size() / 3;
+      for (const float special : specials) {
+        SCOPED_TRACE(special);
+        Tensor<float> hostile = clean;
+        for (std::size_t i = 0; i < hostile.size() / 3; i += 3) hostile.data()[i] = special;
+        s.run(hostile, got);
+        EXPECT_EQ(0, std::memcmp(got.data() + row, want.data() + row, 2 * row * sizeof(float)));
+        if (std::string(u8) == "0") continue;
+        for (std::size_t i = 0; i < row; ++i) ASSERT_TRUE(std::isfinite(got.data()[i])) << i;
+      }
+    }
+  }
 }
 
 // --- Prefix-batch execution ---------------------------------------------------
