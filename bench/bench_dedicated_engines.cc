@@ -10,12 +10,14 @@
 //
 // Both dedicated engines have one kernel on the 64-channel blocked layout;
 // their NCHW column (execute_nchw) wraps it in pack -> core -> unpack, and
-// the blocked column times the core alone (execute_blocked_typed on packed
-// FP32 buffers, what a blocked serving chain runs), so the kernel gain shows
-// apart from the relayout cost. The first rows are MiniMobileNet's convs.
+// the blocked columns time the core alone (execute_blocked_typed), so the
+// kernel gain shows apart from the relayout cost: on packed FP32 buffers
+// (the core quantizes its input), and with u8 input and output, what a
+// blocked serving chain runs. The first rows are MiniMobileNet's convs.
 //
 // Env: LOWINO_BENCH_BATCH (default 16), LOWINO_BENCH_BUDGET_MS.
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -90,6 +92,19 @@ double measure_blocked(Conv& conv, const ConvDesc& d, ThreadPool& pool) {
   return bench::measure([&] { conv.execute_blocked_typed(in.data(), out.data(), &pool); });
 }
 
+/// Median seconds of `conv`'s blocked core with u8 input and output, what a
+/// served chain runs. Switches `conv` to the u8 hand-off for good.
+template <typename Conv>
+double measure_blocked_u8(Conv& conv, const ConvDesc& d, ThreadPool& pool) {
+  conv.set_input_u8(QuantParams::from_threshold(1.0f));
+  conv.set_output_u8(QuantParams::from_threshold(1.0f));
+  std::vector<std::uint8_t> in(BlockedActLayout(d.batch, d.in_channels, d.height, d.width).size());
+  std::vector<std::uint8_t> out(
+      BlockedActLayout(d.batch, d.out_channels, d.out_height(), d.out_width()).size());
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<std::uint8_t>(i % 251);
+  return bench::measure([&] { conv.execute_blocked_typed(in.data(), out.data(), &pool); });
+}
+
 }  // namespace
 
 int bench_main() {
@@ -112,15 +127,16 @@ int bench_main() {
       {"pw 256->512 /14 s2", make_desc(256, 512, 14, 1, 2, 1, batch)},
       {"pw 512->512 /7", make_desc(512, 512, 7, 1, 1, 1, batch)},
   };
-  std::printf("%-20s %12s %12s %9s | %12s %9s | %10s\n", "pointwise layer", "direct ms",
-              "1x1 ms", "speedup", "blocked ms", "speedup", "core GOPS");
-  bench::print_rule(96);
+  std::printf("%-20s %12s %12s %9s | %12s %9s | %10s | %9s %9s\n", "pointwise layer",
+              "direct ms", "1x1 ms", "speedup", "blocked ms", "speedup", "core GOPS", "u8 ms",
+              "u8 GOPS");
+  bench::print_rule(118);
   double pw_geomean = 0.0;
   for (const Shape& s : pw) {
     const ConvDesc& d = s.desc;
     const bench::LayerData data = bench::make_layer_data(d, 11);
     std::vector<float> out(d.batch * d.out_channels * d.out_height() * d.out_width());
-    double t_direct, t_1x1, t_blocked;
+    double t_direct, t_1x1, t_blocked, t_u8;
     {
       Int8DirectConv conv(d);
       conv.set_input_threshold(abs_max(data.input));
@@ -133,11 +149,13 @@ int bench_main() {
       conv.set_filters(data.weights, data.bias);
       t_1x1 = bench::measure([&] { conv.execute_nchw(data.input, out, &pool); });
       t_blocked = measure_blocked(conv, d, pool);
+      t_u8 = measure_blocked_u8(conv, d, pool);
     }
     pw_geomean += std::log(t_direct / t_1x1);
-    std::printf("%-20s %12.3f %12.3f %8.2fx | %12.3f %8.2fx | %10.1f\n", s.name, 1e3 * t_direct,
-                1e3 * t_1x1, t_direct / t_1x1, 1e3 * t_blocked, t_direct / t_blocked,
-                bench::direct_gflops(d, t_blocked));
+    std::printf("%-20s %12.3f %12.3f %8.2fx | %12.3f %8.2fx | %10.1f | %9.3f %9.1f\n", s.name,
+                1e3 * t_direct, 1e3 * t_1x1, t_direct / t_1x1, 1e3 * t_blocked,
+                t_direct / t_blocked, bench::direct_gflops(d, t_blocked), 1e3 * t_u8,
+                bench::direct_gflops(d, t_u8));
     std::fflush(stdout);
   }
   pw_geomean = std::exp(pw_geomean / (sizeof(pw) / sizeof(pw[0])));
@@ -152,25 +170,27 @@ int bench_main() {
       {"dw3x3 g=256 /14 s2", make_desc(256, 256, 14, 3, 2, 256, batch)},
       {"dw3x3 g=512 /7", make_desc(512, 512, 7, 3, 1, 512, batch)},
   };
-  std::printf("%-20s %12s %12s %9s | %12s %9s | %10s\n", "depthwise layer", "fp32 ms",
-              "int8_dw ms", "speedup", "blocked ms", "speedup", "core GOPS");
-  bench::print_rule(96);
+  std::printf("%-20s %12s %12s %9s | %12s %9s | %10s | %9s %9s\n", "depthwise layer",
+              "fp32 ms", "int8_dw ms", "speedup", "blocked ms", "speedup", "core GOPS", "u8 ms",
+              "u8 GOPS");
+  bench::print_rule(118);
   for (const Shape& s : dw) {
     const ConvDesc& d = s.desc;
     const bench::LayerData data = bench::make_layer_data(d, 13);
     std::vector<float> out(d.batch * d.out_channels * d.out_height() * d.out_width());
     const double t_fp32 = bench::measure([&] { fp32_grouped_direct(d, data, out); });
-    double t_dw, t_blocked;
+    double t_dw, t_blocked, t_u8;
     {
       Int8DepthwiseConv conv(d);
       conv.set_input_threshold(abs_max(data.input));
       conv.set_filters(data.weights, data.bias);
       t_dw = bench::measure([&] { conv.execute_nchw(data.input, out, &pool); });
       t_blocked = measure_blocked(conv, d, pool);
+      t_u8 = measure_blocked_u8(conv, d, pool);
     }
-    std::printf("%-20s %12.3f %12.3f %8.2fx | %12.3f %8.2fx | %10.1f\n", s.name, 1e3 * t_fp32,
-                1e3 * t_dw, t_fp32 / t_dw, 1e3 * t_blocked, t_fp32 / t_blocked,
-                bench::direct_gflops(d, t_blocked));
+    std::printf("%-20s %12.3f %12.3f %8.2fx | %12.3f %8.2fx | %10.1f | %9.3f %9.1f\n", s.name,
+                1e3 * t_fp32, 1e3 * t_dw, t_fp32 / t_dw, 1e3 * t_blocked, t_fp32 / t_blocked,
+                bench::direct_gflops(d, t_blocked), 1e3 * t_u8, bench::direct_gflops(d, t_u8));
     std::fflush(stdout);
   }
   return 0;

@@ -154,7 +154,7 @@ void Int8Conv1x1Conv::execute_blocked_impl(const void* input, void* output, DTyp
   for (auto& buf : scratch_) buf.ensure(panel_bytes + kRowChunk * k_pad_ * sizeof(std::int32_t));
 
   const float scale = input_params_.scale;
-  const BlockedEpilogue epilogue{&post, out_dtype == DType::kU8, out_u8_qp_.scale};
+  const BlockedEpilogue epilogue{post, out_dtype == DType::kU8, out_u8_qp_.scale};
   auto body = [&](std::size_t tid, std::size_t nw) {
     std::uint8_t* panel = scratch_[tid].data();
     std::int32_t* acc = reinterpret_cast<std::int32_t*>(panel + panel_bytes);

@@ -8,21 +8,31 @@
 // per-tensor input scale (+128 uint8 shift), exact per-output-channel weight
 // scales, and the shared dequant/PostOps/requant tail, so the envelope math
 // of testing/envelope.h applies with patch = (C/groups) * r * r = r * r.
-// Accumulation is int32 over (q - 128) * w_q with out-of-bounds taps skipped
-// (padding is quantized zero, contributing nothing).
+// Accumulation is exact int32: each lane starts at -128 x the sum of its
+// taps (DESIGN.md decision 2) and adds q * w_q for every tap, with q the
+// u8 (+128) input byte, so it ends at the sum of (q - 128) * w_q.
 //
 // The engine has one kernel, on the 64-channel blocked layout
-// (tensor/layout.h): per (image, 64-channel output block) it runs pixel-major
-// over 64 constant lanes, each tap adding a pixel's 64 contiguous input lanes
-// times the tap's 64 weights, and the epilogue stores 64 contiguous output
-// lanes (direct/blocked_epilogue.h). A u8 input at multiplier 1 is read in
-// place; an FP32 input is quantized one (image, block) plane at a time into
-// per-thread scratch (H x W x 64 bytes — no whole-tensor buffer). With a
-// channel multiplier K/C > 1, output lane l of block kb reads input channel
-// (64 kb + l) / mult, which may sit in another block or lane: that plane is
-// lane-gathered into the same scratch first (correct, not tuned). The NCHW
-// entry points wrap the core in pack -> core -> unpack
-// (tensor/blocked_staging.h).
+// (tensor/layout.h), one (image, 64-channel output block) plane at a time:
+//   1. The block's input lanes are built once into per-thread scratch as a
+//      haloed u8 plane: rows copied (u8 input), quantized (FP32 input) or,
+//      with a channel multiplier K/C > 1, lane-gathered (output lane l of
+//      block kb reads input channel (64 kb + l) / mult), inside a halo of
+//      byte 128, quantized zero. Every tap of every output pixel lands inside
+//      the plane, so the kernel has no bounds checks; the halo's taps add
+//      128 * w_q, which the per-lane constant cancels.
+//   2. A register tile of output pixels along a row x the block's live
+//      16-lane groups (ceil(valid / 16): a 32-channel block does half the
+//      work of a 64-channel one) accumulates with vpdpbusd on input lanes
+//      widened to int32 once per filter row and shared by every horizontal
+//      tap that reads them (a compile-time instance for 3x3 at stride 1;
+//      other shapes take the same tile with a tap loop).
+//   3. The epilogue runs from the accumulators (direct/blocked_epilogue.h,
+//      BlockedEpilogue::store_groups) and stores whole 64-lane pixels, the
+//      padding lanes as quantized zero.
+// CPUs without AVX-512 VNNI run the same loop lane by lane (selected at run
+// time by cpu_features()). The NCHW entry points wrap the core in
+// pack -> core -> unpack (tensor/blocked_staging.h).
 //
 // Mirrors the Euler `elx_conv_direct_depthwise_lp` specialization
 // (SNIPPETS.md). Supports any kernel, stride and asymmetric padding.
@@ -95,17 +105,14 @@ class Int8DepthwiseConv {
   QuantParams input_params_;
   bool input_scales_set_ = false;
 
-  AlignedBuffer<std::int32_t> w_q_;   ///< [K/64][r*r][64] quantized filters, zero-padded
-  AlignedBuffer<float> w_dequant_;    ///< per-channel 1/(scale_in*scale_w)
-  AlignedBuffer<float> bias_;
+  AlignedBuffer<std::int32_t> w_q_;     ///< [K/64][r*r][64] quantized filters, zero-padded
+  AlignedBuffer<std::int32_t> w_comp_;  ///< per channel: -128 x the sum of its taps
+  AlignedBuffer<float> w_dequant_;      ///< per channel: 1/(scale_in*scale_w)
+  AlignedBuffer<float> bias_;           ///< (the per-channel arrays pad to K/64 blocks)
   bool filters_set_ = false;
   AlignedBuffer<float> weights_fp32_;  ///< kept until scales are known
 
-  /// Output rows per reduction/epilogue chunk: as many as keep the chunk's
-  /// int32 sums within this many bytes (at least one row).
-  static constexpr std::size_t kAccChunkBytes = 32 * 1024;
-  /// Per-thread scratch: the quantized or lane-gathered input plane (when the
-  /// input is not read in place) followed by the chunk's int32 sums.
+  /// Per-thread scratch: one haloed u8 input plane.
   std::vector<AlignedBuffer<std::uint8_t>> scratch_;
   BlockedStaging staging_;  ///< the NCHW entry points' blocked buffers
 

@@ -10,6 +10,7 @@
 #include "common/saturate.h"
 #include "gemm/fp32_gemm.h"
 #include "parallel/thread_pool.h"
+#include "quant/quantize_avx512.h"
 
 #ifdef LOWINO_COMPILE_AVX512
 #include <immintrin.h>
@@ -201,11 +202,6 @@ void blocked_plane_avx512(const BlockedPlane& pl) {
     bias[g] = _mm512_loadu_ps(pl.bias + first);
   }
   const __m512 scale = _mm512_set1_ps(pl.out_u8 != nullptr ? pl.out_u8->scale : 1.0f);
-  const __m512 hi = _mm512_set1_ps(127.0f);
-  // Dword order of the two packs below: lane block i holds 4 lanes of each
-  // group; this puts group g's 16 lanes back at dwords 4g..4g+3.
-  const __m512i unpack = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15);
-  const __m512i to_u8 = _mm512_set1_epi8(static_cast<char>(0x80));
   // The epilogue of the pixel whose lane 0 sits at element `at`.
   const auto store = [&](const __m512 (&a)[G], std::size_t at) {
     __m512 v[4];
@@ -222,21 +218,14 @@ void blocked_plane_avx512(const BlockedPlane& pl) {
       }
       return;
     }
-    // quantize_u8_shift128_scaled, 64 lanes. Padding and NaN lanes scale to 0
-    // (v * scale is NaN only where v is); the float clamp bounds the top, and
-    // the conversion (out-of-range and -Inf give INT_MIN) plus the two
-    // saturating packs bound the bottom at -128; then +128 is a sign flip.
+    // quantize_u8_shift128_scaled, 64 lanes; padding lanes encode 0.
     __m512i q[4];
     for (int g = 0; g < 4; ++g) {
-      q[g] = _mm512_setzero_si512();
-      if (g >= G) continue;
-      const __mmask16 keep = _mm512_mask_cmp_ps_mask(lanes[g], v[g], v[g], _CMP_ORD_Q);
-      q[g] = _mm512_cvtps_epi32(_mm512_min_ps(_mm512_maskz_mul_ps(keep, v[g], scale), hi));
+      q[g] = g < G ? quantize_i32x16(_mm512_mul_ps(v[g], scale), lanes[g])
+                   : _mm512_setzero_si512();
     }
-    const __m512i bytes = _mm512_packs_epi16(_mm512_packs_epi32(q[0], q[1]),
-                                             _mm512_packs_epi32(q[2], q[3]));
     _mm512_storeu_si512(static_cast<std::uint8_t*>(pl.out) + at,
-                        _mm512_xor_si512(_mm512_permutexvar_epi32(unpack, bytes), to_u8));
+                        pack_u8x64(q[0], q[1], q[2], q[3]));
   };
   std::size_t y = 0, x = 0;  // the next tile's first output pixel
   for (std::size_t p0 = 0; p0 < pl.pixels; p0 += kTilePixels) {

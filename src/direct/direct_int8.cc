@@ -189,7 +189,7 @@ void Int8DirectConv::execute_blocked_impl(const void* input, void* output, DType
   }
 
   const float scale = input_params_.scale;
-  const BlockedEpilogue epilogue{&post, out_dtype == DType::kU8, out_u8_qp_.scale};
+  const BlockedEpilogue epilogue{post, out_dtype == DType::kU8, out_u8_qp_.scale};
   auto body = [&](std::size_t tid, std::size_t nw) {
     std::uint8_t* quantized = scratch_[tid].data();
     std::uint8_t* panel = quantized + image_bytes;

@@ -5,7 +5,9 @@
 #include <cmath>
 #include <limits>
 
+#include "common/cpu_features.h"
 #include "common/saturate.h"
+#include "quant/quantize_avx512.h"
 
 namespace lowino {
 
@@ -44,9 +46,30 @@ void quantize_i8(std::span<const float> src, float scale, std::span<std::int8_t>
 void quantize_u8_shift128(std::span<const float> src, float scale,
                           std::span<std::uint8_t> dst) {
   assert(dst.size() >= src.size());
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    dst[i] = quantize_u8_shift128_scaled(src[i] * scale);
+  const std::size_t n = src.size();
+#ifdef LOWINO_COMPILE_AVX512
+  if (cpu_features().has_avx512_kernels()) {
+    std::size_t i = 0;
+    const __m512 s = _mm512_set1_ps(scale);
+    const auto lanes = [&](std::size_t at) {
+      return quantize_i32x16(_mm512_mul_ps(_mm512_loadu_ps(src.data() + at), s), 0xFFFF);
+    };
+    for (; i + 64 <= n; i += 64) {
+      _mm512_storeu_si512(dst.data() + i,
+                          pack_u8x64(lanes(i), lanes(i + 16), lanes(i + 32), lanes(i + 48)));
+    }
+    const __m512i k128 = _mm512_set1_epi32(128);
+    for (; i < n; i += 16) {
+      const std::size_t m = std::min<std::size_t>(16, n - i);
+      const auto tail = static_cast<__mmask16>((1u << m) - 1);
+      const __m512 x = _mm512_mul_ps(_mm512_maskz_loadu_ps(tail, src.data() + i), s);
+      _mm512_mask_cvtepi32_storeu_epi8(dst.data() + i, tail,
+                                       _mm512_add_epi32(quantize_i32x16(x, tail), k128));
+    }
+    return;
   }
+#endif
+  for (std::size_t i = 0; i < n; ++i) dst[i] = quantize_u8_shift128_scaled(src[i] * scale);
 }
 
 void dequantize_i32(std::span<const std::int32_t> src, float inv_scale, std::span<float> dst) {

@@ -31,7 +31,8 @@ void quantize_i8(std::span<const float> src, float scale, std::span<std::int8_t>
 
 /// Quantizes FP32 -> UINT8 with the +128 compensation shift of Section 4.2.1
 /// (dst = saturate_u8(round(scale * src) + 128)), one
-/// quantize_u8_shift128_scaled per element: NaN -> 128, +-Inf saturate.
+/// quantize_u8_shift128_scaled per element: NaN -> 128, +-Inf saturate. The
+/// AVX-512 body (quant/quantize_avx512.h) gives the same bytes.
 void quantize_u8_shift128(std::span<const float> src, float scale,
                           std::span<std::uint8_t> dst);
 

@@ -10,8 +10,10 @@
 #include <memory>
 #include <vector>
 
+#include "common/cpu_features.h"
 #include "common/rng.h"
 #include "common/saturate.h"
+#include "direct/direct_depthwise.h"
 #include "direct/direct_f32.h"
 #include "direct/direct_int8.h"
 #include "nn/engines.h"
@@ -361,9 +363,10 @@ TEST(BlockedDirect, Int8DirectRunBlockedMatchesNchwEntryPoints) {
 }
 
 /// The engine's own quantization of `weights` (exact per-output-channel
-/// scales) and its int64 convolution by the test oracle on input bytes `q`
-/// (u8, +128 shifted): the exact accumulators any correct int8_direct path
-/// must reproduce before its per-element epilogue.
+/// scales over a patch of (C/groups) r^2 weights) and its int64 convolution
+/// by the test oracle on input bytes `q` (u8, +128 shifted): the exact
+/// accumulators any correct int8_direct or int8_dw path must reproduce
+/// before its per-element epilogue.
 struct ExactInt8Direct {
   std::vector<float> w_scale;
   std::vector<std::int64_t> acc;
@@ -371,7 +374,7 @@ struct ExactInt8Direct {
 
 ExactInt8Direct exact_int8_direct(const ConvDesc& d, std::span<const float> weights,
                                   std::span<const std::uint8_t> q) {
-  const std::size_t K = d.out_channels, patch = d.in_channels * d.kernel * d.kernel;
+  const std::size_t K = d.out_channels, patch = d.group_in_channels() * d.kernel * d.kernel;
   ExactInt8Direct x;
   std::vector<std::int8_t> w_q(K * patch), in_q(q.size());
   for (std::size_t k = 0; k < K; ++k) {
@@ -451,6 +454,199 @@ TEST(BlockedDirect, Int8DirectMatchesExactOracleOnItsQuantizedBytes) {
           EXPECT_TRUE(std::all_of(prefix.begin() + image, prefix.end(),
                                   [](float v) { return v == -7.0f; }));
         }
+      }
+    }
+  }
+}
+
+TEST(BlockedDirect, Int8DepthwiseMatchesExactOracleOnItsQuantizedBytes) {
+  // Valid lanes < 16 (C = 24 at multiplier 1), a whole 32-lane block, a
+  // partial 16-lane group (40), two and three blocks (64 x 2, 96 x 2); the
+  // width (19) is not a multiple of any register tile and the padding is
+  // asymmetric. FP32 and u8 input, one and two worker threads: the blocked
+  // core (whole batch and a one-image prefix), the NCHW wrapper and the
+  // oracle's exact sums pushed through the engine's epilogue
+  // (v = acc * dq + bias, then ReLU) agree byte for byte.
+  unsigned seed = 600;
+  for (const std::size_t threads : {1, 2}) {
+    ThreadPool pool(threads);
+    for (const std::size_t c : {24, 32, 40, 64, 96}) {
+      for (const std::size_t mult : {1, 2}) {
+        for (const std::size_t r : {3, 5}) {
+          for (const std::size_t stride : {1, 2}) {
+            for (const bool u8_in : {false, true}) {
+              ConvDesc d = blocked_desc(c, mult * c, r, stride, c);
+              d.width = 19;
+              d.pad_w = r == 3 ? 2 : 1;
+              SCOPED_TRACE(::testing::Message() << d.to_string() << " u8_in=" << u8_in
+                                                << " threads=" << threads);
+              const std::size_t K = d.out_channels, oh = d.out_height(), ow = d.out_width();
+              const std::size_t in_n = d.batch * c * d.height * d.width;
+              const std::size_t out_n = d.batch * K * oh * ow;
+              Rng rng(++seed);
+              std::vector<float> in32(in_n), w(K * r * r), bias(K);
+              std::vector<std::uint8_t> q(in_n);
+              for (auto& v : in32) v = rng.uniform(-1.5f, 1.5f);
+              for (auto& v : w) v = rng.uniform(-0.5f, 0.5f);
+              for (auto& v : bias) v = rng.uniform(-0.2f, 0.2f);
+              for (auto& v : q) v = static_cast<std::uint8_t>(rng.next_u64());
+
+              Int8DepthwiseConv conv(d);
+              conv.set_input_threshold(1.25f);
+              conv.set_filters(w, bias);
+              if (u8_in) {
+                conv.set_input_u8(QuantParams::from_threshold(2.0f));
+              } else {
+                quantize_u8_shift128(in32, conv.input_scale(), q);  // the engine's own bytes
+              }
+              const ExactInt8Direct x = exact_int8_direct(d, w, q);
+              std::vector<float> want(out_n);
+              for (std::size_t i = 0; i < out_n; ++i) {
+                const std::size_t k = i / (oh * ow) % K;
+                const float dq = 1.0f / (conv.input_scale() * x.w_scale[k]);
+                want[i] = std::max(0.0f, static_cast<float>(x.acc[i]) * dq + bias[k]);
+              }
+
+              const void* in = u8_in ? static_cast<const void*>(q.data()) : in32.data();
+              std::vector<float> nchw(out_n);
+              conv.execute_typed(in, nchw.data(), &pool, PostOps{.relu = true});
+              EXPECT_EQ(0, std::memcmp(nchw.data(), want.data(), out_n * sizeof(float)));
+
+              const BlockedActLayout in_l(d.batch, c, d.height, d.width);
+              const BlockedActLayout out_l(d.batch, K, oh, ow);
+              std::vector<std::uint8_t> in_b(in_l.size() * (u8_in ? 1 : sizeof(float)));
+              relayout(u8_in ? DType::kU8 : DType::kF32, ActLayout::kBlocked64, in, d.batch, c,
+                       d.height, d.width, in_b.data());
+              std::vector<float> out_b(out_l.size()), blocked(out_n);
+              conv.execute_blocked_typed(in_b.data(), out_b.data(), &pool,
+                                         PostOps{.relu = true});
+              relayout(DType::kF32, ActLayout::kNchw, out_b.data(), d.batch, K, oh, ow,
+                       blocked.data());
+              EXPECT_EQ(0, std::memcmp(blocked.data(), want.data(), out_n * sizeof(float)));
+
+              // A one-image prefix writes image 0's bytes and leaves image 1's.
+              std::vector<float> prefix(out_l.size(), -7.0f);
+              conv.execute_blocked_typed(in_b.data(), prefix.data(), &pool,
+                                         PostOps{.relu = true}, 1);
+              const std::size_t image = out_l.size() / d.batch;
+              EXPECT_EQ(0, std::memcmp(prefix.data(), out_b.data(), image * sizeof(float)));
+              EXPECT_TRUE(std::all_of(prefix.begin() + image, prefix.end(),
+                                      [](float v) { return v == -7.0f; }));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockedDirect, Int8DepthwiseScalarPathMatchesTheVnniKernel) {
+  // The path for CPUs without AVX-512 VNNI (forced through the CPU feature
+  // override) against the VNNI kernel, on FP32 and u8 outputs with an FP32
+  // residual and ReLU.
+  struct RestoreCpuFeatures {
+    ~RestoreCpuFeatures() { override_cpu_features_for_test(nullptr); }
+  } restore;
+  static const CpuFeatures kNone;
+  ThreadPool pool(2);
+  unsigned seed = 800;
+  for (const std::size_t c : {24, 40, 96}) {
+    for (const std::size_t mult : {1, 2}) {
+      for (const std::size_t r : {3, 5}) {
+        for (const std::size_t stride : {1, 2}) {
+          for (const bool out_u8 : {false, true}) {
+            const ConvDesc d = blocked_desc(c, mult * c, r, stride, c);
+            SCOPED_TRACE(::testing::Message() << d.to_string() << " out_u8=" << out_u8);
+            const std::size_t K = d.out_channels, oh = d.out_height(), ow = d.out_width();
+            const BlockedActLayout in_l(d.batch, c, d.height, d.width);
+            const BlockedActLayout out_l(d.batch, K, oh, ow);
+            Rng rng(++seed);
+            std::vector<float> in32(d.batch * c * d.height * d.width), w(K * r * r), bias(K);
+            std::vector<float> res(d.batch * K * oh * ow);
+            for (auto& v : in32) v = rng.uniform(-1.5f, 1.5f);
+            for (auto& v : w) v = rng.uniform(-0.5f, 0.5f);
+            for (auto& v : bias) v = rng.uniform(-0.2f, 0.2f);
+            for (auto& v : res) v = rng.uniform(-1.0f, 1.0f);
+            std::vector<float> in_b(in_l.size()), res_b(out_l.size());
+            relayout(DType::kF32, ActLayout::kBlocked64, in32.data(), d.batch, c, d.height,
+                     d.width, in_b.data());
+            relayout(DType::kF32, ActLayout::kBlocked64, res.data(), d.batch, K, oh, ow,
+                     res_b.data());
+            Int8DepthwiseConv conv(d);
+            conv.set_input_threshold(1.25f);
+            conv.set_filters(w, bias);
+            if (out_u8) conv.set_output_u8(QuantParams::from_threshold(2.0f));
+            const PostOps post{.relu = true, .sum = res_b.data()};
+            const std::size_t bytes = out_l.size() * (out_u8 ? 1 : sizeof(float));
+            std::vector<std::uint8_t> vnni(bytes, 0xAB), scalar(bytes, 0xCD);
+            conv.execute_blocked_typed(in_b.data(), vnni.data(), &pool, post);
+            override_cpu_features_for_test(&kNone);
+            conv.execute_blocked_typed(in_b.data(), scalar.data(), &pool, post);
+            override_cpu_features_for_test(nullptr);
+            EXPECT_TRUE(vnni == scalar);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockedDirect, RequantEpilogueFollowsTheU8ContractOnNonFiniteResiduals) {
+  // An FP32 residual holding NaN, +-Inf and +-FLT_MAX, through each direct
+  // engine's blocked core with a u8 output: every poisoned element encodes
+  // as the u8 hand-off contract says (NaN -> 128, +-Inf and +-FLT_MAX
+  // saturate; after a ReLU every one but +Inf and +FLT_MAX is 0 -> 128), and
+  // every other element keeps the bytes of a run with a finite residual.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float big = std::numeric_limits<float>::max();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(), inf, -inf, big, -big};
+  // The bytes each special encodes to, without and with the ReLU.
+  static constexpr std::uint8_t kSpecialBytes[2][5] = {{128, 255, 0, 255, 0},
+                                                       {128, 255, 128, 255, 128}};
+  ThreadPool pool(2);
+  for (const EngineKind kind :
+       {EngineKind::kInt8Direct, EngineKind::kInt8Conv1x1, EngineKind::kInt8Depthwise}) {
+    const ConvDesc d = kind == EngineKind::kInt8Depthwise ? blocked_desc(40, 40, 3, 1, 40)
+                       : kind == EngineKind::kInt8Conv1x1 ? blocked_desc(40, 40, 1, 1, 1)
+                                                          : blocked_desc(40, 40, 3, 1, 1);
+    const std::size_t K = d.out_channels, oh = d.out_height(), ow = d.out_width();
+    const std::size_t in_n = d.batch * d.in_channels * d.height * d.width;
+    const std::size_t out_n = d.batch * K * oh * ow;
+    const BlockedActLayout in_l(d.batch, d.in_channels, d.height, d.width);
+    const BlockedActLayout out_l(d.batch, K, oh, ow);
+    Rng rng(700);
+    std::vector<float> in32(in_n), res(out_n), bias(K);
+    std::vector<float> w(K * d.group_in_channels() * d.kernel * d.kernel);
+    for (auto& v : in32) v = rng.uniform(-1.5f, 1.5f);
+    for (auto& v : res) v = rng.uniform(-1.0f, 1.0f);
+    for (auto& v : bias) v = rng.uniform(-0.2f, 0.2f);
+    for (auto& v : w) v = rng.uniform(-0.5f, 0.5f);
+    std::vector<float> poisoned = res;
+    for (std::size_t i = 0; i < out_n; i += 7) poisoned[i] = specials[i / 7 % 5];
+    std::vector<float> in_b(in_l.size()), res_b(out_l.size()), poisoned_b(out_l.size());
+    relayout(DType::kF32, ActLayout::kBlocked64, in32.data(), d.batch, d.in_channels, d.height,
+             d.width, in_b.data());
+    relayout(DType::kF32, ActLayout::kBlocked64, res.data(), d.batch, K, oh, ow, res_b.data());
+    relayout(DType::kF32, ActLayout::kBlocked64, poisoned.data(), d.batch, K, oh, ow,
+             poisoned_b.data());
+    for (const bool relu : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << engine_token(kind) << " relu=" << relu);
+      std::unique_ptr<ConvEngine> e = make_conv_engine(kind, d);
+      e->calibrate(in32);
+      e->finalize_calibration();
+      e->set_filters(w, bias);
+      e->set_output_u8(QuantParams::from_threshold(2.0f));
+      const auto run = [&](const std::vector<float>& residual) {
+        std::vector<std::uint8_t> out_b(out_l.size()), out(out_n);
+        e->run_blocked(in_b.data(), out_b.data(), &pool,
+                       PostOps{.relu = relu, .sum = residual.data()});
+        relayout(DType::kU8, ActLayout::kNchw, out_b.data(), d.batch, K, oh, ow, out.data());
+        return out;
+      };
+      const std::vector<std::uint8_t> clean = run(res_b), got = run(poisoned_b);
+      for (std::size_t i = 0; i < out_n; ++i) {
+        const std::uint8_t want = i % 7 != 0 ? clean[i] : kSpecialBytes[relu][i / 7 % 5];
+        ASSERT_EQ(got[i], want) << "element " << i << " residual " << poisoned[i];
       }
     }
   }

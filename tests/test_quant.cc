@@ -141,6 +141,30 @@ TEST(Quantize, U8NonFiniteContract) {
   for (std::size_t i = 0; i < src.size(); ++i) {
     EXPECT_EQ(quantize_u8_shift128_scaled(src[i]), want[i]) << src[i];
   }
+
+  // The vector body against the scalar helper, element by element, on every
+  // prefix length of a 200-value sweep (so each value passes through whole
+  // 64-value rows, 16-value groups and odd tails): round-half-even ties at
+  // +-0.5 and +-127.5, the range edges, denormals and the non-finite values.
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  std::vector<float> sweep = {0.5f,   -0.5f,   1.5f,    -1.5f,  2.5f,   -2.5f,   126.5f,
+                              127.5f, -127.5f, -128.5f, 127.0f, -128.0f, 128.0f, -129.0f,
+                              -0.0f,  denorm,  -denorm, 1e-38f, -1e-38f, big,   -big,
+                              inf,    -inf,    std::numeric_limits<float>::quiet_NaN()};
+  Rng rng(5);
+  while (sweep.size() < 200) sweep.push_back(rng.uniform(-300.0f, 300.0f));
+  for (const float scale : {1.0f, 0.5f, 3.0f}) {
+    for (std::size_t n = 0; n <= sweep.size(); ++n) {
+      const std::span<const float> head(sweep.data(), n);
+      std::vector<std::uint8_t> got(n + 1, 0xAB);
+      quantize_u8_shift128(head, scale, got);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(got[i], quantize_u8_shift128_scaled(sweep[i] * scale))
+            << "n=" << n << " i=" << i << " x=" << sweep[i] << " scale=" << scale;
+      }
+      ASSERT_EQ(got[n], 0xAB) << "n=" << n;  // nothing past the end
+    }
+  }
 }
 
 TEST(Dequantize, Scales) {
