@@ -186,7 +186,6 @@ int run_fault_soak(double rate, std::size_t hw, double window_s,
   o.max_batch = max_batch;
   o.num_workers = 2;
   o.threads_per_worker = 1;
-  o.linger_ns = 200000;
   o.queue_capacity = 64;
   o.plan.forced_engine = EngineKind::kLoWinoF4;
   BatchingServer server(model, calib, o);
@@ -352,7 +351,6 @@ int bench_main() {
       o.max_batch = max_batch;
       o.num_workers = mode.partitioned ? w : 1;
       o.threads_per_worker = mode.partitioned ? 1 : w;
-      o.linger_ns = 500000;  // 0.5 ms
       BatchingServer server(model, calib, o);
 
       // Capacity first: enough back-to-back clients to keep every worker's

@@ -1,11 +1,11 @@
 #include "lowino/transform_kernels.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 
 #include "common/cpu_features.h"
 #include "common/saturate.h"
+#include "quant/quantize_avx512.h"
 
 #ifdef LOWINO_COMPILE_AVX512
 #include <immintrin.h>
@@ -170,18 +170,12 @@ void quantize16_u8(const float* src, float scale, std::uint8_t* dst) {
 #ifdef LOWINO_COMPILE_AVX512
   if (cpu_features().has_avx512_kernels()) {
     const __m512 v = _mm512_mul_ps(_mm512_loadu_ps(src), _mm512_set1_ps(scale));
-    __m512i q = _mm512_cvtps_epi32(v);  // round-to-nearest-even, matches nearbyintf
-    q = _mm512_add_epi32(q, _mm512_set1_epi32(128));
-    q = _mm512_max_epi32(q, _mm512_setzero_si512());
-    q = _mm512_min_epi32(q, _mm512_set1_epi32(255));
+    const __m512i q = _mm512_add_epi32(quantize_i32x16(v, 0xFFFF), _mm512_set1_epi32(128));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), _mm512_cvtepi32_epi8(q));
     return;
   }
 #endif
-  for (int l = 0; l < 16; ++l) {
-    const std::int32_t q = round_nearest_even(src[l] * scale) + 128;
-    dst[l] = static_cast<std::uint8_t>(std::clamp(q, 0, 255));
-  }
+  for (int l = 0; l < 16; ++l) dst[l] = quantize_u8_shift128_scaled(src[l] * scale);
 }
 
 void dequant16(const std::int32_t* src, const float* dequant, float* dst) {

@@ -31,7 +31,9 @@ bool apply_at_16(std::size_t m, std::size_t r, const float* in, std::size_t in_s
                  float* out, std::size_t out_stride);
 
 /// Quantizes 16 floats to uint8 with the +128 compensation shift:
-///   dst[l] = clamp(round_nearest_even(src[l] * scale) + 128, 0, 255).
+///   dst[l] = quantize_u8_shift128_scaled(src[l] * scale)
+/// (common/saturate.h): round to nearest even, +128, saturated to [0, 255];
+/// NaN encodes as 128 and +-Inf saturate (DESIGN.md decision 13).
 void quantize16_u8(const float* src, float scale, std::uint8_t* dst);
 
 /// De-quantizes 16 int32 lanes with per-lane reciprocal scales:

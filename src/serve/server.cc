@@ -14,18 +14,13 @@
 namespace lowino {
 namespace {
 
-/// a + b without signed overflow; saturates to kNoDeadline.
-Nanos sat_add(Nanos a, Nanos b) {
-  if (b > 0 && a > std::numeric_limits<Nanos>::max() - b) return kNoDeadline;
-  return a + b;
-}
-
 /// Absolute deadline of a request admitted at `now` with a relative SLO
 /// budget (kNoDeadline budget: never expires; negative budgets clamp to 0,
-/// i.e. already expired).
+/// i.e. already expired). Saturates to kNoDeadline instead of overflowing.
 Nanos slo_deadline(Nanos now, Nanos slo_ns) {
   if (slo_ns == kNoDeadline) return kNoDeadline;
-  return sat_add(now, std::max<Nanos>(slo_ns, 0));
+  const Nanos budget = std::max<Nanos>(slo_ns, 0);
+  return now > kNoDeadline - budget ? kNoDeadline : now + budget;
 }
 
 /// Exception-contained batch execution, shared by both servers: one attempt
@@ -103,9 +98,6 @@ Batcher::Batcher(const BatcherOptions& options) : options_(options) {
   if (options_.max_batch < 1) {
     throw std::invalid_argument("Batcher: max_batch must be >= 1");
   }
-  if (options_.linger_ns < 0) {
-    throw std::invalid_argument("Batcher: linger_ns must be >= 0");
-  }
   if (options_.capacity < options_.max_batch) {
     throw std::invalid_argument("Batcher: capacity must be >= max_batch");
   }
@@ -155,12 +147,6 @@ std::size_t Batcher::expire(Nanos now, std::vector<std::uint32_t>& expired) {
   return removed;
 }
 
-bool Batcher::ready(Nanos now) const {
-  if (queue_.empty()) return false;
-  if (queue_.size() >= options_.max_batch) return true;
-  return sat_add(queue_.front().enqueue_ns, options_.linger_ns) <= now;
-}
-
 std::size_t Batcher::pop(std::vector<std::uint32_t>& batch) {
   const std::size_t n = std::min(queue_.size(), options_.max_batch);
   for (std::size_t i = 0; i < n; ++i) batch.push_back(queue_[i].ticket);
@@ -179,10 +165,7 @@ std::size_t Batcher::clear(std::vector<std::uint32_t>& out) {
 
 Nanos Batcher::next_event() const {
   Nanos event = kNoDeadline;
-  if (!queue_.empty()) {
-    event = sat_add(queue_.front().enqueue_ns, options_.linger_ns);
-    for (const Pending& p : queue_) event = std::min(event, p.deadline_ns);
-  }
+  for (const Pending& p : queue_) event = std::min(event, p.deadline_ns);
   return event;
 }
 
@@ -254,11 +237,6 @@ std::size_t ServerCore::expire(Nanos now, std::vector<std::uint32_t>& expired) {
     ++stats_.rejected_expired;
   }
   return n;
-}
-
-bool ServerCore::ready(Nanos now) const {
-  if (draining_) return batcher_.pending() > 0;
-  return batcher_.ready(now);
 }
 
 std::size_t ServerCore::close_batch(Nanos now, std::vector<std::uint32_t>& batch) {
@@ -397,19 +375,15 @@ ManualServer::StepOutcome ManualServer::step() {
   StepOutcome outcome;
   const Nanos now = clock_->now();
   core_.expire(now, outcome.expired);
-  if (core_.ready(now)) {
-    core_.close_batch(now, outcome.batch);
-    if (!outcome.batch.empty()) {
-      std::vector<std::uint8_t> retry_ok;
-      const bool batch_ok = run_contained(
-          outcome.batch,
-          [&](std::span<const std::uint32_t> tickets) { runner_(tickets, core_); },
-          retry_ok);
-      core_.settle_batch(outcome.batch, batch_ok, retry_ok, clock_->now());
-      for (const std::uint32_t t : outcome.batch) {
-        if (core_.state(t) == SlotState::kFailed) outcome.failed.push_back(t);
-      }
-    }
+  if (!core_.ready()) return outcome;
+  core_.close_batch(now, outcome.batch);
+  std::vector<std::uint8_t> retry_ok;
+  const bool batch_ok = run_contained(
+      outcome.batch,
+      [&](std::span<const std::uint32_t> tickets) { runner_(tickets, core_); }, retry_ok);
+  core_.settle_batch(outcome.batch, batch_ok, retry_ok, clock_->now());
+  for (const std::uint32_t t : outcome.batch) {
+    if (core_.state(t) == SlotState::kFailed) outcome.failed.push_back(t);
   }
   return outcome;
 }
@@ -432,7 +406,6 @@ namespace {
 BatcherOptions resolve_batcher_options(const ServerOptions& o) {
   BatcherOptions b;
   b.max_batch = o.max_batch;
-  b.linger_ns = o.linger_ns;
   b.capacity = o.queue_capacity != 0
                    ? o.queue_capacity
                    : std::max<std::size_t>(o.num_workers, 1) * o.max_batch * 4;
@@ -658,30 +631,24 @@ void BatchingServer::worker_loop(Worker& worker) {
   std::size_t consecutive_failures = 0;
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    // Wait for a closeable batch, expiring overdue SLOs as deadlines pass.
+    // Work-conserving: expire overdue SLOs, then close whatever is queued.
+    // A free worker only ever waits on an empty queue, where no deadline
+    // can pass, so the wait needs no timeout.
     for (;;) {
-      const Nanos now = clock().now();
       expired_scratch_.clear();
-      core_.expire(now, expired_scratch_);
+      core_.expire(clock().now(), expired_scratch_);
       for (const std::uint32_t t : expired_scratch_) slot_sync_[t].cv.notify_one();
-      if (core_.ready(now)) break;
-      if (stopping_ && core_.pending() == 0) {
+      if (core_.ready()) break;
+      if (stopping_) {
         if (workers_live_ > 0) --workers_live_;
         return;
       }
-      const Nanos event = core_.next_event();
-      if (event == kNoDeadline) {
-        work_cv_.wait(lk);
-      } else if (event > now) {
-        work_cv_.wait_for(lk, std::chrono::nanoseconds(event - now));
-      }
-      // event <= now: a deadline is already due — loop to expire/close.
+      work_cv_.wait(lk);
     }
     batch.clear();
     core_.close_batch(clock().now(), batch);
-    if (batch.empty()) continue;
-    // More work may already be closeable (e.g. a burst larger than one
-    // batch): hand it to another idle worker before going busy.
+    // More is queued than one batch holds (a burst that arrived while every
+    // worker was busy): hand it to another idle worker before going busy.
     if (core_.pending() > 0) work_cv_.notify_one();
     lk.unlock();
     // Lock-free by contract: a kRunning slot's bindings are immutable until

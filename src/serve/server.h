@@ -5,12 +5,14 @@
 // The concurrency design is testable-first and layered:
 //
 //   * Batcher — the pure batch-formation policy. A FIFO admission queue over
-//     opaque tickets with explicit timestamps on every call: a batch closes
-//     when it is full (max_batch) or the oldest request has waited out the
-//     linger budget; queued requests whose SLO deadline passes are expired
-//     before they ever reach a batch. No clock, no threads, no allocation
-//     after construction — every decision is a deterministic function of
-//     (queue contents, `now`).
+//     opaque tickets with explicit timestamps on every call. Batching is
+//     work-conserving: a free worker closes a batch from whatever is queued,
+//     FIFO, up to max_batch, at once — requests that arrive while every
+//     worker is busy queue up and ride together in the next batch, so
+//     batches fill exactly as far as load makes them. Queued requests whose
+//     SLO deadline passes are expired before they ever reach a batch. No
+//     clock, no threads, no allocation after construction — every decision
+//     is a deterministic function of (queue contents, `now`).
 //
 //   * ServerCore — the slot machine tying tickets to requests. A fixed pool
 //     of slots holds the caller's input/output pointers (callers block in
@@ -21,10 +23,11 @@
 //
 //   * ManualServer — the deterministic executor for tests: ServerCore driven
 //     by an injected VirtualClock and an inline batch-runner callback. One
-//     step() performs exactly one worker iteration (expire, then close and
-//     run at most one batch), so batch formation, linger expiry, SLO
-//     rejection and shutdown drain are unit-testable without threads or
-//     sleeps.
+//     step() performs exactly one iteration of a free worker (expire, then
+//     close and run at most one batch), so batch formation, SLO rejection
+//     and shutdown drain are unit-testable without threads or sleeps;
+//     requests submitted from inside the runner model arrivals while the
+//     worker is busy.
 //
 //   * BatchingServer — the real thing: N worker threads, each owning a
 //     ThreadPool and an InferenceSession compiled from the same immutable
@@ -56,11 +59,11 @@
 // seeded fault-injection harness (common/fault.h, LOWINO_FAULT).
 //
 // Clock injection: the threaded server reads its VirtualClock only for
-// timestamps (admission, deadlines). Timed condition-variable waits convert
-// clock deltas to real waits, so a FakeClock paired with the *threaded*
-// server will never advance a linger deadline on its own — deterministic
-// time-driven tests belong on ManualServer; the threaded server is for real
-// clocks and the TSan stress suite.
+// timestamps (admission, deadlines, the served-time histograms). A FakeClock
+// paired with the *threaded* server never moves on its own, so SLO expiry
+// there only follows the test's own advances — deterministic time-driven
+// tests belong on ManualServer; the threaded server is for real clocks and
+// the TSan stress suite.
 #pragma once
 
 #include <array>
@@ -129,8 +132,7 @@ enum class ServeResult {
 const char* serve_result_name(ServeResult r);
 
 struct BatcherOptions {
-  std::size_t max_batch = 4;   ///< close a batch at this many requests
-  Nanos linger_ns = 1000000;   ///< max wait of the oldest queued request
+  std::size_t max_batch = 4;   ///< largest batch a free worker closes
   std::size_t capacity = 64;   ///< admission queue bound (>= max_batch)
   /// Overload shedding with hysteresis: once the queue depth reaches
   /// shed_high, new admissions are rejected (Admit::kShed — the request is
@@ -170,8 +172,8 @@ struct ServeStats {
   std::uint64_t retries = 0;           ///< individual re-runs after a batch failure
   std::uint64_t batches = 0;           ///< batches closed
   std::uint64_t batched_requests = 0;  ///< sum of closed batch sizes
-  std::uint64_t closed_full = 0;       ///< batches closed because full
-  std::uint64_t closed_linger = 0;     ///< batches closed by linger expiry
+  std::uint64_t closed_full = 0;       ///< batches closed at max_batch
+  std::uint64_t closed_linger = 0;     ///< batches closed below max_batch
   std::uint64_t queue_ns_sum = 0;      ///< admission -> batch close, served only
   // Per-request time histograms, served requests only (booked when the
   // request completes, like queue_ns_sum):
@@ -204,18 +206,17 @@ class Batcher {
   /// `expired` in FIFO order. Returns the number removed.
   std::size_t expire(Nanos now, std::vector<std::uint32_t>& expired);
 
-  /// True when a batch should close at `now`: the queue holds a full batch,
-  /// or the oldest request has lingered for linger_ns.
-  bool ready(Nanos now) const;
+  /// True when a free worker should close a batch: anything is pending.
+  /// A partial batch costs only its filled size (InferenceSession::run over
+  /// an n-image prefix), so holding a free worker back buys nothing.
+  bool ready() const { return !queue_.empty(); }
 
   /// Appends up to max_batch tickets (FIFO) to `batch`; returns the count.
-  /// Callers decide *when* via ready() — pop() itself is unconditional so a
-  /// draining server can close partial batches immediately.
   std::size_t pop(std::vector<std::uint32_t>& batch);
 
-  /// Earliest future instant at which a decision can change without a new
-  /// admission: min over the oldest request's linger expiry and every queued
-  /// deadline. kNoDeadline when the queue is empty or nothing is pending.
+  /// Earliest queued SLO deadline: the first instant at which expire()
+  /// removes something without a new admission. kNoDeadline when nothing
+  /// queued has a deadline.
   Nanos next_event() const;
 
   /// Removes every queued ticket (FIFO order appended to `out`) regardless
@@ -274,10 +275,8 @@ class ServerCore {
   /// kExpired and their tickets are appended to `expired` (the threaded
   /// server then wakes those clients). Returns the number expired.
   std::size_t expire(Nanos now, std::vector<std::uint32_t>& expired);
-  /// True when a worker should close a batch now (full / linger; during a
-  /// drain: whenever anything is pending).
-  bool ready(Nanos now) const;
-  Nanos next_event() const { return batcher_.next_event(); }
+  /// True when a free worker should close a batch: anything is pending.
+  bool ready() const { return batcher_.ready(); }
   /// Closes a batch: pops up to max_batch tickets into `batch`, marks them
   /// kRunning and stamps their close time `now`. Returns the batch size.
   std::size_t close_batch(Nanos now, std::vector<std::uint32_t>& batch);
@@ -310,8 +309,8 @@ class ServerCore {
   const float* slot_input(std::uint32_t ticket) const;
   float* slot_output(std::uint32_t ticket) const;
 
-  /// Drain mode: no new admissions (submit returns kNoTicket), ready()
-  /// becomes pending() > 0 so partial batches close immediately.
+  /// Drain mode: no new admissions (submit returns kNoTicket); what is
+  /// queued still closes and runs.
   void begin_drain() { draining_ = true; }
   void end_drain() { draining_ = false; }
   bool draining() const { return draining_; }
@@ -377,8 +376,8 @@ class ManualServer {
     std::vector<std::uint32_t> batch;    ///< batch run this step (maybe empty)
     std::vector<std::uint32_t> failed;   ///< batch members failed this step
   };
-  /// One worker iteration at clock->now(): expire, then close + run at most
-  /// one batch (during a drain, partial batches close immediately).
+  /// One iteration of a free worker at clock->now(): expire, then close and
+  /// run at most one batch from whatever is queued (FIFO, up to max_batch).
   ///
   /// Exception containment: a runner that throws fails the *batch attempt*,
   /// not its members — each member is then retried individually through the
@@ -404,7 +403,6 @@ class ManualServer {
 /// Options for the threaded BatchingServer.
 struct ServerOptions {
   std::size_t max_batch = 4;
-  Nanos linger_ns = 1000000;  ///< 1 ms
   /// Default *relative* SLO budget applied when serve() is called with
   /// kUseDefaultSlo. kNoDeadline: requests never expire.
   Nanos default_slo_ns = kNoDeadline;

@@ -14,6 +14,7 @@
 #include "common/env.h"
 #include "common/rng.h"
 #include "common/saturate.h"
+#include "lowino/transform_kernels.h"
 #include "quant/calibration.h"
 #include "quant/histogram.h"
 #include "quant/quantize.h"
@@ -141,6 +142,11 @@ TEST(Quantize, U8NonFiniteContract) {
   for (std::size_t i = 0; i < src.size(); ++i) {
     EXPECT_EQ(quantize_u8_shift128_scaled(src[i]), want[i]) << src[i];
   }
+  std::vector<float> src16(src);
+  src16.resize(16, 0.0f);
+  std::uint8_t q16[16];
+  quantize16_u8(src16.data(), 1.0f, q16);
+  EXPECT_EQ(std::vector<std::uint8_t>(q16, q16 + src.size()), want) << "quantize16_u8";
 
   // The vector body against the scalar helper, element by element, on every
   // prefix length of a 200-value sweep (so each value passes through whole
@@ -163,6 +169,16 @@ TEST(Quantize, U8NonFiniteContract) {
             << "n=" << n << " i=" << i << " x=" << sweep[i] << " scale=" << scale;
       }
       ASSERT_EQ(got[n], 0xAB) << "n=" << n;  // nothing past the end
+    }
+    // LoWino's Winograd-domain byte store (input quantization and output
+    // requant) keeps the same contract, 16 values at a time.
+    for (std::size_t at = 0; at + 16 <= sweep.size(); at += 8) {
+      std::uint8_t got16[16];
+      quantize16_u8(sweep.data() + at, scale, got16);
+      for (std::size_t l = 0; l < 16; ++l) {
+        ASSERT_EQ(got16[l], quantize_u8_shift128_scaled(sweep[at + l] * scale))
+            << "quantize16_u8 at=" << at << " x=" << sweep[at + l] << " scale=" << scale;
+      }
     }
   }
 }

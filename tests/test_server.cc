@@ -1,7 +1,7 @@
 // Tests for the dynamic-batching serving front end (src/serve/server.h).
 //
 // The deterministic half drives the Batcher / ServerCore / ManualServer
-// layers with an injected FakeClock — batch formation, linger expiry, SLO
+// layers with an injected FakeClock — work-conserving batch formation, SLO
 // rejection, FIFO fairness and shutdown drain are exercised without threads
 // or sleeps. The differential half is the serving-correctness contract:
 // batched execution (including partial batches with stale lanes) must be
@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -36,11 +38,9 @@ Tensor<float> random_input(std::size_t batch, std::size_t hw, std::uint64_t seed
 
 constexpr Nanos kMs = 1000000;
 
-BatcherOptions batcher_options(std::size_t max_batch, Nanos linger_ns,
-                               std::size_t capacity) {
+BatcherOptions batcher_options(std::size_t max_batch, std::size_t capacity) {
   BatcherOptions o;
   o.max_batch = max_batch;
-  o.linger_ns = linger_ns;
   o.capacity = capacity;
   return o;
 }
@@ -49,44 +49,58 @@ bool admitted(Batcher::Admit a) { return a == Batcher::Admit::kAdmitted; }
 
 // --- Batcher: the pure policy ----------------------------------------------
 
-TEST(Batcher, FullBatchClosesImmediately) {
-  Batcher b(batcher_options(4, 10 * kMs, 16));
-  for (std::uint32_t t = 0; t < 3; ++t) EXPECT_TRUE(admitted(b.admit(t, /*now=*/100)));
-  EXPECT_FALSE(b.ready(100)) << "3 of 4 queued, linger not expired";
-  EXPECT_TRUE(admitted(b.admit(3, 100)));
-  EXPECT_TRUE(b.ready(100)) << "a full batch closes regardless of linger";
-  std::vector<std::uint32_t> batch;
-  EXPECT_EQ(b.pop(batch), 4u);
-  EXPECT_EQ(batch, (std::vector<std::uint32_t>{0, 1, 2, 3}));
-  EXPECT_EQ(b.pending(), 0u);
-}
-
-TEST(Batcher, LingerDeadlineClosesPartialBatch) {
-  Batcher b(batcher_options(4, 5 * kMs, 16));
+TEST(Batcher, ReadyWheneverAnythingIsPending) {
+  Batcher b(batcher_options(4, 16));
+  EXPECT_FALSE(b.ready()) << "nothing queued";
   ASSERT_TRUE(admitted(b.admit(7, /*now=*/1000)));
-  EXPECT_FALSE(b.ready(1000));
-  EXPECT_FALSE(b.ready(1000 + 5 * kMs - 1));
-  EXPECT_TRUE(b.ready(1000 + 5 * kMs)) << "oldest request lingered out";
+  EXPECT_TRUE(b.ready()) << "a lone request closes at once: no linger";
   std::vector<std::uint32_t> batch;
   EXPECT_EQ(b.pop(batch), 1u);
   EXPECT_EQ(batch.front(), 7u);
+  EXPECT_FALSE(b.ready());
+
+  for (std::uint32_t t = 0; t < 5; ++t) ASSERT_TRUE(admitted(b.admit(t, 2000)));
+  batch.clear();
+  EXPECT_EQ(b.pop(batch), 4u) << "what queued meanwhile closes up to max_batch";
+  EXPECT_EQ(batch, (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  EXPECT_TRUE(b.ready());
+  batch.clear();
+  EXPECT_EQ(b.pop(batch), 1u);
+  EXPECT_EQ(batch.front(), 4u);
+  EXPECT_EQ(b.pending(), 0u);
 }
 
-TEST(Batcher, LingerTracksOldestRequest) {
-  Batcher b(batcher_options(4, 5 * kMs, 16));
+TEST(Batcher, NextEventIsTheEarliestSloDeadline) {
+  Batcher b(batcher_options(4, 16));
+  EXPECT_EQ(b.next_event(), kNoDeadline) << "empty queue";
   ASSERT_TRUE(admitted(b.admit(0, 0)));
-  ASSERT_TRUE(admitted(b.admit(1, 4 * kMs)));
-  // The *oldest* admission drives the close, not the newest.
-  EXPECT_TRUE(b.ready(5 * kMs));
-  EXPECT_EQ(b.next_event(), 5 * kMs);
+  EXPECT_EQ(b.next_event(), kNoDeadline) << "no queued request has a deadline";
+  ASSERT_TRUE(admitted(b.admit(1, kMs, /*deadline=*/7 * kMs)));
+  ASSERT_TRUE(admitted(b.admit(2, 2 * kMs, /*deadline=*/3 * kMs)));
+  EXPECT_EQ(b.next_event(), 3 * kMs) << "the earliest deadline, not the oldest request";
+  std::vector<std::uint32_t> expired;
+  ASSERT_EQ(b.expire(3 * kMs, expired), 1u);
+  EXPECT_EQ(b.next_event(), 7 * kMs);
+  std::vector<std::uint32_t> batch;
+  b.pop(batch);
+  EXPECT_EQ(b.next_event(), kNoDeadline);
+
+  // At the epoch end nothing wraps: a request admitted one tick before it
+  // keeps kNoDeadline, stays ready and never expires.
+  const Nanos late = std::numeric_limits<Nanos>::max() - 1;
+  ASSERT_TRUE(admitted(b.admit(3, late)));
+  EXPECT_EQ(b.next_event(), kNoDeadline);
+  EXPECT_TRUE(b.ready());
+  expired.clear();
+  EXPECT_EQ(b.expire(late, expired), 0u);
 }
 
 TEST(Batcher, SloDeadlineExpiresQueuedRequests) {
-  Batcher b(batcher_options(4, 100 * kMs, 16));
+  Batcher b(batcher_options(4, 16));
   ASSERT_TRUE(admitted(b.admit(0, 0, /*deadline=*/10 * kMs)));
   ASSERT_TRUE(admitted(b.admit(1, 0, /*deadline=*/kNoDeadline)));
   ASSERT_TRUE(admitted(b.admit(2, 0, /*deadline=*/3 * kMs)));
-  EXPECT_EQ(b.next_event(), 3 * kMs) << "earliest deadline wins over linger";
+  EXPECT_EQ(b.next_event(), 3 * kMs) << "earliest deadline";
   std::vector<std::uint32_t> expired;
   EXPECT_EQ(b.expire(3 * kMs - 1, expired), 0u);
   EXPECT_EQ(b.expire(10 * kMs, expired), 2u) << "both due deadlines expire at once";
@@ -97,7 +111,7 @@ TEST(Batcher, SloDeadlineExpiresQueuedRequests) {
 }
 
 TEST(Batcher, CapacityBoundsAdmissions) {
-  Batcher b(batcher_options(2, kMs, 3));
+  Batcher b(batcher_options(2, 3));
   EXPECT_TRUE(admitted(b.admit(0, 0)));
   EXPECT_TRUE(admitted(b.admit(1, 0)));
   EXPECT_TRUE(admitted(b.admit(2, 0)));
@@ -108,7 +122,7 @@ TEST(Batcher, CapacityBoundsAdmissions) {
 }
 
 TEST(Batcher, FifoAcrossMultipleBatches) {
-  Batcher b(batcher_options(3, kMs, 16));
+  Batcher b(batcher_options(3, 16));
   for (std::uint32_t t = 0; t < 8; ++t) ASSERT_TRUE(admitted(b.admit(t, t)));
   std::vector<std::uint32_t> batch;
   b.pop(batch);
@@ -122,15 +136,14 @@ TEST(Batcher, FifoAcrossMultipleBatches) {
 }
 
 TEST(Batcher, RejectsDegenerateOptions) {
-  EXPECT_THROW(Batcher(batcher_options(0, kMs, 4)), std::invalid_argument);
-  EXPECT_THROW(Batcher(batcher_options(4, kMs, 2)), std::invalid_argument);
-  EXPECT_THROW(Batcher(batcher_options(2, -1, 4)), std::invalid_argument);
+  EXPECT_THROW(Batcher(batcher_options(0, 4)), std::invalid_argument);
+  EXPECT_THROW(Batcher(batcher_options(4, 2)), std::invalid_argument);
 }
 
 // --- ServerCore: slots + lifecycle -----------------------------------------
 
 TEST(ServerCore, SlotLifecycleAndReuse) {
-  ServerCore core(batcher_options(2, kMs, 4));
+  ServerCore core(batcher_options(2, 4));
   float in[1] = {1.0f}, out[1] = {0.0f};
   const std::uint32_t t = core.submit(in, out, /*now=*/0);
   ASSERT_NE(t, ServerCore::kNoTicket);
@@ -139,7 +152,7 @@ TEST(ServerCore, SlotLifecycleAndReuse) {
   EXPECT_EQ(core.slot_output(t), out);
 
   std::vector<std::uint32_t> batch;
-  ASSERT_TRUE(core.ready(2 * kMs)) << "linger expired";
+  ASSERT_TRUE(core.ready());
   EXPECT_EQ(core.close_batch(2 * kMs, batch), 1u);
   EXPECT_EQ(core.state(t), SlotState::kRunning);
   EXPECT_EQ(core.running(), 1u);
@@ -157,7 +170,7 @@ TEST(ServerCore, SlotLifecycleAndReuse) {
 }
 
 TEST(ServerCore, QueueFullAndExpiryAreCountedSeparately) {
-  ServerCore core(batcher_options(2, kMs, 2));
+  ServerCore core(batcher_options(2, 2));
   float in[1], out[1];
   ASSERT_NE(core.submit(in, out, 0, /*deadline=*/5), ServerCore::kNoTicket);
   ASSERT_NE(core.submit(in, out, 0), ServerCore::kNoTicket);
@@ -173,15 +186,16 @@ TEST(ServerCore, QueueFullAndExpiryAreCountedSeparately) {
       << "expired slot is reusable after release";
 }
 
-TEST(ServerCore, DrainClosesPartialBatchesAndBlocksAdmission) {
-  ServerCore core(batcher_options(4, 100 * kMs, 8));
+TEST(ServerCore, DrainBlocksAdmissionButRunsWhatIsQueued) {
+  ServerCore core(batcher_options(4, 8));
   float in[1], out[1];
   ASSERT_NE(core.submit(in, out, 0), ServerCore::kNoTicket);
-  EXPECT_FALSE(core.ready(0)) << "partial batch, linger pending";
   core.begin_drain();
-  EXPECT_TRUE(core.ready(0)) << "drain closes partial batches immediately";
   EXPECT_EQ(core.submit(in, out, 0), ServerCore::kNoTicket);
   EXPECT_EQ(core.stats().submitted, 1u) << "drain-time submit is not an admission";
+  EXPECT_TRUE(core.ready()) << "the queued partial batch still closes";
+  std::vector<std::uint32_t> batch;
+  EXPECT_EQ(core.close_batch(0, batch), 1u);
 }
 
 // --- ManualServer: the deterministic executor -------------------------------
@@ -204,7 +218,7 @@ struct RecordingRunner {
 TEST(ManualServer, FullBatchCloseServesAllRequests) {
   FakeClock clock;
   RecordingRunner runner;
-  ManualServer server(batcher_options(3, 10 * kMs, 8), &clock, runner.fn());
+  ManualServer server(batcher_options(3, 8), &clock, runner.fn());
   float in[4], out[4];
   std::uint32_t tickets[4];
   for (int i = 0; i < 4; ++i) {
@@ -223,45 +237,93 @@ TEST(ManualServer, FullBatchCloseServesAllRequests) {
   EXPECT_EQ(server.core().stats().closed_full, 1u);
 }
 
-TEST(ManualServer, LingerExpiryClosesPartialBatch) {
-  FakeClock clock;
+TEST(ManualServer, IdleServerRunsALoneRequestAtAdmission) {
+  FakeClock clock(5 * kMs);
   RecordingRunner runner;
-  ManualServer server(batcher_options(4, 5 * kMs, 8), &clock, runner.fn());
-  float in[2] = {1.0f, 2.0f}, out[2] = {};
-  server.submit({&in[0], 1}, {&out[0], 1});
-  clock.advance(2 * kMs);
-  server.submit({&in[1], 1}, {&out[1], 1});
+  ManualServer server(batcher_options(4, 8), &clock, runner.fn());
+  float in[1] = {1.0f}, out[1] = {-1.0f};
+  const std::uint32_t t = server.submit({in, 1}, {out, 1});
+  ASSERT_NE(t, ServerCore::kNoTicket);
 
-  EXPECT_TRUE(server.step().batch.empty()) << "linger budget not exhausted";
-  clock.advance(3 * kMs - 1);
-  EXPECT_TRUE(server.step().batch.empty()) << "one tick early";
-  clock.advance(1);
+  // Same instant, no clock advance: a free worker does not wait for company.
   const ManualServer::StepOutcome o = server.step();
-  EXPECT_EQ(o.batch.size(), 2u) << "oldest request's linger expired; both ride";
+  EXPECT_EQ(o.batch, (std::vector<std::uint32_t>{t}));
+  EXPECT_EQ(server.state(t), SlotState::kDone);
   EXPECT_EQ(out[0], 101.0f);
-  EXPECT_EQ(out[1], 102.0f);
-  EXPECT_EQ(server.core().stats().closed_linger, 1u);
+  const ServeStats& stats = server.core().stats();
+  EXPECT_EQ(stats.queue_ns_sum, 0u) << "closed at its admission instant";
+  EXPECT_EQ(stats.queue_ns.counts[LatencyHistogram::bucket_of(0)], 1u);
+  EXPECT_EQ(stats.queue_ns.total(), 1u);
+  EXPECT_EQ(stats.closed_linger, 1u) << "closed below max_batch";
+  EXPECT_EQ(stats.closed_full, 0u);
+  EXPECT_TRUE(server.step().batch.empty()) << "nothing left to run";
+}
+
+TEST(ManualServer, ArrivalsDuringARunFormTheNextBatch) {
+  // Six requests arrive while the worker runs a lone first request; the
+  // runner submits them itself, 0.1 ms apart, as clients of a busy server.
+  FakeClock clock;
+  constexpr int kArrivals = 6;
+  float in[1 + kArrivals], out[1 + kArrivals];
+  std::uint32_t tickets[1 + kArrivals];
+  ManualServer* server_ptr = nullptr;
+  std::vector<std::vector<std::uint32_t>> batches;
+  ManualServer server(
+      batcher_options(4, 16), &clock,
+      [&](std::span<const std::uint32_t> batch, ServerCore& core) {
+        batches.emplace_back(batch.begin(), batch.end());
+        if (batches.size() == 1) {
+          for (int i = 1; i <= kArrivals; ++i) {
+            clock.advance(kMs / 10);
+            tickets[i] = server_ptr->submit({&in[i], 1}, {&out[i], 1});
+          }
+        }
+        for (const std::uint32_t t : batch) {
+          core.slot_output(t)[0] = core.slot_input(t)[0] + 100.0f;
+        }
+      });
+  server_ptr = &server;
+  for (int i = 0; i <= kArrivals; ++i) in[i] = static_cast<float>(i);
+  tickets[0] = server.submit({&in[0], 1}, {&out[0], 1});
+
+  EXPECT_EQ(server.step().batch, (std::vector<std::uint32_t>{tickets[0]}));
+  EXPECT_EQ(server.core().pending(), static_cast<std::size_t>(kArrivals));
+  EXPECT_EQ(server.step().batch,
+            (std::vector<std::uint32_t>{tickets[1], tickets[2], tickets[3], tickets[4]}))
+      << "the first four arrivals ride together, FIFO";
+  EXPECT_EQ(server.step().batch, (std::vector<std::uint32_t>{tickets[5], tickets[6]}))
+      << "the rest close at once, without waiting to fill";
+  EXPECT_TRUE(server.step().batch.empty());
+  ASSERT_EQ(batches.size(), 3u);
+  for (int i = 0; i <= kArrivals; ++i) {
+    EXPECT_EQ(server.state(tickets[i]), SlotState::kDone) << i;
+    EXPECT_EQ(out[i], in[i] + 100.0f) << i;
+  }
+  const ServeStats& stats = server.core().stats();
+  EXPECT_EQ(stats.closed_full, 1u);
+  EXPECT_EQ(stats.closed_linger, 2u);
+  EXPECT_EQ(stats.batched_requests, 7u);
+  // Arrivals at 0.1..0.6 ms, all closed at 0.6 ms (the runner's clock).
+  EXPECT_EQ(stats.queue_ns_sum, static_cast<std::uint64_t>((5 + 4 + 3 + 2 + 1 + 0) * kMs / 10));
 }
 
 TEST(ManualServer, SloExpiredRequestsAreRejectedNotServed) {
   FakeClock clock;
   RecordingRunner runner;
-  ManualServer server(batcher_options(4, 20 * kMs, 8), &clock, runner.fn());
+  ManualServer server(batcher_options(4, 8), &clock, runner.fn());
   float in[3] = {1, 2, 3}, out[3] = {-1, -1, -1};
   const std::uint32_t t0 = server.submit({&in[0], 1}, {&out[0], 1}, /*slo=*/5 * kMs);
   const std::uint32_t t1 = server.submit({&in[1], 1}, {&out[1], 1} /* no SLO */);
   const std::uint32_t t2 = server.submit({&in[2], 1}, {&out[2], 1}, /*slo=*/8 * kMs);
 
-  clock.advance(10 * kMs);
+  clock.advance(10 * kMs);  // the worker was busy past both deadlines
   const ManualServer::StepOutcome o = server.step();
   EXPECT_EQ(o.expired, (std::vector<std::uint32_t>{t0, t2}));
   EXPECT_EQ(server.state(t0), SlotState::kExpired);
   EXPECT_EQ(server.state(t2), SlotState::kExpired);
   EXPECT_EQ(out[0], -1.0f) << "an expired request's output is never written";
   EXPECT_EQ(out[2], -1.0f);
-
-  clock.advance(10 * kMs);  // the survivor lingers out
-  EXPECT_EQ(server.step().batch, (std::vector<std::uint32_t>{t1}));
+  EXPECT_EQ(o.batch, (std::vector<std::uint32_t>{t1})) << "the survivor runs in the same step";
   EXPECT_EQ(server.state(t1), SlotState::kDone);
   EXPECT_EQ(out[1], 102.0f);
   EXPECT_EQ(server.core().stats().rejected_expired, 2u);
@@ -270,7 +332,7 @@ TEST(ManualServer, SloExpiredRequestsAreRejectedNotServed) {
 TEST(ManualServer, ShutdownDrainsInFlightRequestsInOrder) {
   FakeClock clock;
   RecordingRunner runner;
-  ManualServer server(batcher_options(4, 100 * kMs, 16), &clock, runner.fn());
+  ManualServer server(batcher_options(4, 16), &clock, runner.fn());
   float in[10], out[10];
   std::uint32_t tickets[10];
   for (int i = 0; i < 10; ++i) {
@@ -278,8 +340,7 @@ TEST(ManualServer, ShutdownDrainsInFlightRequestsInOrder) {
     tickets[i] = server.submit({&in[i], 1}, {&out[i], 1});
     ASSERT_NE(tickets[i], ServerCore::kNoTicket);
   }
-  // Drain must serve everything queued — without waiting for linger — and
-  // preserve FIFO batch order.
+  // Drain must serve everything queued and preserve FIFO batch order.
   server.drain();
   ASSERT_EQ(runner.batches.size(), 3u);
   EXPECT_EQ(runner.batches[0].size(), 4u);
@@ -358,7 +419,7 @@ void check_batched_vs_serial(SequentialModel&& model, const char* model_name) {
 
     SessionRunner runner(batched);
     FakeClock clock;
-    ManualServer server(batcher_options(kMaxBatch, 10 * kMs, 16), &clock, runner.fn());
+    ManualServer server(batcher_options(kMaxBatch, 16), &clock, runner.fn());
 
     std::uint64_t seed = 1;
     for (std::size_t k = 1; k <= kMaxBatch; ++k) {  // every batch size
@@ -371,7 +432,7 @@ void check_batched_vs_serial(SequentialModel&& model, const char* model_name) {
         tickets[i] = server.submit(inputs[i].span(), outputs[i]);
         ASSERT_NE(tickets[i], ServerCore::kNoTicket);
       }
-      clock.advance(10 * kMs);  // k < max closes via linger, k == max via full
+      // All k queued before the worker frees up, so they ride together.
       const ManualServer::StepOutcome o = server.step();
       ASSERT_EQ(o.batch.size(), k);
 
@@ -424,7 +485,6 @@ TEST(ServerDifferential, ThreadedServerMatchesSerialUnderConcurrency) {
 
   ServerOptions options;
   options.max_batch = 4;
-  options.linger_ns = kMs / 5;
   options.num_workers = 2;
   options.threads_per_worker = 1;
   options.plan.forced_engine = EngineKind::kLoWinoF4;
@@ -466,7 +526,6 @@ TEST(BatchingServer, StopDrainsAndRejectsThenRestarts) {
   const Tensor<float> calib = random_input(1, 16, 11);
   ServerOptions options;
   options.max_batch = 2;
-  options.linger_ns = kMs;
   options.plan.forced_engine = EngineKind::kInt8Direct;
   BatchingServer server(model, calib, options);
   EXPECT_TRUE(server.running());
@@ -501,7 +560,7 @@ TEST(BatchingServer, ServeValidatesSpanSizes) {
 // --- Overload shedding -------------------------------------------------------
 
 TEST(Batcher, ShedWatermarksEngageAndDisengageWithHysteresis) {
-  BatcherOptions o = batcher_options(2, kMs, 8);
+  BatcherOptions o = batcher_options(2, 8);
   o.shed_high = 4;
   o.shed_low = 2;
   Batcher b(o);
@@ -518,7 +577,7 @@ TEST(Batcher, ShedWatermarksEngageAndDisengageWithHysteresis) {
 }
 
 TEST(Batcher, ShedLowDefaultsToHalfOfShedHigh) {
-  BatcherOptions o = batcher_options(1, kMs, 8);
+  BatcherOptions o = batcher_options(1, 8);
   o.shed_high = 4;  // shed_low derives 2
   Batcher b(o);
   for (std::uint32_t t = 0; t < 4; ++t) ASSERT_TRUE(admitted(b.admit(t, 0)));
@@ -532,17 +591,17 @@ TEST(Batcher, ShedLowDefaultsToHalfOfShedHigh) {
 }
 
 TEST(Batcher, RejectsDegenerateShedWatermarks) {
-  BatcherOptions high = batcher_options(2, kMs, 8);
+  BatcherOptions high = batcher_options(2, 8);
   high.shed_high = 9;  // > capacity
   EXPECT_THROW(Batcher{high}, std::invalid_argument);
-  BatcherOptions inverted = batcher_options(2, kMs, 8);
+  BatcherOptions inverted = batcher_options(2, 8);
   inverted.shed_high = 3;
   inverted.shed_low = 3;  // must be < shed_high
   EXPECT_THROW(Batcher{inverted}, std::invalid_argument);
 }
 
 TEST(ServerCore, ShedRejectionsAreCountedSeparately) {
-  BatcherOptions o = batcher_options(2, kMs, 8);
+  BatcherOptions o = batcher_options(2, 8);
   o.shed_high = 4;
   o.shed_low = 2;
   ServerCore core(o);
@@ -561,7 +620,7 @@ TEST(ServerCore, ShedRejectionsAreCountedSeparately) {
 // --- Failure containment: slot transitions ----------------------------------
 
 TEST(ServerCore, FailedSlotsCountAndRecycle) {
-  ServerCore core(batcher_options(2, kMs, 4));
+  ServerCore core(batcher_options(2, 4));
   float in[1] = {1}, out[1] = {0};
   const std::uint32_t t0 = core.submit(in, out, 0);
   const std::uint32_t t1 = core.submit(in, out, 0);
@@ -584,7 +643,7 @@ TEST(ServerCore, FailedSlotsCountAndRecycle) {
 }
 
 TEST(ServerCore, FleetLossFailsEveryQueuedRequest) {
-  ServerCore core(batcher_options(4, 100 * kMs, 8));
+  ServerCore core(batcher_options(4, 8));
   float in[1], out[1];
   std::uint32_t tickets[3];
   for (int i = 0; i < 3; ++i) {
@@ -623,7 +682,7 @@ ManualServer::BatchRunner poison_runner() {
 
 TEST(ManualServer, PoisonedRequestIsIsolatedFromItsBatchmates) {
   FakeClock clock;
-  ManualServer server(batcher_options(3, 10 * kMs, 8), &clock, poison_runner());
+  ManualServer server(batcher_options(3, 8), &clock, poison_runner());
   float in[3] = {1.0f, kPoison, 3.0f}, out[3] = {-1, -1, -1};
   std::uint32_t tickets[3];
   for (int i = 0; i < 3; ++i) tickets[i] = server.submit({&in[i], 1}, {&out[i], 1});
@@ -657,7 +716,7 @@ TEST(ManualServer, TransientBatchFailureRecoversEveryMember) {
       core.slot_output(t)[0] = core.slot_input(t)[0] + 100.0f;
     }
   };
-  ManualServer server(batcher_options(2, 10 * kMs, 8), &clock, std::move(runner));
+  ManualServer server(batcher_options(2, 8), &clock, std::move(runner));
   float in[2] = {1, 2}, out[2] = {-1, -1};
   std::uint32_t tickets[2];
   for (int i = 0; i < 2; ++i) tickets[i] = server.submit({&in[i], 1}, {&out[i], 1});
@@ -703,7 +762,7 @@ ManualServer::BatchRunner timed_runner(FakeClock& clock, Nanos exec) {
 
 TEST(ServeStats, HistogramsBookQueueExecutionAndTotalTimes) {
   FakeClock clock;
-  ManualServer server(batcher_options(2, 10 * kMs, 8), &clock, timed_runner(clock, 3 * kMs));
+  ManualServer server(batcher_options(2, 8), &clock, timed_runner(clock, 3 * kMs));
   float in[2] = {1, 2}, out[2] = {-1, -1};
   const std::uint32_t t0 = server.submit({&in[0], 1}, {&out[0], 1});
   clock.advance(2 * kMs);
@@ -729,7 +788,7 @@ TEST(ServeStats, HistogramsBookQueueExecutionAndTotalTimes) {
 
 TEST(ServeStats, FailedRetryAddsNothingToServedTimes) {
   FakeClock clock;
-  ManualServer server(batcher_options(2, 10 * kMs, 8), &clock, timed_runner(clock, kMs));
+  ManualServer server(batcher_options(2, 8), &clock, timed_runner(clock, kMs));
   float in[2] = {1, 2}, out[2] = {-1, -1};
   const std::uint32_t t0 = server.submit({&in[0], 1}, {&out[0], 1});
   clock.advance(kMs);
@@ -761,23 +820,13 @@ TEST(ServeStats, FailedRetryAddsNothingToServedTimes) {
 
 // --- Deadline arithmetic at the epoch end (overflow regression) -------------
 
-TEST(Batcher, LingerArithmeticSaturatesAtTheEpochEnd) {
-  Batcher b(batcher_options(4, 10 * kMs, 8));
-  const Nanos late = std::numeric_limits<Nanos>::max() - 1;
-  ASSERT_TRUE(admitted(b.admit(0, late)));
-  EXPECT_EQ(b.next_event(), kNoDeadline) << "linger expiry saturates, never wraps";
-  EXPECT_FALSE(b.ready(late));
-  std::vector<std::uint32_t> expired;
-  EXPECT_EQ(b.expire(late, expired), 0u);
-}
-
 TEST(ManualServer, HugeSloSaturatesInsteadOfOverflowing) {
   // A clock near the epoch end plus a finite SLO must saturate to
   // kNoDeadline — a wrapped negative deadline would expire the request on
   // the spot.
   FakeClock clock(std::numeric_limits<Nanos>::max() - 2);
   RecordingRunner runner;
-  ManualServer server(batcher_options(1, 10 * kMs, 4), &clock, runner.fn());
+  ManualServer server(batcher_options(1, 4), &clock, runner.fn());
   float in[1] = {1.0f}, out[1] = {-1.0f};
   const std::uint32_t t = server.submit({in, 1}, {out, 1}, /*slo_ns=*/5 * kMs);
   ASSERT_NE(t, ServerCore::kNoTicket);
@@ -832,7 +881,7 @@ TEST(ServerFault, InjectedEngineFaultFailsOneRequestBatchmatesExact) {
 
   SessionRunner runner(batched);
   FakeClock clock;
-  ManualServer server(batcher_options(kMaxBatch, 10 * kMs, 16), &clock, runner.fn());
+  ManualServer server(batcher_options(kMaxBatch, 16), &clock, runner.fn());
 
   // Serial reference bits + submissions, all with injection disabled.
   std::vector<Tensor<float>> inputs;
@@ -887,10 +936,85 @@ TEST(ServerFault, InjectedEngineFaultFailsOneRequestBatchmatesExact) {
   std::vector<float> after(refs[0].size(), -1.0f);
   const std::uint32_t t = server.submit(inputs[0].span(), after);
   ASSERT_NE(t, ServerCore::kNoTicket);
-  clock.advance(10 * kMs);
   server.step();
   EXPECT_EQ(server.state(t), SlotState::kDone);
   EXPECT_EQ(0, std::memcmp(after.data(), refs[0].data(), refs[0].size() * sizeof(float)));
+}
+
+// --- Batch isolation of non-finite pixels ------------------------------------
+//
+// A request whose pixels hold NaN, +-Inf and +-FLT_MAX shares a batch with
+// three clean ones on a real MiniResNet session, through run_session_batch.
+// Every op is per-image, so the clean requests must get exactly their solo
+// bits — also from a solo run that follows the poisoned batch, with its
+// pixels still in the stale lanes — and the poisoned request's logits must
+// stay finite: the FP32 stem stores u8 bytes (NaN as quantized zero, +-Inf
+// saturated), so nothing non-finite passes it.
+
+TEST(ManualServer, NonFinitePixelsStayInTheirRequest) {
+  ScopedRuntimeOverride calib_stride("LOWINO_CALIB_STRIDE", "1");
+  constexpr std::size_t kMaxBatch = 4, kHw = 16, kPoisoned = 1;
+  SequentialModel model = make_miniresnet();
+  const Tensor<float> calib1 = random_input(1, kHw, 61);
+  Tensor<float> calibB({kMaxBatch, 1, kHw, kHw});
+  for (std::size_t b = 0; b < kMaxBatch; ++b) {
+    std::memcpy(calibB.data() + b * calib1.size(), calib1.data(),
+                calib1.size() * sizeof(float));
+  }
+  std::vector<Tensor<float>> inputs;
+  for (std::size_t i = 0; i < kMaxBatch; ++i) inputs.push_back(random_input(1, kHw, 700 + i));
+  const float inf = std::numeric_limits<float>::infinity();
+  const float big = std::numeric_limits<float>::max();
+  const float poison[] = {std::numeric_limits<float>::quiet_NaN(), inf, -inf, big, -big};
+  float* px = inputs[kPoisoned].data();
+  for (std::size_t i = 0; i < inputs[kPoisoned].size(); i += 7) px[i] = poison[(i / 7) % 5];
+
+  for (const EngineKind kind : {EngineKind::kInt8Direct, EngineKind::kLoWinoF4}) {
+    PlanOptions options;
+    options.forced_engine = kind;
+    options.pool = &ThreadPool::global();
+    InferenceSession batched = InferenceSession::compile(model, calibB, options);
+    SessionRunner runner(batched);
+    FakeClock clock;
+    ManualServer server(batcher_options(kMaxBatch, 16), &clock, runner.fn());
+    const auto serve_solo = [&](std::size_t i) {
+      std::vector<float> out(runner.out_elems(), -1.0f);
+      const std::uint32_t t = server.submit(inputs[i].span(), out);
+      EXPECT_EQ(server.step().batch, (std::vector<std::uint32_t>{t}));
+      EXPECT_EQ(server.state(t), SlotState::kDone);
+      server.release(t);
+      return out;
+    };
+
+    std::vector<std::vector<float>> solo(kMaxBatch);
+    for (std::size_t i = 0; i < kMaxBatch; ++i) {
+      if (i != kPoisoned) solo[i] = serve_solo(i);
+    }
+    std::vector<std::vector<float>> outputs(kMaxBatch);
+    std::vector<std::uint32_t> tickets(kMaxBatch);
+    for (std::size_t i = 0; i < kMaxBatch; ++i) {
+      outputs[i].assign(runner.out_elems(), -1.0f);
+      tickets[i] = server.submit(inputs[i].span(), outputs[i]);
+    }
+    ASSERT_EQ(server.step().batch, tickets);
+    for (std::size_t i = 0; i < kMaxBatch; ++i) {
+      EXPECT_EQ(server.state(tickets[i]), SlotState::kDone);
+      server.release(tickets[i]);
+      if (i == kPoisoned) {
+        for (const float v : outputs[i]) {
+          ASSERT_TRUE(std::isfinite(v)) << engine_token(kind) << ": poisoned logit " << v;
+        }
+        continue;
+      }
+      EXPECT_EQ(0, std::memcmp(outputs[i].data(), solo[i].data(),
+                               solo[i].size() * sizeof(float)))
+          << engine_token(kind) << " request " << i << ": batched bits differ from its solo run";
+    }
+    const std::vector<float> after = serve_solo(kMaxBatch - 1);
+    EXPECT_EQ(0, std::memcmp(after.data(), solo[kMaxBatch - 1].data(),
+                             after.size() * sizeof(float)))
+        << engine_token(kind) << ": stale poisoned lanes changed a later solo run";
+  }
 }
 
 // --- Worker supervision (threaded, deterministic via budgeted fault plans) --
@@ -901,7 +1025,6 @@ TEST(ServerFault, WorkerRebuildsItsSessionAfterRepeatedFailures) {
   const Tensor<float> calib = random_input(1, 16, 21);
   ServerOptions options;
   options.max_batch = 1;
-  options.linger_ns = 0;
   options.num_workers = 1;
   options.plan.forced_engine = EngineKind::kInt8Direct;
   BatchingServer server(model, calib, options);
@@ -941,7 +1064,6 @@ TEST(ServerFault, FleetLossDegradesCleanlyAndNeverHangs) {
   const Tensor<float> calib = random_input(1, 16, 22);
   ServerOptions options;
   options.max_batch = 1;
-  options.linger_ns = 0;
   options.num_workers = 1;
   options.plan.forced_engine = EngineKind::kInt8Direct;
   BatchingServer server(model, calib, options);
@@ -987,7 +1109,6 @@ TEST(ServerFault, StartResurrectsLostWorkersOnceFaultsClear) {
   const Tensor<float> calib = random_input(1, 16, 23);
   ServerOptions options;
   options.max_batch = 1;
-  options.linger_ns = 0;
   options.num_workers = 1;
   options.plan.forced_engine = EngineKind::kInt8Direct;
   BatchingServer server(model, calib, options);

@@ -97,7 +97,6 @@ TEST(ServerStress, ConcurrentClientsWithStartStopChurn) {
 
   ServerOptions options;
   options.max_batch = 4;
-  options.linger_ns = 200000;  // 0.2 ms
   options.num_workers = 2;
   options.threads_per_worker = 1;
   options.queue_capacity = 64;
@@ -158,7 +157,6 @@ TEST(ServerStress, WorkerHotPathIsAllocationFree) {
   const Tensor<float> calib = random_input(16, 7);
   ServerOptions options;
   options.max_batch = 2;
-  options.linger_ns = 0;  // close immediately: max batch-formation traffic
   options.num_workers = 1;
   options.threads_per_worker = 1;
   options.plan.forced_engine = EngineKind::kInt8Direct;
@@ -234,7 +232,6 @@ TEST(ServerStress, StopDuringActiveServeResolvesEveryRequest) {
 
   ServerOptions options;
   options.max_batch = 4;
-  options.linger_ns = 100000;  // 0.1 ms
   options.num_workers = 2;
   options.threads_per_worker = 1;
   options.queue_capacity = 32;
@@ -315,7 +312,6 @@ TEST(ServerStress, FaultSoakEveryResponseIsCorrectOrCleanlyFailed) {
 
   ServerOptions options;
   options.max_batch = 4;
-  options.linger_ns = 100000;
   options.num_workers = 2;
   options.threads_per_worker = 1;
   options.queue_capacity = 64;
