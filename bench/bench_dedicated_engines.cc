@@ -1,28 +1,27 @@
-// Dedicated-engine shoot-out: the specialized INT8 1x1 and depthwise engines
-// against the generic alternatives on MobileNet-family layer shapes.
+// The direct INT8 engines on MobileNet-family layer shapes: Int8DirectConv
+// on the pointwise (1x1) convs, and the dedicated depthwise engine against
+// the generic alternative.
 //
-// Pointwise rows compare Int8Conv1x1Conv (pure blocked VNNI GEMM, no im2col
-// indexing) against Int8DirectConv (implicit im2col) on the SAME quantization
-// scheme and GEMM substrate — the speedup column isolates the gather cost.
-// Depthwise rows compare Int8DepthwiseConv against the FP32 scalar grouped
-// reference (the fallback a session without the dedicated engine would use;
-// no GEMM-shaped engine covers groups == C).
+// Pointwise rows time Int8DirectConv alone; on a u8 input with C <= 64 at
+// stride 1 it multiplies the input in place, on every other shape it copies
+// each pixel's channel blocks into a patch panel. Depthwise rows compare
+// Int8DepthwiseConv against the FP32 scalar grouped reference (the fallback a
+// session without the dedicated engine would use; no GEMM-shaped engine
+// covers groups == C).
 //
-// Both dedicated engines have one kernel on the 64-channel blocked layout;
-// their NCHW column (execute_nchw) wraps it in pack -> core -> unpack, and
-// the blocked columns time the core alone (execute_blocked_typed), so the
-// kernel gain shows apart from the relayout cost: on packed FP32 buffers
-// (the core quantizes its input), and with u8 input and output, what a
-// blocked serving chain runs. The first rows are MiniMobileNet's convs.
+// Both engines have one kernel on the 64-channel blocked layout; their NCHW
+// column (execute_nchw) wraps it in pack -> core -> unpack, and the blocked
+// columns time the core alone (execute_blocked_typed), so the kernel time
+// shows apart from the relayout cost: on packed FP32 buffers (the core
+// quantizes its input), and with u8 input and output, what a blocked serving
+// chain runs. The first rows are MiniMobileNet's convs.
 //
 // Env: LOWINO_BENCH_BATCH (default 16), LOWINO_BENCH_BUDGET_MS.
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.h"
-#include "direct/direct_1x1.h"
 #include "direct/direct_depthwise.h"
 #include "direct/direct_int8.h"
 #include "parallel/thread_pool.h"
@@ -110,10 +109,10 @@ double measure_blocked_u8(Conv& conv, const ConvDesc& d, ThreadPool& pool) {
 int bench_main() {
   ThreadPool& pool = ThreadPool::global();
   const std::size_t batch = bench::batch_override();
-  std::printf("Dedicated INT8 engines vs generic paths (threads=%zu, batch=%zu)\n\n",
+  std::printf("Direct INT8 engines on MobileNet shapes (threads=%zu, batch=%zu)\n\n",
               pool.num_threads(), batch);
 
-  // --- 1x1 pointwise: int8_1x1 vs the generic im2col INT8 direct ----------
+  // --- 1x1 pointwise: int8_direct ------------------------------------------
   struct Shape {
     const char* name;
     ConvDesc desc;
@@ -127,39 +126,28 @@ int bench_main() {
       {"pw 256->512 /14 s2", make_desc(256, 512, 14, 1, 2, 1, batch)},
       {"pw 512->512 /7", make_desc(512, 512, 7, 1, 1, 1, batch)},
   };
-  std::printf("%-20s %12s %12s %9s | %12s %9s | %10s | %9s %9s\n", "pointwise layer",
-              "direct ms", "1x1 ms", "speedup", "blocked ms", "speedup", "core GOPS", "u8 ms",
-              "u8 GOPS");
-  bench::print_rule(118);
-  double pw_geomean = 0.0;
+  std::printf("%-20s %12s | %12s %10s | %9s %9s\n", "pointwise layer", "direct ms",
+              "blocked ms", "core GOPS", "u8 ms", "u8 GOPS");
+  bench::print_rule(80);
   for (const Shape& s : pw) {
     const ConvDesc& d = s.desc;
     const bench::LayerData data = bench::make_layer_data(d, 11);
     std::vector<float> out(d.batch * d.out_channels * d.out_height() * d.out_width());
-    double t_direct, t_1x1, t_blocked, t_u8;
+    double t_direct, t_blocked, t_u8;
     {
       Int8DirectConv conv(d);
       conv.set_input_threshold(abs_max(data.input));
       conv.set_filters(data.weights, data.bias);
       t_direct = bench::measure([&] { conv.execute_nchw(data.input, out, &pool); });
-    }
-    {
-      Int8Conv1x1Conv conv(d);
-      conv.set_input_threshold(abs_max(data.input));
-      conv.set_filters(data.weights, data.bias);
-      t_1x1 = bench::measure([&] { conv.execute_nchw(data.input, out, &pool); });
       t_blocked = measure_blocked(conv, d, pool);
       t_u8 = measure_blocked_u8(conv, d, pool);
     }
-    pw_geomean += std::log(t_direct / t_1x1);
-    std::printf("%-20s %12.3f %12.3f %8.2fx | %12.3f %8.2fx | %10.1f | %9.3f %9.1f\n", s.name,
-                1e3 * t_direct, 1e3 * t_1x1, t_direct / t_1x1, 1e3 * t_blocked,
-                t_direct / t_blocked, bench::direct_gflops(d, t_blocked), 1e3 * t_u8,
+    std::printf("%-20s %12.3f | %12.3f %10.1f | %9.3f %9.1f\n", s.name, 1e3 * t_direct,
+                1e3 * t_blocked, bench::direct_gflops(d, t_blocked), 1e3 * t_u8,
                 bench::direct_gflops(d, t_u8));
     std::fflush(stdout);
   }
-  pw_geomean = std::exp(pw_geomean / (sizeof(pw) / sizeof(pw[0])));
-  std::printf("int8_1x1 vs int8-direct geomean speedup: %.2fx\n\n", pw_geomean);
+  std::printf("\n");
 
   // --- depthwise: int8_dw vs the FP32 scalar grouped fallback -------------
   const Shape dw[] = {

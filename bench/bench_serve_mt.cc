@@ -354,8 +354,11 @@ int bench_main() {
       BatchingServer server(model, calib, o);
 
       // Capacity first: enough back-to-back clients to keep every worker's
-      // batch formation saturated.
-      const std::size_t clients = 2 * w * max_batch;
+      // next batch queued. Sized by the server's workers, not by w: the
+      // derived queue holds num_workers * max_batch * 4 requests, and a
+      // client count past it turns the closed loop into a retry storm of
+      // kQueueFull bounces.
+      const std::size_t clients = 2 * o.num_workers * max_batch;
       const LoadResult closed = run_load(server, image, clients, window_s, 0.0);
       print_cell(mode.name, w, "closed", closed);
 

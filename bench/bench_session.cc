@@ -4,7 +4,7 @@
 // A single-engine row is a session with that engine forced on every
 // quantizable convolution (rows whose engine cannot run some layer are
 // skipped). MiniMobileNet's depthwise and pointwise layers have no engine in
-// common, so its baseline row is the {int8_dw, int8_1x1} candidate pair,
+// common, so its baseline row is the {int8_dw, int8_direct} candidate pair,
 // which leaves one eligible engine per layer. The planned session picks per
 // layer (wisdom-backed shoot-out across the candidate set, accuracy envelope
 // enforced). The claim to check: the auto-planned session is at least as
@@ -61,9 +61,9 @@ int bench_main() {
   const Tensor<float> calib = random_input(batch, hw, 42);
   const Tensor<float> input = random_input(batch, hw, 43);
 
-  const EngineKind candidates[] = {EngineKind::kInt8Direct,  EngineKind::kLoWinoF2,
-                                   EngineKind::kLoWinoF4,    EngineKind::kLoWinoF6,
-                                   EngineKind::kInt8Conv1x1, EngineKind::kInt8Depthwise};
+  const EngineKind candidates[] = {EngineKind::kInt8Direct, EngineKind::kLoWinoF2,
+                                   EngineKind::kLoWinoF4, EngineKind::kLoWinoF6,
+                                   EngineKind::kInt8Depthwise};
 
   std::printf("InferenceSession: planned vs best single engine: batch=%zu hw=%zu, "
               "%zu thread(s)\n\n",
@@ -79,7 +79,7 @@ int bench_main() {
       {"MiniResNet", make_miniresnet(hw), {}},
       {"MiniMobileNet",
        make_minimobilenet(hw),
-       {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1}}};
+       {EngineKind::kInt8Depthwise, EngineKind::kInt8Direct}}};
 
   for (auto& spec : models) {
     std::printf("=== %s ===\n", spec.name);

@@ -9,7 +9,7 @@
 // Trailing arguments select the quantized engines to evaluate by token
 // ("lowino_f4", "int8-direct", ...); the default set compares LoWino against
 // direct INT8 and the down-scaling baseline. An engine that cannot run every
-// quantizable conv of the model (e.g. int8_1x1 on 3x3 layers) is skipped.
+// quantizable conv of the model (e.g. int8_dw on ungrouped layers) is skipped.
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>

@@ -1,5 +1,5 @@
 // The dequant / +sum / ReLU / requant tail of the direct INT8 engines' blocked
-// cores (direct_int8.h, direct_1x1.h, direct_depthwise.h), over one 64-lane
+// cores (direct_int8.h, direct_depthwise.h), over one 64-lane
 // pixel of the blocked layout. Every lane follows the float order the engines
 // have always used — v = acc * dq + bias, then + residual, then ReLU, then
 // requant — so a lane's bits do not depend on the layout it is stored in.

@@ -178,8 +178,17 @@ void Int8DirectConv::execute_blocked_impl(const void* input, void* output, DType
   const BlockedActLayout out_layout(batch, K, OH, OW);
   const std::size_t image_elems = in_layout.size() / batch;
   const bool in_u8 = in_dtype == DType::kU8;
+  // A pointwise conv at stride 1 on a u8 input with one channel block
+  // already has its A matrix in the input: one 64-byte row per pixel, of
+  // which the first patch_pad bytes are multiplied (padding lanes hold 128
+  // and meet zero filter rows anyway). Every other case gathers patch rows
+  // into a per-thread panel.
+  const bool in_place =
+      in_u8 && desc_.kernel == 1 && desc_.stride == 1 && in_layout.chan_blocks == 1;
+  const std::size_t lda = in_place ? kChanBlock : patch_pad_;
   const std::size_t image_bytes = in_u8 ? 0 : round_up(image_elems, kCacheLineBytes);
-  const std::size_t panel_bytes = round_up(kRowChunk * patch_pad_ + kChanBlock, kCacheLineBytes);
+  const std::size_t panel_bytes =
+      in_place ? 0 : round_up(kRowChunk * patch_pad_ + kChanBlock, kCacheLineBytes);
   const std::size_t chunks = ceil_div(rows, kRowChunk);
   const std::size_t items = batch * chunks;
   const std::size_t threads = pool != nullptr ? pool->num_threads() : 1;
@@ -200,7 +209,10 @@ void Int8DirectConv::execute_blocked_impl(const void* input, void* output, DType
       const std::size_t b = item / chunks;
       const std::size_t p0 = (item % chunks) * kRowChunk;
       const std::size_t n = std::min(kRowChunk, rows - p0);
-      {
+      const std::uint8_t* a = panel;
+      if (in_place) {
+        a = static_cast<const std::uint8_t*>(input) + in_layout.offset(b, 0, p0 / OW, p0 % OW);
+      } else {
         ProfileSpan span(ProfileStage::kInputTransform);
         const std::size_t at = in_layout.offset(b, 0, 0, 0);
         const std::uint8_t* image = quantized;
@@ -214,8 +226,8 @@ void Int8DirectConv::execute_blocked_impl(const void* input, void* output, DType
         }
         gather_patches(desc_, image, p0, n, patch_pad_, panel);
       }
-      int8_gemm_packed(panel, patch_pad_, w_packed_.data(), comp_.data(), acc, k_pad_, n,
-                       patch_pad_, k_pad_, blocking_);
+      int8_gemm_packed(a, lda, w_packed_.data(), comp_.data(), acc, k_pad_, n, patch_pad_,
+                       k_pad_, blocking_);
       ProfileSpan span(ProfileStage::kOutputTransform);
       for (std::size_t kb = 0; kb < out_layout.chan_blocks; ++kb) {
         const std::size_t k0 = kb * kChanBlock;

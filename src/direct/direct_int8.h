@@ -14,9 +14,13 @@
 // block's 64 lanes land at the tap's offset, and a block's padding lanes
 // (quantized zero) are overwritten by the next tap or meet zero filter rows.
 // Out-of-bounds taps are 128 (quantized zero), which the compensation row
-// accounts for. A u8 input is gathered in place; an FP32 input is quantized
-// one image at a time into per-thread scratch (each worker quantizes the
-// images its row chunks touch), never per patch element. Work items are
+// accounts for. A u8 input is gathered straight from the caller's buffer; an
+// FP32 input is quantized one image at a time into per-thread scratch (each
+// worker quantizes the images its row chunks touch), never per patch element.
+// A pointwise conv (r = 1) at stride 1 on a u8 input with C <= 64 gathers
+// nothing: its pixel rows already are the patch rows, so the GEMM multiplies
+// the input in place (lda = 64, reduction over round_up(C, 4) lanes, so
+// padding lanes are never multiplied). Work items are
 // (image, chunk of output pixels): the chunk's patch rows, one GEMM, and the
 // dequant/PostOps/requant epilogue over each pixel's 64 contiguous output
 // lanes (direct/blocked_epilogue.h). The NCHW entry points wrap that core in
@@ -113,8 +117,9 @@ class Int8DirectConv {
   /// multiple of the 6-row register tile) and its epilogue.
   static constexpr std::size_t kRowChunk = 96;
   /// Per-thread scratch: the quantized image (FP32 input only), the patch
-  /// panel (plus one block of slack for the last row's tail copy) and the
-  /// kRowChunk x k_pad int32 accumulators.
+  /// panel (plus one block of slack for the last row's tail copy; none when
+  /// the input is multiplied in place) and the kRowChunk x k_pad int32
+  /// accumulators.
   std::vector<AlignedBuffer<std::uint8_t>> scratch_;
   BlockedStaging staging_;  ///< the NCHW entry points' blocked buffers
   Int8GemmBlocking blocking_;

@@ -15,7 +15,6 @@ EngineRegistrations build_registry() {
   // header comment); order here does not matter — the sort below puts the
   // registry in EngineKind declaration order.
   register_core_engines(regs);
-  register_int8_conv1x1_engine(regs);
   register_int8_depthwise_engine(regs);
 
   std::sort(regs.begin(), regs.end(), [](const EngineRegistration& a,

@@ -43,7 +43,6 @@ using EngineRegistrations = std::vector<EngineRegistration>;
 /// Per-TU registration hooks. Every engine translation unit defines one of
 /// these; engine_registry.cc calls them all (the builtin list).
 void register_core_engines(EngineRegistrations& regs);          // nn/engines.cc
-void register_int8_conv1x1_engine(EngineRegistrations& regs);   // nn/engine_1x1.cc
 void register_int8_depthwise_engine(EngineRegistrations& regs); // nn/engine_depthwise.cc
 
 /// The built registry in EngineKind declaration order. Validated on first

@@ -40,6 +40,7 @@ const char* engine_name(EngineKind kind) { return engine_registration(kind).name
 const char* engine_token(EngineKind kind) { return engine_registration(kind).token; }
 
 std::optional<EngineKind> engine_kind_from_string(std::string_view name) {
+  if (token_matches(name, "int8_1x1")) return EngineKind::kInt8Direct;
   for (const EngineRegistration& reg : engine_registry()) {
     if (token_matches(name, reg.token) || name == reg.name) {
       return reg.kind;

@@ -30,7 +30,6 @@ enum class EngineKind {
   kDownscaleF4,   ///< oneDNN-style down-scaling F(4x4,3x3)
   kUpcastF2,      ///< ncnn-style up-casting (INT16) F(2x2,3x3)
   kVendorF2,      ///< fused vendor-style INT8 F(2x2,3x3)
-  kInt8Conv1x1,   ///< INT8 1x1 (pure blocked VNNI GEMM, no im2col)
   kInt8Depthwise, ///< INT8 depthwise direct (groups == C)
 };
 
@@ -44,7 +43,9 @@ const char* engine_token(EngineKind kind);
 /// Parses an engine identifier: the machine token (ASCII case-insensitive,
 /// '-' and '_' interchangeable) or the exact engine_name() display string.
 /// Returns nullopt for anything else. Round-trips with both engine_token()
-/// and engine_name() for every EngineKind.
+/// and engine_name() for every EngineKind. The retired token "int8_1x1"
+/// (the pointwise engine int8_direct absorbed) still parses, to kInt8Direct,
+/// so saved plans and wisdom that name it keep loading.
 std::optional<EngineKind> engine_kind_from_string(std::string_view name);
 
 /// Every EngineKind, in declaration order (for benches/examples that sweep
@@ -67,7 +68,7 @@ struct EngineCaps {
   bool supports = false;    ///< accepts this ConvDesc (shape-capability gate)
 };
 
-/// The one capability query: it sees shape-dependent capability (1x1-only,
+/// The one capability query: it sees shape-dependent capability (3x3-only,
 /// depthwise-only engines) as well as the per-kind bits.
 EngineCaps engine_caps(EngineKind kind, const ConvDesc& desc);
 
@@ -122,7 +123,7 @@ std::size_t lowino_calibration_stride(std::size_t total_tiles);
 /// [0, images), which must lie in [1, desc.batch] (std::invalid_argument
 /// otherwise). The first `images` images of the output are bit-identical to
 /// a whole-batch run's; the bytes of later images are unspecified. The
-/// quantized engines (int8_direct, LoWino, int8_1x1, int8_dw) leave them
+/// quantized engines (int8_direct, LoWino, int8_dw) leave them
 /// untouched and do proportionally less work; the comparator baselines may
 /// still compute the whole batch.
 class ConvEngine {

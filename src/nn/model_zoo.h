@@ -23,8 +23,8 @@ SequentialModel make_miniresnet(std::size_t hw = 16, std::size_t classes = 10,
 
 /// MobileNet-style: stem conv, then depthwise-separable blocks (depthwise 3x3
 /// with groups == C followed by a pointwise 1x1) — the workload the dedicated
-/// int8_dw / int8_1x1 engines exist for. No layer is Winograd-eligible except
-/// the stem.
+/// int8_dw engine exists for, its pointwise convs run by int8_direct. No
+/// layer is Winograd-eligible except the stem.
 SequentialModel make_minimobilenet(std::size_t hw = 16, std::size_t classes = 10,
                                    std::uint64_t seed = 3);
 

@@ -30,7 +30,6 @@ constexpr EngineKind kDefaultCandidates[] = {
     EngineKind::kLoWinoF2,
     EngineKind::kLoWinoF4,
     EngineKind::kLoWinoF6,
-    EngineKind::kInt8Conv1x1,
     EngineKind::kInt8Depthwise,
 };
 
@@ -342,22 +341,6 @@ std::span<const EngineKind> allowed_engines(const PlanOptions& options,
   }
   if (!options.candidates.empty()) return options.candidates;
   return kDefaultCandidates;
-}
-
-/// The kinds one shoot-out measures: `allowed`, minus int8_direct wherever
-/// int8_1x1 is allowed and carries the conv. On a 1x1 conv the two share
-/// quantization, GEMM and epilogue (bit-identical outputs, so one SNR), and
-/// int8_1x1 never does more work: it multiplies a served u8 input in place
-/// where int8_direct copies it, which a shoot-out on FP32 input cannot see.
-/// Timing both would only let noise pick between equals.
-std::vector<EngineKind> shootout_kinds(std::span<const EngineKind> allowed,
-                                       const ConvDesc& desc) {
-  std::vector<EngineKind> kinds(allowed.begin(), allowed.end());
-  if (std::find(kinds.begin(), kinds.end(), EngineKind::kInt8Conv1x1) != kinds.end() &&
-      engine_caps(EngineKind::kInt8Conv1x1, desc).supports) {
-    std::erase(kinds, EngineKind::kInt8Direct);
-  }
-  return kinds;
 }
 
 /// run_shootout's ranking rule. Strict comparisons, so ties keep the leader;
@@ -743,7 +726,7 @@ void InferenceSession::select_engines(InferenceSession& s, const PlanOptions& op
             .median;
       };
       hooks.promote = [&] { op.engine = std::move(current); };
-      ShootoutResult shootout = run_shootout(shootout_kinds(allowed, desc), hooks);
+      ShootoutResult shootout = run_shootout(allowed, hooks);
       if (!shootout.winner) lower_fail("no engine candidate is eligible for " + desc_str);
       const ShootoutCandidate& w = shootout.candidates[*shootout.winner];
       choice.engine = w.engine;
@@ -1023,15 +1006,14 @@ void InferenceSession::plan_arena(InferenceSession& s) {
   // slot when the conv is the residual's final consumer. Safe for every
   // post-op-capable engine because each output element's residual is read
   // before that element is stored, and no other element's store touches it:
-  // int8_direct reads each residual element in the same scalar iteration that
-  // overwrites it, int8_1x1 and int8_dw read a pixel's 64 residual lanes
-  // before storing that pixel; the Winograd engines, which read the
-  // residual blocked in the output's own layout, have each output tile read
-  // its residual positions right before storing them, and tiles (the units
-  // of work) are disjoint. This is what turns fusion into an arena *peak*
-  // win. Sharing requires the same layout and equal byte footprints
-  // (arena_slots_compatible): an FP32 output aliasing a u8 residual's slot
-  // of equal element count would overrun it.
+  // int8_direct and int8_dw read a pixel's 64 residual lanes before storing
+  // that pixel; the Winograd engines, which read the residual blocked in the
+  // output's own layout, have each output tile read its residual positions
+  // right before storing them, and tiles (the units of work) are disjoint.
+  // This is what turns fusion into an arena *peak* win. Sharing requires the
+  // same layout and equal byte footprints (arena_slots_compatible): an FP32
+  // output aliasing a u8 residual's slot of equal element count would
+  // overrun it.
   std::vector<std::pair<std::size_t, std::size_t>> alias_pairs;  // (out, slot root)
   std::vector<std::size_t> slot_root(s.values_.size());
   for (std::size_t v = 0; v < slot_root.size(); ++v) slot_root[v] = v;

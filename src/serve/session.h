@@ -96,7 +96,7 @@ struct PlanOptions {
   /// envelope). Throws at compile time if any layer cannot build it.
   std::optional<EngineKind> forced_engine;
   /// Candidate engines for the shoot-out; empty means the default quantized
-  /// set {int8_direct, lowino_f2, lowino_f4, lowino_f6, int8_1x1, int8_dw}.
+  /// set {int8_direct, lowino_f2, lowino_f4, lowino_f6, int8_dw}.
   std::vector<EngineKind> candidates;
   /// Accuracy envelope: a quantized candidate must reach this
   /// signal-to-noise (dB) vs the FP32 reference to be eligible. When no

@@ -1,7 +1,7 @@
 // The NCHW entry points of a blocked-I/O engine: pack the input (and any
 // residual) into blocked staging buffers, run the engine's blocked core on
 // them, and unpack the output — one wrapper shared by LoWinoConvolution and
-// the direct INT8 1x1 and depthwise engines, so each engine keeps a single
+// the direct INT8 and depthwise engines, so each engine keeps a single
 // kernel and its NCHW results are its blocked results by construction.
 #pragma once
 

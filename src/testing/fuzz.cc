@@ -16,7 +16,6 @@
 #include "baselines/vendor_wino.h"
 #include "common/aligned_buffer.h"
 #include "common/rng.h"
-#include "direct/direct_1x1.h"
 #include "direct/direct_depthwise.h"
 #include "direct/direct_f32.h"
 #include "direct/direct_int8.h"
@@ -120,7 +119,6 @@ CaseResult run_degenerate_case(const FuzzCase& fc) {
   expect_reject("downscale-winograd", [&] { [[maybe_unused]] DownscaleWinoConv c(d, 2); });
   expect_reject("upcast-winograd", [&] { [[maybe_unused]] UpcastWinoConv c(d); });
   expect_reject("vendor-winograd", [&] { [[maybe_unused]] VendorWinoF23 c(d); });
-  expect_reject("int8-1x1", [&] { [[maybe_unused]] Int8Conv1x1Conv c(d); });
   expect_reject("int8-depthwise", [&] { [[maybe_unused]] Int8DepthwiseConv c(d); });
   if (result.ok && aligned_buffer_alloc_count() != allocs_before) {
     result.ok = false;
@@ -437,7 +435,7 @@ CaseResult run_case(const FuzzCase& fc) {
       d.groups == 1 && d.stride == 1 && d.symmetric_padding() && d.kernel >= 2;
 
   // One spatial-INT8 typed run (u8 hand-off edges) for an Int8DirectConv-like
-  // engine: same surface, same envelope. Shared by int8-direct, int8-1x1 and
+  // engine: same surface, same envelope. Shared by int8-direct and
   // int8-depthwise.
   const auto run_spatial_typed = [&](const char* name, auto& conv) {
     conv.set_input_threshold(static_cast<float>(tau_d));
@@ -499,27 +497,6 @@ CaseResult run_case(const FuzzCase& fc) {
       if (typed) {
         Int8DirectConv conv(d);
         run_spatial_typed("int8-direct-typed", conv);
-      }
-
-      // --- Dedicated INT8 1x1 engine: pointwise shapes, any stride ---------
-      if (d.kernel == 1) {
-        {
-          Int8Conv1x1Conv conv(d);
-          conv.set_input_threshold(static_cast<float>(tau_d));
-          conv.set_filters(data.weights, bias);
-          conv.execute_nchw(data.input, out, &pool, post);
-          check("int8-1x1", ref_post,
-                with_sum_slack(spatial_int8_budget(d, tau_d, dmax, sstats)));
-          if (!post.none()) {
-            std::vector<float> plain(out.size());
-            conv.execute_nchw(data.input, plain, &pool);
-            check_fused_bits("int8-1x1", out, plain);
-          }
-        }
-        if (typed) {
-          Int8Conv1x1Conv conv(d);
-          run_spatial_typed("int8-1x1-typed", conv);
-        }
       }
     } else if (d.is_depthwise()) {
       // --- Dedicated INT8 depthwise engine ---------------------------------

@@ -55,7 +55,10 @@ TEST(FuzzConv, RandomizedDifferentialSweep) {
     if (only_index >= 0) break;
   }
   // Every case checks the full engine sweep (>= 9 engine/mode combinations
-  // for r = 3 shapes) — guard against the sweep silently shrinking.
+  // for r = 3 shapes) — guard against the sweep silently shrinking. The
+  // total is printed so a change to the sweep's size shows in the log.
+  std::printf("fuzz_conv: seed %llu, engines_checked %zu\n",
+              static_cast<unsigned long long>(base_seed), total_engines);
   EXPECT_GE(total_engines, (only_index >= 0 ? std::size_t{1} : cases) * 8);
 }
 

@@ -1,5 +1,5 @@
 // Tests for the direct convolution engines (FP32 reference, im2col FP32,
-// INT8 direct, and the blocked I/O of the INT8 direct, 1x1 and depthwise
+// INT8 direct, and the blocked I/O of the INT8 direct and depthwise
 // engines).
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/cpu_features.h"
@@ -191,7 +192,7 @@ TEST(Int8Direct, ParallelMatchesSerial) {
   for (std::size_t i = 0; i < serial.size(); ++i) ASSERT_EQ(serial[i], parallel[i]);
 }
 
-// --- Blocked I/O of the INT8 direct, 1x1 and depthwise engines ---------------
+// --- Blocked I/O of the INT8 direct and depthwise engines --------------------
 
 /// run_blocked on packed buffers against the NCHW entry points (run for
 /// all-FP32 edges, run_typed otherwise), byte for byte, for every input and
@@ -310,15 +311,16 @@ ConvDesc blocked_desc(std::size_t c, std::size_t k, std::size_t r, std::size_t s
   return d;
 }
 
-TEST(BlockedDirect, Int8Conv1x1RunBlockedMatchesNchwEntryPoints) {
-  // C > 64 (96, 160) takes the copied panel path, C <= 64 at stride 1 the
-  // in-place one; K = 40 and 130 leave padding lanes in the last block.
+TEST(BlockedDirect, Int8DirectPointwiseRunBlockedMatchesNchwEntryPoints) {
+  // r = 1: a u8 input with C <= 64 at stride 1 is multiplied in place, C > 64
+  // (96, 160) and stride 2 copy pixel rows into the panel; K = 40 and 130
+  // leave padding lanes in the last block.
   ThreadPool pool(3);
   unsigned seed = 100;
   for (const std::size_t c : {24, 32, 64, 96, 160}) {
     for (const std::size_t k : {40, 64, 130}) {
       for (const std::size_t stride : {1, 2}) {
-        expect_blocked_matches_nchw(EngineKind::kInt8Conv1x1, blocked_desc(c, k, 1, stride, 1),
+        expect_blocked_matches_nchw(EngineKind::kInt8Direct, blocked_desc(c, k, 1, stride, 1),
                                     ++seed, pool);
       }
     }
@@ -604,11 +606,12 @@ TEST(BlockedDirect, RequantEpilogueFollowsTheU8ContractOnNonFiniteResiduals) {
   static constexpr std::uint8_t kSpecialBytes[2][5] = {{128, 255, 0, 255, 0},
                                                        {128, 255, 128, 255, 128}};
   ThreadPool pool(2);
-  for (const EngineKind kind :
-       {EngineKind::kInt8Direct, EngineKind::kInt8Conv1x1, EngineKind::kInt8Depthwise}) {
-    const ConvDesc d = kind == EngineKind::kInt8Depthwise ? blocked_desc(40, 40, 3, 1, 40)
-                       : kind == EngineKind::kInt8Conv1x1 ? blocked_desc(40, 40, 1, 1, 1)
-                                                          : blocked_desc(40, 40, 3, 1, 1);
+  const std::pair<EngineKind, ConvDesc> cases[] = {
+      {EngineKind::kInt8Direct, blocked_desc(40, 40, 3, 1, 1)},
+      {EngineKind::kInt8Direct, blocked_desc(40, 40, 1, 1, 1)},
+      {EngineKind::kInt8Depthwise, blocked_desc(40, 40, 3, 1, 40)},
+  };
+  for (const auto& [kind, d] : cases) {
     const std::size_t K = d.out_channels, oh = d.out_height(), ow = d.out_width();
     const std::size_t in_n = d.batch * d.in_channels * d.height * d.width;
     const std::size_t out_n = d.batch * K * oh * ow;
@@ -630,7 +633,8 @@ TEST(BlockedDirect, RequantEpilogueFollowsTheU8ContractOnNonFiniteResiduals) {
     relayout(DType::kF32, ActLayout::kBlocked64, poisoned.data(), d.batch, K, oh, ow,
              poisoned_b.data());
     for (const bool relu : {false, true}) {
-      SCOPED_TRACE(::testing::Message() << engine_token(kind) << " relu=" << relu);
+      SCOPED_TRACE(::testing::Message() << engine_token(kind) << " " << d.to_string()
+                                        << " relu=" << relu);
       std::unique_ptr<ConvEngine> e = make_conv_engine(kind, d);
       e->calibrate(in32);
       e->finalize_calibration();
@@ -652,27 +656,70 @@ TEST(BlockedDirect, RequantEpilogueFollowsTheU8ContractOnNonFiniteResiduals) {
   }
 }
 
-TEST(BlockedDirect, Int8DirectAndInt8Conv1x1AgreeBytewiseOn1x1) {
-  // Same quantization, GEMM and epilogue on r = 1: the session's shoot-out
-  // measures only int8_1x1 where both apply (serve/session.cc).
+TEST(BlockedDirect, Int8DirectPointwiseU8MatchesExactOracle) {
+  // r = 1 with u8 input and output, as a served chain runs it: C = 24 and 64
+  // at stride 1 multiply the input in place; C = 65 and 96 (two channel
+  // blocks) and stride 2 copy pixel rows into the panel. Each runs with no
+  // residual and with a u8 residual aliasing the output, and 11 x 13 pixels
+  // span two row chunks. The blocked core's bytes must equal the oracle's
+  // exact sums pushed through the epilogue (v = acc * dq + bias, + residual,
+  // ReLU, requant), so an in-place condition widened to C = 65 or stride 2
+  // multiplies the wrong bytes and fails here.
   ThreadPool pool(2);
+  const QuantParams in_qp = QuantParams::from_threshold(2.0f);
+  const QuantParams out_qp = QuantParams::from_threshold(3.0f);
+  constexpr float kResInvScale = 0.02f;
   unsigned seed = 500;
-  for (const std::size_t c : {24, 64, 96}) {
+  for (const std::size_t c : {24, 64, 65, 96}) {
     for (const std::size_t stride : {1, 2}) {
-      const ConvDesc d = blocked_desc(c, 40, 1, stride, 1);
-      SCOPED_TRACE(d.to_string());
-      Problem p = make_problem(d, ++seed);
-      std::vector<float> out_direct(p.ref.size()), out_1x1(p.ref.size());
-      const PostOps post{.relu = true, .sum = p.ref.data()};
-      for (const EngineKind kind : {EngineKind::kInt8Direct, EngineKind::kInt8Conv1x1}) {
-        std::unique_ptr<ConvEngine> e = make_conv_engine(kind, d);
-        e->calibrate(p.input);
-        e->finalize_calibration();
-        e->set_filters(p.weights, p.bias);
-        e->run(p.input, kind == EngineKind::kInt8Direct ? out_direct : out_1x1, &pool, post);
+      ConvDesc d = blocked_desc(c, 40, 1, stride, 1);
+      d.height = 11;
+      d.width = 13;
+      const std::size_t K = d.out_channels, oh = d.out_height(), ow = d.out_width();
+      const std::size_t out_n = d.batch * K * oh * ow;
+      Rng rng(++seed);
+      std::vector<float> w(K * c), bias(K);
+      std::vector<std::uint8_t> q(d.batch * c * d.height * d.width), res(out_n);
+      for (auto& v : w) v = rng.uniform(-0.5f, 0.5f);
+      for (auto& v : bias) v = rng.uniform(-0.2f, 0.2f);
+      for (auto& v : q) v = static_cast<std::uint8_t>(rng.next_u64());
+      for (auto& v : res) v = static_cast<std::uint8_t>(rng.next_u64());
+
+      Int8DirectConv conv(d);
+      conv.set_input_threshold(1.25f);
+      conv.set_filters(w, bias);
+      conv.set_input_u8(in_qp);
+      conv.set_output_u8(out_qp);
+      const ExactInt8Direct x = exact_int8_direct(d, w, q);
+
+      const BlockedActLayout in_l(d.batch, c, d.height, d.width), out_l(d.batch, K, oh, ow);
+      std::vector<std::uint8_t> in_b(in_l.size()), res_b(out_l.size());
+      relayout(DType::kU8, ActLayout::kBlocked64, q.data(), d.batch, c, d.height, d.width,
+               in_b.data());
+      relayout(DType::kU8, ActLayout::kBlocked64, res.data(), d.batch, K, oh, ow, res_b.data());
+      for (const bool residual : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << d.to_string() << " residual=" << residual);
+        std::vector<std::uint8_t> want(out_n);
+        for (std::size_t i = 0; i < out_n; ++i) {
+          const std::size_t k = i / (oh * ow) % K;
+          const float dq = 1.0f / (conv.input_scale() * x.w_scale[k]);
+          float v = static_cast<float>(x.acc[i]) * dq + bias[k];
+          if (residual) v += static_cast<float>(static_cast<int>(res[i]) - 128) * kResInvScale;
+          v = std::max(0.0f, v);
+          quantize_u8_shift128({&v, 1}, out_qp.scale, {&want[i], 1});
+        }
+        std::vector<std::uint8_t> out_b =
+            residual ? res_b : std::vector<std::uint8_t>(out_l.size());
+        PostOps post{.relu = true};
+        if (residual) {
+          post.sum_u8 = out_b.data();
+          post.sum_u8_inv_scale = kResInvScale;
+        }
+        conv.execute_blocked_typed(in_b.data(), out_b.data(), &pool, post);
+        std::vector<std::uint8_t> got(out_n);
+        relayout(DType::kU8, ActLayout::kNchw, out_b.data(), d.batch, K, oh, ow, got.data());
+        EXPECT_TRUE(got == want);
       }
-      EXPECT_EQ(0, std::memcmp(out_direct.data(), out_1x1.data(),
-                               out_direct.size() * sizeof(float)));
     }
   }
 }
@@ -773,12 +820,13 @@ TEST(PrefixRun, EngineInt8Direct) {
                                   pool);
 }
 
-TEST(PrefixRun, EngineInt8Conv1x1) {
-  // C = 32 multiplies u8 input in place; C = 96 at stride 2 copies panels.
+TEST(PrefixRun, EngineInt8DirectPointwise) {
+  // r = 1: C = 32 multiplies u8 input in place; C = 96 at stride 2 copies
+  // pixel rows into the panel.
   ThreadPool pool(4);
-  expect_engine_prefix_runs_exact(EngineKind::kInt8Conv1x1, prefix_desc(32, 40, 1, 1, 1), 41,
+  expect_engine_prefix_runs_exact(EngineKind::kInt8Direct, prefix_desc(32, 40, 1, 1, 1), 41,
                                   pool);
-  expect_engine_prefix_runs_exact(EngineKind::kInt8Conv1x1, prefix_desc(96, 130, 1, 2, 1), 42,
+  expect_engine_prefix_runs_exact(EngineKind::kInt8Direct, prefix_desc(96, 130, 1, 2, 1), 42,
                                   pool);
 }
 

@@ -424,7 +424,7 @@ TEST(EngineAgreement, DownscaleF4DegradesAccuracy) {
 
 TEST(EngineNames, AllDistinct) {
   const auto kinds = all_engine_kinds();
-  EXPECT_EQ(kinds.size(), 13u);  // 11 core + int8_1x1 + int8_dw
+  EXPECT_EQ(kinds.size(), 12u);  // 11 core + int8_dw
   for (std::size_t i = 0; i < kinds.size(); ++i) {
     for (std::size_t j = i + 1; j < kinds.size(); ++j) {
       EXPECT_STRNE(engine_name(kinds[i]), engine_name(kinds[j]));
@@ -451,7 +451,7 @@ TEST(EngineCapsQuery, BlockedIoIsLoWinoPlusTheDedicatedDirectEnginesAndGatesRunB
   for (const EngineKind kind : all_engine_kinds()) {
     const bool blocked = kind == EngineKind::kLoWinoF2 || kind == EngineKind::kLoWinoF4 ||
                          kind == EngineKind::kLoWinoF6 || kind == EngineKind::kInt8Direct ||
-                         kind == EngineKind::kInt8Conv1x1 || kind == EngineKind::kInt8Depthwise;
+                         kind == EngineKind::kInt8Depthwise;
     EXPECT_EQ(engine_caps(kind, d).blocked_io, blocked) << engine_token(kind);
   }
   // run_blocked keeps the lifecycle and refuses engines without blocked I/O.
@@ -508,12 +508,10 @@ TEST(EngineCapsQuery, ShapeGatingMatchesEngineAcceptance) {
   // Spot-check the table: who owns which shape.
   EXPECT_TRUE(engine_caps(EngineKind::kInt8Direct, plain3x3).supports);
   EXPECT_TRUE(engine_caps(EngineKind::kLoWinoF4, plain3x3).supports);
-  EXPECT_FALSE(engine_caps(EngineKind::kInt8Conv1x1, plain3x3).supports);
   EXPECT_FALSE(engine_caps(EngineKind::kInt8Depthwise, plain3x3).supports);
 
-  EXPECT_TRUE(engine_caps(EngineKind::kInt8Conv1x1, pw1x1).supports);
-  EXPECT_TRUE(engine_caps(EngineKind::kInt8Conv1x1, pw1x1s2).supports);
   EXPECT_TRUE(engine_caps(EngineKind::kInt8Direct, pw1x1).supports);
+  EXPECT_TRUE(engine_caps(EngineKind::kInt8Direct, pw1x1s2).supports);
   EXPECT_FALSE(engine_caps(EngineKind::kLoWinoF2, pw1x1).supports);  // r < 2
   EXPECT_FALSE(engine_caps(EngineKind::kVendorF2, pw1x1).supports);  // r != 3
 
@@ -552,9 +550,9 @@ TEST(ModelZoo, ShapesAndParameterCounts) {
 }
 
 TEST(EngineAgreement, MiniMobileNetDedicatedEnginesTrackFp32) {
-  // End-to-end on the depthwise net: with {int8_dw, int8_1x1} as the only
+  // End-to-end on the depthwise net: with {int8_dw, int8_direct} as the only
   // candidates, each quantizable layer has exactly one eligible engine, so
-  // the depthwise layers run int8_dw and the pointwise layers int8_1x1.
+  // the depthwise layers run int8_dw and the pointwise layers int8_direct.
   const Dataset train_set = make_shape_dataset(320, 130);
   const Dataset calib_set = make_shape_dataset(128, 131);
   const Dataset test_set = make_shape_dataset(96, 132);
@@ -566,7 +564,7 @@ TEST(EngineAgreement, MiniMobileNetDedicatedEnginesTrackFp32) {
 
   const EvalResult fp32 = evaluate_fp32(model, test_set, 32);
   PlanOptions dedicated;
-  dedicated.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1};
+  dedicated.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Direct};
   const EvalResult quant = session_eval(model, calib_set, test_set, dedicated);
   EXPECT_EQ(quant.samples, 96u);
   EXPECT_GT(quant.accuracy, fp32.accuracy - 0.08)
@@ -800,6 +798,9 @@ TEST(EngineStrings, TokensAreCaseAndSeparatorInsensitive) {
   EXPECT_EQ(engine_kind_from_string("LOWINO_F4"), EngineKind::kLoWinoF4);
   EXPECT_EQ(engine_kind_from_string("int8-direct"), EngineKind::kInt8Direct);
   EXPECT_EQ(engine_kind_from_string("Fp32-Wino-F2"), EngineKind::kFp32WinoF2);
+  // The retired pointwise engine's token loads as the engine that absorbed it.
+  EXPECT_EQ(engine_kind_from_string("int8_1x1"), EngineKind::kInt8Direct);
+  EXPECT_EQ(engine_kind_from_string("INT8-1x1"), EngineKind::kInt8Direct);
 }
 
 TEST(EngineStrings, RejectsUnknownIdentifiers) {
@@ -812,7 +813,7 @@ TEST(EngineStrings, RejectsUnknownIdentifiers) {
 
 TEST(EngineStrings, AllKindsListedExactlyOnce) {
   const auto kinds = all_engine_kinds();
-  EXPECT_EQ(kinds.size(), 13u);
+  EXPECT_EQ(kinds.size(), 12u);
   for (std::size_t i = 0; i < kinds.size(); ++i) {
     for (std::size_t j = i + 1; j < kinds.size(); ++j) {
       EXPECT_NE(kinds[i], kinds[j]);

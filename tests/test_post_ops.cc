@@ -82,18 +82,17 @@ TEST(PostOps, CapabilityTableMatchesWrapper) {
   const PostOpsFixture f;
   for (const EngineKind kind : all_engine_kinds()) {
     const EngineCaps caps = engine_caps(kind, f.desc);
-    if (!caps.supports) continue;  // int8_1x1 / int8_dw decline a 3x3 ungrouped shape
+    if (!caps.supports) continue;  // int8_dw declines a 3x3 ungrouped shape
     auto e = f.ready_engine(kind);
     EXPECT_EQ(e->supports_post_ops(), caps.post_ops) << engine_token(kind);
   }
   // The capable set is exactly: the direct engines (including the dedicated
-  // 1x1 and depthwise ones) and the LoWino family.
+  // depthwise one) and the LoWino family.
   const auto post_ops_of = [&f](EngineKind kind) {
     return engine_caps(kind, f.desc).post_ops;
   };
   EXPECT_TRUE(post_ops_of(EngineKind::kFp32Direct));
   EXPECT_TRUE(post_ops_of(EngineKind::kInt8Direct));
-  EXPECT_TRUE(post_ops_of(EngineKind::kInt8Conv1x1));
   EXPECT_TRUE(post_ops_of(EngineKind::kInt8Depthwise));
   EXPECT_TRUE(post_ops_of(EngineKind::kLoWinoF2));
   EXPECT_TRUE(post_ops_of(EngineKind::kLoWinoF4));
@@ -173,8 +172,9 @@ TEST(PostOps, InPlaceResidualSumMatchesOutOfPlace) {
 }
 
 TEST(PostOps, DedicatedEnginesFusedBitIdenticalOnNativeShapes) {
-  // The 1x1 and depthwise engines decline the shared 3x3 fixture shape, so
-  // they get the same fused-vs-unfused contract on shapes they own.
+  // The shared fixture is a 3x3 conv: int8_direct's pointwise shape and the
+  // depthwise engine (which declines the fixture) get the same
+  // fused-vs-unfused contract here.
   ConvDesc pw = PostOpsFixture::default_desc();
   pw.kernel = 1;
   pw.pad = 0;
@@ -183,7 +183,7 @@ TEST(PostOps, DedicatedEnginesFusedBitIdenticalOnNativeShapes) {
   const struct {
     EngineKind kind;
     const ConvDesc& desc;
-  } cases[] = {{EngineKind::kInt8Conv1x1, pw}, {EngineKind::kInt8Depthwise, dw}};
+  } cases[] = {{EngineKind::kInt8Direct, pw}, {EngineKind::kInt8Depthwise, dw}};
   for (const auto& c : cases) {
     ASSERT_TRUE(engine_caps(c.kind, c.desc).supports) << engine_token(c.kind);
     const PostOpsFixture f(c.desc);

@@ -448,13 +448,14 @@ TEST(ProfileAccuracy, FusedModeYieldsPerStageSplit) {
 }
 
 TEST(ProfileAccuracy, DirectFamilyMobileNetRecordsEveryStage) {
-  // int8_dw and int8_1x1 serving MiniMobileNet: the depthwise kernel (tap
+  // int8_dw and int8_direct serving MiniMobileNet: the depthwise kernel (tap
   // reduction and epilogue in one pass) and the 1x1 GEMMs record kGemm, the
   // 1x1 epilogues the output transform, and int8_dw's haloed-plane build the
   // input transform — the served time is no longer all serve-op self time.
-  // The stem writes its reader's u8 bytes, so no engine quantizes an FP32
-  // input: the only input-transform spans are the plane builds, one per
-  // (image, 64-channel block) of each depthwise conv.
+  // The stem writes its reader's u8 bytes and int8_direct multiplies the
+  // pointwise convs' u8 inputs in place, so the only input-transform spans
+  // are the plane builds, one per (image, 64-channel block) of each
+  // depthwise conv.
   ProfilerGuard guard;
   ThreadPool pool(2);
   Tensor<float> calib({2, 1, 16, 16}), input({2, 1, 16, 16});
@@ -464,7 +465,7 @@ TEST(ProfileAccuracy, DirectFamilyMobileNetRecordsEveryStage) {
   SequentialModel model = make_minimobilenet();
   PlanOptions options;
   options.pool = &pool;
-  options.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1};
+  options.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Direct};
   options.seconds_per_candidate = 0.002;
   InferenceSession session = InferenceSession::compile(model, calib, options);
   Tensor<float> out;

@@ -77,6 +77,21 @@ struct InferenceSessionTestPeer {
   static const std::vector<Value>& values(const InferenceSession& s) { return s.values_; }
   static std::size_t output_value(const InferenceSession& s) { return s.output_value_; }
 
+  /// A session taken through compile()'s passes up to select_engines and no
+  /// further: that pass's own record of engines and shoot-out candidates.
+  static InferenceSession through_select_engines(SequentialModel& model,
+                                                 const Tensor<float>& calib,
+                                                 const PlanOptions& options) {
+    InferenceSession s;
+    s.pool_ = options.pool != nullptr ? options.pool : &ThreadPool::global();
+    const std::span<const Tensor<float>> batches(&calib, 1);
+    InferenceSession::lower(s, model, batches);
+    InferenceSession::validate_replay(s, options);
+    InferenceSession::fuse(s, options);
+    InferenceSession::select_engines(s, options, InferenceSession::fp32_reference(s, batches));
+    return s;
+  }
+
   /// run(), with `after(value, bytes)` called on each op's output right after
   /// the op — before the arena slot can be reused.
   template <typename Fn>
@@ -607,26 +622,35 @@ TEST(ShootoutRank, PlanRecordsEveryCandidateAndSummaryPrintsThem) {
   for (const SessionPlan::ConvChoice& c : forced.plan().convs) EXPECT_TRUE(c.candidates.empty());
 }
 
-TEST(ShootoutRank, Int8Conv1x1StandsInForInt8DirectOn1x1Convs) {
-  // The two are bit-identical on r = 1 (test_direct.cc), so only the
-  // dedicated engine is measured there; 3x3 convs keep int8_direct.
+TEST(ShootoutRank, DefaultCandidatesOnMobileNetMeasureOneKindPerConv) {
+  // select_engines alone, with the default candidates: of those, only
+  // int8_direct accepts a pointwise conv (the Winograd kinds need r >= 2,
+  // int8_dw a depthwise one) and only int8_dw a depthwise conv, so each
+  // shoot-out records exactly that one kind.
   SequentialModel model = make_minimobilenet();
   PlanOptions options;
   options.pool = &ThreadPool::global();
   options.seconds_per_candidate = 0.002;
-  InferenceSession s = InferenceSession::compile(model, random_input(2, 16, 929), options);
+  const InferenceSession s =
+      InferenceSessionTestPeer::through_select_engines(model, random_input(2, 16, 929), options);
   expect_candidates_follow_the_rule(s.plan());
+  std::size_t pointwise = 0, depthwise = 0;
   for (const SessionPlan::ConvChoice& c : s.plan().convs) {
     SCOPED_TRACE(c.layer);
-    const auto has = [&](EngineKind kind) {
-      return std::any_of(c.candidates.begin(), c.candidates.end(),
-                         [&](const ShootoutCandidate& k) { return k.engine == kind; });
-    };
-    EXPECT_FALSE(has(kD));
-    if (c.desc.find(" r1") != std::string::npos) {
-      EXPECT_TRUE(has(EngineKind::kInt8Conv1x1));
+    const ConvDesc d =
+        InferenceSessionTestPeer::ops(s)[c.op_index].conv->conv_desc(s.plan().batch);
+    std::vector<EngineKind> measured;
+    for (const ShootoutCandidate& k : c.candidates) measured.push_back(k.engine);
+    if (d.is_depthwise()) {
+      ++depthwise;
+      EXPECT_EQ(measured, std::vector<EngineKind>{EngineKind::kInt8Depthwise});
+    } else if (d.kernel == 1) {
+      ++pointwise;
+      EXPECT_EQ(measured, std::vector<EngineKind>{kD});
     }
   }
+  EXPECT_EQ(pointwise, 2u);
+  EXPECT_EQ(depthwise, 2u);
 }
 
 TEST(InferenceSession, PlanReplayServesIdentically) {
@@ -676,8 +700,8 @@ TEST(InferenceSession, MiniMobileNetPlanRoundTripsDepthwiseLines) {
 
   // The depthwise layers admit exactly one quantized candidate — the
   // dedicated int8_dw engine — and their plan lines must carry the grouped
-  // descriptor token. The pointwise layers must land on a 1x1-capable direct
-  // engine (the Winograd kinds all reject r = 1).
+  // descriptor token. The pointwise layers must land on int8_direct (the
+  // Winograd kinds all reject r = 1).
   std::size_t depthwise = 0, pointwise = 0;
   for (const SessionPlan::ConvChoice& c : first.plan().convs) {
     if (c.desc.find(" g") != std::string::npos) {
@@ -685,9 +709,8 @@ TEST(InferenceSession, MiniMobileNetPlanRoundTripsDepthwiseLines) {
       EXPECT_EQ(c.engine, EngineKind::kInt8Depthwise) << c.layer << " " << c.desc;
     } else if (c.desc.find(" r1") != std::string::npos) {
       ++pointwise;
-      EXPECT_TRUE(c.engine == EngineKind::kInt8Conv1x1 ||
-                  c.engine == EngineKind::kInt8Direct)
-          << c.layer << " chose " << engine_token(c.engine);
+      EXPECT_EQ(c.engine, EngineKind::kInt8Direct) << c.layer << " chose "
+                                                   << engine_token(c.engine);
     }
   }
   EXPECT_EQ(depthwise, 2u);
@@ -717,6 +740,60 @@ TEST(InferenceSession, MiniMobileNetPlanRoundTripsDepthwiseLines) {
   second.run(input, out_b);
   ASSERT_EQ(out_a.shape(), out_b.shape());
   EXPECT_EQ(0, std::memcmp(out_a.data(), out_b.data(), out_a.size() * sizeof(float)));
+}
+
+TEST(InferenceSession, LegacyInt8Conv1x1PlanReplaysAsInt8Direct) {
+  // A MobileNet plan saved while int8_1x1 was an engine of its own: the
+  // PlanDecisionsArePinned golden of that time as full plan text (its snr
+  // and seconds fields, which a replay ignores, are illustrative). Its
+  // int8_1x1 lines load as int8_direct, and the replay serves the logits of
+  // a fresh compile byte for byte.
+  ScopedRuntimeOverride fuse_on("LOWINO_FUSE_POSTOPS", "1");
+  ScopedRuntimeOverride u8_on("LOWINO_U8_HANDOFF", "1");
+  const std::string legacy =
+      "# lowino-plan v3: conv = op_index engine snr_db seconds met [post=ops] "
+      "[dtype=in:out] | layer | desc\n"
+      "batch = 2\n"
+      "arena = 81920\n"
+      "naive = 196608\n"
+      "conv = 1 int8_dw 38.1 0.0002 1 post=relu dtype=u8:u8 | dwconv3x3(32->32)+relu | "
+      "B2 C32 K32 H16 W16 r3 g32\n"
+      "conv = 2 int8_1x1 36.4 0.0003 1 post=relu dtype=u8:u8 | conv1x1(32->64)+relu | "
+      "B2 C32 K64 H16 W16 r1\n"
+      "conv = 4 int8_dw 37.9 0.0001 1 post=relu dtype=u8:u8 | dwconv3x3(64->64)+relu | "
+      "B2 C64 K64 H8 W8 r3 g64\n"
+      "conv = 5 int8_1x1 35.2 0.0002 1 post=relu dtype=u8:f32 | conv1x1(64->128)+relu | "
+      "B2 C64 K128 H8 W8 r1\n";
+  const std::optional<SessionPlan> plan = SessionPlan::deserialize(legacy);
+  ASSERT_TRUE(plan);
+  ASSERT_EQ(plan->convs.size(), 4u);
+  EXPECT_EQ(plan->convs[1].engine, EngineKind::kInt8Direct);
+  EXPECT_EQ(plan->convs[3].engine, EngineKind::kInt8Direct);
+
+  const Tensor<float> calib = random_input(2, 16, 1717);
+  const Tensor<float> input = random_input(2, 16, 1718);
+  PlanOptions options;
+  options.pool = &ThreadPool::global();
+  options.seconds_per_candidate = 0.002;
+  SequentialModel model_a = make_minimobilenet();
+  InferenceSession fresh = InferenceSession::compile(model_a, calib, options);
+  PlanOptions replay;
+  replay.pool = options.pool;
+  replay.reuse = &*plan;
+  SequentialModel model_b = make_minimobilenet();
+  InferenceSession replayed = InferenceSession::compile(model_b, calib, replay);
+  const std::string text = replayed.plan().serialize();
+  EXPECT_EQ(text.find("int8_1x1"), std::string::npos) << text;
+  ASSERT_EQ(replayed.plan().convs.size(), fresh.plan().convs.size());
+  for (std::size_t i = 0; i < fresh.plan().convs.size(); ++i) {
+    EXPECT_EQ(replayed.plan().convs[i].engine, fresh.plan().convs[i].engine);
+  }
+  Tensor<float> out_fresh, out_replayed;
+  fresh.run(input, out_fresh);
+  replayed.run(input, out_replayed);
+  ASSERT_EQ(out_fresh.shape(), out_replayed.shape());
+  EXPECT_EQ(0, std::memcmp(out_fresh.data(), out_replayed.data(),
+                           out_fresh.size() * sizeof(float)));
 }
 
 TEST(InferenceSession, PlanReplayRejectsMismatchedModel) {
@@ -847,7 +924,7 @@ TEST(InferenceSession, PlanDecisionsArePinned) {
   PlanOptions f4, direct, dedicated;
   f4.forced_engine = EngineKind::kLoWinoF4;
   direct.forced_engine = EngineKind::kInt8Direct;
-  dedicated.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1};
+  dedicated.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Direct};
 
   // The single-tensor overload is compile() on a span of one.
   {
@@ -913,11 +990,11 @@ TEST(InferenceSession, PlanDecisionsArePinned) {
             "naive = 196608\n"
             "conv = 1 int8_dw post=relu dtype=u8:u8 | dwconv3x3(32->32)+relu | "
             "B2 C32 K32 H16 W16 r3 g32\n"
-            "conv = 2 int8_1x1 post=relu dtype=u8:u8 | conv1x1(32->64)+relu | "
+            "conv = 2 int8_direct post=relu dtype=u8:u8 | conv1x1(32->64)+relu | "
             "B2 C32 K64 H16 W16 r1\n"
             "conv = 4 int8_dw post=relu dtype=u8:u8 | dwconv3x3(64->64)+relu | "
             "B2 C64 K64 H8 W8 r3 g64\n"
-            "conv = 5 int8_1x1 post=relu dtype=u8:f32 | conv1x1(64->128)+relu | "
+            "conv = 5 int8_direct post=relu dtype=u8:f32 | conv1x1(64->128)+relu | "
             "B2 C64 K128 H8 W8 r1\n");
 
   // vendor_f2 has no post-op support: nothing fuses into its convs, and the
@@ -1553,18 +1630,18 @@ TEST(BlockedLayout, MiniResNetKeepsBothResidualsBlocked) {
   }
 }
 
-/// A session over the dedicated {int8_dw, int8_1x1} engines (the only ones
-/// that carry a depthwise-separable net's convs).
+/// A session over the {int8_dw, int8_direct} engines (the only ones that
+/// carry a depthwise-separable net's convs).
 InferenceSession dedicated_session(SequentialModel& model, const Tensor<float>& calib) {
   PlanOptions options;
   options.pool = &ThreadPool::global();
-  options.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1};
+  options.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Direct};
   options.seconds_per_candidate = 0.002;
   return InferenceSession::compile(model, calib, options);
 }
 
 TEST(BlockedLayout, MiniMobileNetIsBlockedUpToOneReorderBeforeDense) {
-  // int8_dw and int8_1x1 are blocked-I/O engines: the FP32 stem writes
+  // int8_dw and int8_direct are blocked-I/O engines: the FP32 stem writes
   // blocked, both maxpools run on 64 lanes, and one reorder feeds dense.
   for (const char* fuse : {"1", "0"}) {
     ScopedRuntimeOverride fusion("LOWINO_FUSE_POSTOPS", fuse);
@@ -1698,7 +1775,7 @@ TEST(BlockedLayout, ServesLikeAnNchwReplayOfThePlan) {
       options.pool = &pool;
       options.seconds_per_candidate = 0.002;
       if (net.kind == EngineKind::kInt8Depthwise) {
-        options.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1};
+        options.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Direct};
       } else {
         options.forced_engine = net.kind;
       }
@@ -1741,7 +1818,7 @@ struct ZooNet {
 std::vector<ZooNet> zoo_nets() {
   PlanOptions direct, dedicated;
   direct.forced_engine = EngineKind::kInt8Direct;
-  dedicated.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1};
+  dedicated.candidates = {EngineKind::kInt8Depthwise, EngineKind::kInt8Direct};
   for (PlanOptions* o : {&direct, &dedicated}) {
     o->pool = &ThreadPool::global();
     o->seconds_per_candidate = 0.002;
@@ -1835,8 +1912,8 @@ struct PrefixPlan {
 
 std::vector<PrefixPlan> prefix_plans(bool depthwise_net) {
   if (depthwise_net) {
-    return {{"int8_dw+int8_1x1", std::nullopt,
-             {EngineKind::kInt8Depthwise, EngineKind::kInt8Conv1x1}},
+    return {{"int8_dw+int8_direct", std::nullopt,
+             {EngineKind::kInt8Depthwise, EngineKind::kInt8Direct}},
             {"shoot-out", std::nullopt, {}}};
   }
   return {{"int8_direct", EngineKind::kInt8Direct, {}},
