@@ -3,8 +3,9 @@
 // pixel of the blocked layout. Every lane follows the float order the engines
 // have always used — v = acc * dq + bias, then + residual, then ReLU, then
 // requant — so a lane's bits do not depend on the layout it is stored in.
-// store_groups, the depthwise VNNI kernel's in-register form, writes the same
-// expressions as store's scalar body; the build's -ffp-contract=fast
+// store_groups, the in-register form the VNNI tiles of both engines store
+// from, writes the same expressions as store's scalar body (which their
+// non-VNNI paths run); the build's -ffp-contract=fast
 // (CMakeLists.txt) lets the compiler contract both alike (acc * dq + bias into
 // one FMA), so both give the same bytes.
 #pragma once

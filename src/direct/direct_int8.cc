@@ -3,14 +3,21 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <type_traits>
 
+#include "common/cpu_features.h"
 #include "common/saturate.h"
 #include "direct/blocked_epilogue.h"
+#include "gemm/int8_gemm.h"
 #include "parallel/partition.h"
 #include "parallel/thread_pool.h"
 #include "profile/profiler.h"
 #include "quant/calibration.h"
 #include "tensor/layout.h"
+
+#ifdef LOWINO_COMPILE_AVX512
+#include <immintrin.h>
+#endif
 
 namespace lowino {
 namespace {
@@ -50,6 +57,137 @@ void gather_patches(const ConvDesc& desc, const std::uint8_t* image, std::size_t
       }
     }
   }
+}
+
+/// Output pixels per register tile: with one 64-lane block (4 groups of 16
+/// lanes) that is 24 int32 accumulators, plus 4 filter registers and the
+/// broadcast A word.
+constexpr std::size_t kTileRows = 6;
+template <std::size_t R>
+using Rows = std::integral_constant<std::size_t, R>;
+
+/// One (work item, output block) of the core: the A rows of its pixels, the
+/// block's filter columns and where its outputs go.
+struct DirectBlock {
+  const std::uint8_t* a = nullptr;  ///< `rows` A rows, lda bytes apart
+  std::size_t lda = 0;
+  std::size_t rows = 0;
+  std::size_t c4 = 0;               ///< reduction steps: patch_pad / 4
+  const std::int8_t* w = nullptr;   ///< packed filters at the block's first column
+  std::size_t w_stride = 0;         ///< bytes between the filters' c4 rows
+  const std::int32_t* comp = nullptr;  ///< the block's compensation constants
+  const float* dq = nullptr;           ///< `valid` dequant factors
+  const float* bias = nullptr;         ///< `valid` biases
+  std::size_t valid = 0;               ///< real lanes (the rest is padding)
+  const BlockedEpilogue* epilogue = nullptr;
+  std::size_t at = 0;  ///< element offset of the first pixel in the output
+  void* out = nullptr;  ///< the whole blocked output (and the residual's layout)
+};
+
+#ifdef LOWINO_COMPILE_AVX512
+
+/// R pixels x G live 16-lane groups from pixel p on: the accumulators start
+/// at the compensation constants, add one vpdpbusd per (pixel, group) and
+/// reduction step on the pixel's broadcast A word, and go to the epilogue
+/// straight from the registers.
+template <int G, std::size_t R>
+[[gnu::always_inline]] inline void direct_tile_vnni(const DirectBlock& blk,
+                                                    const BlockedEpilogue& epilogue,
+                                                    const __m512i* comp, const __m512* dq,
+                                                    const __m512* bias, const __mmask16* lanes,
+                                                    std::size_t p) {
+  const std::uint8_t* a = blk.a + p * blk.lda;
+  __m512i acc[R][G];
+  for (std::size_t i = 0; i < R; ++i) {
+    for (int g = 0; g < G; ++g) acc[i][g] = comp[g];
+  }
+  const std::int8_t* w = blk.w;
+  for (std::size_t c4 = 0; c4 < blk.c4; ++c4, w += blk.w_stride) {
+    __m512i wg[G];
+    for (int g = 0; g < G; ++g) wg[g] = _mm512_load_si512(w + g * 64);
+    for (std::size_t i = 0; i < R; ++i) {
+      std::int32_t word;
+      std::memcpy(&word, a + i * blk.lda + c4 * 4, sizeof(word));
+      const __m512i ai = _mm512_set1_epi32(word);
+      for (int g = 0; g < G; ++g) acc[i][g] = _mm512_dpbusd_epi32(acc[i][g], ai, wg[g]);
+    }
+  }
+  for (std::size_t i = 0; i < R; ++i) {
+    epilogue.store_groups<G>(acc[i], dq, bias, lanes, blk.at + (p + i) * kChanBlock, blk.out);
+  }
+}
+
+/// The VNNI kernel over G live 16-lane groups: whole tiles, then one
+/// compile-time tile for the 1..5 rows left. dq and bias hold only `valid`
+/// floats, so their loads are masked.
+template <int G>
+void direct_block_vnni(const DirectBlock& blk) {
+  const BlockedEpilogue epilogue = *blk.epilogue;  // a local copy stays in registers
+  __mmask16 lanes[G];
+  __m512i comp[G];
+  __m512 dq[G], bias[G];
+  for (int g = 0; g < G; ++g) {
+    const std::size_t n = std::min<std::size_t>(16, blk.valid - static_cast<std::size_t>(g) * 16);
+    lanes[g] = static_cast<__mmask16>((1u << n) - 1);
+    comp[g] = _mm512_loadu_si512(blk.comp + g * 16);
+    dq[g] = _mm512_maskz_loadu_ps(lanes[g], blk.dq + g * 16);
+    bias[g] = _mm512_maskz_loadu_ps(lanes[g], blk.bias + g * 16);
+  }
+  const auto tile = [&](auto rows, std::size_t p) {
+    direct_tile_vnni<G, decltype(rows)::value>(blk, epilogue, comp, dq, bias, lanes, p);
+  };
+  std::size_t p = 0;
+  for (; p + kTileRows <= blk.rows; p += kTileRows) tile(Rows<kTileRows>{}, p);
+  switch (blk.rows - p) {
+    case 1: return tile(Rows<1>{}, p);
+    case 2: return tile(Rows<2>{}, p);
+    case 3: return tile(Rows<3>{}, p);
+    case 4: return tile(Rows<4>{}, p);
+    case 5: return tile(Rows<5>{}, p);
+    default: return;
+  }
+}
+
+#endif  // LOWINO_COMPILE_AVX512
+
+/// The path for CPUs without AVX-512 VNNI: the same tiles, lane by lane,
+/// into a stack accumulator that BlockedEpilogue::store reads.
+void direct_block_scalar(const DirectBlock& blk) {
+  for (std::size_t p0 = 0; p0 < blk.rows; p0 += kTileRows) {
+    const std::size_t n = std::min(kTileRows, blk.rows - p0);
+    std::int32_t acc[kTileRows][kChanBlock];
+    for (std::size_t p = 0; p < n; ++p) {
+      std::memcpy(acc[p], blk.comp, blk.valid * sizeof(std::int32_t));
+    }
+    for (std::size_t c4 = 0; c4 < blk.c4; ++c4) {
+      const std::int8_t* w = blk.w + c4 * blk.w_stride;
+      for (std::size_t p = 0; p < n; ++p) {
+        const std::uint8_t* a = blk.a + (p0 + p) * blk.lda + c4 * 4;
+        for (std::size_t l = 0; l < blk.valid; ++l) {
+          acc[p][l] += a[0] * w[l * 4] + a[1] * w[l * 4 + 1] + a[2] * w[l * 4 + 2] +
+                       a[3] * w[l * 4 + 3];
+        }
+      }
+    }
+    for (std::size_t p = 0; p < n; ++p) {
+      blk.epilogue->store(acc[p], blk.dq, blk.bias, blk.valid, blk.at + (p0 + p) * kChanBlock,
+                          blk.out);
+    }
+  }
+}
+
+void direct_block(const DirectBlock& blk) {
+#ifdef LOWINO_COMPILE_AVX512
+  if (cpu_features().has_vnni_kernels()) {
+    switch (ceil_div(blk.valid, std::size_t{16})) {
+      case 1: return direct_block_vnni<1>(blk);
+      case 2: return direct_block_vnni<2>(blk);
+      case 3: return direct_block_vnni<3>(blk);
+      default: return direct_block_vnni<4>(blk);
+    }
+  }
+#endif
+  direct_block_scalar(blk);
 }
 
 }  // namespace
@@ -193,16 +331,13 @@ void Int8DirectConv::execute_blocked_impl(const void* input, void* output, DType
   const std::size_t items = batch * chunks;
   const std::size_t threads = pool != nullptr ? pool->num_threads() : 1;
   if (scratch_.size() < threads) scratch_.resize(threads);
-  for (auto& buf : scratch_) {
-    buf.ensure(image_bytes + panel_bytes + kRowChunk * k_pad_ * sizeof(std::int32_t));
-  }
+  for (auto& buf : scratch_) buf.ensure(image_bytes + panel_bytes);
 
   const float scale = input_params_.scale;
   const BlockedEpilogue epilogue{post, out_dtype == DType::kU8, out_u8_qp_.scale};
   auto body = [&](std::size_t tid, std::size_t nw) {
     std::uint8_t* quantized = scratch_[tid].data();
     std::uint8_t* panel = quantized + image_bytes;
-    std::int32_t* acc = reinterpret_cast<std::int32_t*>(panel + panel_bytes);
     std::size_t quantized_image = batch;  // none yet
     const Range range = static_partition(items, nw, tid);
     for (std::size_t item = range.begin; item < range.end; ++item) {
@@ -226,17 +361,24 @@ void Int8DirectConv::execute_blocked_impl(const void* input, void* output, DType
         }
         gather_patches(desc_, image, p0, n, patch_pad_, panel);
       }
-      int8_gemm_packed(a, lda, w_packed_.data(), comp_.data(), acc, k_pad_, n, patch_pad_,
-                       k_pad_, blocking_);
-      ProfileSpan span(ProfileStage::kOutputTransform);
+      ProfileSpan span(ProfileStage::kGemm);
+      DirectBlock blk;
+      blk.a = a;
+      blk.lda = lda;
+      blk.rows = n;
+      blk.c4 = patch_pad_ / 4;
+      blk.w_stride = k_pad_ * 4;
+      blk.epilogue = &epilogue;
+      blk.out = output;
       for (std::size_t kb = 0; kb < out_layout.chan_blocks; ++kb) {
         const std::size_t k0 = kb * kChanBlock;
-        const std::size_t valid = std::min(kChanBlock, K - k0);
-        std::size_t at = out_layout.offset(b, kb, p0 / OW, p0 % OW);
-        for (std::size_t p = 0; p < n; ++p, at += kChanBlock) {
-          epilogue.store(acc + p * k_pad_ + k0, w_dequant_.data() + k0, bias_.data() + k0,
-                         valid, at, output);
-        }
+        blk.w = w_packed_.data() + k0 * 4;
+        blk.comp = comp_.data() + k0;
+        blk.dq = w_dequant_.data() + k0;
+        blk.bias = bias_.data() + k0;
+        blk.valid = std::min(kChanBlock, K - k0);
+        blk.at = out_layout.offset(b, kb, p0 / OW, p0 % OW);
+        direct_block(blk);
       }
     }
   };

@@ -4,8 +4,9 @@
 // Spatial-domain post-training quantization: one KL-calibrated scale for the
 // input activations, exact per-output-channel scales for the weights. The
 // quantized im2col patches (shifted by +128 into uint8) feed the same VNNI
-// GEMM substrate as LoWino, so performance comparisons isolate the algorithm,
-// not the kernel quality.
+// instruction (vpdpbusd on packed weights, compensation-initialized
+// accumulators) as LoWino's GEMM, so performance comparisons isolate the
+// algorithm, not the kernel quality.
 //
 // The engine has one kernel, on the 64-channel blocked layout
 // (tensor/layout.h). A patch row is laid out in (i, j, c) order — tap by
@@ -18,15 +19,18 @@
 // FP32 input is quantized one image at a time into per-thread scratch (each
 // worker quantizes the images its row chunks touch), never per patch element.
 // A pointwise conv (r = 1) at stride 1 on a u8 input with C <= 64 gathers
-// nothing: its pixel rows already are the patch rows, so the GEMM multiplies
-// the input in place (lda = 64, reduction over round_up(C, 4) lanes, so
-// padding lanes are never multiplied). Work items are
-// (image, chunk of output pixels): the chunk's patch rows, one GEMM, and the
-// dequant/PostOps/requant epilogue over each pixel's 64 contiguous output
-// lanes (direct/blocked_epilogue.h). The NCHW entry points wrap that core in
-// pack -> core -> unpack (tensor/blocked_staging.h). The integer GEMM is
-// exact and the epilogue works per element, so the result does not depend on
-// the layout or the patch order.
+// nothing: its pixel rows already are the patch rows, so the kernel
+// multiplies the input in place (lda = 64, reduction over round_up(C, 4)
+// lanes, so padding lanes are never multiplied). Work items are (image, chunk
+// of output pixels): the chunk's patch rows, then per 64-channel output block
+// one register tile of up to 6 pixels x 4 16-lane groups at a time, whose
+// accumulators go through the dequant/PostOps/requant epilogue
+// (direct/blocked_epilogue.h) straight from the registers — no int32 sum
+// reaches memory (CPUs without AVX-512 VNNI run the same tiles lane by lane
+// on a stack array). The NCHW entry points wrap that core in pack -> core ->
+// unpack (tensor/blocked_staging.h). The integer sums are exact and the
+// epilogue works per element, so the result does not depend on the layout,
+// the patch order or the tile.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +38,6 @@
 #include <vector>
 
 #include "common/aligned_buffer.h"
-#include "gemm/int8_gemm.h"
 #include "quant/histogram.h"
 #include "quant/quantize.h"
 #include "tensor/blocked_staging.h"
@@ -108,21 +111,19 @@ class Int8DirectConv {
 
   AlignedBuffer<std::int8_t> w_packed_;   ///< vpdpbusd layout (patch_pad/4) x (k_pad*4)
   AlignedBuffer<std::int32_t> comp_;      ///< [k_pad]
-  AlignedBuffer<float> w_dequant_;        ///< per-channel 1/(scale_in*scale_w)
-  AlignedBuffer<float> bias_;
+  AlignedBuffer<float> w_dequant_;        ///< [K] per-channel 1/(scale_in*scale_w)
+  AlignedBuffer<float> bias_;             ///< [K]
   bool filters_set_ = false;
   AlignedBuffer<float> weights_fp32_;     ///< kept until scales are known
 
-  /// Output pixels per work item: one GEMM of kRowChunk patch rows (a
-  /// multiple of the 6-row register tile) and its epilogue.
+  /// Output pixels per work item: kRowChunk patch rows (a multiple of the
+  /// 6-row register tile) and their epilogue.
   static constexpr std::size_t kRowChunk = 96;
-  /// Per-thread scratch: the quantized image (FP32 input only), the patch
+  /// Per-thread scratch: the quantized image (FP32 input only) and the patch
   /// panel (plus one block of slack for the last row's tail copy; none when
-  /// the input is multiplied in place) and the kRowChunk x k_pad int32
-  /// accumulators.
+  /// the input is multiplied in place).
   std::vector<AlignedBuffer<std::uint8_t>> scratch_;
   BlockedStaging staging_;  ///< the NCHW entry points' blocked buffers
-  Int8GemmBlocking blocking_;
 
   bool in_u8_ = false;
   bool out_u8_ = false;

@@ -91,7 +91,9 @@ void int8_gemm_n_block(const std::uint8_t* v_block, std::size_t c_blocks,
 /// filter panel B ((c/4) x (k*4) int8, vpdpbusd layout):
 ///   C[i][j] = comp[j] + sum_l A[i][l] * B[l][j]
 /// with arbitrary n (row tails handled), c % 4 == 0, k % 16 == 0.
-/// Used by the INT8 direct convolution and the fused vendor-style baseline.
+/// Used by the fused vendor-style baseline's strip loop (and timed on its own
+/// by the GEMM benches); the INT8 direct convolution runs its own register
+/// tile with the epilogue fused instead (direct/direct_int8.h).
 void int8_gemm_packed(const std::uint8_t* a, std::size_t lda, const std::int8_t* b_packed,
                       const std::int32_t* comp, std::int32_t* c, std::size_t ldc,
                       std::size_t n, std::size_t cdim, std::size_t k,

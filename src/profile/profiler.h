@@ -52,10 +52,11 @@ enum class ProfileStage : std::uint8_t {
   kFilterPack = 0,  ///< offline filter transform + quantization + packing
   kInputTransform,  ///< input transform + quantization (incl. the V scatter);
                     ///< the direct engines' quantize / gather of their A rows
-  kGemm,            ///< batched INT8 GEMM (incl. the Z scatter); the depthwise
-                    ///< engine's tap reduction, which stands in its place
-  kOutputTransform, ///< de-quant + output transform incl. any fused epilogue;
-                    ///< the direct engines' dequant / post-op / requant store
+  kGemm,            ///< batched INT8 GEMM (incl. the Z scatter); the direct
+                    ///< INT8 engines' register tiles, which reduce and run the
+                    ///< dequant / post-op / requant store in one pass
+  kOutputTransform, ///< de-quant + output transform incl. any fused epilogue
+                    ///< (the Winograd engines only)
   kCalibration,     ///< Winograd-domain statistics collection
   kTunerTrial,      ///< one auto-tuner candidate measurement
   kServe,           ///< one serving op inside InferenceSession::run

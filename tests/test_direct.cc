@@ -542,13 +542,17 @@ TEST(BlockedDirect, Int8DepthwiseMatchesExactOracleOnItsQuantizedBytes) {
   }
 }
 
+/// Restores CPU feature detection when a test that forces the scalar paths
+/// ends, however it ends.
+struct RestoreCpuFeatures {
+  ~RestoreCpuFeatures() { override_cpu_features_for_test(nullptr); }
+};
+
 TEST(BlockedDirect, Int8DepthwiseScalarPathMatchesTheVnniKernel) {
   // The path for CPUs without AVX-512 VNNI (forced through the CPU feature
   // override) against the VNNI kernel, on FP32 and u8 outputs with an FP32
   // residual and ReLU.
-  struct RestoreCpuFeatures {
-    ~RestoreCpuFeatures() { override_cpu_features_for_test(nullptr); }
-  } restore;
+  RestoreCpuFeatures restore;
   static const CpuFeatures kNone;
   ThreadPool pool(2);
   unsigned seed = 800;
@@ -586,6 +590,102 @@ TEST(BlockedDirect, Int8DepthwiseScalarPathMatchesTheVnniKernel) {
             conv.execute_blocked_typed(in_b.data(), scalar.data(), &pool, post);
             override_cpu_features_for_test(nullptr);
             EXPECT_TRUE(vnni == scalar);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BlockedDirect, Int8DirectScalarPathMatchesTheVnniTile) {
+  // The path for CPUs without AVX-512 VNNI (forced through the CPU feature
+  // override) against the VNNI register tile, byte for byte. K = 24, 40, 80
+  // and 128 give blocks of 2, 3, 4 (+ 1) and 4 + 4 live 16-lane groups; C =
+  // 24 and 64 on a u8 input at r = 1, stride 1 run the in-place pointwise
+  // case, the rest gather patch rows. The 9 x 7 map has 63 pixels (20 at
+  // stride 2), the 2 x 2 map 4 (1) and the 1 x 5 map 5 (3): whole tiles and
+  // row tails of 1 to 5 pixels.
+  // FP32 and u8 inputs and outputs, each output with an FP32 and a u8
+  // residual, the one of the output's dtype aliasing the output, and ReLU.
+  RestoreCpuFeatures restore;
+  static const CpuFeatures kNone;
+  ThreadPool pool(2);
+  constexpr float kResInvScale = 0.02f;
+  constexpr std::pair<std::size_t, std::size_t> kMaps[] = {{9, 7}, {2, 2}, {1, 5}};
+  unsigned seed = 900;
+  for (const std::size_t c : {24, 64, 96}) {
+    for (const std::size_t k : {24, 40, 80, 128}) {
+      for (const std::size_t r : {1, 3}) {
+        for (const std::size_t stride : {1, 2}) {
+          for (const auto& [map_h, map_w] : kMaps) {
+            ConvDesc d = blocked_desc(c, k, r, stride, 1);
+            d.height = map_h;
+            d.width = map_w;
+            const std::size_t oh = d.out_height(), ow = d.out_width();
+            const std::size_t in_n = d.batch * c * d.height * d.width;
+            const std::size_t out_n = d.batch * k * oh * ow;
+            const BlockedActLayout in_l(d.batch, c, d.height, d.width);
+            const BlockedActLayout out_l(d.batch, k, oh, ow);
+            Rng rng(++seed);
+            std::vector<float> in32(in_n), w(k * c * r * r), bias(k), res32(out_n);
+            std::vector<std::uint8_t> in8(in_n), res8(out_n);
+            for (auto& v : in32) v = rng.uniform(-1.5f, 1.5f);
+            for (auto& v : w) v = rng.uniform(-0.5f, 0.5f);
+            for (auto& v : bias) v = rng.uniform(-0.2f, 0.2f);
+            for (auto& v : res32) v = rng.uniform(-1.0f, 1.0f);
+            for (auto& v : in8) v = static_cast<std::uint8_t>(rng.next_u64());
+            for (auto& v : res8) v = static_cast<std::uint8_t>(rng.next_u64());
+            std::vector<float> in32_b(in_l.size()), res32_b(out_l.size());
+            std::vector<std::uint8_t> in8_b(in_l.size()), res8_b(out_l.size());
+            relayout(DType::kF32, ActLayout::kBlocked64, in32.data(), d.batch, c, d.height,
+                     d.width, in32_b.data());
+            relayout(DType::kU8, ActLayout::kBlocked64, in8.data(), d.batch, c, d.height,
+                     d.width, in8_b.data());
+            relayout(DType::kF32, ActLayout::kBlocked64, res32.data(), d.batch, k, oh, ow,
+                     res32_b.data());
+            relayout(DType::kU8, ActLayout::kBlocked64, res8.data(), d.batch, k, oh, ow,
+                     res8_b.data());
+            for (const bool in_u8 : {false, true}) {
+              for (const bool out_u8 : {false, true}) {
+                for (const bool res_u8 : {false, true}) {
+                  SCOPED_TRACE(::testing::Message() << d.to_string() << " in_u8=" << in_u8
+                                                    << " out_u8=" << out_u8
+                                                    << " res_u8=" << res_u8);
+                  Int8DirectConv conv(d);
+                  conv.set_input_threshold(1.25f);
+                  conv.set_filters(w, bias);
+                  if (in_u8) conv.set_input_u8(QuantParams::from_threshold(2.0f));
+                  if (out_u8) conv.set_output_u8(QuantParams::from_threshold(2.0f));
+                  const void* in = in_u8 ? static_cast<const void*>(in8_b.data()) : in32_b.data();
+                  const std::size_t bytes = out_l.size() * (out_u8 ? 1 : sizeof(float));
+                  const bool aliased = res_u8 == out_u8;
+                  const auto run = [&] {
+                    std::vector<std::uint8_t> out(bytes, 0xAB);
+                    if (aliased) {
+                      std::memcpy(out.data(),
+                                  out_u8 ? static_cast<const void*>(res8_b.data())
+                                         : res32_b.data(),
+                                  bytes);
+                    }
+                    PostOps post{.relu = true};
+                    if (res_u8) {
+                      post.sum_u8 = aliased ? out.data() : res8_b.data();
+                      post.sum_u8_inv_scale = kResInvScale;
+                    } else {
+                      post.sum = aliased ? reinterpret_cast<const float*>(out.data())
+                                         : res32_b.data();
+                    }
+                    conv.execute_blocked_typed(in, out.data(), &pool, post);
+                    return out;
+                  };
+                  const std::vector<std::uint8_t> vnni = run();
+                  override_cpu_features_for_test(&kNone);
+                  const std::vector<std::uint8_t> scalar = run();
+                  override_cpu_features_for_test(nullptr);
+                  EXPECT_TRUE(vnni == scalar);
+                }
+              }
+            }
           }
         }
       }
