@@ -47,6 +47,8 @@ class LoWinoConvolution {
   const WinogradGeometry& geometry() const { return geo_; }
   const TransformMatrices& transform() const { return *tm_; }
   const WinogradScales& scales() const { return scales_; }
+  /// The statistics calibrate() has collected (one histogram per tap).
+  const WinogradCalibrator& calibrator() const { return calibrator_; }
 
   /// Accumulates calibration statistics from a batch of NCHW FP32 inputs
   /// with the layer's B x C x H x W shape. Call repeatedly, then finalize.

@@ -39,9 +39,11 @@ void WinogradCalibrator::collect(std::size_t t, std::span<const float> values) {
 }
 
 void WinogradCalibrator::finalize_into(WinogradScales& scales) const {
+  // A per-tensor calibrator has one histogram: sweep it once and share it.
+  QuantParams params;
   for (std::size_t t = 0; t < scales.t_elems(); ++t) {
-    const Histogram& h = histograms_[per_position_ ? t : 0];
-    scales.set_input_scale(t, calibrate_params(h));
+    if (per_position_ || t == 0) params = calibrate_params(histogram(t));
+    scales.set_input_scale(t, params);
   }
 }
 

@@ -74,6 +74,9 @@ class WinogradCalibrator {
 
   bool empty() const;
 
+  /// The histogram that calibrates tile position t.
+  const Histogram& histogram(std::size_t t) const { return histograms_[per_position_ ? t : 0]; }
+
  private:
   bool per_position_ = true;
   std::vector<Histogram> histograms_;

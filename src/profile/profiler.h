@@ -57,7 +57,8 @@ enum class ProfileStage : std::uint8_t {
                     ///< dequant / post-op / requant store in one pass
   kOutputTransform, ///< de-quant + output transform incl. any fused epilogue
                     ///< (the Winograd engines only)
-  kCalibration,     ///< Winograd-domain statistics collection
+  kCalibration,     ///< calibration statistics collection and each KL
+                    ///< threshold sweep (calibrate_kl)
   kTunerTrial,      ///< one auto-tuner candidate measurement
   kServe,           ///< one serving op inside InferenceSession::run
   kPostOps,         ///< a standalone (unfused) element-wise ReLU/sum pass

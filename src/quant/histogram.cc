@@ -6,6 +6,11 @@
 
 namespace lowino {
 
+Histogram::Histogram(std::size_t bins)
+    : counts_(bins, 0),
+      max_width_(std::nextafter(std::numeric_limits<float>::max() / static_cast<float>(bins),
+                                0.0f)) {}
+
 void Histogram::collect(std::span<const float> values) {
   float batch_max = 0.0f;
   for (float v : values) {
@@ -14,14 +19,12 @@ void Histogram::collect(std::span<const float> values) {
   }
   const std::size_t n = counts_.size();
   const float nf = static_cast<float>(n);
-  // Widest bin whose range edge(n - 1) = width * n is still finite.
-  const float max_width = std::nextafter(std::numeric_limits<float>::max() / nf, 0.0f);
   if (bin_width_ == 0.0f) {
     if (batch_max == 0.0f) return;  // defer range selection until real data arrives
     bin_width_ = 1.25f * batch_max / nf;
     // Near FLT_MAX, 1.25 * batch_max (or the range width * n) overflows to
     // +inf; fall back to the widest finite range instead.
-    if (!std::isfinite(bin_width_ * nf)) bin_width_ = max_width;
+    if (!std::isfinite(bin_width_ * nf)) bin_width_ = max_width_;
     // A sub-normal batch_max (u8-ReLU layers can emit near-degenerate
     // tensors) underflows the division to a sub-normal width whose inverse
     // below is +inf — and size_t(inf) is UB. Floor at the smallest normal
@@ -30,9 +33,9 @@ void Histogram::collect(std::span<const float> values) {
   }
   // Grow the range by doubling the bin width (merging bins pairwise) until
   // the batch maximum fits. Keeps the histogram batching-order independent.
-  // A doubling that would overflow the range stops at max_width instead;
+  // A doubling that would overflow the range stops at max_width_ instead;
   // values beyond it land in the last bin.
-  while (batch_max >= bin_width_ * nf && bin_width_ < max_width) {
+  while (batch_max >= bin_width_ * nf && bin_width_ < max_width_) {
     for (std::size_t j = 0; j < n / 2; ++j) {
       counts_[j] = counts_[2 * j] + counts_[2 * j + 1];
     }
@@ -41,7 +44,7 @@ void Histogram::collect(std::span<const float> values) {
     std::fill(counts_.begin() + static_cast<std::ptrdiff_t>((n + 1) / 2), counts_.end(),
               std::uint64_t{0});
     const float doubled = 2.0f * bin_width_;
-    bin_width_ = std::isfinite(doubled * nf) ? doubled : max_width;
+    bin_width_ = std::isfinite(doubled * nf) ? doubled : max_width_;
   }
   const float inv_w = 1.0f / bin_width_;
   const std::size_t last = n - 1;

@@ -15,7 +15,7 @@ class Histogram {
  public:
   static constexpr std::size_t kDefaultBins = 2048;
 
-  explicit Histogram(std::size_t bins = kDefaultBins) : counts_(bins, 0) {}
+  explicit Histogram(std::size_t bins = kDefaultBins);
 
   /// Adds |values| to the histogram. The first batch sets the range to
   /// 1.25 * max|values|; when later batches exceed it, the histogram doubles
@@ -47,6 +47,7 @@ class Histogram {
   std::uint64_t total_ = 0;
   float bin_width_ = 0.0f;
   float max_abs_seen_ = 0.0f;
+  float max_width_;  ///< widest bin whose range edge(bins() - 1) is finite
 };
 
 }  // namespace lowino

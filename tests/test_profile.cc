@@ -447,6 +447,27 @@ TEST(ProfileAccuracy, FusedModeYieldsPerStageSplit) {
   }
 }
 
+TEST(ProfileAccuracy, LoWinoCalibrationRecordsOneSweepPerTap) {
+  // calibrate() records the Winograd-domain statistics collection as one
+  // span; finalize_calibration() records every KL threshold sweep, one per
+  // tap: 36 for F(4x4).
+  ProfilerGuard guard;
+  const ConvDesc d = make_desc(1, 64, 64, 16);
+  LoWinoConfig cfg;
+  cfg.m = 4;
+  LoWinoConvolution conv(d, cfg);
+  std::vector<float> in(d.batch * d.in_channels * d.height * d.width);
+  Rng rng(5);
+  for (auto& v : in) v = rng.uniform(0.0f, 1.0f);
+  profiler_set_enabled(true);
+  conv.calibrate(in);
+  EXPECT_EQ(stage_spans(ProfileStage::kCalibration), 1u);
+  conv.finalize_calibration();
+  profiler_set_enabled(false);
+  EXPECT_EQ(stage_spans(ProfileStage::kCalibration), 1u + 36u);
+  EXPECT_GT(stage_seconds(ProfileStage::kCalibration), 0.0);
+}
+
 TEST(ProfileAccuracy, DirectFamilyMobileNetRecordsEveryStage) {
   // int8_dw and int8_direct serving MiniMobileNet: both kernels run their
   // reduction and epilogue in one register tile and record kGemm, and

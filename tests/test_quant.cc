@@ -8,12 +8,14 @@
 #include <iomanip>
 #include <iostream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/env.h"
 #include "common/rng.h"
 #include "common/saturate.h"
+#include "lowino/convolution.h"
 #include "lowino/transform_kernels.h"
 #include "quant/calibration.h"
 #include "quant/histogram.h"
@@ -328,6 +330,16 @@ TEST(Calibration, FewBinsShortCircuits) {
   EXPECT_FLOAT_EQ(r.tau, h.edge(63));
 }
 
+TEST(Calibration, RejectsLevelCountsOutsideTheExactBoundaryRange) {
+  // Zero levels, and 40000 bins x 32768^2 levels (past 2^40, where the
+  // sweep's integer level boundaries would no longer be exact).
+  Histogram h(40000);
+  std::vector<float> batch = {1.0f, 0.5f, 0.2f};
+  h.collect(batch);
+  EXPECT_THROW(calibrate_kl(h, 0), std::invalid_argument);
+  EXPECT_THROW(calibrate_kl(h, 32768), std::invalid_argument);
+}
+
 TEST(Calibration, AllZeroInputsYieldIdentityScaleAndQuantizedZero) {
   // Degenerate calibration input: a layer that only ever saw zeros. The
   // histogram defers its range forever, calibrate_params falls back to
@@ -601,12 +613,34 @@ std::uint64_t kl_fuzz_seed() {
   return static_cast<std::uint64_t>(env_long("LOWINO_TEST_SEED", 20261017));
 }
 
+/// Sweeps `h` with calibrate_kl and with the oracle and counts the outcome.
+/// The sweep must pick the oracle's bin. The one tolerated difference is a
+/// rounding tie: thresholds whose KL is equal in exact arithmetic, where the
+/// oracle's own last-bit noise decides. There the smaller threshold must win
+/// (the documented tie rule), and the oracle's KL at both bins must agree
+/// within the 1e-12 tie margin. Ties are counted and printed.
+void check_against_oracle(const Histogram& h, std::size_t levels, double coverage,
+                          const std::string& where, std::size_t& ties,
+                          std::size_t& mismatches) {
+  const CalibrationResult got = calibrate_kl(h, levels, coverage);
+  const CalibrationResult want = testing::calibrate_kl_reference(h, levels, coverage);
+  if (got.bin != want.bin) {
+    const double oracle_at_got = testing::kl_at_threshold(h, got.bin + 1, levels);
+    const bool tie = got.bin < want.bin && oracle_at_got - want.kl <= 1e-12;
+    ++(tie ? ties : mismatches);
+    std::ostream& os = tie ? std::cout : std::cerr;
+    os << std::setprecision(17) << (tie ? "rounding tie: " : "MISMATCH: ") << where
+       << ": bin " << got.bin << " (kl " << got.kl << ", oracle kl " << oracle_at_got
+       << ") vs oracle bin " << want.bin << " (kl " << want.kl << ")\n";
+    return;
+  }
+  EXPECT_EQ(got.tau, want.tau) << where;
+  EXPECT_NEAR(got.kl, want.kl, 1e-9 * std::max(1.0, want.kl)) << where;
+}
+
 TEST(KlSweep, MatchesOracleOnFuzzedCorpus) {
-  // Every sweep must pick the oracle's bin. The one tolerated difference is
-  // a rounding tie: thresholds whose KL is equal in exact arithmetic, where
-  // the oracle's own last-bit noise decides. There the smaller threshold
-  // must win (the documented tie rule), and the oracle's KL at both bins
-  // must agree within the 1e-12 tie margin. Ties are counted and printed.
+  // Every sweep must pick the oracle's bin, up to the rounding ties that
+  // check_against_oracle allows.
   // LOWINO_KL_FUZZ_CASES sets the corpus size (each case runs four sweeps);
   // the tier-2 entry kl_sweep_tier2 runs 2000.
   const auto cases = static_cast<std::uint64_t>(env_long("LOWINO_KL_FUZZ_CASES", 250));
@@ -617,30 +651,56 @@ TEST(KlSweep, MatchesOracleOnFuzzedCorpus) {
     const Histogram h = c.build();
     for (const double coverage : {0.999, 0.0}) {
       for (const std::size_t levels : {std::size_t{128}, std::size_t{255}}) {
-        const CalibrationResult got = calibrate_kl(h, levels, coverage);
-        const CalibrationResult want = testing::calibrate_kl_reference(h, levels, coverage);
         const std::string where = std::string(c.shape) + " seed " + std::to_string(base + i) +
                                   " bins " + std::to_string(c.bins) + " levels " +
                                   std::to_string(levels) + " coverage " +
                                   std::to_string(coverage);
-        if (got.bin != want.bin) {
-          const double oracle_at_got = testing::kl_at_threshold(h, got.bin + 1, levels);
-          const bool tie = got.bin < want.bin && oracle_at_got - want.kl <= 1e-12;
-          ++(tie ? ties : mismatches);
-          std::ostream& os = tie ? std::cout : std::cerr;
-          os << std::setprecision(17) << (tie ? "rounding tie: " : "MISMATCH: ") << where
-             << ": bin " << got.bin
-              << " (kl " << got.kl << ", oracle kl " << oracle_at_got << ") vs oracle bin "
-              << want.bin << " (kl " << want.kl << ")\n";
-          continue;
-        }
-        EXPECT_EQ(got.tau, want.tau) << where;
-        EXPECT_NEAR(got.kl, want.kl, 1e-9 * std::max(1.0, want.kl)) << where;
+        check_against_oracle(h, levels, coverage, where, ties, mismatches);
       }
     }
   }
   std::cout << cases * 4 << " sweeps: " << mismatches << " mismatches, " << ties
             << " rounding ties\n";
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(KlSweep, MatchesOracleOnWinogradTapHistograms) {
+  // The histograms a compile spends its calibration time on: one per tap of
+  // F(2x2), F(4x4) and F(6x6) on a seeded MiniResNet-shaped conv (64 -> 64
+  // channels at 32x32, ReLU input), swept with the production defaults. On
+  // each, the sweep must pick the oracle's bin (same tie rule as the fuzzed
+  // corpus), and calibrating on the batch three times must give a
+  // bit-identical bin, tau and KL.
+  ConvDesc desc;
+  desc.batch = 2;
+  desc.in_channels = desc.out_channels = 64;
+  desc.height = desc.width = 32;
+  Rng rng(kl_fuzz_seed());
+  std::vector<float> input(desc.batch * desc.in_channels * desc.height * desc.width);
+  for (auto& v : input) v = std::max(rng.normal(), 0.0f);
+  std::size_t taps = 0, mismatches = 0, ties = 0;
+  for (const std::size_t m : {std::size_t{2}, std::size_t{4}, std::size_t{6}}) {
+    LoWinoConfig config;
+    config.m = m;
+    LoWinoConvolution once(desc, config), thrice(desc, config);
+    once.calibrate(input);
+    for (int r = 0; r < 3; ++r) thrice.calibrate(input);
+    for (std::size_t t = 0; t < once.geometry().t_elems; ++t, ++taps) {
+      const Histogram& h = once.calibrator().histogram(t);
+      const Histogram& h3 = thrice.calibrator().histogram(t);
+      const std::string where = "F(" + std::to_string(m) + "x" + std::to_string(m) + ") tap " +
+                                std::to_string(t);
+      ASSERT_EQ(h3.total(), 3 * h.total()) << where;
+      check_against_oracle(h, 128, 0.999, where, ties, mismatches);
+      const CalibrationResult a = calibrate_kl(h), b = calibrate_kl(h3);
+      ASSERT_EQ(a.bin, b.bin) << where;
+      ASSERT_EQ(a.tau, b.tau) << where;
+      ASSERT_EQ(a.kl, b.kl) << where;
+    }
+  }
+  std::cout << taps << " tap histograms: " << mismatches << " mismatches, " << ties
+            << " rounding ties\n";
+  EXPECT_EQ(taps, 16u + 36u + 64u);
   EXPECT_EQ(mismatches, 0u);
 }
 
