@@ -6,7 +6,7 @@
 // skipped). MiniMobileNet's depthwise and pointwise layers have no engine in
 // common, so its baseline row is the {int8_dw, int8_direct} candidate pair,
 // which leaves one eligible engine per layer. The planned session picks per
-// layer (wisdom-backed shoot-out across the candidate set, accuracy envelope
+// layer (measured shoot-out across the candidate set, accuracy envelope
 // enforced). The claim to check: the auto-planned session is at least as
 // fast as the best single-engine choice, because per-layer selection can
 // only match or beat a uniform assignment.

@@ -5,6 +5,8 @@
 //   build/examples/tune_layer [C] [K] [HW] [batch]
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+#include <string>
 
 #include "parallel/thread_pool.h"
 #include "tuning/tuner.h"
@@ -34,17 +36,23 @@ int main(int argc, char** argv) {
 
   // Persist the winning blocking to the wisdom file under the layer's key.
   const char* path = "lowino_wisdom.txt";
+  const std::string key = wisdom_key(desc, 4);
   WisdomStore store;
   if (auto existing = WisdomStore::load(path)) store = *existing;
-  store.put(wisdom_key(desc, 4), result.best);
-  store.save(path);
+  store.put(key, result.best);
+  if (!store.save(path)) {
+    std::fprintf(stderr, "could not save %s\n", path);
+    return 1;
+  }
   std::printf("  saved to %s (%zu entries)\n", path, store.size());
 
-  // Demonstrate the load path.
+  // Demonstrate the load path: the file gives back the blocking just saved.
   const auto loaded = WisdomStore::load(path);
-  if (loaded && loaded->get(wisdom_key(desc, 4))) {
-    std::printf("  reload check: OK (%s)\n",
-                loaded->get(wisdom_key(desc, 4))->to_string().c_str());
+  const std::optional<Int8GemmBlocking> reloaded = loaded ? loaded->get(key) : std::nullopt;
+  if (!reloaded || reloaded->to_string() != result.best.to_string()) {
+    std::fprintf(stderr, "reload check: %s does not hold this layer's blocking\n", path);
+    return 1;
   }
+  std::printf("  reload check: OK (%s)\n", reloaded->to_string().c_str());
   return 0;
 }

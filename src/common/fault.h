@@ -27,8 +27,9 @@
 // Sites (fixed taxonomy, see fault_site_name):
 //   session-run     top of InferenceSession::run
 //   engine-execute  before each conv engine execution inside a session op
-//   plan-load       SessionPlan / WisdomStore persistence (load, and save
-//                   between temp-file write and rename — the crash window)
+//   plan-load       SessionPlan / WisdomStore persistence, common/text_file.h
+//                   (load, and save between temp-file write and rename — the
+//                   crash window)
 //   arena-alloc     AlignedBuffer (re-)allocation (compile/rebuild time)
 //   worker-start    BatchingServer worker session build/rebuild
 #pragma once

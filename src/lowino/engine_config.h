@@ -1,9 +1,7 @@
 // Configuration of the LoWino convolution engine.
 #pragma once
 
-#include <cctype>
 #include <cstddef>
-#include <cstring>
 
 #include "gemm/int8_gemm.h"
 
@@ -38,29 +36,6 @@ inline const char* execution_mode_name(ExecutionMode mode) {
     case ExecutionMode::kAuto: return "auto";
   }
   return "?";
-}
-
-/// Parses an execution-mode token ("staged" / "fused" / "auto", matched
-/// ASCII case-insensitively); returns false on anything else and leaves
-/// `mode` untouched. The wisdom parser uses it to validate the mode token of
-/// legacy v2/v3 lines.
-inline bool parse_execution_mode(const char* name, ExecutionMode& mode) {
-  const auto matches = [](const char* token, const char* lower) {
-    for (; *token != '\0' && *lower != '\0'; ++token, ++lower) {
-      if (std::tolower(static_cast<unsigned char>(*token)) != *lower) return false;
-    }
-    return *token == '\0' && *lower == '\0';
-  };
-  if (matches(name, "staged")) {
-    mode = ExecutionMode::kStaged;
-  } else if (matches(name, "fused")) {
-    mode = ExecutionMode::kFused;
-  } else if (matches(name, "auto")) {
-    mode = ExecutionMode::kAuto;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 /// LoWino engine configuration. The paper's headline configurations are

@@ -36,8 +36,8 @@ enum class EngineKind {
 /// Human-readable display name ("LoWino F(4x4,3x3)").
 const char* engine_name(EngineKind kind);
 
-/// Stable machine token ("lowino_f4") — what plan files, wisdom entries and
-/// command lines use. engine_kind_from_string() parses both forms.
+/// Stable machine token ("lowino_f4") — what plan files and command lines
+/// use. engine_kind_from_string() parses both forms.
 const char* engine_token(EngineKind kind);
 
 /// Parses an engine identifier: the machine token (ASCII case-insensitive,
@@ -45,7 +45,7 @@ const char* engine_token(EngineKind kind);
 /// Returns nullopt for anything else. Round-trips with both engine_token()
 /// and engine_name() for every EngineKind. The retired token "int8_1x1"
 /// (the pointwise engine int8_direct absorbed) still parses, to kInt8Direct,
-/// so saved plans and wisdom that name it keep loading.
+/// so saved plans that name it keep loading.
 std::optional<EngineKind> engine_kind_from_string(std::string_view name);
 
 /// Every EngineKind, in declaration order (for benches/examples that sweep

@@ -463,7 +463,7 @@ BatchingServer::BatchingServer(SequentialModel& model, const Tensor<float>& cali
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     workers_[w].pool = std::make_unique<ThreadPool>(options_.threads_per_worker);
   }
-  // Worker 0 plans (shoot-out / wisdom / forced engine per the caller's
+  // Worker 0 plans (shoot-out / replay / forced engine per the caller's
   // options) and must succeed — a server that cannot build even one session
   // is a construction error, not a degraded fleet. Every other worker
   // replays the resulting immutable plan (identical engine choices, no
@@ -679,9 +679,6 @@ void BatchingServer::build_worker_session(Worker& worker) {
   PlanOptions plan = options_.plan;
   plan.pool = worker.pool.get();
   plan.reuse = &plan_;
-  // Replays never touch a shared WisdomStore: concurrent rebuilding workers
-  // would race on it, and a replayed plan has nothing new to record anyway.
-  plan.wisdom = nullptr;
   InferenceSession session = InferenceSession::compile(*model_, calib_, plan);
   // Pre-warm before installing, so a throw anywhere above (including
   // injected session-run faults) retains the worker's previous session.

@@ -1,13 +1,12 @@
 #include "serve/session.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
 
 #include "common/fault.h"
+#include "common/text_file.h"
 #include "common/timer.h"
 #include "direct/direct_f32.h"
 #include "gemm/fp32_gemm.h"
@@ -33,7 +32,7 @@ constexpr EngineKind kDefaultCandidates[] = {
     EngineKind::kInt8Depthwise,
 };
 
-/// Plan-file / wisdom token for a fused epilogue ("none" never serializes —
+/// Plan-file token for a fused epilogue ("none" never serializes —
 /// unfused conv lines stay byte-identical to the v1 format).
 const char* post_ops_token(bool fuse_relu, bool fuse_sum) {
   if (fuse_sum && fuse_relu) return "sum+relu";
@@ -71,17 +70,6 @@ bool parse_dtype_token(const std::string& field, DType& in_dtype, DType& out_dty
   in_dtype = *in;
   out_dtype = *out;
   return true;
-}
-
-std::string plan_wisdom_key(const std::string& desc_str, bool fuse_relu, bool fuse_sum) {
-  std::string key = "plan-engine " + desc_str;
-  // Fused and unfused instances of the same shape are different planning
-  // problems (the epilogue changes the measured latency ranking); unfused
-  // keys stay unchanged so existing wisdom files keep hitting.
-  if (fuse_relu || fuse_sum) {
-    key += std::string(" post=") + post_ops_token(fuse_relu, fuse_sum);
-  }
-  return key;
 }
 
 /// SNR values are clamped to a finite range before they enter a plan record:
@@ -276,40 +264,12 @@ std::optional<SessionPlan> SessionPlan::deserialize(const std::string& text) {
   return plan;
 }
 
-bool SessionPlan::save(const std::string& path) const {
-  // Crash-safe: write the whole plan to a sibling temp file, then rename it
-  // over the target. A failure (or injected fault) mid-save leaves any
-  // previous file untouched — a reader never observes a torn plan.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp);
-    if (!out) return false;
-    out << serialize();
-    if (!out.flush()) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  try {
-    maybe_inject_fault(FaultSite::kPlanLoad);
-  } catch (...) {
-    std::remove(tmp.c_str());
-    throw;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
+bool SessionPlan::save(const std::string& path) const { return save_text_file(path, serialize()); }
 
 std::optional<SessionPlan> SessionPlan::load(const std::string& path) {
-  maybe_inject_fault(FaultSite::kPlanLoad);
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return deserialize(buf.str());
+  const std::optional<std::string> text = load_text_file(path);
+  if (!text) return std::nullopt;
+  return deserialize(*text);
 }
 
 // ---------------------------------------------------------------------------
@@ -331,8 +291,8 @@ const SessionPlan* replayed_plan(const PlanOptions& options) {
 
 /// The engine kinds the `conv_ordinal`-th engine conv may run, in precedence
 /// order: the forced kind, else the replayed plan's kind, else the shoot-out
-/// candidates (a wisdom hint only shortcuts the shoot-out). The one owner of
-/// engine precedence — fusion and selection both ask it.
+/// candidates. The one owner of engine precedence — fusion and selection
+/// both ask it.
 std::span<const EngineKind> allowed_engines(const PlanOptions& options,
                                             std::size_t conv_ordinal) {
   if (options.forced_engine) return {&*options.forced_engine, 1};
@@ -604,13 +564,12 @@ ShootoutResult run_shootout(std::span<const EngineKind> kinds, const ShootoutHoo
 
 /// Pass 3: an engine per kConvEngine op, by the precedence of
 /// allowed_engines: a forced or replayed kind is built as is; otherwise a
-/// wisdom hint, else a measured shoot-out (run_shootout: SNR first, then
-/// timing of what can win). Engines calibrate on every calibration batch;
-/// SNR and time are measured on the first. SNR runs the NCHW entry point;
+/// measured shoot-out picks (run_shootout: SNR first, then timing of what
+/// can win). Engines calibrate on every calibration batch; SNR and time are
+/// measured on the first. SNR runs the NCHW entry point;
 /// a blocked-I/O candidate is timed through run_blocked, the entry point a
 /// session serves it by, on blocked copies of the input and residual made
-/// once per conv. Every choice is recorded in the plan, with a measured SNR,
-/// and written back to wisdom.
+/// once per conv. Every choice is recorded in the plan, with a measured SNR.
 void InferenceSession::select_engines(InferenceSession& s, const PlanOptions& options,
                                       const std::vector<std::vector<Tensor<float>>>& refs) {
   const std::vector<Tensor<float>>& ref = refs.front();
@@ -659,7 +618,6 @@ void InferenceSession::select_engines(InferenceSession& s, const PlanOptions& op
     choice.desc = desc_str;
     choice.fuse_relu = op.fuse_relu;
     choice.fuse_sum = op.fuse_sum;
-    const std::string wisdom_key = plan_wisdom_key(desc_str, op.fuse_relu, op.fuse_sum);
     const std::span<const EngineKind> allowed = allowed_engines(options, ordinal);
     if (pinned) {
       choice.engine = allowed.front();
@@ -669,15 +627,11 @@ void InferenceSession::select_engines(InferenceSession& s, const PlanOptions& op
                    engine_token(choice.engine) + " is not eligible for " + desc_str);
       }
       if (replay != nullptr) choice.seconds = replay->convs[ordinal].seconds;
-    } else if (options.wisdom != nullptr) {
-      const std::optional<std::string> token = options.wisdom->get_string(wisdom_key);
-      if (const std::optional<EngineKind> hint =
-              token ? engine_kind_from_string(*token) : std::nullopt) {
-        op.engine = build(*hint);  // an ineligible hint falls through to the shoot-out
-        choice.engine = *hint;
-      }
-    }
-    if (op.engine == nullptr) {
+      // Forced and replayed engines skip the shoot-out but still get one
+      // accuracy measurement so the plan record is honest.
+      choice.snr_db = snr_of(*op.engine);
+      choice.met_envelope = meets_envelope(choice.engine, choice.snr_db);
+    } else {
       // The blocked copies of the input and residual, made on first use.
       const std::size_t C = desc.in_channels, K = desc.out_channels;
       const std::size_t oh = desc.out_height(), ow = desc.out_width();
@@ -734,14 +688,6 @@ void InferenceSession::select_engines(InferenceSession& s, const PlanOptions& op
       choice.seconds = w.seconds;
       choice.met_envelope = w.met_envelope;
       choice.candidates = std::move(shootout.candidates);
-    } else {
-      // Forced / replayed / wisdom-hinted engines skip the shoot-out but
-      // still get one accuracy measurement so the plan record is honest.
-      choice.snr_db = snr_of(*op.engine);
-      choice.met_envelope = meets_envelope(choice.engine, choice.snr_db);
-    }
-    if (options.wisdom != nullptr) {
-      options.wisdom->put_string(wisdom_key, engine_token(choice.engine));
     }
     s.plan_.convs.push_back(std::move(choice));
     ++ordinal;

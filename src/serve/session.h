@@ -20,12 +20,12 @@
 //   3. select_engines: one FP32 pass per calibration batch captures every
 //      convolution's input and reference output; then each quantizable
 //      convolution gets forced_engine, else the replayed plan's engine, else
-//      a WisdomStore hint, else a measured shoot-out across the eligible
-//      candidates gated by an accuracy envelope (minimum signal-to-noise vs
-//      the FP32 reference): SNR first, then timing of only the candidates
-//      that can win (run_shootout), blocked-I/O kinds through run_blocked,
-//      the entry point the session serves them by. One helper owns that
-//      precedence for both fuse and select_engines;
+//      a measured shoot-out across the eligible candidates gated by an
+//      accuracy envelope (minimum signal-to-noise vs the FP32 reference):
+//      SNR first, then timing of only the candidates that can win
+//      (run_shootout), blocked-I/O kinds through run_blocked, the entry
+//      point the session serves them by. One helper owns that precedence for
+//      both fuse and select_engines;
 //   4. assign_dtypes: the u8 activation hand-off per edge. One seed rule and
 //      one legality fixpoint decide which edges may be u8 — engine convs and
 //      ungrouped FP32 convs (the stems) emit u8, ReLU and maxpool pass it
@@ -84,7 +84,6 @@
 #include "tensor/dtype.h"
 #include "tensor/layout.h"
 #include "tensor/tensor.h"
-#include "tuning/wisdom.h"
 
 namespace lowino {
 
@@ -108,13 +107,9 @@ struct PlanOptions {
   /// Pool bound into the session (plan-time measurements and every run).
   /// Null binds ThreadPool::global().
   ThreadPool* pool = nullptr;
-  /// When set, per-layer decisions are consulted from ("plan-engine <desc>"
-  /// string entries) and recorded into this store. Programmatic overrides
-  /// (forced_engine, reuse) beat wisdom.
-  WisdomStore* wisdom = nullptr;
   /// Replays a previously compiled (possibly deserialized) plan's engine
   /// choices instead of measuring. Throws if the plan does not match the
-  /// model/batch. Takes precedence over wisdom; forced_engine beats both.
+  /// model/batch. forced_engine beats it.
   const SessionPlan* reuse = nullptr;
 };
 
@@ -156,8 +151,8 @@ ShootoutResult run_shootout(std::span<const EngineKind> kinds, const ShootoutHoo
 
 /// The serializable record of one compile(): what was chosen and why, plus
 /// the memory-planning outcome. Round-trips through serialize()/deserialize()
-/// so a tuned plan can be shipped next to the wisdom file and replayed with
-/// PlanOptions::reuse.
+/// so a tuned plan can be saved, shipped and replayed with PlanOptions::reuse
+/// — the one saved record of per-layer decisions.
 struct SessionPlan {
   struct ConvChoice {
     std::size_t op_index = 0;  ///< position in the lowered op list
@@ -187,7 +182,7 @@ struct SessionPlan {
     ActLayout in_layout = ActLayout::kNchw;
     ActLayout out_layout = ActLayout::kNchw;
     // Every shoot-out candidate, in candidate order (summary only, never
-    // serialized; empty when the engine was forced, replayed or hinted).
+    // serialized; empty when the engine was forced or replayed).
     std::vector<ShootoutCandidate> candidates;
   };
 

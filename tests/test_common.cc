@@ -1,17 +1,21 @@
-// Tests for src/common: aligned buffers, saturating casts, RNG, partitioning.
+// Tests for src/common: aligned buffers, saturating casts, RNG, partitioning,
+// whole-file text persistence.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <set>
+#include <string>
 
 #include "common/aligned_buffer.h"
 #include "common/cpu_features.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "common/saturate.h"
+#include "common/text_file.h"
 #include "common/timer.h"
-#include "lowino/engine_config.h"
 #include "parallel/partition.h"
 
 namespace lowino {
@@ -253,30 +257,6 @@ TEST(Env, StringFallsBackOnlyWhenUnsetOrEmpty) {
   }
 }
 
-TEST(Env, ExecutionModeTokenParsing) {
-  // The token check behind the wisdom parser's legacy mode field: known
-  // tokens parse case-insensitively; anything else returns false and leaves
-  // the mode untouched (invalid values can never crash or half-configure).
-  ExecutionMode mode = ExecutionMode::kAuto;
-  EXPECT_TRUE(parse_execution_mode("staged", mode));
-  EXPECT_EQ(mode, ExecutionMode::kStaged);
-  EXPECT_TRUE(parse_execution_mode("FUSED", mode));
-  EXPECT_EQ(mode, ExecutionMode::kFused);
-  EXPECT_TRUE(parse_execution_mode("Auto", mode));
-  EXPECT_EQ(mode, ExecutionMode::kAuto);
-  EXPECT_TRUE(parse_execution_mode("StAgEd", mode));
-  EXPECT_EQ(mode, ExecutionMode::kStaged);
-
-  mode = ExecutionMode::kFused;
-  EXPECT_FALSE(parse_execution_mode("", mode));
-  EXPECT_FALSE(parse_execution_mode("stage", mode));     // prefix is not a match
-  EXPECT_FALSE(parse_execution_mode("stagedd", mode));   // neither is an extension
-  EXPECT_FALSE(parse_execution_mode("fused ", mode));    // no trailing junk
-  EXPECT_FALSE(parse_execution_mode("sideways", mode));
-  EXPECT_EQ(mode, ExecutionMode::kFused) << "failed parse must not clobber the mode";
-}
-
-
 // --- RuntimeConfig override layer -------------------------------------------
 
 TEST(RuntimeConfig, OverrideBeatsEnvironmentAndClearsCleanly) {
@@ -343,6 +323,31 @@ TEST(RuntimeConfig, ScopedOverrideRestoresPreviousState) {
   EXPECT_FALSE(RuntimeConfig::get(kVar).has_value())
       << "outermost scope must restore the no-override state";
   EXPECT_EQ(config_string(kVar, "dflt"), "dflt");
+}
+
+// --- Whole-file text persistence ----------------------------------------------
+// The fault-injected crash window is covered through both stores in
+// test_fault.cc; these cover the plain I/O paths of the one writer.
+
+bool exists(const std::string& path) { return std::ifstream(path).good(); }
+
+TEST(TextFile, SaveOverwritesAndLoadReturnsTheExactBytes) {
+  const std::string path = ::testing::TempDir() + "lowino_text_file.txt";
+  ASSERT_TRUE(save_text_file(path, "first\nversion\n"));
+  const std::string second = "second = 1 2\n# no trailing newline";
+  ASSERT_TRUE(save_text_file(path, second));
+  EXPECT_FALSE(exists(path + ".tmp")) << "temp residue after a save";
+  EXPECT_EQ(load_text_file(path), second);
+  ASSERT_TRUE(save_text_file(path, ""));
+  EXPECT_EQ(load_text_file(path), "");
+  std::remove(path.c_str());
+}
+
+TEST(TextFile, SaveIntoAMissingDirectoryReturnsFalse) {
+  const std::string path = ::testing::TempDir() + "lowino_no_such_dir/plan.txt";
+  EXPECT_FALSE(save_text_file(path, "text"));
+  EXPECT_FALSE(exists(path));
+  EXPECT_FALSE(exists(path + ".tmp"));
 }
 
 }  // namespace

@@ -203,20 +203,24 @@ TEST(Fault, RejectsOutOfRangeRate) {
 
 // --- Crash-safe persistence under the plan-load fault point -----------------
 //
-// Both stores save via write-temp-then-rename; the fault point sits in the
-// crash window between the two. A save that dies there must leave the
-// previous file byte-identical and no temp residue behind.
+// Both stores save through one writer (common/text_file.h):
+// write-temp-then-rename, with the fault point in the crash window between
+// the two. A save that dies there must leave the previous file
+// byte-identical and no temp residue behind.
 
 bool file_exists(const std::string& path) { return std::ifstream(path).good(); }
 
 TEST(FaultCrashSafety, WisdomSaveDyingMidSaveKeepsOldFile) {
   const std::string path = ::testing::TempDir() + "lowino_fault_wisdom.txt";
+  Int8GemmBlocking one;
+  one.n_blk = 48;
+  const Int8GemmBlocking two;  // n_blk 96
   WisdomStore v1;
-  ASSERT_TRUE(v1.put_string("gen", "one"));
+  v1.put("gen", one);
   ASSERT_TRUE(v1.save(path));
 
   WisdomStore v2;
-  ASSERT_TRUE(v2.put_string("gen", "two"));
+  v2.put("gen", two);
   {
     ScopedFaultPlan plan;
     plan.fail_next(FaultSite::kPlanLoad, 1);
@@ -225,13 +229,15 @@ TEST(FaultCrashSafety, WisdomSaveDyingMidSaveKeepsOldFile) {
   EXPECT_FALSE(file_exists(path + ".tmp")) << "temp residue after a crashed save";
   auto loaded = WisdomStore::load(path);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->get_string("gen").value_or(""), "one")
+  ASSERT_TRUE(loaded->get("gen").has_value());
+  EXPECT_EQ(loaded->get("gen")->n_blk, one.n_blk)
       << "crashed save must not clobber the previous wisdom";
 
   ASSERT_TRUE(v2.save(path)) << "the store is reusable after a crashed save";
   loaded = WisdomStore::load(path);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->get_string("gen").value_or(""), "two");
+  ASSERT_TRUE(loaded->get("gen").has_value());
+  EXPECT_EQ(loaded->get("gen")->n_blk, two.n_blk);
   std::remove(path.c_str());
 }
 

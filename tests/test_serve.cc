@@ -1,7 +1,7 @@
 // Tests for the serving layer (src/serve): the liveness-based arena planner
 // (fuzzed), SessionPlan text round-trip, and InferenceSession — differential
 // bit-identity against a layer-by-layer engine replay (engine_replay.h), plan replay,
-// wisdom-backed selection, and the zero-allocation steady-state contract
+// the compile passes, and the zero-allocation steady-state contract
 // (global operator new counting + the AlignedBuffer allocation counter).
 #include <gtest/gtest.h>
 
@@ -31,7 +31,6 @@
 #include "serve/arena.h"
 #include "serve/session.h"
 #include "tensor/layout.h"
-#include "tuning/wisdom.h"
 
 // ---------------------------------------------------------------------------
 // Malloc-counting harness: replace the global allocation functions so the
@@ -76,6 +75,18 @@ struct InferenceSessionTestPeer {
   static const std::vector<Op>& ops(const InferenceSession& s) { return s.ops_; }
   static const std::vector<Value>& values(const InferenceSession& s) { return s.values_; }
   static std::size_t output_value(const InferenceSession& s) { return s.output_value_; }
+
+  /// A session taken through lower() alone.
+  static InferenceSession lowered(SequentialModel& model,
+                                  std::span<const Tensor<float>> calib_batches) {
+    InferenceSession s;
+    InferenceSession::lower(s, model, calib_batches);
+    return s;
+  }
+  static void fuse(InferenceSession& s, const PlanOptions& options) {
+    InferenceSession::fuse(s, options);
+  }
+  static std::vector<Op>& mutable_ops(InferenceSession& s) { return s.ops_; }
 
   /// A session taken through compile()'s passes up to select_engines and no
   /// further: that pass's own record of engines and shoot-out candidates.
@@ -817,35 +828,6 @@ TEST(InferenceSession, PlanReplayRejectsMismatchedModel) {
   EXPECT_THROW(InferenceSession::compile(vgg, calib, replay), std::invalid_argument);
 }
 
-TEST(InferenceSession, WisdomRecordsAndReplaysPerLayerChoices) {
-  const Tensor<float> calib = random_input(2, 16, 444);
-  WisdomStore wisdom;
-  PlanOptions options;
-  options.pool = &ThreadPool::global();
-  options.seconds_per_candidate = 0.005;
-  options.wisdom = &wisdom;
-
-  SequentialModel model_a = make_minivgg();
-  InferenceSession first = InferenceSession::compile(model_a, calib, options);
-  EXPECT_EQ(wisdom.string_size(), first.plan().convs.size());
-
-  // The recorded entries survive the wisdom text format.
-  const WisdomStore reloaded = WisdomStore::deserialize(wisdom.serialize());
-  EXPECT_EQ(reloaded.string_size(), wisdom.string_size());
-
-  // A second compile consults wisdom: same engines, no shoot-out timing.
-  SequentialModel model_b = make_minivgg();
-  WisdomStore reloaded_mutable = reloaded;
-  PlanOptions consult = options;
-  consult.wisdom = &reloaded_mutable;
-  InferenceSession second = InferenceSession::compile(model_b, calib, consult);
-  ASSERT_EQ(second.plan().convs.size(), first.plan().convs.size());
-  for (std::size_t i = 0; i < first.plan().convs.size(); ++i) {
-    EXPECT_EQ(second.plan().convs[i].engine, first.plan().convs[i].engine);
-    EXPECT_EQ(second.plan().convs[i].seconds, 0.0);  // replayed, not measured
-  }
-}
-
 TEST(InferenceSession, RejectsWrongInputShapeAndBadModels) {
   SequentialModel model = make_minivgg();
   const Tensor<float> calib = random_input(2, 16, 555);
@@ -1556,6 +1538,186 @@ std::size_t reorder_count(const InferenceSession& s) {
   std::size_t n = 0;
   for (const Peer::Op& op : Peer::ops(s)) n += op.kind == Peer::Op::Kind::kReorder;
   return n;
+}
+
+// --- The lower and fuse passes, one at a time ------------------------------
+
+using Kind = Peer::Op::Kind;
+
+std::vector<Kind> op_kinds(const InferenceSession& s) {
+  std::vector<Kind> kinds;
+  for (const Peer::Op& op : Peer::ops(s)) kinds.push_back(op.kind);
+  return kinds;
+}
+
+/// An FP32 1 -> 8 stem at hw 8 (what random_input(batch, 8, seed) feeds).
+std::unique_ptr<ConvLayer> fp32_stem(Rng& rng) {
+  auto stem = std::make_unique<ConvLayer>(1, 8, 8, 3, 1, rng);
+  stem->set_quantizable(false);
+  return stem;
+}
+
+InferenceSession lowered_on(SequentialModel& model, const Tensor<float>& calib) {
+  return Peer::lowered(model, std::span<const Tensor<float>>(&calib, 1));
+}
+
+TEST(LowerPass, ResidualBlockBecomesConvReluConvAddRelu) {
+  Rng rng(3);
+  SequentialModel model;
+  model.add(fp32_stem(rng));
+  auto block = std::make_unique<ResidualBlock>(8, 8, rng);
+  ResidualBlock& res = *block;
+  model.add(std::move(block));
+  const InferenceSession s = lowered_on(model, random_input(2, 8, 41));
+  EXPECT_EQ(op_kinds(s), (std::vector<Kind>{Kind::kConvFp32, Kind::kConvEngine, Kind::kRelu,
+                                            Kind::kConvEngine, Kind::kAddRelu}));
+  const std::vector<Peer::Op>& ops = Peer::ops(s);
+  const std::size_t x = ops[0].out;  // the block input
+  EXPECT_EQ(ops[1].conv, &res.conv1());
+  EXPECT_EQ(ops[1].in0, x);
+  EXPECT_EQ(ops[2].in0, ops[1].out);
+  EXPECT_EQ(ops[3].conv, &res.conv2());
+  EXPECT_EQ(ops[3].in0, ops[2].out);
+  // The block input stays live across the block, into the add beside
+  // conv2's output.
+  EXPECT_EQ(ops[4].in0, x);
+  EXPECT_EQ(ops[4].in1, ops[3].out);
+  EXPECT_EQ(Peer::output_value(s), ops[4].out);
+  for (const Peer::Op& op : ops) EXPECT_FALSE(op.fuse_relu || op.fuse_sum) << op.label;
+}
+
+TEST(LowerPass, ShapeMismatchNamesTheLayer) {
+  Rng rng(4);
+  SequentialModel model;
+  model.add(fp32_stem(rng));
+  auto wide = std::make_unique<ConvLayer>(16, 8, 8, 3, 1, rng);  // the stem emits 8 channels
+  const std::string name = wide->name();
+  model.add(std::move(wide));
+  try {
+    lowered_on(model, random_input(2, 8, 42));
+    FAIL() << "lowering a shape mismatch must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+  }
+}
+
+TEST(LowerPass, MismatchedCalibrationBatchesThrow) {
+  Rng rng(5);
+  SequentialModel model;
+  model.add(fp32_stem(rng));
+  for (const Tensor<float>& other : {random_input(2, 16, 44), random_input(4, 8, 45)}) {
+    const std::vector<Tensor<float>> batches = {random_input(2, 8, 43), other};
+    EXPECT_THROW(Peer::lowered(model, batches), std::invalid_argument);
+  }
+}
+
+TEST(FusePass, ConvReluFoldsAndTheReluOpIsGone) {
+  ScopedRuntimeOverride fuse_on("LOWINO_FUSE_POSTOPS", "1");
+  Rng rng(6);
+  SequentialModel model;
+  model.add(fp32_stem(rng));
+  model.add(std::make_unique<ConvLayer>(8, 8, 8, 3, 1, rng));
+  model.add(std::make_unique<ReluLayer>());
+  InferenceSession s = lowered_on(model, random_input(2, 8, 46));
+  const std::size_t relu_out = Peer::ops(s)[2].out;
+  Peer::fuse(s, PlanOptions{});
+  EXPECT_EQ(op_kinds(s), (std::vector<Kind>{Kind::kConvFp32, Kind::kConvEngine}));
+  const Peer::Op& conv = Peer::ops(s)[1];
+  EXPECT_TRUE(conv.fuse_relu);
+  EXPECT_FALSE(conv.fuse_sum);
+  EXPECT_EQ(conv.out, relu_out);
+  EXPECT_EQ(Peer::output_value(s), relu_out);
+  EXPECT_EQ(conv.label, "conv3x3(8->8)+relu");
+}
+
+TEST(FusePass, ConvAddReluFoldsWithTheSkipInIn1) {
+  ScopedRuntimeOverride fuse_on("LOWINO_FUSE_POSTOPS", "1");
+  Rng rng(7);
+  SequentialModel model;
+  model.add(fp32_stem(rng));
+  model.add(std::make_unique<ResidualBlock>(8, 8, rng));
+  InferenceSession s = lowered_on(model, random_input(2, 8, 47));
+  const std::size_t x = Peer::ops(s)[0].out;
+  const std::size_t add_out = Peer::ops(s)[4].out;
+  const std::size_t mid_act = Peer::ops(s)[2].out;
+  Peer::fuse(s, PlanOptions{});
+  EXPECT_EQ(op_kinds(s),
+            (std::vector<Kind>{Kind::kConvFp32, Kind::kConvEngine, Kind::kConvEngine}));
+  const Peer::Op& conv1 = Peer::ops(s)[1];
+  EXPECT_TRUE(conv1.fuse_relu);
+  EXPECT_FALSE(conv1.fuse_sum);
+  EXPECT_EQ(conv1.out, mid_act);
+  const Peer::Op& conv2 = Peer::ops(s)[2];
+  EXPECT_TRUE(conv2.fuse_relu);
+  EXPECT_TRUE(conv2.fuse_sum);
+  EXPECT_EQ(conv2.in0, mid_act);
+  EXPECT_EQ(conv2.in1, x);
+  EXPECT_EQ(conv2.out, add_out);
+}
+
+TEST(FusePass, ConvWithTwoReadersStaysUnfused) {
+  ScopedRuntimeOverride fuse_on("LOWINO_FUSE_POSTOPS", "1");
+  Rng rng(8);
+  SequentialModel model;
+  model.add(fp32_stem(rng));
+  model.add(std::make_unique<ConvLayer>(8, 8, 8, 3, 1, rng));
+  model.add(std::make_unique<ReluLayer>());
+  model.add(std::make_unique<ReluLayer>());
+  InferenceSession s = lowered_on(model, random_input(2, 8, 48));
+  // A sequential model gives a conv's output one reader; point the second
+  // relu at it as well, as a branching graph would.
+  std::vector<Peer::Op>& ops = Peer::mutable_ops(s);
+  ops[3].in0 = ops[1].out;
+  Peer::fuse(s, PlanOptions{});
+  EXPECT_EQ(op_kinds(s),
+            (std::vector<Kind>{Kind::kConvFp32, Kind::kConvEngine, Kind::kRelu, Kind::kRelu}));
+  EXPECT_FALSE(Peer::ops(s)[1].fuse_relu);
+  EXPECT_EQ(Peer::ops(s)[2].in0, Peer::ops(s)[1].out);
+}
+
+TEST(FusePass, ForcedEngineWithoutPostOpsKeepsTheRelu) {
+  ScopedRuntimeOverride fuse_on("LOWINO_FUSE_POSTOPS", "1");
+  ASSERT_FALSE(engine_caps(EngineKind::kDownscaleF2, ConvDesc{}).post_ops);
+  Rng rng(9);
+  SequentialModel model;
+  model.add(fp32_stem(rng));
+  model.add(std::make_unique<ReluLayer>());
+  model.add(std::make_unique<ConvLayer>(8, 8, 8, 3, 1, rng));
+  model.add(std::make_unique<ReluLayer>());
+  InferenceSession s = lowered_on(model, random_input(2, 8, 49));
+  PlanOptions options;
+  options.forced_engine = EngineKind::kDownscaleF2;
+  Peer::fuse(s, options);
+  // The FP32 stem still takes its relu; the engine conv cannot.
+  EXPECT_EQ(op_kinds(s), (std::vector<Kind>{Kind::kConvFp32, Kind::kConvEngine, Kind::kRelu}));
+  EXPECT_TRUE(Peer::ops(s)[0].fuse_relu);
+  EXPECT_FALSE(Peer::ops(s)[1].fuse_relu);
+}
+
+TEST(FusePass, KillSwitchKeepsTheLoweredOpList) {
+  ScopedRuntimeOverride fuse_off("LOWINO_FUSE_POSTOPS", "0");
+  Rng rng(10);
+  SequentialModel model;
+  model.add(fp32_stem(rng));
+  model.add(std::make_unique<ReluLayer>());
+  model.add(std::make_unique<ConvLayer>(8, 8, 8, 3, 1, rng));
+  model.add(std::make_unique<ReluLayer>());
+  model.add(std::make_unique<ResidualBlock>(8, 8, rng));
+  InferenceSession s = lowered_on(model, random_input(2, 8, 50));
+  const auto record = [](const InferenceSession& session) {
+    std::vector<std::string> lines;
+    for (const Peer::Op& op : Peer::ops(session)) {
+      lines.push_back(op.label + " " + std::to_string(op.in0) + " " + std::to_string(op.in1) +
+                      " " + std::to_string(op.out) + " " + std::to_string(op.fuse_relu) +
+                      std::to_string(op.fuse_sum));
+    }
+    return lines;
+  };
+  const std::vector<Kind> kinds = op_kinds(s);
+  const std::vector<std::string> lowered = record(s);
+  Peer::fuse(s, PlanOptions{});
+  EXPECT_EQ(op_kinds(s), kinds);
+  EXPECT_EQ(record(s), lowered);
 }
 
 /// C = 48 stem, 48 -> 96 and 96 -> 48 Winograd convs: every blocked value
